@@ -16,6 +16,7 @@ from .errors import (
     DomainViolation,
     InvalidMeasure,
     ModelMismatch,
+    NonFiniteEntries,
     NonHermitian,
     NonPositiveAtom,
     NonPositiveBeta,

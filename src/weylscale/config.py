@@ -21,6 +21,10 @@ from .errors import ConfigInvalid
 from .spectral import INF, OperatorSpec
 from .kms import default_time_grid
 
+#: PyYAML's libyaml-backed safe loader when it was built with libyaml; the
+#: constructors are the same Python ones, so the parsed documents are too.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _FUNCTIONS = {"ln": math.log, "log": math.log, "sqrt": math.sqrt, "exp": math.exp}
 _CONSTANTS = {"e": math.e, "pi": math.pi, "inf": INF, "INF": INF}
 
@@ -272,7 +276,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                raw = yaml.safe_load(handle)
+                raw = yaml.load(handle, Loader=_YAML_LOADER)
         except OSError as exc:
             raise ConfigInvalid(f"config file: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -5,6 +5,10 @@ class WeylscaleError(Exception):
     """Base class for every error raised by this package."""
 
 
+class NonFiniteEntries(WeylscaleError):
+    """Matrix input holds NaN or infinite entries."""
+
+
 class NonHermitian(WeylscaleError):
     """Matrix input violates conjugate symmetry beyond tolerance."""
 

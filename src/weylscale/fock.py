@@ -16,6 +16,12 @@ both the vacuum value ``exp(-||f||^2/4)`` and the product phase
 truncated generator, so they are exactly unitary; truncation shows up only
 near the top of the ladder, which is why relation residuals are measured on
 the block of occupation numbers up to half the cutoff.
+
+Every doubled operator is a tensor product over the two slots, so products
+factor as ``(A1 (x) A2)(B1 (x) B2) = A1 B1 (x) A2 B2``.  The relation and
+commutant residuals are computed from such slot products on the reliable
+block; the doubled matrix itself is only built by ``gns_weyl_operator`` and
+its siblings, on request.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     InvalidMeasure,
+    NonFiniteEntries,
     NonUnitary,
     OutOfRange,
     SpectrumBelowOne,
@@ -49,7 +56,8 @@ from .weyl import WeylWord, sigma
 #: Hard floor on the per-mode occupation cutoff.
 CUTOFF_FLOOR = 4
 
-#: Cap on the doubled-space axis length (cutoff+1)^(2*modes).
+#: Cap on the doubled-space axis length (cutoff+1)^(2*modes), for the dense
+#: builders (gns_weyl_operator and siblings) and for gns-check configs.
 DOUBLED_DIM_CAP = 10_000
 
 
@@ -78,6 +86,14 @@ def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     return expm(_mode_generator(alpha, cutoff))
 
 
+def _slot_matrix(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
+    """Tensor product over modes of the per-mode truncated displacements."""
+    matrix = _mode_displacement(amplitudes[0], cutoff)
+    for amp in amplitudes[1:]:
+        matrix = np.kron(matrix, _mode_displacement(amp, cutoff))
+    return matrix
+
+
 def truncated_displacement(alpha, cutoff: int) -> TruncatedFockOp:
     """Displacement operator D(alpha) on the truncated Fock space.
 
@@ -96,9 +112,7 @@ def truncated_displacement(alpha, cutoff: int) -> TruncatedFockOp:
             f"{np.max(np.abs(amplitudes)):.3g}; expect visible truncation error",
             stacklevel=2,
         )
-    matrix = _mode_displacement(amplitudes[0], cutoff)
-    for amp in amplitudes[1:]:
-        matrix = np.kron(matrix, _mode_displacement(amp, cutoff))
+    matrix = _slot_matrix(amplitudes, cutoff)
     defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
     return TruncatedFockOp(
         matrix=matrix,
@@ -114,6 +128,8 @@ class GnsModel:
 
     def __init__(self, covariance: OperatorSpec, cutoff: int = 40):
         matrix = covariance.require_matrix()
+        if not np.all(np.isfinite(matrix)):
+            raise NonFiniteEntries("covariance matrix has NaN or infinite entries")
         if cutoff < CUTOFF_FLOOR:
             raise CutoffTooSmall(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
         if inf_spectrum(covariance) < 1 - 1e-12:
@@ -155,11 +171,10 @@ class GnsModel:
         return first, second
 
 
-def _slot_matrix(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
-    matrix = _mode_displacement(amplitudes[0], cutoff)
-    for amp in amplitudes[1:]:
-        matrix = np.kron(matrix, _mode_displacement(amp, cutoff))
-    return matrix
+def _slot_pair(model: GnsModel, amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of the two tensor slots from their per-mode amplitudes."""
+    first, second = amplitudes
+    return _slot_matrix(first, model.cutoff), _slot_matrix(second, model.cutoff)
 
 
 def _check_doubled_cap(model: GnsModel):
@@ -174,15 +189,13 @@ def _check_doubled_cap(model: GnsModel):
 def gns_weyl_operator(model: GnsModel, f) -> np.ndarray:
     """The doubled-space matrix representing the generator W_f."""
     _check_doubled_cap(model)
-    first, second = model.slot_amplitudes(f)
-    return np.kron(_slot_matrix(first, model.cutoff), _slot_matrix(second, model.cutoff))
+    return np.kron(*_slot_pair(model, model.slot_amplitudes(f)))
 
 
 def gns_commutant_weyl_operator(model: GnsModel, f) -> np.ndarray:
     """The swapped-slot matrix that commutes with every gns_weyl_operator."""
     _check_doubled_cap(model)
-    first, second = model.commutant_slot_amplitudes(f)
-    return np.kron(_slot_matrix(first, model.cutoff), _slot_matrix(second, model.cutoff))
+    return np.kron(*_slot_pair(model, model.commutant_slot_amplitudes(f)))
 
 
 def gns_expectation(model: GnsModel, u: WeylWord) -> complex:
@@ -205,48 +218,63 @@ def gns_expectation(model: GnsModel, u: WeylWord) -> complex:
     return complex(total)
 
 
-def _reliable_block(model: GnsModel) -> np.ndarray:
-    """Doubled-space indices with every mode occupation <= cutoff // 2.
+def _reliable_slot(model: GnsModel) -> np.ndarray:
+    """Slot indices with every mode occupation <= cutoff // 2.
 
     Entries of truncated operators are only faithful to the untruncated ones
-    away from the top of the ladder; max-norm contracts are evaluated on this
-    block.
+    away from the top of the ladder; max-norm contracts are evaluated on the
+    block these indices span in each slot.
     """
-    keep = model.cutoff // 2
-    per_slot = [
-        i
-        for i in range(model.slot_dimension)
-        if all(
-            (i // (model.cutoff + 1) ** m) % (model.cutoff + 1) <= keep
-            for m in range(model.modes)
-        )
-    ]
-    slot = np.asarray(per_slot)
+    occupations = np.indices((model.cutoff + 1,) * model.modes).reshape(model.modes, -1)
+    return np.flatnonzero(np.all(occupations <= model.cutoff // 2, axis=0))
+
+
+def _reliable_block(model: GnsModel) -> np.ndarray:
+    """Doubled-space indices of the reliable block: both slots in _reliable_slot."""
+    slot = _reliable_slot(model)
     return (slot[:, None] * model.slot_dimension + slot[None, :]).ravel()
+
+
+def _kron_difference_max(p, q, r, s) -> float:
+    """Max-norm of ``P (x) Q - R (x) S``, broadcast over the factors' own axes."""
+    diff = p[:, None, :, None] * q[None, :, None, :]
+    diff -= r[:, None, :, None] * s[None, :, None, :]
+    return float(np.max(np.abs(diff)))
 
 
 def weyl_relation_residual(model: GnsModel, f, g) -> float:
     """Max-norm defect of pi(W_f) pi(W_g) = exp(-i sigma(f,g)/2) pi(W_{f+g}).
 
-    Measured on the reliable occupation block (see _reliable_block).
+    Measured on the reliable occupation block (see _reliable_slot), from the
+    slot products ``A1 B1`` and ``A2 B2``; no doubled matrix is formed.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    lhs = gns_weyl_operator(model, f) @ gns_weyl_operator(model, g)
-    rhs = np.exp(-0.5j * sigma(f, g)) * gns_weyl_operator(model, f + g)
-    idx = _reliable_block(model)
-    diff = (lhs - rhs).ravel()[idx[:, None] * lhs.shape[0] + idx[None, :]]
-    return float(np.max(np.abs(diff)))
+    a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
+    b1, b2 = _slot_pair(model, model.slot_amplitudes(g))
+    c1, c2 = _slot_pair(model, model.slot_amplitudes(f + g))
+    keep = _reliable_slot(model)
+    block = np.ix_(keep, keep)
+    phase = np.exp(-0.5j * sigma(f, g))
+    return _kron_difference_max(
+        a1[keep] @ b1[:, keep], a2[keep] @ b2[:, keep], phase * c1[block], c2[block]
+    )
 
 
 def commutant_residual(model: GnsModel, f, g) -> float:
-    """Max-norm of [pi(W_f), pi~(W_g)] on the reliable occupation block."""
-    a = gns_weyl_operator(model, f)
-    b = gns_commutant_weyl_operator(model, g)
-    comm = a @ b - b @ a
-    idx = _reliable_block(model)
-    block = comm.ravel()[idx[:, None] * comm.shape[0] + idx[None, :]]
-    return float(np.max(np.abs(block)))
+    """Max-norm of [pi(W_f), pi~(W_g)] on the reliable occupation block.
+
+    The commutator is ``A1 B1 (x) A2 B2 - B1 A1 (x) B2 A2`` over the slots.
+    """
+    a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
+    b1, b2 = _slot_pair(model, model.commutant_slot_amplitudes(g))
+    keep = _reliable_slot(model)
+    return _kron_difference_max(
+        a1[keep] @ b1[:, keep],
+        a2[keep] @ b2[:, keep],
+        b1[keep] @ a1[:, keep],
+        b2[keep] @ a2[:, keep],
+    )
 
 
 def _embed_mode(matrix: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from .config import ExperimentConfig, random_complex_vectors
 from .errors import ConfigInvalid, ScaleOutOfRange, WeylscaleError
 from .fock import (
+    DOUBLED_DIM_CAP,
     GnsModel,
     MixtureMeasure,
     c_parameter,
@@ -341,8 +342,8 @@ def run_gns_check(config: ExperimentConfig) -> ReportRecord:
         raise ConfigInvalid(f"operator/cutoff: {exc}") from exc
     doubled_axis = model.slot_dimension ** 2
     _require(
-        doubled_axis <= 10_000,
-        f"cutoff: doubled Fock space axis {doubled_axis} exceeds the 10000 cap; "
+        doubled_axis <= DOUBLED_DIM_CAP,
+        f"cutoff: doubled Fock space axis {doubled_axis} exceeds the {DOUBLED_DIM_CAP} cap; "
         f"lower the cutoff or mode count",
     )
     phi = quasi_free_functional(covariance)

@@ -1,8 +1,14 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weylscale
 from weylscale.cli import main
 from weylscale.config import ExperimentConfig, parse_complex, parse_number
 from weylscale.errors import ConfigInvalid
@@ -140,6 +146,17 @@ def _config(text):
     return ExperimentConfig.from_dict(yaml.safe_load(text))
 
 
+@pytest.mark.parametrize(
+    "text", [POSITIVITY_CONFIG, KMS_CONFIG, GNS_CONFIG, RESCALE_CONFIG, RESTRICT_CONFIG]
+)
+def test_file_loader_parses_like_safe_load(text):
+    import yaml
+
+    from weylscale.config import _YAML_LOADER
+
+    assert yaml.load(text, Loader=_YAML_LOADER) == yaml.safe_load(text)
+
+
 class TestSuites:
     def test_positivity_scan_cells(self):
         record = run_positivity_scan(_config(POSITIVITY_CONFIG))
@@ -248,6 +265,54 @@ h_values: [1.5]
         err = capsys.readouterr().err
         assert code == 3
         assert "contract violation" in err
+
+    def test_non_finite_covariance_is_config_error(self, tmp_path, capsys):
+        config = self._write(
+            tmp_path,
+            """
+operator:
+  matrix: [[.nan]]
+vectors:
+  random: {count: 2, seed: 4}
+""",
+        )
+        with np.errstate(invalid="ignore"):
+            code = main(["gns-check", "--config", config, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
+    def test_two_mode_cutoff_nine_within_memory_cap(self, tmp_path):
+        # One doubled matrix at this size is 1.5 GiB; the run must fit in 1 GiB
+        # of address space, which it only does if no doubled matrix is built.
+        config = self._write(
+            tmp_path,
+            """
+operator:
+  matrix: [[2.0, 0.5], [0.5, 1.5]]
+vectors:
+  explicit: [[0.3, "0.3j"], ["-0.3j", 0.3]]
+cutoff: 9
+""",
+        )
+        limit = 2**30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        # one BLAS thread: per-thread buffers would otherwise count against the cap
+        threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {**os.environ, **threads, "PYTHONPATH": str(Path(weylscale.__file__).parents[1])}
+        out = tmp_path / "r.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "weylscale", "gns-check", "--config", config, "--out", str(out)],
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_text().startswith('{"experiment": "gns-check"')
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         config = self._write(tmp_path, KMS_CONFIG)

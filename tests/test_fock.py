@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,14 @@ from weylscale.errors import (
     CutoffTooSmall,
     DimensionMismatch,
     InvalidMeasure,
+    NonFiniteEntries,
     NonUnitary,
     OutOfRange,
     SpectrumBelowOne,
 )
+from weylscale.fock import _reliable_block, _reliable_slot
 from weylscale.spectral import INF
+from weylscale.weyl import sigma
 
 from conftest import random_covariance, random_vector
 
@@ -89,6 +94,13 @@ class TestGnsModel:
         op = gns_weyl_operator(model, [0.7])
         single = truncated_displacement(1j * 0.7 / np.sqrt(2), 10).matrix
         assert np.allclose(op, np.kron(single, np.eye(11)), atol=1e-12)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, entry):
+        with np.errstate(invalid="ignore"):
+            covariance = make_operator([[entry]])
+        with pytest.raises(NonFiniteEntries):
+            GnsModel(covariance, cutoff=8)
 
     def test_zero_vector_gives_identity(self):
         model = GnsModel(make_operator([[2.0]]), cutoff=10)
@@ -162,14 +174,68 @@ class TestRepresentationResiduals:
     def test_commutant_operator_is_also_multiplicative(self):
         model = GnsModel(make_operator([[2.0]]), cutoff=16)
         f, g = np.array([0.3]), np.array([0.2j])
-        from weylscale.fock import _reliable_block
-        from weylscale.weyl import sigma
-
         lhs = gns_commutant_weyl_operator(model, f) @ gns_commutant_weyl_operator(model, g)
         rhs = np.exp(-0.5j * sigma(f, g)) * gns_commutant_weyl_operator(model, f + g)
         idx = _reliable_block(model)
         diff = (lhs - rhs).ravel()[idx[:, None] * lhs.shape[0] + idx[None, :]]
         assert np.max(np.abs(diff)) <= 1e-8
+
+
+def _dense_residuals(model, f, g):
+    """Relation and commutant residuals from the doubled matrices, on _reliable_block."""
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    idx = _reliable_block(model)
+    a, b = gns_weyl_operator(model, f), gns_weyl_operator(model, g)
+    c = gns_commutant_weyl_operator(model, g)
+    phase = np.exp(-0.5j * sigma(f, g))
+    relation = a[idx] @ b[:, idx] - phase * gns_weyl_operator(model, f + g)[np.ix_(idx, idx)]
+    commutator = a[idx] @ c[:, idx] - c[idx] @ a[:, idx]
+    return float(np.max(np.abs(relation))), float(np.max(np.abs(commutator)))
+
+
+class TestFactorizedResiduals:
+    """The slot-product residuals against the doubled-matrix reference."""
+
+    def _assert_matches_dense(self, model, f, g):
+        relation, commutant = _dense_residuals(model, f, g)
+        assert abs(weyl_relation_residual(model, f, g) - relation) <= 1e-14
+        assert abs(commutant_residual(model, f, g) - commutant) <= 1e-14
+
+    @pytest.mark.parametrize("cutoff", [10, 24, 40])
+    def test_one_mode(self, rng, cutoff):
+        model = GnsModel(make_operator([[1.7]]), cutoff=cutoff)
+        for _ in range(2):
+            self._assert_matches_dense(model, random_vector(rng, 1), random_vector(rng, 1))
+
+    @pytest.mark.parametrize("cutoff", [4, 6])
+    def test_two_mode_rotated_covariance(self, rng, cutoff):
+        model = GnsModel(random_covariance(rng, 2), cutoff=cutoff)
+        for _ in range(2):
+            self._assert_matches_dense(model, random_vector(rng, 2), random_vector(rng, 2))
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 5), (2, 4), (2, 7)])
+    def test_reliable_slot_digits(self, modes, cutoff):
+        model = GnsModel(make_operator(np.eye(modes)), cutoff=cutoff)
+        base = cutoff + 1
+        expected = [
+            i
+            for i in range(model.slot_dimension)
+            if all((i // base**m) % base <= cutoff // 2 for m in range(modes))
+        ]
+        assert _reliable_slot(model).tolist() == expected
+
+    def test_no_doubled_matrix_allocated(self, rng):
+        model = GnsModel(random_covariance(rng, 2), cutoff=6)
+        f, g = random_vector(rng, 2), random_vector(rng, 2)
+        doubled_matrix_bytes = 16 * model.slot_dimension ** 4
+        tracemalloc.start()
+        try:
+            weyl_relation_residual(model, f, g)
+            commutant_residual(model, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < doubled_matrix_bytes / 10
 
 
 class TestNumberOperator:
