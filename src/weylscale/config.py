@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, WeylscaleError
 from .spectral import INF, OperatorSpec
 from .kms import default_time_grid
 
@@ -78,8 +78,18 @@ def _parse_multiplicity(value, where: str) -> float:
     number = parse_number(value, where)
     if number == INF:
         return INF
-    if number != int(number) or number <= 0:
+    if not math.isfinite(number) or number != int(number) or number <= 0:
         raise ConfigInvalid(f"{where}: multiplicity must be a positive integer or INF")
+    return int(number)
+
+
+def _parse_integer(value, where: str, minimum: int | None = None) -> int:
+    """A strictly integral number; a fractional or non-finite value is rejected."""
+    number = parse_number(value, where)
+    if not math.isfinite(number) or number != int(number):
+        raise ConfigInvalid(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigInvalid(f"{where}: must be at least {minimum}")
     return int(number)
 
 
@@ -94,7 +104,10 @@ def _parse_operator(section, where: str) -> OperatorSpec:
             [parse_complex(x, f"{where}.matrix[{i}][{j}]") for j, x in enumerate(row)]
             for i, row in enumerate(rows)
         ]
-        return OperatorSpec.from_matrix(entries)
+        try:
+            return OperatorSpec.from_matrix(entries)
+        except WeylscaleError as exc:
+            raise ConfigInvalid(f"{where}.matrix: {exc}") from exc
     if "atoms" in section:
         pairs = []
         for i, item in enumerate(section["atoms"]):
@@ -106,7 +119,10 @@ def _parse_operator(section, where: str) -> OperatorSpec:
                     _parse_multiplicity(item[1], f"{where}.atoms[{i}].multiplicity"),
                 )
             )
-        return OperatorSpec.from_atoms(pairs)
+        try:
+            return OperatorSpec.from_atoms(pairs)
+        except WeylscaleError as exc:
+            raise ConfigInvalid(f"{where}.atoms: {exc}") from exc
     raise ConfigInvalid(f"{where}: needs 'matrix' or 'atoms'")
 
 
@@ -121,9 +137,7 @@ def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.nd
         for key in ("start", "stop", "count"):
             if key not in section:
                 raise ConfigInvalid(f"{where}.{key}: missing")
-        count = int(parse_number(section["count"], f"{where}.count"))
-        if count < 1:
-            raise ConfigInvalid(f"{where}.count: must be at least 1")
+        count = _parse_integer(section["count"], f"{where}.count", minimum=1)
         return np.linspace(
             parse_number(section["start"], f"{where}.start"),
             parse_number(section["stop"], f"{where}.stop"),
@@ -185,9 +199,7 @@ class ExperimentConfig:
 
         space = raw.get("space") or {}
         if "dimension" in space:
-            config.dimension = int(parse_number(space["dimension"], "space.dimension"))
-            if config.dimension < 1:
-                raise ConfigInvalid("space.dimension: must be at least 1")
+            config.dimension = _parse_integer(space["dimension"], "space.dimension", minimum=1)
 
         operator = raw.get("operator")
         if operator is not None:
@@ -221,23 +233,24 @@ class ExperimentConfig:
                     )
                     for i, vec in enumerate(explicit)
                 )
+                for i, vec in enumerate(config.vectors_explicit):
+                    if not np.all(np.isfinite(vec)):
+                        raise ConfigInvalid(f"vectors.explicit[{i}]: NaN or infinite entries")
             elif "random" in vectors:
                 random_section = vectors["random"]
                 if not isinstance(random_section, dict):
                     raise ConfigInvalid("vectors.random: expected a mapping")
                 if "seed" not in random_section:
                     raise ConfigInvalid("vectors.random.seed: required for reproducibility")
-                config.seed = int(parse_number(random_section["seed"], "vectors.random.seed"))
-                config.random_count = int(
-                    parse_number(random_section.get("count", 1), "vectors.random.count")
+                config.seed = _parse_integer(
+                    random_section["seed"], "vectors.random.seed", minimum=0
                 )
-                if config.random_count < 1:
-                    raise ConfigInvalid("vectors.random.count: must be at least 1")
-                config.random_sets = int(
-                    parse_number(random_section.get("sets", 1), "vectors.random.sets")
+                config.random_count = _parse_integer(
+                    random_section.get("count", 1), "vectors.random.count", minimum=1
                 )
-                if config.random_sets < 1:
-                    raise ConfigInvalid("vectors.random.sets: must be at least 1")
+                config.random_sets = _parse_integer(
+                    random_section.get("sets", 1), "vectors.random.sets", minimum=1
+                )
             else:
                 raise ConfigInvalid("vectors: needs 'explicit' or 'random'")
 
@@ -253,7 +266,7 @@ class ExperimentConfig:
         config.t_grid = _parse_grid(raw.get("t_grid"), "t_grid", default_time_grid())
 
         if "cutoff" in raw:
-            config.cutoff = int(parse_number(raw["cutoff"], "cutoff"))
+            config.cutoff = _parse_integer(raw["cutoff"], "cutoff")
 
         tolerances = raw.get("tolerances") or {}
         if not isinstance(tolerances, dict):

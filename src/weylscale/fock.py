@@ -38,7 +38,6 @@ from .errors import (
     CutoffTooSmall,
     DimensionMismatch,
     InvalidMeasure,
-    NonFiniteEntries,
     NonUnitary,
     OutOfRange,
     SpectrumBelowOne,
@@ -128,8 +127,6 @@ class GnsModel:
 
     def __init__(self, covariance: OperatorSpec, cutoff: int = 40):
         matrix = covariance.require_matrix()
-        if not np.all(np.isfinite(matrix)):
-            raise NonFiniteEntries("covariance matrix has NaN or infinite entries")
         if cutoff < CUTOFF_FLOOR:
             raise CutoffTooSmall(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
         if inf_spectrum(covariance) < 1 - 1e-12:

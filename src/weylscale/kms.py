@@ -9,6 +9,12 @@ this module evaluates those functions by exact functional calculus and sizes
 the boundary residuals, both for the original state and for the state pushed
 to scale ``h`` (covariance ``A/h``, modular operator ``j_h`` applied to the
 spectrum of ``Delta``).
+
+Two-point values are computed in the eigenbasis ``Delta = V diag(delta) V*``:
+``f``, ``g``, ``A f`` and ``A g`` are mapped there once, and every value of
+``F`` and ``Phi`` is a sum ``sum_k p_k delta_k^{iz} + m_k delta_k^{-iz}``,
+evaluated for a whole grid of ``z`` as one array product.  ``A`` only acts on
+the vectors, so this is exact for any Hermitian pair, commuting or not.
 """
 
 from __future__ import annotations
@@ -112,17 +118,18 @@ def kms_model(hamiltonian: OperatorSpec, beta: float, unbounded_above: bool = Fa
     )
 
 
-def _power_iz(op: OperatorSpec, z: complex) -> np.ndarray:
-    """Matrix of op^{iz} via the principal logarithm of the (positive) spectrum."""
-    op.require_matrix()
-    phases = np.exp(1j * z * np.log(op.eigenvalues.astype(complex)))
-    v = op.eigenvectors
-    return v @ np.diag(phases) @ v.conj().T
+def _log_spectrum(modular: OperatorSpec) -> np.ndarray:
+    """Principal logarithm of the (positive) modular eigenvalues, so that
+    Delta^{iz} = V diag(exp(i z log delta)) V* is single-valued."""
+    modular.require_matrix()
+    return np.log(modular.eigenvalues.astype(complex))
 
 
 def time_evolution(modular: OperatorSpec, t: float) -> np.ndarray:
     """The unitary Delta^{it} as a matrix."""
-    return _power_iz(modular, float(t))
+    phases = np.exp(1j * float(t) * _log_spectrum(modular))
+    v = modular.eigenvectors
+    return v @ np.diag(phases) @ v.conj().T
 
 
 def evolve_word(u: WeylWord, modular: OperatorSpec, t: float) -> WeylWord:
@@ -144,16 +151,38 @@ def _as_pair(covariance: OperatorSpec, f, g) -> tuple[np.ndarray, np.ndarray]:
     return f, g
 
 
+def _modular_coordinates(covariance: OperatorSpec, modular: OperatorSpec, f, g):
+    """V* f, V* g, V* A f and V* A g for the modular eigenvectors V."""
+    f, g = _as_pair(covariance, f, g)
+    a = covariance.matrix
+    modular.require_matrix()
+    return (modular.eigenvectors.conj().T @ np.stack([f, g, a @ f, a @ g], axis=1)).T
+
+
+def _F_terms(x, y, ax, ay):
+    """Coefficients (p, m) of
+    F(x, y; t) = (1/2)<x, Delta^{it}(A+I) y> + (1/2)<y, Delta^{-it}(A-I) x>."""
+    return 0.5 * x.conj() * (ay + y), 0.5 * y.conj() * (ax - x)
+
+
+def _Phi_terms(x, y, ax, ay):
+    """Coefficients (p, m) of
+    Phi(x, y; z) = (1/2)<(A+I) x, Delta^{iz} y> + (1/2)<(A-I) y, Delta^{-iz} x>."""
+    return 0.5 * (ax + x).conj() * y, 0.5 * (ay - y).conj() * x
+
+
+def _two_sided(log_delta: np.ndarray, terms, z) -> np.ndarray:
+    """sum_k p_k delta_k^{iz} + m_k delta_k^{-iz} for every entry of the array z."""
+    plus, minus = terms
+    exponent = 1j * np.multiply.outer(z, log_delta)
+    return np.exp(exponent) @ plus + np.exp(-exponent) @ minus
+
+
 def F_function(covariance: OperatorSpec, modular: OperatorSpec, f, g, t: float) -> complex:
     """Real-time two-point kernel
     F = (1/2)<f, e^{ith}(A+I) g> + (1/2)<g, e^{-ith}(A-I) f>."""
-    f, g = _as_pair(covariance, f, g)
-    a = covariance.matrix
-    eye = np.eye(a.shape[0], dtype=complex)
-    transport = time_evolution(modular, t)
-    first = np.vdot(f, transport @ (a + eye) @ g)
-    second = np.vdot(g, transport.conj().T @ (a - eye) @ f)
-    return complex(0.5 * first + 0.5 * second)
+    coords = _modular_coordinates(covariance, modular, f, g)
+    return complex(_two_sided(_log_spectrum(modular), _F_terms(*coords), float(t)))
 
 
 def Phi_function(
@@ -167,12 +196,8 @@ def Phi_function(
     z = complex(z)
     if z.imag < 0 or z.imag > beta:
         raise OutsideStrip(f"Im z = {z.imag} outside [0, {beta}]")
-    f, g = _as_pair(covariance, f, g)
-    a = covariance.matrix
-    eye = np.eye(a.shape[0], dtype=complex)
-    first = np.vdot(f, (a + eye) @ _power_iz(modular, z) @ g)
-    second = np.vdot(g, (a - eye) @ _power_iz(modular, -z) @ f)
-    return complex(0.5 * first + 0.5 * second)
+    coords = _modular_coordinates(covariance, modular, f, g)
+    return complex(_two_sided(_log_spectrum(modular), _Phi_terms(*coords), z))
 
 
 @dataclass(frozen=True)
@@ -253,19 +278,17 @@ def _boundary_report(
     grid = default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or (len(grid) > 1 and np.any(np.diff(grid) <= 0)):
         raise OutOfRange("time grid must be one-dimensional and strictly increasing")
-    F_vals = np.array([F_function(covariance, modular, f, g, t) for t in grid])
-    F_rev = np.array([F_function(covariance, modular, g, f, -t) for t in grid])
-    lower = np.array([Phi_function(covariance, modular, beta, f, g, t) for t in grid])
-    upper = np.array(
-        [Phi_function(covariance, modular, beta, f, g, t + 1j * beta) for t in grid]
+    log_delta = _log_spectrum(modular)
+    fc, gc, afc, agc = _modular_coordinates(covariance, modular, f, g)
+    F_vals = _two_sided(log_delta, _F_terms(fc, gc, afc, agc), grid)
+    F_rev = _two_sided(log_delta, _F_terms(gc, fc, agc, afc), -grid)
+    # rows: the lower and upper boundary, then the strip samples
+    fractions = np.array([0.0, 1.0, *STRIP_FRACTIONS])
+    strip = _two_sided(
+        log_delta, _Phi_terms(fc, gc, afc, agc), grid + 1j * beta * fractions[:, None]
     )
-    strip_sup = 0.0
-    for frac in STRIP_FRACTIONS:
-        for t in grid:
-            strip_sup = max(
-                strip_sup,
-                abs(Phi_function(covariance, modular, beta, f, g, t + 1j * frac * beta)),
-            )
+    lower, upper = strip[0], strip[1]
+    strip_sup = float(np.max(np.abs(strip[2:]), initial=0.0))
     return KmsWitnessReport(
         f=f,
         g=g,

@@ -141,6 +141,8 @@ def run_positivity_scan(config: ExperimentConfig) -> ReportRecord:
     started = time.perf_counter()
     covariance = _matrix_covariance(config)
     _require(len(config.h_values) > 0, "h_values: required")
+    for h in config.h_values:
+        _require(0 < h < INF, f"h_values: scale {h} must be positive and finite")
     try:
         admissible_bound = h_max(covariance)
     except WeylscaleError as exc:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DomainViolation,
+    NonFiniteEntries,
     NonHermitian,
     NonPositiveAtom,
     SpectralVariantHasNoVectors,
@@ -93,6 +94,19 @@ def _merge_sorted_values(values: Sequence[float], counts: Sequence[float]) -> tu
     return tuple(atoms)
 
 
+def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:
+    """Merge sorted matrix eigenvalues into atoms and snap each eigenvalue to
+    its atom representative, so interval tests on either are exact."""
+    atoms = _merge_sorted_values(eigvals.tolist(), [1.0] * len(eigvals))
+    snapped = np.empty_like(eigvals)
+    i = 0
+    for atom in atoms:
+        k = int(atom.multiplicity)
+        snapped[i : i + k] = atom.value
+        i += k
+    return snapped, atoms
+
+
 class OperatorSpec:
     """A positive operator given by a Hermitian matrix or by spectral atoms.
 
@@ -139,19 +153,14 @@ class OperatorSpec:
         m = np.atleast_2d(np.asarray(entries, dtype=complex))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"matrix input must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteEntries("matrix has NaN or infinite entries")
         residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if residual > HERMITICITY_TOL:
             raise NonHermitian(f"conjugate-symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL}")
         m = (m + m.conj().T) / 2
         eigvals, eigvecs = np.linalg.eigh(m)
-        atoms = _merge_sorted_values(eigvals.tolist(), [1.0] * len(eigvals))
-        # snap eigenvalues to their atom representative so interval tests are exact
-        snapped = np.empty_like(eigvals)
-        i = 0
-        for atom in atoms:
-            k = int(atom.multiplicity)
-            snapped[i : i + k] = atom.value
-            i += k
+        snapped, atoms = _snap_eigenvalues(eigvals)
         m.flags.writeable = False
         snapped.flags.writeable = False
         eigvecs.flags.writeable = False
@@ -308,13 +317,7 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
         order = np.argsort(mapped, kind="stable")
         eigvals = mapped[order]
         eigvecs = op.eigenvectors[:, order]
-        atoms = _merge_sorted_values(eigvals.tolist(), [1.0] * len(eigvals))
-        snapped = np.empty_like(eigvals)
-        i = 0
-        for atom in atoms:
-            k = int(atom.multiplicity)
-            snapped[i : i + k] = atom.value
-            i += k
+        snapped, atoms = _snap_eigenvalues(eigvals)
         matrix = eigvecs @ np.diag(snapped).astype(complex) @ eigvecs.conj().T
         matrix = (matrix + matrix.conj().T) / 2
         for a in (matrix, snapped, eigvecs):

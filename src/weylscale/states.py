@@ -5,6 +5,12 @@ the state at scale ``h`` is positive semidefiniteness of every finite kernel
 ``M_jk = exp(-i/2 * h * sigma(f_j, f_k)) * phi(f_j - f_k)``.  The kernel is
 stored exactly in that index order; it is Hermitian for every functional here
 because ``phi(-f) = conj(phi(f))``.
+
+Kernels are built as array work on the vectors stacked into rows ``F``: the
+phases from ``Im(conj(F) F^T)``, and for Gaussian functionals every
+``phi(f_j - f_k)`` from one Gram matrix ``G = conj(F) A F^T`` through
+``<f_j - f_k, A (f_j - f_k)> = G_jj + G_kk - 2 Re G_jk``.  Functionals without
+such a closed form are evaluated entry by entry.
 """
 
 from __future__ import annotations
@@ -53,6 +59,28 @@ class StateFunctional:
     def __call__(self, f) -> complex:
         return self.value(f)
 
+    def difference_values(self, rows: np.ndarray) -> np.ndarray:
+        """The n x n array phi(f_j - f_k) for the rows f_j of ``rows``.
+
+        The default evaluates :meth:`value` entry by entry; functionals with
+        a closed form override it with array work.
+        """
+        n = rows.shape[0]
+        values = np.empty((n, n), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                values[j, k] = self.value(rows[j] - rows[k])
+        return values
+
+
+def _difference_forms(gram: np.ndarray) -> np.ndarray:
+    """<f_j - f_k, X (f_j - f_k)> from gram[j, k] = <f_j, X f_k>, X Hermitian.
+
+    The diagonal is exactly zero: it is 2 G_jj - 2 G_jj in floating point.
+    """
+    diagonal = gram.diagonal().real
+    return diagonal[:, None] + diagonal[None, :] - 2.0 * gram.real
+
 
 class QuasiFreeState(StateFunctional):
     """Gaussian functional phi(f) = exp(-<f, A f> / 4) for a covariance A."""
@@ -74,6 +102,13 @@ class QuasiFreeState(StateFunctional):
     def value(self, f) -> complex:
         return complex(np.exp(-0.25 * self.form(f)))
 
+    def difference_values(self, rows: np.ndarray) -> np.ndarray:
+        if self.covariance.is_matrix:
+            gram = rows.conj() @ self.covariance.matrix @ rows.T
+        else:
+            gram = scalar_value(self.covariance) * (rows.conj() @ rows.T)
+        return np.exp(-0.25 * _difference_forms(gram)).astype(complex)
+
 
 class RescaledFockState(StateFunctional):
     """The Fock functional pushed to scale h: phi(f) = exp(-||f||^2 / (4h))."""
@@ -88,6 +123,10 @@ class RescaledFockState(StateFunctional):
     def value(self, f) -> complex:
         f = np.asarray(f, dtype=complex)
         return complex(np.exp(-float(np.vdot(f, f).real) / (4.0 * self.h)))
+
+    def difference_values(self, rows: np.ndarray) -> np.ndarray:
+        forms = _difference_forms(rows.conj() @ rows.T)
+        return np.exp(-forms / (4.0 * self.h)).astype(complex)
 
 
 class TraceState(StateFunctional):
@@ -169,13 +208,12 @@ def gram_matrix(phi: StateFunctional, vectors: Sequence, h: float) -> np.ndarray
                 raise DimensionMismatch(
                     f"vector of shape {v.shape} against functional over C^{phi.dimension}"
                 )
-    n = len(vecs)
-    kernel = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            phase = np.exp(-0.5j * h * sigma(vecs[j], vecs[k]))
-            kernel[j, k] = phase * phi.value(vecs[j] - vecs[k])
-    return kernel
+    if not vecs:
+        return np.empty((0, 0), dtype=complex)
+    rows = np.stack(vecs)
+    # sigma(f_j, f_k) = Im<f_j, f_k>
+    phases = np.exp(-0.5j * h * (rows.conj() @ rows.T).imag)
+    return phases * phi.difference_values(rows)
 
 
 @dataclass(frozen=True)

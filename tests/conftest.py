@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; per-test @settings still override max_examples.
+settings.register_profile("deterministic", derandomize=True, max_examples=50, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import math
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylscale
 from weylscale.cli import main
@@ -91,6 +96,56 @@ class TestConfigValidation:
         )
         assert len(config.h_values) == 9
         assert config.h_values[0] == 0.5 and config.h_values[-1] == 2.5
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"h_grid": {"start": 0.5, "stop": 2.5, "count": 2.7}},
+            {"vectors": {"random": {"count": 2.5, "seed": 1}}},
+            {"vectors": {"random": {"count": 2, "seed": 1.9}}},
+            {"vectors": {"random": {"count": 2, "sets": 1.5, "seed": 1}}},
+            {"vectors": {"random": {"count": 2, "seed": ".inf"}}},
+            {"vectors": {"random": {"count": 2, "seed": -1}}},
+            {"cutoff": 30.5},
+            {"space": {"dimension": 2.5}},
+        ],
+    )
+    def test_non_integral_fields_rejected(self, section):
+        raw = {"operator": {"matrix": [[2]]}, **section}
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig.from_dict(raw)
+
+    def test_integral_floats_accepted(self):
+        config = ExperimentConfig.from_dict(
+            {
+                "operator": {"matrix": [[2]]},
+                "vectors": {"random": {"count": 3.0, "sets": 2.0, "seed": 4.0}},
+                "h_grid": {"start": 0.5, "stop": 1.5, "count": 3.0},
+                "cutoff": 20.0,
+            }
+        )
+        assert (config.random_count, config.random_sets, config.seed) == (3, 2, 4)
+        assert len(config.h_values) == 3 and config.cutoff == 20
+
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            {"matrix": [[float("nan")]]},
+            {"matrix": [[1.0, float("inf")], [float("inf"), 1.0]]},
+            {"matrix": [[1.0, 2.0], [3.0, 1.0]]},
+            {"atoms": [[0.0, 1]]},
+            {"kms": {"matrix": [[float("nan")]], "beta": 1}},
+        ],
+    )
+    def test_invalid_matrix_or_atoms_is_config_error(self, operator):
+        with pytest.raises(ConfigInvalid, match="operator"):
+            ExperimentConfig.from_dict({"operator": operator})
+
+    def test_non_finite_explicit_vector_rejected(self):
+        with pytest.raises(ConfigInvalid, match="vectors.explicit"):
+            ExperimentConfig.from_dict(
+                {"operator": {"matrix": [[2]]}, "vectors": {"explicit": [[float("nan")]]}}
+            )
 
 
 POSITIVITY_CONFIG = """
@@ -436,3 +491,100 @@ def test_table_union_of_cell_keys():
     assert lines[1] == "h\terror\tok\textra"
     assert lines[2] == "3.5\tout of range\tfalse\tnull"
     assert lines[3] == "2\tnull\ttrue\t1"
+
+
+@pytest.mark.parametrize("h_values", ["[0, -1]", "[.inf]", "[1.0, .nan]", "[-.inf]"])
+def test_positivity_scan_rejects_invalid_scale(tmp_path, capsys, h_values):
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        f"operator: {{matrix: [[2]]}}\nvectors: {{explicit: [[1], [0.5]]}}\nh_values: {h_values}\n"
+    )
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    assert "h_values" in capsys.readouterr().err
+
+
+def test_positivity_scan_nan_matrix_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("operator: {matrix: [[.nan]]}\nvectors: {explicit: [[1]]}\nh_values: [1]\n")
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# property test: every positivity-scan config gets a clean verdict
+
+_bad_numbers = st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan])
+
+
+def _mostly(valid, invalid):
+    # about one invalid draw in eight keeps most configs valid, so the suite
+    # itself runs and not only the validation
+    return st.integers(0, 7).flatmap(lambda k: invalid if k == 7 else valid)
+
+
+_scales = _mostly(st.floats(min_value=1e-3, max_value=1e3), _bad_numbers)
+_counts = _mostly(
+    st.integers(min_value=1, max_value=4),
+    st.one_of(st.integers(min_value=-1, max_value=0), st.floats(min_value=0.0, max_value=4.5)),
+)
+
+
+def _poison(draw, rows):
+    """Replace one entry of a nested list by a non-finite or non-positive number, sometimes."""
+    bad = draw(_mostly(st.none(), _bad_numbers))
+    if bad is not None:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = bad
+
+
+@st.composite
+def positivity_configs(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    diagonal = draw(st.lists(st.floats(min_value=0.9, max_value=4.0), min_size=dim, max_size=dim))
+    matrix = np.diag(diagonal).tolist()
+    _poison(draw, matrix)
+    config = {"operator": {"matrix": matrix}}
+    if draw(st.booleans()):
+        config["h_values"] = draw(st.lists(_scales, min_size=1, max_size=4))
+    else:
+        config["h_grid"] = {
+            "start": draw(_scales),
+            "stop": draw(_scales),
+            "count": draw(_counts),
+        }
+    if draw(st.booleans()):
+        random = {"count": draw(_counts), "seed": draw(_mostly(st.integers(0, 99), _bad_numbers))}
+        if draw(st.booleans()):
+            random["sets"] = draw(_counts)
+        config["vectors"] = {"random": random}
+    else:
+        entries = st.floats(min_value=-2.0, max_value=2.0)
+        vectors = draw(
+            st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=4)
+        )
+        _poison(draw, vectors)
+        config["vectors"] = {"explicit": vectors}
+    return config
+
+
+@settings(max_examples=60)
+@given(positivity_configs())
+def test_positivity_scan_configs_get_clean_verdicts(config):
+    import yaml
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "config.yaml")
+        with open(path, "w", encoding="utf-8") as handle:
+            yaml.safe_dump(config, handle)
+        reports = []
+        for name in ("a.json", "b.json"):
+            out = os.path.join(workdir, name)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["positivity-scan", "--config", path, "--out", out])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not os.path.exists(out)
+                continue
+            with open(out, "rb") as handle:
+                reports.append(handle.read())
+        assert len(set(reports)) <= 1

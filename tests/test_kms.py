@@ -25,6 +25,7 @@ from weylscale import (
     time_evolution,
     two_point_function,
 )
+from weylscale.kms import STRIP_FRACTIONS, _boundary_report
 from weylscale.errors import (
     DomainViolation,
     NonPositiveBeta,
@@ -34,7 +35,7 @@ from weylscale.errors import (
 )
 from weylscale.spectral import INF, OperatorSpec, apply_function, spectral_distance
 
-from conftest import random_vector
+from conftest import random_covariance, random_vector
 
 LOG2 = math.log(2.0)
 
@@ -206,6 +207,88 @@ class TestBoundaryResiduals:
         grid = default_time_grid()
         assert len(grid) == 21
         assert grid[0] == -5.0 and grid[-1] == 5.0
+
+
+def dense_power(op, z):
+    """op^{iz} rebuilt as V diag(delta^{iz}) V*, the reference for the eigenbasis route."""
+    v = op.eigenvectors
+    return v @ np.diag(np.exp(1j * z * np.log(op.eigenvalues.astype(complex)))) @ v.conj().T
+
+
+def dense_boundary_rows(covariance, modular, beta, f, g, grid):
+    """F, F_rev, Phi(t), Phi(t + i beta) and the strip supremum, one dense product per point."""
+    a = covariance.matrix
+    eye = np.eye(a.shape[0])
+
+    def F(x, y, t):
+        u = dense_power(modular, t)
+        return 0.5 * np.vdot(x, u @ (a + eye) @ y) + 0.5 * np.vdot(y, u.conj().T @ (a - eye) @ x)
+
+    def Phi(z):
+        first = np.vdot(f, (a + eye) @ dense_power(modular, z) @ g)
+        second = np.vdot(g, (a - eye) @ dense_power(modular, -z) @ f)
+        return 0.5 * first + 0.5 * second
+
+    return (
+        np.array([F(f, g, t) for t in grid]),
+        np.array([F(g, f, -t) for t in grid]),
+        np.array([Phi(t) for t in grid]),
+        np.array([Phi(t + 1j * beta) for t in grid]),
+        max(abs(Phi(t + 1j * frac * beta)) for frac in STRIP_FRACTIONS for t in grid),
+    )
+
+
+class TestEigenbasisBoundary:
+    """The eigenbasis evaluation against dense Delta^{iz} matrices at n = 64."""
+
+    @staticmethod
+    def _compare(covariance, modular, beta, f, g):
+        grid = default_time_grid()
+        report = _boundary_report(covariance, modular, beta, f, g, grid)
+        F_vals, F_rev, lower, upper, strip_sup = dense_boundary_rows(
+            covariance, modular, beta, f, g, grid
+        )
+        scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
+        for got, want in (
+            (report.F_values, F_vals),
+            (report.Phi_lower, lower),
+            (report.Phi_upper, upper),
+            (report.r0, np.abs(lower - F_vals)),
+            (report.r_beta, np.abs(upper - F_rev)),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert report.strip_sup == pytest.approx(strip_sup, rel=1e-12)
+        return report
+
+    def test_equilibrium_model(self, rng):
+        model = kms_model(random_covariance(rng, 64, 0.3, 2.5), beta=1.2)
+        f, g = random_vector(rng, 64), random_vector(rng, 64)
+        report = self._compare(model.covariance, model.modular, model.beta, f, g)
+        assert report.max_residual <= 1e-12
+
+    def test_non_commuting_pair(self, rng):
+        # A never passes through the modular eigenbasis, so the formula holds
+        # for any Hermitian pair; here the boundary rows genuinely differ
+        covariance = random_covariance(rng, 64, 1.1, 3.0)
+        modular = random_covariance(rng, 64, 1.5, 6.0)
+        f, g = random_vector(rng, 64), random_vector(rng, 64)
+        report = self._compare(covariance, modular, 0.8, f, g)
+        assert report.max_residual > 1e-3
+
+    def test_single_points_match_dense(self, rng):
+        covariance = random_covariance(rng, 6, 1.1, 3.0)
+        modular = random_covariance(rng, 6, 1.5, 6.0)
+        f, g = random_vector(rng, 6), random_vector(rng, 6)
+        a = covariance.matrix
+        eye = np.eye(6)
+        t, z = 0.7, -1.1 + 0.35j
+        u = dense_power(modular, t)
+        F_dense = 0.5 * np.vdot(f, u @ (a + eye) @ g) + 0.5 * np.vdot(g, u.conj().T @ (a - eye) @ f)
+        Phi_dense = 0.5 * np.vdot(f, (a + eye) @ dense_power(modular, z) @ g) + 0.5 * np.vdot(
+            g, (a - eye) @ dense_power(modular, -z) @ f
+        )
+        assert F_function(covariance, modular, f, g, t) == pytest.approx(F_dense, rel=1e-12)
+        assert Phi_function(covariance, modular, 0.8, f, g, z) == pytest.approx(Phi_dense, rel=1e-12)
 
 
 class TestJh:

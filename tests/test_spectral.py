@@ -20,6 +20,7 @@ from weylscale import (
 from weylscale.errors import (
     DimensionMismatch,
     DomainViolation,
+    NonFiniteEntries,
     NonHermitian,
     NonPositiveAtom,
     SpectralVariantHasNoVectors,
@@ -50,6 +51,12 @@ class TestMakeOperator:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):
             make_operator([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, entry):
+        # checked once here, so no consumer (GnsModel, Gram kernels) sees them
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteEntries):
+            make_operator([[entry]])
 
     def test_non_positive_atom_rejected(self):
         with pytest.raises(NonPositiveAtom):

@@ -3,7 +3,10 @@ import pytest
 
 from weylscale import (
     INF,
+    NonRegularFunctional,
+    QuasiFreeState,
     RescaledFockState,
+    StateFunctional,
     TraceState,
     WeylWord,
     check_sigma_h_positivity,
@@ -12,9 +15,11 @@ from weylscale import (
     gram_matrix,
     h_max,
     make_operator,
+    nonregular_extension,
     quasi_free_functional,
     rescale_functional,
     scan_for_gram_violation,
+    sigma,
     two_point_criterion,
 )
 from weylscale.errors import (
@@ -90,6 +95,61 @@ class TestRescaleFunctional:
         assert phi.value(f) == pytest.approx(np.exp(-1.0 / (4 * 0.5)))
         composed = rescale_functional(RescaledFockState(1.0), 0.5)
         assert composed.value(f) == pytest.approx(phi.value(f))
+
+
+def per_entry_kernel(phi, vectors, h):
+    """Reference kernel, one sigma and one phi.value per entry."""
+    n = len(vectors)
+    kernel = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            phase = np.exp(-0.5j * h * sigma(vectors[j], vectors[k]))
+            kernel[j, k] = phase * phi.value(vectors[j] - vectors[k])
+    return kernel
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: QuasiFreeState(random_covariance(rng, 5)),
+            lambda rng: QuasiFreeState(make_operator([(2.5, INF)])),
+            lambda rng: RescaledFockState(0.6),
+        ],
+        ids=["quasi-free-matrix", "quasi-free-scalar", "rescaled-fock"],
+    )
+    def test_closed_forms_match_per_entry(self, rng, build):
+        phi = build(rng)
+        assert type(phi).difference_values is not StateFunctional.difference_values
+        vectors = [2.0 * random_vector(rng, 5) for _ in range(40)]
+        for h in (0.3, 1.0, 2.7):
+            kernel = gram_matrix(phi, vectors, h)
+            reference = per_entry_kernel(phi, vectors, h)
+            assert np.max(np.abs(kernel - reference)) <= 1e-12 * np.max(np.abs(reference))
+            # phi(0) = 1 exactly: the difference forms vanish on the diagonal
+            assert np.all(kernel.diagonal() == 1.0)
+
+    def test_trace_state_falls_back_to_entries(self, rng):
+        phi = TraceState()
+        assert type(phi).difference_values is StateFunctional.difference_values
+        vectors = [np.zeros(3)] + [random_vector(rng, 3) for _ in range(6)]
+        vectors.append(vectors[2].copy())
+        kernel = gram_matrix(phi, vectors, 1.7)
+        reference = per_entry_kernel(phi, vectors, 1.7)
+        assert np.max(np.abs(kernel - reference)) <= 1e-12
+        assert kernel[2, 7] != 0
+
+    def test_nonregular_falls_back_to_entries(self, rng):
+        phi = nonregular_extension(make_operator(np.diag([1.0, 3.0, 4.0])), 2.0)
+        assert isinstance(phi, NonRegularFunctional)
+        assert type(phi).difference_values is StateFunctional.difference_values
+        # the surviving subspace at h = 2 is spanned by the last two axes
+        on_subspace = [np.concatenate([[0.0], random_vector(rng, 2)]) for _ in range(4)]
+        vectors = on_subspace + [random_vector(rng, 3) for _ in range(3)]
+        kernel = gram_matrix(phi, vectors, 2.0)
+        reference = per_entry_kernel(phi, vectors, 2.0)
+        assert np.max(np.abs(kernel - reference)) <= 1e-12
+        assert np.count_nonzero(kernel) > len(vectors)
 
 
 class TestGramMatrix:
