@@ -59,6 +59,8 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigInvalid("--seed: must be at least 0")
             config.seed = args.seed
         if args.tol is not None:
             config.tolerances[_PRIMARY_TOLERANCE[args.command]] = args.tol

@@ -36,7 +36,10 @@ def parse_number(value, where: str = "value") -> float:
     if isinstance(value, bool):
         raise ConfigInvalid(f"{where}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigInvalid(f"{where}: {value!r} is too large for a float") from exc
     if isinstance(value, str):
         text = value.strip()
         if text in _CONSTANTS:
@@ -44,7 +47,10 @@ def parse_number(value, where: str = "value") -> float:
         match = _FUNC_RE.match(text)
         if match:
             fn, arg = match.groups()
-            return _FUNCTIONS[fn](parse_number(arg, where))
+            try:
+                return _FUNCTIONS[fn](parse_number(arg, where))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigInvalid(f"{where}: cannot evaluate {value!r} ({exc})") from exc
         if "/" in text:
             num, _, den = text.partition("/")
             denominator = parse_number(den, where)
@@ -93,17 +99,36 @@ def _parse_integer(value, where: str, minimum: int | None = None) -> int:
     return int(number)
 
 
+def _real_rows(rows: list) -> np.ndarray | None:
+    """The matrix as one float array when every entry is a plain int or float.
+
+    ``type(x)`` rather than ``isinstance`` keeps booleans out; any other entry,
+    or an int too large for a float, returns None so the per-entry parser
+    reports it.
+    """
+    if not all(type(x) in (int, float) for row in rows for x in row):
+        return None
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError:
+        return None
+
+
 def _parse_operator(section, where: str) -> OperatorSpec:
     if not isinstance(section, dict):
         raise ConfigInvalid(f"{where}: expected a mapping with 'matrix' or 'atoms'")
     if "matrix" in section:
         rows = section["matrix"]
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
             raise ConfigInvalid(f"{where}.matrix: expected a nested list")
-        entries = [
-            [parse_complex(x, f"{where}.matrix[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ConfigInvalid(f"{where}.matrix: rows of unequal length")
+        entries = _real_rows(rows)
+        if entries is None:
+            entries = [
+                [parse_complex(x, f"{where}.matrix[{i}][{j}]") for j, x in enumerate(row)]
+                for i, row in enumerate(rows)
+            ]
         try:
             return OperatorSpec.from_matrix(entries)
         except WeylscaleError as exc:

@@ -9,6 +9,7 @@ on the record object for the caller).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +36,22 @@ class ReportRecord:
 
 
 def format_float(x: float) -> str:
-    if np.isnan(x):
+    if math.isfinite(x):
+        return "%.17g" % x
+    if x != x:
         return '"NaN"'
-    if np.isinf(x):
-        return '"INF"' if x > 0 else '"-INF"'
-    return "%.17g" % x
+    return '"INF"' if x > 0 else '"-INF"'
+
+
+def _format_complex(z: complex) -> str:
+    return '{"re": %s, "im": %s}' % (format_float(z.real), format_float(z.imag))
+
+
+def _array_text(items: list, ndim: int, entry) -> str:
+    """Nested lists from ``ndarray.tolist()``, innermost rows joined in one go."""
+    if ndim == 1:
+        return "[" + ", ".join(map(entry, items)) + "]"
+    return "[" + ", ".join(_array_text(row, ndim - 1, entry) for row in items) + "]"
 
 
 def _render_value(value, pieces: list):
@@ -52,10 +64,12 @@ def _render_value(value, pieces: list):
     elif isinstance(value, (float, np.floating)):
         pieces.append(format_float(float(value)))
     elif isinstance(value, (complex, np.complexfloating)):
-        value = complex(value)
-        pieces.append("{\"re\": %s, \"im\": %s}" % (format_float(value.real), format_float(value.imag)))
+        pieces.append(_format_complex(complex(value)))
     elif isinstance(value, str):
         pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc" and value.ndim:
+        entry = _format_complex if value.dtype.kind == "c" else format_float
+        pieces.append(_array_text(value.tolist(), value.ndim, entry))
     elif isinstance(value, dict):
         pieces.append("{")
         for i, (key, item) in enumerate(value.items()):

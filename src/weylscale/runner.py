@@ -75,7 +75,7 @@ def _operator_echo(op: OperatorSpec | None) -> dict | None:
     }
     if op.is_matrix:
         echo["dimension"] = op.matrix.shape[0]
-        echo["entries"] = [[complex(x) for x in row] for row in op.matrix.tolist()]
+        echo["entries"] = op.matrix
     return echo
 
 
@@ -112,7 +112,10 @@ def _matrix_covariance(config: ExperimentConfig) -> OperatorSpec:
         op = config.operator
     elif config.hamiltonian is not None:
         _require(config.beta is not None, "operator.kms.beta: required")
-        op = covariance_from_hamiltonian(config.hamiltonian, config.beta)
+        try:
+            op = covariance_from_hamiltonian(config.hamiltonian, config.beta)
+        except WeylscaleError as exc:
+            raise ConfigInvalid(f"operator.kms: {exc}") from exc
     else:
         raise ConfigInvalid("operator: required")
     _require(op.is_matrix, "operator: this suite needs the matrix variant")
@@ -240,7 +243,7 @@ def run_kms_verify(config: ExperimentConfig) -> ReportRecord:
     for h in config.h_values:
         for index, (f, g) in enumerate(pairs):
             cell = {"h": float(h), "pair": index}
-            if h <= 0:
+            if not h > 0:
                 cell.update({"path": "invalid", "error": "scale must be positive", "ok": False})
                 record.cells.append(cell)
                 continue

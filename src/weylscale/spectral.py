@@ -85,13 +85,18 @@ def _merge_sorted_values(values: Sequence[float], counts: Sequence[float]) -> tu
     group_count = 0.0
     for value, count in zip(values, counts):
         if group and value - group[0] > ATOM_MERGE_TOL:
-            atoms.append(Atom(float(np.mean(group)), group_count))
+            atoms.append(Atom(_group_value(group), group_count))
             group, group_count = [], 0.0
         group.append(value)
         group_count += count
     if group:
-        atoms.append(Atom(float(np.mean(group)), group_count))
+        atoms.append(Atom(_group_value(group), group_count))
     return tuple(atoms)
+
+
+def _group_value(group: list[float]) -> float:
+    # the mean of one float is that float, so singletons skip np.mean
+    return float(group[0]) if len(group) == 1 else float(np.mean(group))
 
 
 def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:

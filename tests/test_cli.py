@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylscale
@@ -49,7 +49,7 @@ class TestNumberParsing:
         assert parse_number(text) == expected
 
     def test_rejected(self):
-        for bad in ("spam", "1/0", None, [1]):
+        for bad in ("spam", "1/0", None, [1], "ln(-1)", "sqrt(-4)", "exp(1000)", "log(0)", 10**400):
             with pytest.raises(ConfigInvalid):
                 parse_number(bad)
 
@@ -285,6 +285,144 @@ class TestRendering:
         assert lines[4] == "2\tfalse"
 
 
+_SPECIAL_FLOATS = [
+    math.nan,
+    math.inf,
+    -math.inf,
+    -0.0,
+    0.0,
+    5e-324,
+    2.2250738585072014e-308 / 3,
+    1 / 3,
+    -1e300,
+    7.0,
+]
+
+
+def _special_array(dtype, shape):
+    count = int(np.prod(shape))
+    values = [_SPECIAL_FLOATS[k % len(_SPECIAL_FLOATS)] for k in range(count)]
+    if np.dtype(dtype).kind == "c":
+        # pair the special values with each other as real and imaginary parts
+        shifted = [_SPECIAL_FLOATS[(3 * k + 1) % len(_SPECIAL_FLOATS)] for k in range(count)]
+        values = [complex(a, b) for a, b in zip(values, shifted)]
+    with np.errstate(over="ignore"):  # -1e300 becomes -inf in single precision
+        return np.array(values, dtype=dtype).reshape(shape)
+
+
+class TestArrayRendering:
+    def test_format_float_special_values(self):
+        from weylscale.report import format_float
+
+        assert [format_float(x) for x in (math.nan, math.inf, -math.inf, -0.0, 5e-324)] == [
+            '"NaN"',
+            '"INF"',
+            '"-INF"',
+            "-0",
+            "4.9406564584124654e-324",
+        ]
+        assert format_float(np.float64(1 / 3)) == "0.33333333333333331"
+
+    @pytest.mark.parametrize("render", [render_object, render_table])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+    @pytest.mark.parametrize("shape", [(10,), (4, 5), (2, 3, 4), (0,), (3, 0)])
+    def test_array_renders_like_python_lists(self, render, dtype, shape):
+        array = _special_array(dtype, shape)
+        as_lists = array.tolist()
+        fast = render(
+            ReportRecord("demo", {"entries": array}, [{"row": array, "ok": True}], {"a": array})
+        )
+        generic = render(
+            ReportRecord("demo", {"entries": as_lists}, [{"row": as_lists, "ok": True}], {"a": as_lists})
+        )
+        assert fast == generic
+
+    def test_operator_echo_renders_like_complex_lists(self, rng):
+        from weylscale.runner import _operator_echo
+        from weylscale.spectral import OperatorSpec
+
+        matrix = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        op = OperatorSpec.from_matrix(matrix + matrix.conj().T + 20 * np.eye(5))
+        echo = _operator_echo(op)
+        assert echo["entries"] is op.matrix
+        listed = dict(echo, entries=[[complex(x) for x in row] for row in op.matrix.tolist()])
+        for render in (render_object, render_table):
+            assert render(ReportRecord("demo", {"operator": echo})) == render(
+                ReportRecord("demo", {"operator": listed})
+            )
+
+
+def _per_entry_operator(rows):
+    """The reference: every entry through parse_complex, then from_matrix."""
+    from weylscale.spectral import OperatorSpec
+
+    entries = [
+        [parse_complex(x, f"operator.matrix[{i}][{j}]") for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return OperatorSpec.from_matrix(entries)
+
+
+class TestMatrixParsing:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 0.5], [0.5, 3]],
+            [[1.5, -0.0, 0], [-0.0, 2, 1e-300], [0, 1e-300, 2**60 + 1]],
+            [[3, 1, 0], [1, 3, 1], [0, 1, 3]],
+            [[1 / 3]],
+        ],
+    )
+    def test_numeric_rows_take_one_array(self, monkeypatch, rows):
+        import weylscale.config as config_module
+
+        reference = _per_entry_operator(rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("plain numeric rows should not be parsed entry by entry")
+
+        monkeypatch.setattr(config_module, "parse_complex", refuse)
+        parsed = ExperimentConfig.from_dict({"operator": {"matrix": rows}}).operator
+        assert parsed.matrix.dtype == reference.matrix.dtype
+        assert parsed.matrix.tobytes() == reference.matrix.tobytes()
+        assert parsed.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+        assert parsed.atoms == reference.atoms
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["ln2", 0], [0, "ln(4)"]],
+            [[2, "1+2j"], ["1-2j", 7]],
+            [[2, [0, 1]], [[0, -1], 2]],
+            [[2, 0.5], [0.5, "3"]],
+        ],
+    )
+    def test_other_rows_parse_entry_by_entry(self, rows):
+        parsed = ExperimentConfig.from_dict({"operator": {"matrix": rows}}).operator
+        reference = _per_entry_operator(rows)
+        assert parsed.matrix.tobytes() == reference.matrix.tobytes()
+        assert parsed.atoms == reference.atoms
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, True], [True, 1]], "operator.matrix[0][1]: expected a number, got a boolean"),
+            ([[1.0, 0], [0, False]], "operator.matrix[1][1]: expected a number, got a boolean"),
+            ([[float("nan"), 0], [0, 1]], "operator.matrix: matrix has NaN or infinite entries"),
+            ([[float("nan"), "0"], [0, 1]], "operator.matrix: matrix has NaN or infinite entries"),
+            ([[1, 2], [3]], "operator.matrix: rows of unequal length"),
+            ([[1, "2"], [3]], "operator.matrix: rows of unequal length"),
+            ([1, 2], "operator.matrix: expected a nested list"),
+            ([[1, 2], [3, "x"]], "operator.matrix[1][1]: cannot parse number 'x'"),
+            ([[10**400]], "operator.matrix[0][0]: 1000"),
+        ],
+    )
+    def test_rejections_name_the_entry(self, rows, message):
+        with pytest.raises(ConfigInvalid) as info:
+            ExperimentConfig.from_dict({"operator": {"matrix": rows}})
+        assert str(info.value).startswith(message)
+
+
 class TestCommandLine:
     def _write(self, tmp_path, text):
         path = tmp_path / "config.yaml"
@@ -383,6 +521,22 @@ cutoff: 9
         assert main(["gns-check", "--config", config, "--format", "table"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# experiment\tgns-check")
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        config = self._write(tmp_path, GNS_CONFIG)
+        out = tmp_path / "r.json"
+        assert main(["gns-check", "--config", config, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kms_verify_nan_scale_is_invalid_cell(self, tmp_path, capsys):
+        config = self._write(tmp_path, KMS_CONFIG.replace("[0.25, 0.5, 1.0, 2.0]", "[.nan, 0.5]"))
+        out = tmp_path / "r.json"
+        assert main(["kms-verify", "--config", config, "--out", str(out)]) == 3
+        capsys.readouterr()
+        text = out.read_text()
+        assert text.count('"h": "NaN", "pair": 0, "path": "invalid"') == 1
+        assert text.count('"path": "rescaled"') == 2
 
     def test_seed_override_changes_draws(self, tmp_path, capsys):
         config = self._write(tmp_path, GNS_CONFIG)
@@ -581,6 +735,110 @@ def test_positivity_scan_configs_get_clean_verdicts(config):
             out = os.path.join(workdir, name)
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(["positivity-scan", "--config", path, "--out", out])
+            assert code in (0, 2, 3)
+            if code == 2:
+                assert not os.path.exists(out)
+                continue
+            with open(out, "rb") as handle:
+                reports.append(handle.read())
+        assert len(set(reports)) <= 1
+
+
+# ---------------------------------------------------------------------------
+# property test: the other four suites, with bad scales and seed overrides
+
+# numbers no suite can use as a scale or inverse temperature, in every input form
+_bad_scalars = st.one_of(_bad_numbers, st.sampled_from(["ln(-1)", "exp(1000)", 10**400]))
+
+
+def _scale_list(draw, low, high):
+    """One to three scales from [low, high], with the occasional unusable one."""
+    valid = st.one_of(st.floats(min_value=low, max_value=high), st.just(high))
+    return draw(st.lists(_mostly(valid, _bad_scalars), min_size=1, max_size=3))
+
+
+def _diagonal(draw, dim, low, high):
+    matrix = np.diag(
+        draw(st.lists(st.floats(min_value=low, max_value=high), min_size=dim, max_size=dim))
+    ).tolist()
+    _poison(draw, matrix)
+    return matrix
+
+
+def _vectors(draw, dim, pairs=False):
+    if draw(st.booleans()):
+        random = {"count": draw(_counts), "seed": draw(_mostly(st.integers(0, 99), _bad_scalars))}
+        return {"random": random}
+    count = 2 * draw(st.integers(1, 2)) if pairs else draw(st.integers(1, 3))
+    entries = st.floats(min_value=-1.0, max_value=1.0)
+    vectors = draw(
+        st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=count, max_size=count)
+    )
+    _poison(draw, vectors)
+    return {"explicit": vectors}
+
+
+@st.composite
+def suite_configs(draw):
+    """(suite, config, --seed override) with each suite's usable ranges mostly hit."""
+    suite = draw(st.sampled_from(["kms-verify", "gns-check", "rescale-fock", "restrict-scan"]))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    config: dict = {"t_grid": {"start": -1.0, "stop": 1.0, "count": 3}}
+    if suite == "kms-verify":
+        beta = draw(_mostly(st.floats(min_value=0.2, max_value=3.0), _bad_scalars))
+        config["operator"] = {"kms": {"beta": beta, "matrix": _diagonal(draw, dim, 0.2, 2.0)}}
+        config["vectors"] = _vectors(draw, dim, pairs=True)
+        # rescaled below 1, unrescaled at 1, restricted above
+        config["h_values"] = _scale_list(draw, 0.05, 2.0) + draw(st.sampled_from([[], [1.0]]))
+    elif suite == "gns-check":
+        # one mode at a low cutoff keeps the truncated Fock space small
+        config["operator"] = {"matrix": _diagonal(draw, 1, 1.0, 3.0)}
+        config["cutoff"] = draw(_mostly(st.integers(4, 6), st.sampled_from([0, 3, 4.5])))
+        config["vectors"] = _vectors(draw, 1)
+    elif suite == "rescale-fock":
+        config["space"] = {"dimension": dim}
+        config["vectors"] = _vectors(draw, dim)
+        config["h_values"] = _scale_list(draw, 0.05, 1.0)
+    else:
+        if draw(st.booleans()):
+            # beta * energy <= 1 puts the covariance spectrum above coth(1/2) > 2
+            beta = draw(_mostly(st.floats(min_value=0.2, max_value=0.5), _bad_scalars))
+            config["operator"] = {"kms": {"beta": beta, "matrix": _diagonal(draw, dim, 0.2, 2.0)}}
+        else:
+            config["operator"] = {"matrix": _diagonal(draw, dim, 2.0, 4.0)}
+        config["vectors"] = {
+            "random": {"count": draw(_counts), "seed": draw(_mostly(st.integers(0, 99), _bad_scalars))}
+        }
+        config["h_values"] = _scale_list(draw, 1.05, 2.0)
+    seed = draw(_mostly(st.none() | st.integers(0, 99), st.integers(-3, -1)))
+    return suite, config, seed
+
+
+_KMS_EXAMPLE = {
+    "operator": {"kms": {"beta": 1.0, "matrix": [[0.5, 0.0], [0.0, 1.5]]}},
+    "vectors": {"random": {"count": 1, "seed": 3}},
+    "t_grid": {"start": -1.0, "stop": 1.0, "count": 3},
+}
+
+
+@settings(max_examples=80)
+@given(suite_configs())
+@example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [math.nan, 0.5]}, None))
+@example(("restrict-scan", {**_KMS_EXAMPLE, "h_values": [1.5]}, -1))
+def test_suite_configs_get_clean_verdicts(drawn):
+    import yaml
+
+    suite, config, seed = drawn
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "config.yaml")
+        with open(path, "w", encoding="utf-8") as handle:
+            yaml.safe_dump(config, handle)
+        argv = [suite, "--config", path] + ([] if seed is None else ["--seed", str(seed)])
+        reports = []
+        for name in ("a.json", "b.json"):
+            out = os.path.join(workdir, name)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--out", out])
             assert code in (0, 2, 3)
             if code == 2:
                 assert not os.path.exists(out)

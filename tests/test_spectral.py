@@ -69,6 +69,22 @@ class TestMakeOperator:
         assert [a.value for a in op.atoms] == pytest.approx([1.0, 3.0], abs=1e-12)
         assert op.atoms[1].infinite
 
+    def test_atom_values_are_group_means(self, rng):
+        # singletons skip np.mean; the atoms must match the mean of every group
+        from weylscale.spectral import ATOM_MERGE_TOL, _merge_sorted_values
+
+        values = np.sort(
+            np.concatenate([rng.uniform(0.1, 5.0, 40), 2.0 + ATOM_MERGE_TOL * rng.uniform(0, 0.5, 4)])
+        ).tolist()
+        atoms = _merge_sorted_values(values, [1.0] * len(values))
+        start = 0
+        for atom in atoms:
+            group = values[start : start + int(atom.multiplicity)]
+            assert atom.value == float(np.mean(group))
+            start += len(group)
+        assert start == len(values)
+        assert any(atom.multiplicity == 4 for atom in atoms)
+
     def test_operator_is_immutable(self):
         op = make_operator(np.diag([1.0, 2.0]))
         with pytest.raises(AttributeError):
