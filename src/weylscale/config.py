@@ -134,6 +134,8 @@ def _parse_operator(section, where: str) -> OperatorSpec:
         except WeylscaleError as exc:
             raise ConfigInvalid(f"{where}.matrix: {exc}") from exc
     if "atoms" in section:
+        if not isinstance(section["atoms"], list):
+            raise ConfigInvalid(f"{where}.atoms: expected a list of [value, multiplicity] pairs")
         pairs = []
         for i, item in enumerate(section["atoms"]):
             if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -169,6 +171,18 @@ def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.nd
             count,
         )
     raise ConfigInvalid(f"{where}: expected a list or start/stop/count mapping")
+
+
+def _parse_time_grid(section) -> np.ndarray:
+    """The t_grid: finite points in strictly increasing order, at least one."""
+    grid = _parse_grid(section, "t_grid", default_time_grid())
+    if grid.size == 0:
+        raise ConfigInvalid("t_grid: needs at least one point")
+    if not np.all(np.isfinite(grid)):
+        raise ConfigInvalid("t_grid: points must be finite")
+    if np.any(np.diff(grid) <= 0):
+        raise ConfigInvalid("t_grid: points must be strictly increasing")
+    return grid
 
 
 _DEFAULT_TOLERANCES = {
@@ -223,6 +237,8 @@ class ExperimentConfig:
         config = cls()
 
         space = raw.get("space") or {}
+        if not isinstance(space, dict):
+            raise ConfigInvalid("space: expected a mapping")
         if "dimension" in space:
             config.dimension = _parse_integer(space["dimension"], "space.dimension", minimum=1)
 
@@ -252,6 +268,9 @@ class ExperimentConfig:
                 explicit = vectors["explicit"]
                 if not isinstance(explicit, list) or not explicit:
                     raise ConfigInvalid("vectors.explicit: expected a non-empty list of vectors")
+                for i, vec in enumerate(explicit):
+                    if not isinstance(vec, list):
+                        raise ConfigInvalid(f"vectors.explicit[{i}]: expected a list of numbers")
                 config.vectors_explicit = tuple(
                     np.asarray(
                         [parse_complex(x, f"vectors.explicit[{i}][{j}]") for j, x in enumerate(vec)]
@@ -282,13 +301,15 @@ class ExperimentConfig:
         if "h_values" in raw and "h_grid" in raw:
             raise ConfigInvalid("h_values: give either h_values or h_grid, not both")
         if "h_values" in raw:
+            if not isinstance(raw["h_values"], list):
+                raise ConfigInvalid("h_values: expected a list of numbers")
             config.h_values = tuple(
                 parse_number(x, f"h_values[{i}]") for i, x in enumerate(raw["h_values"])
             )
         elif "h_grid" in raw:
             config.h_values = tuple(_parse_grid(raw["h_grid"], "h_grid").tolist())
 
-        config.t_grid = _parse_grid(raw.get("t_grid"), "t_grid", default_time_grid())
+        config.t_grid = _parse_time_grid(raw.get("t_grid"))
 
         if "cutoff" in raw:
             config.cutoff = _parse_integer(raw["cutoff"], "cutoff")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -87,10 +88,15 @@ def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
 
 def _slot_matrix(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
     """Tensor product over modes of the per-mode truncated displacements."""
-    matrix = _mode_displacement(amplitudes[0], cutoff)
-    for amp in amplitudes[1:]:
-        matrix = np.kron(matrix, _mode_displacement(amp, cutoff))
-    return matrix
+    return reduce(np.kron, [_mode_displacement(amp, cutoff) for amp in amplitudes])
+
+
+def _kron_sum(factors: list[np.ndarray]) -> np.ndarray:
+    """Kronecker sum: the sum over k of I (x) ... (x) factors[k] (x) ... (x) I."""
+    eyes = [np.eye(m.shape[0], dtype=complex) for m in factors]
+    return sum(
+        reduce(np.kron, eyes[:k] + [m] + eyes[k + 1 :]) for k, m in enumerate(factors)
+    )
 
 
 def truncated_displacement(alpha, cutoff: int) -> TruncatedFockOp:
@@ -160,13 +166,6 @@ class GnsModel:
         second = 1j * np.conj(self._t2 * coords) / np.sqrt(2)
         return first, second
 
-    def commutant_slot_amplitudes(self, f) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitudes of the swapped (commutant) map, T2-and-conjugation first."""
-        coords = self._coords(f)
-        first = 1j * np.conj(self._t2 * coords) / np.sqrt(2)
-        second = 1j * (self._t1 * coords) / np.sqrt(2)
-        return first, second
-
 
 def _slot_pair(model: GnsModel, amplitudes) -> tuple[np.ndarray, np.ndarray]:
     """Matrices of the two tensor slots from their per-mode amplitudes."""
@@ -174,7 +173,8 @@ def _slot_pair(model: GnsModel, amplitudes) -> tuple[np.ndarray, np.ndarray]:
     return _slot_matrix(first, model.cutoff), _slot_matrix(second, model.cutoff)
 
 
-def _check_doubled_cap(model: GnsModel):
+def check_doubled_cap(model: GnsModel):
+    """Raise OutOfRange when the doubled axis of the model exceeds DOUBLED_DIM_CAP."""
     dim = model.slot_dimension ** 2
     if dim > DOUBLED_DIM_CAP:
         raise OutOfRange(
@@ -185,14 +185,16 @@ def _check_doubled_cap(model: GnsModel):
 
 def gns_weyl_operator(model: GnsModel, f) -> np.ndarray:
     """The doubled-space matrix representing the generator W_f."""
-    _check_doubled_cap(model)
+    check_doubled_cap(model)
     return np.kron(*_slot_pair(model, model.slot_amplitudes(f)))
 
 
 def gns_commutant_weyl_operator(model: GnsModel, f) -> np.ndarray:
     """The swapped-slot matrix that commutes with every gns_weyl_operator."""
-    _check_doubled_cap(model)
-    return np.kron(*_slot_pair(model, model.commutant_slot_amplitudes(f)))
+    check_doubled_cap(model)
+    # the commutant's slots are those of pi(W_f), swapped
+    a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
+    return np.kron(a2, a1)
 
 
 def gns_expectation(model: GnsModel, u: WeylWord) -> complex:
@@ -261,10 +263,11 @@ def weyl_relation_residual(model: GnsModel, f, g) -> float:
 def commutant_residual(model: GnsModel, f, g) -> float:
     """Max-norm of [pi(W_f), pi~(W_g)] on the reliable occupation block.
 
-    The commutator is ``A1 B1 (x) A2 B2 - B1 A1 (x) B2 A2`` over the slots.
+    The commutator is ``A1 B1 (x) A2 B2 - B1 A1 (x) B2 A2`` over the slots,
+    where the commutant's slots ``B1, B2`` are those of pi(W_g), swapped.
     """
     a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
-    b1, b2 = _slot_pair(model, model.commutant_slot_amplitudes(g))
+    b2, b1 = _slot_pair(model, model.slot_amplitudes(g))
     keep = _reliable_slot(model)
     return _kron_difference_max(
         a1[keep] @ b1[:, keep],
@@ -274,30 +277,15 @@ def commutant_residual(model: GnsModel, f, g) -> float:
     )
 
 
-def _embed_mode(matrix: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:
-    dim = cutoff + 1
-    out = np.eye(1, dtype=complex)
-    for m in range(modes):
-        out = np.kron(out, matrix if m == mode else np.eye(dim, dtype=complex))
-    return out
-
-
-def _slot_generator(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
-    modes = len(amplitudes)
-    total = np.zeros(((cutoff + 1) ** modes,) * 2, dtype=complex)
-    for m, amp in enumerate(amplitudes):
-        total += _embed_mode(_mode_generator(amp, cutoff), m, modes, cutoff)
-    return total
-
-
 def gns_field_operator(model: GnsModel, f) -> TruncatedFockOp:
-    """Truncated field operator: the generator of t -> pi(W_{t f})."""
-    _check_doubled_cap(model)
-    first, second = model.slot_amplitudes(f)
-    k1 = _slot_generator(first, model.cutoff)
-    k2 = _slot_generator(second, model.cutoff)
-    eye = np.eye(model.slot_dimension, dtype=complex)
-    matrix = -1j * (np.kron(k1, eye) + np.kron(eye, k2))
+    """Truncated field operator: the generator of t -> pi(W_{t f}).
+
+    The Kronecker sum of the per-mode generators of both slots, first slot's
+    modes first.
+    """
+    check_doubled_cap(model)
+    amplitudes = np.concatenate(model.slot_amplitudes(f))
+    matrix = -1j * _kron_sum([_mode_generator(amp, model.cutoff) for amp in amplitudes])
     return TruncatedFockOp(matrix=matrix, cutoff=model.cutoff, modes=model.modes, role="field")
 
 

@@ -8,6 +8,7 @@ the configured seed, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -16,10 +17,10 @@ import numpy as np
 from .config import ExperimentConfig, random_complex_vectors
 from .errors import ConfigInvalid, ScaleOutOfRange, WeylscaleError
 from .fock import (
-    DOUBLED_DIM_CAP,
     GnsModel,
     MixtureMeasure,
     c_parameter,
+    check_doubled_cap,
     commutant_residual,
     gns_expectation,
     h_of_c,
@@ -102,6 +103,32 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
+#: Suite name -> ``run_*`` function, in registration (CLI) order.
+SUITES: dict = {}
+
+
+def _suite(name: str):
+    """Register a suite body under its CLI name, inside the frame all suites share.
+
+    The frame times the run and opens the ReportRecord with the config echo;
+    the body validates the config, appends cells and sets the summary.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(config: ExperimentConfig) -> ReportRecord:
+            started = time.perf_counter()
+            record = ReportRecord(name, _config_echo(config))
+            body(config, record)
+            record.timing_seconds = time.perf_counter() - started
+            return record
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
 def _require(condition: bool, message: str):
     if not condition:
         raise ConfigInvalid(message)
@@ -122,26 +149,44 @@ def _matrix_covariance(config: ExperimentConfig) -> OperatorSpec:
     return op
 
 
-def _vector_sets(config: ExperimentConfig, dim: int) -> list[list[np.ndarray]]:
+def _vectors(config: ExperimentConfig, dim: int, count: int) -> list[np.ndarray]:
+    """The explicit vectors, or ``count`` times ``random.count`` seeded draws.
+
+    Suites cut the one list into consecutive sets or pairs; the draws are
+    made vector by vector, so those slices hold the vectors that separate
+    draws from the same generator would give.
+    """
     if config.vectors_explicit is not None:
         for vec in config.vectors_explicit:
             _require(vec.shape == (dim,), f"vectors.explicit: expected dimension {dim}")
-        return [list(config.vectors_explicit)]
+        return list(config.vectors_explicit)
     _require(config.random_count is not None, "vectors: required for this suite")
-    rng = config.rng()
-    return [
-        random_complex_vectors(rng, config.random_count, dim)
-        for _ in range(config.random_sets)
-    ]
+    return random_complex_vectors(config.rng(), count * config.random_count, dim)
+
+
+def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) -> bool:
+    """Write the restricted model's KMS residual fields into ``cell``.
+
+    ``f`` and ``g`` are projected onto the restricted subspace first.  Returns
+    whether the unrescaled and the rescaled residuals both meet ``tol``.
+    """
+    f, g = rmodel.projection.apply(f), rmodel.projection.apply(g)
+    base = restricted_kms_residuals(rmodel, f, g, t_grid)
+    rescaled = restricted_kms_residuals(rmodel, f, g, t_grid, rescaled=True)
+    cell["max_r0"] = float(np.max(base.r0))
+    cell["max_rbeta"] = float(np.max(base.r_beta))
+    cell["rescaled_max_r0"] = float(np.max(rescaled.r0))
+    cell["rescaled_max_rbeta"] = float(np.max(rescaled.r_beta))
+    return base.max_residual <= tol and rescaled.max_residual <= tol
 
 
 # ---------------------------------------------------------------------------
 # positivity-scan
 
 
-def run_positivity_scan(config: ExperimentConfig) -> ReportRecord:
+@_suite("positivity-scan")
+def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     """Gram-kernel PSD verdicts and the two-point criterion across an h grid."""
-    started = time.perf_counter()
     covariance = _matrix_covariance(config)
     _require(len(config.h_values) > 0, "h_values: required")
     for h in config.h_values:
@@ -150,12 +195,14 @@ def run_positivity_scan(config: ExperimentConfig) -> ReportRecord:
         admissible_bound = h_max(covariance)
     except WeylscaleError as exc:
         raise ConfigInvalid(f"operator: {exc}") from exc
-    sets = _vector_sets(config, covariance.matrix.shape[0])
+    vectors = _vectors(config, covariance.matrix.shape[0], config.random_sets)
+    # random draws form random.sets sets of random.count; explicit vectors one set
+    size = config.random_count or len(vectors)
+    sets = [vectors[i : i + size] for i in range(0, len(vectors), size)]
     phi = quasi_free_functional(covariance)
     lowest = covariance.eigenvectors[:, 0]
     gram_tol = config.tolerance("gram")
 
-    record = ReportRecord("positivity-scan", _config_echo(config))
     threshold = None
     first_failing = None
     witness_summary = None
@@ -201,31 +248,15 @@ def run_positivity_scan(config: ExperimentConfig) -> ReportRecord:
         "first_failing_h": first_failing,
         "witness": witness_summary,
     }
-    record.timing_seconds = time.perf_counter() - started
-    return record
 
 
 # ---------------------------------------------------------------------------
 # kms-verify
 
 
-def _vector_pairs(config: ExperimentConfig, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    if config.vectors_explicit is not None:
-        vectors = list(config.vectors_explicit)
-        _require(len(vectors) % 2 == 0, "vectors.explicit: need an even count to form pairs")
-        for vec in vectors:
-            _require(vec.shape == (dim,), f"vectors.explicit: expected dimension {dim}")
-        return [(vectors[i], vectors[i + 1]) for i in range(0, len(vectors), 2)]
-    _require(config.random_count is not None, "vectors: required for this suite")
-    rng = config.rng()
-    return [
-        tuple(random_complex_vectors(rng, 2, dim)) for _ in range(config.random_count)
-    ]
-
-
-def run_kms_verify(config: ExperimentConfig) -> ReportRecord:
+@_suite("kms-verify")
+def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     """Boundary residuals of the KMS condition across scales (and regimes)."""
-    started = time.perf_counter()
     _require(config.hamiltonian is not None, "operator.kms: required for kms-verify")
     _require(config.hamiltonian.is_matrix, "operator.kms: matrix hamiltonian required")
     try:
@@ -234,12 +265,13 @@ def run_kms_verify(config: ExperimentConfig) -> ReportRecord:
         raise ConfigInvalid(f"operator.kms: {exc}") from exc
     _require(len(config.h_values) > 0, "h_values: required")
     dim = config.hamiltonian.matrix.shape[0]
-    pairs = _vector_pairs(config, dim)
+    vectors = _vectors(config, dim, 2)
+    _require(len(vectors) % 2 == 0, "vectors.explicit: need an even count to form pairs")
+    pairs = list(zip(vectors[0::2], vectors[1::2]))
     tol = config.tolerance("residual")
     two_route_tol = config.tolerance("two_route")
     h_star = op_norm(model.covariance)
 
-    record = ReportRecord("kms-verify", _config_echo(config))
     for h in config.h_values:
         for index, (f, g) in enumerate(pairs):
             cell = {"h": float(h), "pair": index}
@@ -254,26 +286,12 @@ def run_kms_verify(config: ExperimentConfig) -> ReportRecord:
                     cell.update({"path": "restricted", "error": str(exc), "ok": False})
                     record.cells.append(cell)
                     continue
-                f_sub = rmodel.projection.apply(f)
-                g_sub = rmodel.projection.apply(g)
-                base_rep = restricted_kms_residuals(rmodel, f_sub, g_sub, config.t_grid)
-                resc_rep = restricted_kms_residuals(
-                    rmodel, f_sub, g_sub, config.t_grid, rescaled=True
-                )
+                cell["path"] = "restricted"
+                within = _restricted_kms(cell, rmodel, f, g, config.t_grid, tol)
                 bounded = op_norm(rmodel.restricted_modular) <= rmodel.lam_star + 1e-12
-                ok = (
-                    base_rep.max_residual <= tol
-                    and resc_rep.max_residual <= tol
-                    and rmodel.two_route_residual <= two_route_tol
-                    and bounded
-                )
+                ok = within and rmodel.two_route_residual <= two_route_tol and bounded
                 cell.update(
                     {
-                        "path": "restricted",
-                        "max_r0": float(np.max(base_rep.r0)),
-                        "max_rbeta": float(np.max(base_rep.r_beta)),
-                        "rescaled_max_r0": float(np.max(resc_rep.r0)),
-                        "rescaled_max_rbeta": float(np.max(resc_rep.r_beta)),
                         "lambda_star": rmodel.lam_star,
                         "modular_bounded": bounded,
                         "two_route_residual": rmodel.two_route_residual,
@@ -329,37 +347,32 @@ def run_kms_verify(config: ExperimentConfig) -> ReportRecord:
             default=0.0,
         ),
     }
-    record.timing_seconds = time.perf_counter() - started
-    return record
 
 
 # ---------------------------------------------------------------------------
 # gns-check
 
 
-def run_gns_check(config: ExperimentConfig) -> ReportRecord:
+@_suite("gns-check")
+def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     """Truncated GNS simulator against the Gaussian closed form."""
-    started = time.perf_counter()
     covariance = _matrix_covariance(config)
     try:
         model = GnsModel(covariance, config.cutoff)
     except WeylscaleError as exc:
         raise ConfigInvalid(f"operator/cutoff: {exc}") from exc
-    doubled_axis = model.slot_dimension ** 2
-    _require(
-        doubled_axis <= DOUBLED_DIM_CAP,
-        f"cutoff: doubled Fock space axis {doubled_axis} exceeds the {DOUBLED_DIM_CAP} cap; "
-        f"lower the cutoff or mode count",
-    )
+    try:
+        check_doubled_cap(model)
+    except WeylscaleError as exc:
+        raise ConfigInvalid(f"cutoff: {exc}") from exc
     phi = quasi_free_functional(covariance)
     tol = config.tolerance("gns")
-    vectors = _vector_sets(config, covariance.matrix.shape[0])[0]
+    vectors = _vectors(config, covariance.matrix.shape[0], 1)
     clipped = []
     for vec in vectors:
         norm = float(np.linalg.norm(vec))
         clipped.append(vec / norm if norm > 1 else vec)
 
-    record = ReportRecord("gns-check", _config_echo(config))
     for index, f in enumerate(clipped):
         word = WeylWord.generator(f)
         deviation = abs(gns_expectation(model, word) - evaluate_state(phi, word))
@@ -401,17 +414,15 @@ def run_gns_check(config: ExperimentConfig) -> ReportRecord:
             default=0.0,
         ),
     }
-    record.timing_seconds = time.perf_counter() - started
-    return record
 
 
 # ---------------------------------------------------------------------------
 # rescale-fock
 
 
-def run_rescale_fock(config: ExperimentConfig) -> ReportRecord:
+@_suite("rescale-fock")
+def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
     """Rescaled Fock family: occupation expectation, quasi-equivalence, mixture match."""
-    started = time.perf_counter()
     _require(len(config.h_values) > 0, "h_values: required")
     arithmetic_tol = config.tolerance("arithmetic")
     pointwise_tol = config.tolerance("pointwise")
@@ -425,7 +436,6 @@ def run_rescale_fock(config: ExperimentConfig) -> ReportRecord:
     unit = np.zeros(dim, dtype=complex)
     unit[0] = 1.0
 
-    record = ReportRecord("rescale-fock", _config_echo(config))
     for h in config.h_values:
         if not 0 < h <= 1:
             record.cells.append(
@@ -477,8 +487,6 @@ def run_rescale_fock(config: ExperimentConfig) -> ReportRecord:
         "finite_rank_quasi_equivalent": finite_rank_flag,
         "finite_rank_quasi_equivalent_ok": finite_rank_flag is True,
     }
-    record.timing_seconds = time.perf_counter() - started
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +503,9 @@ def _random_word(rng: np.random.Generator, dim: int) -> WeylWord:
     return word
 
 
-def run_restrict_scan(config: ExperimentConfig) -> ReportRecord:
+@_suite("restrict-scan")
+def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
     """Spectral restriction across (1, h_star): subspaces, residuals, trace limit."""
-    started = time.perf_counter()
     covariance = _matrix_covariance(config)
     _require(len(config.h_values) > 0, "h_values: required")
     _require(config.random_count is not None, "vectors.random: required for this suite")
@@ -507,7 +515,6 @@ def run_restrict_scan(config: ExperimentConfig) -> ReportRecord:
     h_star = op_norm(covariance)
     has_kms = config.hamiltonian is not None and config.beta is not None
 
-    record = ReportRecord("restrict-scan", _config_echo(config))
     previous: tuple[float, tuple[int, ...]] | None = None
     for h in config.h_values:
         try:
@@ -554,15 +561,8 @@ def run_restrict_scan(config: ExperimentConfig) -> ReportRecord:
             )
             cell["spectral_correspondence"] = correspondence
             checks.append(correspondence)
-            f, g = _vector_pairs_from_rng(rng, rmodel)
-            base_rep = restricted_kms_residuals(rmodel, f, g, config.t_grid)
-            resc_rep = restricted_kms_residuals(rmodel, f, g, config.t_grid, rescaled=True)
-            cell["max_r0"] = float(np.max(base_rep.r0))
-            cell["max_rbeta"] = float(np.max(base_rep.r_beta))
-            cell["rescaled_max_r0"] = float(np.max(resc_rep.r0))
-            cell["rescaled_max_rbeta"] = float(np.max(resc_rep.r_beta))
-            checks.append(base_rep.max_residual <= tol)
-            checks.append(resc_rep.max_residual <= tol)
+            f, g = random_complex_vectors(rng, 2, dim)
+            checks.append(_restricted_kms(cell, rmodel, f, g, config.t_grid, tol))
         cell["ok"] = all(checks)
         record.cells.append(cell)
 
@@ -576,20 +576,3 @@ def run_restrict_scan(config: ExperimentConfig) -> ReportRecord:
         "trace_property_deviation": deviation,
         "trace_property_ok": deviation == 0.0,
     }
-    record.timing_seconds = time.perf_counter() - started
-    return record
-
-
-def _vector_pairs_from_rng(rng: np.random.Generator, rmodel) -> tuple[np.ndarray, np.ndarray]:
-    dim = rmodel.covariance.matrix.shape[0]
-    f, g = random_complex_vectors(rng, 2, dim)
-    return rmodel.projection.apply(f), rmodel.projection.apply(g)
-
-
-SUITES = {
-    "positivity-scan": run_positivity_scan,
-    "kms-verify": run_kms_verify,
-    "gns-check": run_gns_check,
-    "rescale-fock": run_rescale_fock,
-    "restrict-scan": run_restrict_scan,
-}

@@ -15,6 +15,7 @@ compare spectral values exactly, with no endpoint tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -112,44 +113,23 @@ def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]
     return snapped, atoms
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class OperatorSpec:
     """A positive operator given by a Hermitian matrix or by spectral atoms.
 
     Instances are immutable; build them through :func:`make_operator` (or the
     ``from_matrix`` / ``from_atoms`` constructors) so the canonical spectral
-    form is always in place.
+    form is always in place.  Equality is identity, since the fields hold
+    arrays.
     """
 
-    __slots__ = (
-        "variant",
-        "matrix",
-        "eigenvalues",
-        "eigenvectors",
-        "atoms",
-        "declared_infimum",
-        "declared_supremum",
-    )
-
-    def __init__(
-        self,
-        variant: str,
-        matrix: np.ndarray | None,
-        eigenvalues: np.ndarray | None,
-        eigenvectors: np.ndarray | None,
-        atoms: tuple[Atom, ...],
-        declared_infimum: float | None = None,
-        declared_supremum: float | None = None,
-    ):
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "declared_infimum", declared_infimum)
-        object.__setattr__(self, "declared_supremum", declared_supremum)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorSpec is immutable")
+    variant: str
+    matrix: np.ndarray | None
+    eigenvalues: np.ndarray | None
+    eigenvectors: np.ndarray | None
+    atoms: tuple[Atom, ...]
+    declared_infimum: float | None = None
+    declared_supremum: float | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -216,14 +196,10 @@ class OperatorSpec:
         self, infimum: float | None = None, supremum: float | None = None
     ) -> "OperatorSpec":
         """Copy with declared spectral bounds (side data for unbounded models)."""
-        return OperatorSpec(
-            self.variant,
-            self.matrix,
-            self.eigenvalues,
-            self.eigenvectors,
-            self.atoms,
-            infimum if infimum is not None else self.declared_infimum,
-            supremum if supremum is not None else self.declared_supremum,
+        return dataclasses.replace(
+            self,
+            declared_infimum=infimum if infimum is not None else self.declared_infimum,
+            declared_supremum=supremum if supremum is not None else self.declared_supremum,
         )
 
     def __repr__(self) -> str:

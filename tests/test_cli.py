@@ -664,6 +664,39 @@ def test_positivity_scan_nan_matrix_is_config_error(tmp_path, capsys):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+#: key named in the error -> (suite, config whose value at that key has the wrong shape)
+_SHAPE_ERRORS = {
+    "h_values": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_values: 5\n"),
+    "vectors.explicit[0]": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [1, 2]}\nh_values: [1]\n"),
+    "vectors.explicit[1]": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1, 2], 3]}\nh_values: [1]\n"),
+    "operator.atoms": ("positivity-scan", "operator: {atoms: 5}\nh_values: [1]\n"),
+    "space": ("rescale-fock", "space: 5\nh_values: [0.5]\n"),
+}
+
+
+@pytest.mark.parametrize("key", list(_SHAPE_ERRORS))
+def test_config_shape_error_names_its_key(tmp_path, capsys, key):
+    suite, text = _SHAPE_ERRORS[key]
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert main([suite, "--config", str(path)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["kms-verify", "restrict-scan"])
+@pytest.mark.parametrize(
+    "t_grid", ["[]", "[2, 1]", "[1, 1]", "{start: 1, stop: 0, count: 3}", "[.nan, 1]", "[.inf]"]
+)
+def test_invalid_time_grid_is_config_error(tmp_path, capsys, suite, t_grid):
+    text = {"kms-verify": KMS_CONFIG, "restrict-scan": RESTRICT_CONFIG}[suite]
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{text}t_grid: {t_grid}\n")
+    out = tmp_path / "r.json"
+    assert main([suite, "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: t_grid:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # property test: every positivity-scan config gets a clean verdict
 
@@ -691,15 +724,32 @@ def _poison(draw, rows):
         row[draw(st.integers(0, len(row) - 1))] = bad
 
 
+# a scalar where a list, a mapping or a vector belongs
+_scalars = st.sampled_from([5, -1, 0.5])
+
+
+def _or_scalar(draw, value):
+    """``value``, or now and then a scalar in its place."""
+    return draw(_mostly(st.just(value), _scalars))
+
+
+def _explicit_vectors(draw, vectors):
+    """Poison an entry, and now and then put a scalar in place of one vector."""
+    _poison(draw, vectors)
+    index = draw(st.integers(0, len(vectors) - 1))
+    vectors[index] = _or_scalar(draw, vectors[index])
+    return {"explicit": vectors}
+
+
 @st.composite
 def positivity_configs(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
     diagonal = draw(st.lists(st.floats(min_value=0.9, max_value=4.0), min_size=dim, max_size=dim))
     matrix = np.diag(diagonal).tolist()
     _poison(draw, matrix)
-    config = {"operator": {"matrix": matrix}}
+    config = {"operator": _or_scalar(draw, {"matrix": matrix})}
     if draw(st.booleans()):
-        config["h_values"] = draw(st.lists(_scales, min_size=1, max_size=4))
+        config["h_values"] = _or_scalar(draw, draw(st.lists(_scales, min_size=1, max_size=4)))
     else:
         config["h_grid"] = {
             "start": draw(_scales),
@@ -716,13 +766,13 @@ def positivity_configs(draw):
         vectors = draw(
             st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=4)
         )
-        _poison(draw, vectors)
-        config["vectors"] = {"explicit": vectors}
+        config["vectors"] = _explicit_vectors(draw, vectors)
     return config
 
 
 @settings(max_examples=60)
 @given(positivity_configs())
+@example({"operator": {"matrix": [[2.0]]}, "vectors": {"explicit": [[1.0]]}, "h_values": 5})
 def test_positivity_scan_configs_get_clean_verdicts(config):
     import yaml
 
@@ -774,8 +824,18 @@ def _vectors(draw, dim, pairs=False):
     vectors = draw(
         st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=count, max_size=count)
     )
-    _poison(draw, vectors)
-    return {"explicit": vectors}
+    return _explicit_vectors(draw, vectors)
+
+
+#: time grids every suite must reject as a config error (exit 2)
+_BAD_T_GRIDS = (
+    [],
+    [1.0, -1.0],
+    [0.5, 0.5],
+    [math.nan, 1.0],
+    [math.inf],
+    {"start": 1.0, "stop": -1.0, "count": 3},
+)
 
 
 @st.composite
@@ -783,22 +843,24 @@ def suite_configs(draw):
     """(suite, config, --seed override) with each suite's usable ranges mostly hit."""
     suite = draw(st.sampled_from(["kms-verify", "gns-check", "rescale-fock", "restrict-scan"]))
     dim = draw(st.integers(min_value=1, max_value=3))
-    config: dict = {"t_grid": {"start": -1.0, "stop": 1.0, "count": 3}}
+    t_grid = st.just({"start": -1.0, "stop": 1.0, "count": 3})
+    config: dict = {"t_grid": draw(_mostly(t_grid, st.sampled_from(_BAD_T_GRIDS)))}
     if suite == "kms-verify":
         beta = draw(_mostly(st.floats(min_value=0.2, max_value=3.0), _bad_scalars))
         config["operator"] = {"kms": {"beta": beta, "matrix": _diagonal(draw, dim, 0.2, 2.0)}}
         config["vectors"] = _vectors(draw, dim, pairs=True)
         # rescaled below 1, unrescaled at 1, restricted above
-        config["h_values"] = _scale_list(draw, 0.05, 2.0) + draw(st.sampled_from([[], [1.0]]))
+        scales = _scale_list(draw, 0.05, 2.0) + draw(st.sampled_from([[], [1.0]]))
+        config["h_values"] = _or_scalar(draw, scales)
     elif suite == "gns-check":
         # one mode at a low cutoff keeps the truncated Fock space small
         config["operator"] = {"matrix": _diagonal(draw, 1, 1.0, 3.0)}
         config["cutoff"] = draw(_mostly(st.integers(4, 6), st.sampled_from([0, 3, 4.5])))
         config["vectors"] = _vectors(draw, 1)
     elif suite == "rescale-fock":
-        config["space"] = {"dimension": dim}
+        config["space"] = _or_scalar(draw, {"dimension": dim})
         config["vectors"] = _vectors(draw, dim)
-        config["h_values"] = _scale_list(draw, 0.05, 1.0)
+        config["h_values"] = _or_scalar(draw, _scale_list(draw, 0.05, 1.0))
     else:
         if draw(st.booleans()):
             # beta * energy <= 1 puts the covariance spectrum above coth(1/2) > 2
@@ -809,7 +871,7 @@ def suite_configs(draw):
         config["vectors"] = {
             "random": {"count": draw(_counts), "seed": draw(_mostly(st.integers(0, 99), _bad_scalars))}
         }
-        config["h_values"] = _scale_list(draw, 1.05, 2.0)
+        config["h_values"] = _or_scalar(draw, _scale_list(draw, 1.05, 2.0))
     seed = draw(_mostly(st.none() | st.integers(0, 99), st.integers(-3, -1)))
     return suite, config, seed
 
@@ -825,6 +887,7 @@ _KMS_EXAMPLE = {
 @given(suite_configs())
 @example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [math.nan, 0.5]}, None))
 @example(("restrict-scan", {**_KMS_EXAMPLE, "h_values": [1.5]}, -1))
+@example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [0.5, 2.0], "t_grid": [2.0, 1.0]}, None))
 def test_suite_configs_get_clean_verdicts(drawn):
     import yaml
 
@@ -840,6 +903,9 @@ def test_suite_configs_get_clean_verdicts(drawn):
             with contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv + ["--out", out])
             assert code in (0, 2, 3)
+            # a drawn bad grid is the very object in _BAD_T_GRIDS
+            if any(config["t_grid"] is grid for grid in _BAD_T_GRIDS):
+                assert code == 2
             if code == 2:
                 assert not os.path.exists(out)
                 continue

@@ -383,3 +383,16 @@ class TestLadderOperators:
         assert np.max(np.abs(phi_matrix - phi_matrix.conj().T)) <= 1e-12
         direct = gns_weyl_operator(model, 0.7 * f)
         assert np.max(np.abs(expm(0.7j * phi_matrix) - direct)) <= 1e-10
+
+    def test_field_generates_displacement_two_modes(self):
+        # the Kronecker sum runs over the first slot's modes, then the second's
+        from scipy.linalg import expm
+
+        from weylscale.fock import gns_field_operator
+
+        model = GnsModel(make_operator([[2.0, 0.5], [0.5, 1.5]]), cutoff=4)
+        f = np.array([0.3 + 0.1j, -0.2j])
+        phi_matrix = gns_field_operator(model, f).matrix
+        assert np.max(np.abs(phi_matrix - phi_matrix.conj().T)) <= 1e-12
+        direct = gns_weyl_operator(model, 0.7 * f)
+        assert np.max(np.abs(expm(0.7j * phi_matrix) - direct)) <= 1e-10

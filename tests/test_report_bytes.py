@@ -1,0 +1,51 @@
+"""Golden report bytes: the five suites on the worked configs of test_cli.
+
+Each suite runs through the CLI in both report formats, and the report's
+SHA-256 and the exit code are compared with values recorded before the suite
+runners were restructured, so a change that moves a single byte of a report
+fails here.  Reports print floats to 17 significant digits, so the digests
+depend on the numpy/BLAS build (eigensolver and matrix-product round-off):
+on another build they may differ without any change to the program, and
+must then be recorded again from an unchanged checkout on that build.
+"""
+
+import hashlib
+
+import pytest
+
+from test_cli import GNS_CONFIG, KMS_CONFIG, POSITIVITY_CONFIG, RESCALE_CONFIG, RESTRICT_CONFIG
+from weylscale.cli import main
+
+CONFIGS = {
+    "positivity-scan": POSITIVITY_CONFIG,
+    "kms-verify": KMS_CONFIG,
+    "gns-check": GNS_CONFIG,
+    "rescale-fock": RESCALE_CONFIG,
+    "restrict-scan": RESTRICT_CONFIG,
+}
+
+GOLDEN = [
+    ("positivity-scan", "object", 0, "38bd521f20fdbf9bd7c9ce9589716d092b3581af3654a5a9c92bfd3fbb8f4677"),
+    ("positivity-scan", "table", 0, "117af5dd89aacf4ee0ae9dac1e0c605b511573a26d0d53d88372b2d181f3039d"),
+    ("kms-verify", "object", 0, "af1b5bbcceed66b629eb417ce82d9b9ac83254c606db56848cfabfe30716f64c"),
+    ("kms-verify", "table", 0, "13bde6c5ab14910dd778ad80938a9dbcdda5afc6c23f09bb26acf0a62cca780f"),
+    ("gns-check", "object", 0, "cd9ad872c1011a3ef02a38dcb71fb124b9a5fd2baf11544c4d9160ea6ee8a19c"),
+    ("gns-check", "table", 0, "55ef490a48147696ec09dac107f412997a350fdbfa4c299edb3cce41f4232807"),
+    ("rescale-fock", "object", 0, "639eca15a470e1c76ed9fa6c5a5d99f75ad644faecf28dc4367475bde07da570"),
+    ("rescale-fock", "table", 0, "17347823d5b1fd0b3af3d17c34dd1102aceba31e4040d1b3565c1f9c44010654"),
+    ("restrict-scan", "object", 0, "6d6eeb53e22c2806c920002197476305fc0ce56b8673786ffa27480d264c3940"),
+    ("restrict-scan", "table", 0, "311018fa9840e527e95be87e3f3496349f97b00f99a587986464ca233b5354ad"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, output_format, exit_code, digest", GOLDEN, ids=[f"{s}-{f}" for s, f, _, _ in GOLDEN]
+)
+def test_report_bytes_match_recorded_digest(tmp_path, capsys, suite, output_format, exit_code, digest):
+    config = tmp_path / "config.yaml"
+    config.write_text(CONFIGS[suite])
+    out = tmp_path / "report"
+    argv = [suite, "--config", str(config), "--format", output_format, "--out", str(out)]
+    assert main(argv) == exit_code
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
