@@ -77,7 +77,6 @@ from .fock import (
     GnsModel,
     MixtureMeasure,
     MixtureState,
-    TruncatedFockOp,
     UnitaryMap,
     c_parameter,
     check_universal_invariance,
@@ -94,7 +93,6 @@ from .fock import (
     one_particle_number_expectation,
     truncated_displacement,
     universally_invariant_functional,
-    vacuum_expectation,
     weyl_relation_residual,
 )
 from .kms import (

@@ -24,15 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Batch experiments on Weyl-algebra states under Planck-constant rescaling.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "positivity-scan": "Gram-kernel positivity and the two-point criterion over an h grid",
-        "kms-verify": "KMS boundary residuals for unrescaled, rescaled and restricted dynamics",
-        "gns-check": "truncated Fock-space simulator against Gaussian closed forms",
-        "rescale-fock": "rescaled Fock family: occupation numbers, quasi-equivalence, mixtures",
-        "restrict-scan": "spectral restriction beyond the admissible scale bound",
-    }
-    for name, help_text in descriptions.items():
-        sub = subparsers.add_parser(name, help=help_text)
+    for name, suite in SUITES.items():
+        sub = subparsers.add_parser(name, help=suite.__doc__.splitlines()[0])
         sub.add_argument("--config", required=True, help="path to the YAML experiment config")
         sub.add_argument("--out", default=None, help="report path (default: standard output)")
         sub.add_argument(
@@ -45,15 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PRIMARY_TOLERANCE = {
-    "positivity-scan": "gram",
-    "kms-verify": "residual",
-    "gns-check": "gns",
-    "rescale-fock": "pointwise",
-    "restrict-scan": "residual",
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -63,7 +47,7 @@ def main(argv=None) -> int:
                 raise ConfigInvalid("--seed: must be at least 0")
             config.seed = args.seed
         if args.tol is not None:
-            config.tolerances[_PRIMARY_TOLERANCE[args.command]] = args.tol
+            config.tolerances[SUITES[args.command].tolerance] = args.tol
         if args.format is not None:
             config.output_format = args.format
         record = SUITES[args.command](config)

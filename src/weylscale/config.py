@@ -185,6 +185,16 @@ def _parse_time_grid(section) -> np.ndarray:
     return grid
 
 
+def _section(raw: dict, key: str) -> dict:
+    """The mapping under ``key``; absent or null is empty, any other value an error."""
+    section = raw.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigInvalid(f"{key}: expected a mapping")
+    return section
+
+
 _DEFAULT_TOLERANCES = {
     "gram": 1e-10,
     "residual": 1e-10,
@@ -236,9 +246,7 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{key}: unknown section")
         config = cls()
 
-        space = raw.get("space") or {}
-        if not isinstance(space, dict):
-            raise ConfigInvalid("space: expected a mapping")
+        space = _section(raw, "space")
         if "dimension" in space:
             config.dimension = _parse_integer(space["dimension"], "space.dimension", minimum=1)
 
@@ -314,19 +322,12 @@ class ExperimentConfig:
         if "cutoff" in raw:
             config.cutoff = _parse_integer(raw["cutoff"], "cutoff")
 
-        tolerances = raw.get("tolerances") or {}
-        if not isinstance(tolerances, dict):
-            raise ConfigInvalid("tolerances: expected a mapping")
-        for key, value in tolerances.items():
+        for key, value in _section(raw, "tolerances").items():
             if key not in _DEFAULT_TOLERANCES:
                 raise ConfigInvalid(f"tolerances.{key}: unknown tolerance")
             config.tolerances[key] = parse_number(value, f"tolerances.{key}")
 
-        output = raw.get("output") or {}
-        if output:
-            if not isinstance(output, dict):
-                raise ConfigInvalid("output: expected a mapping")
-            config.output_format = output.get("format", "object")
+        config.output_format = _section(raw, "output").get("format", "object")
         if config.output_format not in ("object", "table"):
             raise ConfigInvalid(f"output.format: expected 'object' or 'table', got {config.output_format!r}")
         return config

@@ -20,8 +20,17 @@ the block of occupation numbers up to half the cutoff.
 Every doubled operator is a tensor product over the two slots, so products
 factor as ``(A1 (x) A2)(B1 (x) B2) = A1 B1 (x) A2 B2``.  The relation and
 commutant residuals are computed from such slot products on the reliable
-block; the doubled matrix itself is only built by ``gns_weyl_operator`` and
-its siblings, on request.
+block, and no doubled matrix is formed for them.
+
+Ladder operators take the Araki-Woods form
+``a(f) = a(T1 f) (x) I + I (x) a*(J T2 f)``: one Kronecker sum of per-mode
+ladders, ``a`` on the first slot's modes and ``a*`` on the second's.  The
+field operator, the creation operator and the number operator follow from it
+as ``(a + a*)/sqrt(2)``, ``a*`` and ``a* a``.  These builders and
+``gns_weyl_operator`` with ``gns_commutant_weyl_operator`` return dense
+doubled-space matrices as plain arrays and refuse axes beyond
+``DOUBLED_DIM_CAP``; the last two are the reference the residuals are
+tested against.
 """
 
 from __future__ import annotations
@@ -57,33 +66,19 @@ from .weyl import WeylWord, sigma
 CUTOFF_FLOOR = 4
 
 #: Cap on the doubled-space axis length (cutoff+1)^(2*modes), for the dense
-#: builders (gns_weyl_operator and siblings) and for gns-check configs.
+#: builders (the Weyl, ladder, field and number operators) and for gns-check
+#: configs.
 DOUBLED_DIM_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class TruncatedFockOp:
-    """Matrix on a truncated (multi-mode) Fock space with a role tag."""
-
-    matrix: np.ndarray
-    cutoff: int
-    modes: int
-    role: str
-    unitarity_defect: float | None = None
 
 
 def _ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1).astype(complex)
 
 
-def _mode_generator(alpha: complex, cutoff: int) -> np.ndarray:
-    """Anti-Hermitian generator alpha a* - conj(alpha) a on the truncated ladder."""
-    a = _ladder(cutoff)
-    return alpha * a.conj().T - np.conj(alpha) * a
-
-
 def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    return expm(_mode_generator(alpha, cutoff))
+    """exp(alpha a* - conj(alpha) a) on the truncated ladder."""
+    a = _ladder(cutoff)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def _slot_matrix(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
@@ -99,7 +94,7 @@ def _kron_sum(factors: list[np.ndarray]) -> np.ndarray:
     )
 
 
-def truncated_displacement(alpha, cutoff: int) -> TruncatedFockOp:
+def truncated_displacement(alpha, cutoff: int) -> np.ndarray:
     """Displacement operator D(alpha) on the truncated Fock space.
 
     ``alpha`` is one complex amplitude per mode; several modes combine by
@@ -117,15 +112,7 @@ def truncated_displacement(alpha, cutoff: int) -> TruncatedFockOp:
             f"{np.max(np.abs(amplitudes)):.3g}; expect visible truncation error",
             stacklevel=2,
         )
-    matrix = _slot_matrix(amplitudes, cutoff)
-    defect = float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
-    return TruncatedFockOp(
-        matrix=matrix,
-        cutoff=cutoff,
-        modes=len(amplitudes),
-        role="displacement",
-        unitarity_defect=defect,
-    )
+    return _slot_matrix(amplitudes, cutoff)
 
 
 class GnsModel:
@@ -277,45 +264,42 @@ def commutant_residual(model: GnsModel, f, g) -> float:
     )
 
 
-def gns_field_operator(model: GnsModel, f) -> TruncatedFockOp:
-    """Truncated field operator: the generator of t -> pi(W_{t f}).
+def gns_annihilation(model: GnsModel, f) -> np.ndarray:
+    """a(f) on the doubled space, antilinear in f.
 
-    The Kronecker sum of the per-mode generators of both slots, first slot's
-    modes first.
+    The Kronecker sum of ``sqrt(2) i conj(alpha_k) a`` over the first slot's
+    modes and ``-sqrt(2) i beta_k a*`` over the second's, with ``alpha`` and
+    ``beta`` the slot amplitudes of pi(W_f).
     """
     check_doubled_cap(model)
-    amplitudes = np.concatenate(model.slot_amplitudes(f))
-    matrix = -1j * _kron_sum([_mode_generator(amp, model.cutoff) for amp in amplitudes])
-    return TruncatedFockOp(matrix=matrix, cutoff=model.cutoff, modes=model.modes, role="field")
-
-
-def gns_annihilation(model: GnsModel, f) -> TruncatedFockOp:
-    """a(f) = (Phi(f) + i Phi(if)) / sqrt(2) on the doubled space."""
-    f = np.asarray(f, dtype=complex)
-    phi_f = gns_field_operator(model, f).matrix
-    phi_if = gns_field_operator(model, 1j * f).matrix
-    matrix = (phi_f + 1j * phi_if) / np.sqrt(2)
-    return TruncatedFockOp(matrix=matrix, cutoff=model.cutoff, modes=model.modes, role="annihilation")
-
-
-def gns_creation(model: GnsModel, f) -> TruncatedFockOp:
-    op = gns_annihilation(model, f)
-    return TruncatedFockOp(
-        matrix=op.matrix.conj().T, cutoff=op.cutoff, modes=op.modes, role="creation"
+    first, second = model.slot_amplitudes(f)
+    a = _ladder(model.cutoff)
+    adag = a.T
+    return _kron_sum(
+        [np.sqrt(2) * 1j * np.conj(alpha) * a for alpha in first]
+        + [-np.sqrt(2) * 1j * beta * adag for beta in second]
     )
 
 
-def gns_number_operator(model: GnsModel, f) -> TruncatedFockOp:
+def gns_creation(model: GnsModel, f) -> np.ndarray:
+    """a*(f), the adjoint of gns_annihilation."""
+    return gns_annihilation(model, f).conj().T
+
+
+def gns_field_operator(model: GnsModel, f) -> np.ndarray:
+    """Truncated field operator Phi(f) = (a(f) + a*(f)) / sqrt(2).
+
+    It generates t -> pi(W_{t f}); the Kronecker sum runs over the first
+    slot's modes, then the second's.
+    """
+    a = gns_annihilation(model, f)
+    return (a + a.conj().T) / np.sqrt(2)
+
+
+def gns_number_operator(model: GnsModel, f) -> np.ndarray:
     """N_f = a*(f) a(f) on the doubled space."""
-    a = gns_annihilation(model, f).matrix
-    return TruncatedFockOp(
-        matrix=a.conj().T @ a, cutoff=model.cutoff, modes=model.modes, role="number"
-    )
-
-
-def vacuum_expectation(op: TruncatedFockOp | np.ndarray) -> complex:
-    matrix = op.matrix if isinstance(op, TruncatedFockOp) else op
-    return complex(matrix[0, 0])
+    a = gns_annihilation(model, f)
+    return a.conj().T @ a
 
 
 def one_particle_number_expectation(covariance: OperatorSpec, f) -> float:

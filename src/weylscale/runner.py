@@ -103,15 +103,18 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-#: Suite name -> ``run_*`` function, in registration (CLI) order.
+#: Suite name -> ``run_*`` function, in registration (CLI) order.  Each
+#: function carries the body's docstring, whose first line is the CLI help,
+#: and a ``tolerance`` attribute naming the tolerance that ``--tol`` sets.
 SUITES: dict = {}
 
 
-def _suite(name: str):
+def _suite(name: str, tolerance: str):
     """Register a suite body under its CLI name, inside the frame all suites share.
 
     The frame times the run and opens the ReportRecord with the config echo;
     the body validates the config, appends cells and sets the summary.
+    ``tolerance`` is the suite's primary tolerance.
     """
 
     def register(body):
@@ -123,6 +126,7 @@ def _suite(name: str):
             record.timing_seconds = time.perf_counter() - started
             return record
 
+        run.tolerance = tolerance
         SUITES[name] = run
         return run
 
@@ -184,7 +188,7 @@ def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) ->
 # positivity-scan
 
 
-@_suite("positivity-scan")
+@_suite("positivity-scan", "gram")
 def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     """Gram-kernel PSD verdicts and the two-point criterion across an h grid."""
     covariance = _matrix_covariance(config)
@@ -254,7 +258,7 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
 # kms-verify
 
 
-@_suite("kms-verify")
+@_suite("kms-verify", "residual")
 def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     """Boundary residuals of the KMS condition across scales (and regimes)."""
     _require(config.hamiltonian is not None, "operator.kms: required for kms-verify")
@@ -353,7 +357,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
 # gns-check
 
 
-@_suite("gns-check")
+@_suite("gns-check", "gns")
 def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     """Truncated GNS simulator against the Gaussian closed form."""
     covariance = _matrix_covariance(config)
@@ -420,19 +424,17 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
 # rescale-fock
 
 
-@_suite("rescale-fock")
+@_suite("rescale-fock", "pointwise")
 def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
     """Rescaled Fock family: occupation expectation, quasi-equivalence, mixture match."""
     _require(len(config.h_values) > 0, "h_values: required")
     arithmetic_tol = config.tolerance("arithmetic")
     pointwise_tol = config.tolerance("pointwise")
-    dim = config.space_dimension() if (config.random_count or config.vectors_explicit) else 1
-    if config.vectors_explicit is not None:
-        vectors = list(config.vectors_explicit)
-    elif config.random_count is not None:
-        vectors = random_complex_vectors(config.rng(), config.random_count, dim)
+    if config.random_count or config.vectors_explicit:
+        dim = config.space_dimension()
+        vectors = _vectors(config, dim, 1)
     else:
-        vectors = []
+        dim, vectors = 1, []
     unit = np.zeros(dim, dtype=complex)
     unit[0] = 1.0
 
@@ -503,7 +505,7 @@ def _random_word(rng: np.random.Generator, dim: int) -> WeylWord:
     return word
 
 
-@_suite("restrict-scan")
+@_suite("restrict-scan", "residual")
 def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
     """Spectral restriction across (1, h_star): subspaces, residuals, trace limit."""
     covariance = _matrix_covariance(config)

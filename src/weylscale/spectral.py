@@ -248,9 +248,6 @@ class ProjectionSpec:
         f = np.asarray(f, dtype=complex)
         return float(np.linalg.norm(f - self.apply(f)))
 
-    def contains_vector(self, f: np.ndarray, tol: float = 1e-12) -> bool:
-        return self.residual(f) <= tol
-
 
 def make_operator(data, **declared_bounds) -> OperatorSpec:
     """Build an operator from square matrix entries or an atom list.

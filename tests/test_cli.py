@@ -1,4 +1,7 @@
+import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import math
 import os
@@ -14,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylscale
-from weylscale.cli import main
+from weylscale.cli import build_parser, main
 from weylscale.config import ExperimentConfig, parse_complex, parse_number
 from weylscale.errors import ConfigInvalid
 from weylscale.report import ReportRecord, render_object, render_table
 from weylscale.runner import (
+    SUITES,
     run_gns_check,
     run_kms_verify,
     run_positivity_scan,
@@ -681,6 +685,65 @@ def test_config_shape_error_names_its_key(tmp_path, capsys, key):
     path.write_text(text)
     assert main([suite, "--config", str(path)]) == 2
     assert f"config error: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("space", "0"), ("tolerances", "[]"), ("output", "0"), ("output", '""')])
+def test_falsy_section_of_wrong_shape_is_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"h_values: [0.5]\n{key}: {value}\n")
+    assert main(["rescale-fock", "--config", str(path)]) == 2
+    assert f"config error: {key}: expected a mapping" in capsys.readouterr().err
+
+
+def test_null_sections_keep_the_defaults(tmp_path, capsys):
+    plain = tmp_path / "plain.yaml"
+    plain.write_text("h_values: [0.5]\n")
+    null = tmp_path / "null.yaml"
+    null.write_text("h_values: [0.5]\nspace: null\ntolerances: null\noutput: null\n")
+    reports = []
+    for path in (plain, null):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["rescale-fock", "--config", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+
+
+def test_rescale_fock_checks_explicit_vector_dimension(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("space: {dimension: 2}\nvectors: {explicit: [[1, 2, 3]]}\nh_values: [0.5]\n")
+    assert main(["rescale-fock", "--config", str(path)]) == 2
+    assert "config error: vectors.explicit: expected dimension 2" in capsys.readouterr().err
+
+
+class TestSuiteRegistry:
+    def test_tol_sets_each_suite_primary_tolerance(self):
+        assert {name: suite.tolerance for name, suite in SUITES.items()} == {
+            "positivity-scan": "gram",
+            "kms-verify": "residual",
+            "gns-check": "gns",
+            "rescale-fock": "pointwise",
+            "restrict-scan": "residual",
+        }
+
+    def test_help_is_first_docstring_line(self):
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {choice.dest: choice.help for choice in action._choices_actions}
+        assert helps == {name: suite.__doc__.splitlines()[0] for name, suite in SUITES.items()}
+
+    def test_bench_span_targets_resolve(self):
+        # bench/spans.py patches these attributes by name for --trace runs
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module_name, attribute, _ in spans.TARGETS:
+            owner = importlib.import_module(module_name)
+            *path_to_owner, name = attribute.split(".")
+            for part in path_to_owner:
+                owner = getattr(owner, part)
+            assert name in vars(owner), f"{module_name}.{attribute}"
 
 
 @pytest.mark.parametrize("suite", ["kms-verify", "restrict-scan"])

@@ -24,7 +24,6 @@ from weylscale import (
     quasi_free_functional,
     truncated_displacement,
     universally_invariant_functional,
-    vacuum_expectation,
     weyl_multiply,
     weyl_relation_residual,
 )
@@ -46,15 +45,15 @@ from conftest import random_covariance, random_vector
 class TestTruncatedDisplacement:
     def test_zero_amplitude_is_identity(self):
         op = truncated_displacement(0.0, 10)
-        assert np.allclose(op.matrix, np.eye(11))
+        assert np.allclose(op, np.eye(11))
 
     def test_vacuum_element_closed_form(self):
         op = truncated_displacement(1.0, 30)
-        assert abs(op.matrix[0, 0] - np.exp(-0.5)) <= 1e-8
+        assert abs(op[0, 0] - np.exp(-0.5)) <= 1e-8
 
     def test_unitarity_defect(self):
         op = truncated_displacement(0.3 + 0.9j, 30)
-        assert op.unitarity_defect <= 1e-6
+        assert np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= 1e-6
 
     def test_cutoff_floor(self):
         with pytest.raises(CutoffTooSmall):
@@ -66,12 +65,11 @@ class TestTruncatedDisplacement:
 
     def test_multimode_tensor(self):
         op = truncated_displacement([0.5, -0.5j], 8)
-        assert op.modes == 2
-        assert op.matrix.shape == (81, 81)
+        assert op.shape == (81, 81)  # two modes of 9 levels
         # top-left block of the tensor product is D1[0,0] times the second factor
-        first = truncated_displacement(0.5, 8).matrix
-        second = truncated_displacement(-0.5j, 8).matrix
-        assert np.allclose(op.matrix[:9, :9], first[0, 0] * second)
+        first = truncated_displacement(0.5, 8)
+        second = truncated_displacement(-0.5j, 8)
+        assert np.allclose(op[:9, :9], first[0, 0] * second)
 
 
 class TestGnsModel:
@@ -91,7 +89,7 @@ class TestGnsModel:
     def test_fock_case_second_slot_trivial(self):
         model = GnsModel(make_operator(np.eye(1)), cutoff=10)
         op = gns_weyl_operator(model, [0.7])
-        single = truncated_displacement(1j * 0.7 / np.sqrt(2), 10).matrix
+        single = truncated_displacement(1j * 0.7 / np.sqrt(2), 10)
         assert np.allclose(op, np.kron(single, np.eye(11)), atol=1e-12)
 
     def test_zero_vector_gives_identity(self):
@@ -235,7 +233,7 @@ class TestNumberOperator:
         covariance = make_operator([[2.0]])
         model = GnsModel(covariance, cutoff=40)
         f = np.array([0.8])
-        truncated = vacuum_expectation(gns_number_operator(model, f)).real
+        truncated = gns_number_operator(model, f)[0, 0].real
         closed = one_particle_number_expectation(covariance, f)
         assert abs(truncated - closed) <= 1e-4
 
@@ -344,23 +342,23 @@ class TestLadderOperators:
         from weylscale.fock import gns_annihilation
 
         model = GnsModel(make_operator(np.eye(1)), cutoff=14)
-        a = gns_annihilation(model, [1.0]).matrix
+        a = gns_annihilation(model, [1.0])
         assert np.linalg.norm(a[:, 0]) == 0.0
 
     def test_antilinear_in_the_argument(self):
         from weylscale.fock import gns_annihilation
 
         model = GnsModel(make_operator(np.eye(1)), cutoff=14)
-        a = gns_annihilation(model, [1.0]).matrix
-        scaled = gns_annihilation(model, [2j]).matrix
+        a = gns_annihilation(model, [1.0])
+        scaled = gns_annihilation(model, [2j])
         assert np.max(np.abs(scaled - np.conj(2j) * a)) <= 1e-12
 
     def test_creation_is_adjoint(self):
         from weylscale.fock import gns_annihilation, gns_creation
 
         model = GnsModel(make_operator([[1.5]]), cutoff=14)
-        a = gns_annihilation(model, [0.7]).matrix
-        adag = gns_creation(model, [0.7]).matrix
+        a = gns_annihilation(model, [0.7])
+        adag = gns_creation(model, [0.7])
         assert np.max(np.abs(adag - a.conj().T)) == 0.0
 
     def test_vacuum_column_norm_matches_occupation(self):
@@ -368,8 +366,19 @@ class TestLadderOperators:
         from weylscale.fock import gns_annihilation
 
         model = GnsModel(make_operator([[2.0]]), cutoff=20)
-        a = gns_annihilation(model, [1.0]).matrix
+        a = gns_annihilation(model, [1.0])
         assert np.linalg.norm(a[:, 0]) ** 2 == pytest.approx(0.5, abs=1e-10)
+
+    def test_ccr_on_reliable_block_two_modes(self, rng):
+        # [a(f), a*(g)] = <f, g> I where the truncated ladders are faithful
+        from weylscale.fock import gns_annihilation, gns_creation
+
+        model = GnsModel(random_covariance(rng, 2), cutoff=4)
+        f, g = random_vector(rng, 2), random_vector(rng, 2)
+        a, adag = gns_annihilation(model, f), gns_creation(model, g)
+        idx = _reliable_block(model)
+        commutator = a[idx] @ adag[:, idx] - adag[idx] @ a[:, idx]
+        assert np.max(np.abs(commutator - np.vdot(f, g) * np.eye(idx.size))) <= 1e-12
 
     def test_field_generates_displacement(self):
         # pi(W_{tf}) = expm(i t Phi(f)) on the doubled space
@@ -379,7 +388,7 @@ class TestLadderOperators:
 
         model = GnsModel(make_operator([[2.0]]), cutoff=12)
         f = np.array([0.4 + 0.2j])
-        phi_matrix = gns_field_operator(model, f).matrix
+        phi_matrix = gns_field_operator(model, f)
         assert np.max(np.abs(phi_matrix - phi_matrix.conj().T)) <= 1e-12
         direct = gns_weyl_operator(model, 0.7 * f)
         assert np.max(np.abs(expm(0.7j * phi_matrix) - direct)) <= 1e-10
@@ -392,7 +401,7 @@ class TestLadderOperators:
 
         model = GnsModel(make_operator([[2.0, 0.5], [0.5, 1.5]]), cutoff=4)
         f = np.array([0.3 + 0.1j, -0.2j])
-        phi_matrix = gns_field_operator(model, f).matrix
+        phi_matrix = gns_field_operator(model, f)
         assert np.max(np.abs(phi_matrix - phi_matrix.conj().T)) <= 1e-12
         direct = gns_weyl_operator(model, 0.7 * f)
         assert np.max(np.abs(expm(0.7j * phi_matrix) - direct)) <= 1e-10
