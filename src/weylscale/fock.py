@@ -20,13 +20,22 @@ the block of occupation numbers up to half the cutoff.
 Every doubled operator is a tensor product over the two slots, so products
 factor as ``(A1 (x) A2)(B1 (x) B2) = A1 B1 (x) A2 B2``.  The relation and
 commutant residuals are computed from such slot products on the reliable
-block, and no doubled matrix is formed for them.
+block, and no doubled matrix is formed for them; the max-norm of
+``P (x) Q - R (x) S`` is taken in blocks of ``_KRON_BLOCK_ENTRIES`` entries,
+consecutive entries of ``P`` and ``R`` against all of ``Q`` and ``S``.
+
+A model builds each per-mode displacement once: the matrices are kept, keyed
+on the exact bits of the amplitude, for as long as the model lives, and are
+read-only.  Each entry costs ``(cutoff+1)^2`` complex values (27 KB at cutoff
+40), and a gns-check run holds at most ``2 * modes`` entries per vector and
+per pair.
 
 Ladder operators take the Araki-Woods form
 ``a(f) = a(T1 f) (x) I + I (x) a*(J T2 f)``: one Kronecker sum of per-mode
 ladders, ``a`` on the first slot's modes and ``a*`` on the second's.  The
-field operator, the creation operator and the number operator follow from it
-as ``(a + a*)/sqrt(2)``, ``a*`` and ``a* a``.  These builders and
+field operator and the creation operator follow from it as
+``(a + a*)/sqrt(2)`` and ``a*``; the number operator ``a* a`` is assembled
+from slot-sized products of the two Kronecker sums.  These builders and
 ``gns_weyl_operator`` with ``gns_commutant_weyl_operator`` return dense
 doubled-space matrices as plain arrays and refuse axes beyond
 ``DOUBLED_DIM_CAP``; the last two are the reference the residuals are
@@ -70,6 +79,11 @@ CUTOFF_FLOOR = 4
 #: configs.
 DOUBLED_DIM_CAP = 10_000
 
+#: Entries of ``P (x) Q - R (x) S`` that _kron_difference_max evaluates at
+#: once.  The product, the subtrahend and numpy's two iterator buffers take
+#: 16 bytes an entry each, so a call peaks near 384 KB at any size.
+_KRON_BLOCK_ENTRIES = 6144
+
 
 def _ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1).astype(complex)
@@ -79,11 +93,6 @@ def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """exp(alpha a* - conj(alpha) a) on the truncated ladder."""
     a = _ladder(cutoff)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
-def _slot_matrix(amplitudes: np.ndarray, cutoff: int) -> np.ndarray:
-    """Tensor product over modes of the per-mode truncated displacements."""
-    return reduce(np.kron, [_mode_displacement(amp, cutoff) for amp in amplitudes])
 
 
 def _kron_sum(factors: list[np.ndarray]) -> np.ndarray:
@@ -112,7 +121,7 @@ def truncated_displacement(alpha, cutoff: int) -> np.ndarray:
             f"{np.max(np.abs(amplitudes)):.3g}; expect visible truncation error",
             stacklevel=2,
         )
-    return _slot_matrix(amplitudes, cutoff)
+    return reduce(np.kron, [_mode_displacement(amp, cutoff) for amp in amplitudes])
 
 
 class GnsModel:
@@ -135,6 +144,7 @@ class GnsModel:
         self._t2 = np.sqrt(np.maximum(eigs - 1.0, 0.0) / 2.0)
         self.T1 = self._basis @ np.diag(self._t1).astype(complex) @ self._basis.conj().T
         self.T2 = self._basis @ np.diag(self._t2).astype(complex) @ self._basis.conj().T
+        self._displacements: dict[bytes, np.ndarray] = {}
 
     @property
     def slot_dimension(self) -> int:
@@ -153,11 +163,21 @@ class GnsModel:
         second = 1j * np.conj(self._t2 * coords) / np.sqrt(2)
         return first, second
 
+    def _mode_displacement(self, alpha) -> np.ndarray:
+        """Read-only _mode_displacement(alpha, cutoff), built once per exact
+        bit pattern of ``alpha`` (so ``-0.0`` and ``0.0`` stay apart)."""
+        key = np.complex128(alpha).tobytes()
+        matrix = self._displacements.get(key)
+        if matrix is None:
+            matrix = _mode_displacement(alpha, self.cutoff)
+            matrix.flags.writeable = False
+            self._displacements[key] = matrix
+        return matrix
+
 
 def _slot_pair(model: GnsModel, amplitudes) -> tuple[np.ndarray, np.ndarray]:
     """Matrices of the two tensor slots from their per-mode amplitudes."""
-    first, second = amplitudes
-    return _slot_matrix(first, model.cutoff), _slot_matrix(second, model.cutoff)
+    return tuple(reduce(np.kron, map(model._mode_displacement, amps)) for amps in amplitudes)
 
 
 def check_doubled_cap(model: GnsModel):
@@ -199,7 +219,7 @@ def gns_expectation(model: GnsModel, u: WeylWord) -> complex:
         first, second = model.slot_amplitudes(vec)
         value = 1.0 + 0.0j
         for amp in np.concatenate([first, second]):
-            value *= _mode_displacement(amp, model.cutoff)[0, 0]
+            value *= model._mode_displacement(amp)[0, 0]
         total += coeff * value
     return complex(total)
 
@@ -222,10 +242,24 @@ def _reliable_block(model: GnsModel) -> np.ndarray:
 
 
 def _kron_difference_max(p, q, r, s) -> float:
-    """Max-norm of ``P (x) Q - R (x) S``, broadcast over the factors' own axes."""
-    diff = p[:, None, :, None] * q[None, :, None, :]
-    diff -= r[:, None, :, None] * s[None, :, None, :]
-    return float(np.max(np.abs(diff)))
+    """Max-norm of ``P (x) Q - R (x) S``, in blocks of _KRON_BLOCK_ENTRIES.
+
+    Each entry is ``P[i,k] Q[j,l] - R[i,k] S[j,l]`` as in one broadcast over
+    all of them, so the maximum is the same (NaN included).
+    """
+    # All four operands 3-d: at side 1 both products then have equal shapes,
+    # as in the one-shot broadcast, and numpy runs the same complex-multiply
+    # loop; a broadcast 1x1 product takes a loop that rounds differently.
+    p, r = p.reshape(-1, 1, 1), r.reshape(-1, 1, 1)
+    q, s = q[None], s[None]
+    step = max(1, _KRON_BLOCK_ENTRIES // q.size)
+    peaks = []
+    for start in range(0, p.shape[0], step):
+        block = slice(start, start + step)
+        diff = p[block] * q
+        diff -= r[block] * s
+        peaks.append(np.max(np.abs(diff)))
+    return float(np.max(peaks))
 
 
 def weyl_relation_residual(model: GnsModel, f, g) -> float:
@@ -264,21 +298,25 @@ def commutant_residual(model: GnsModel, f, g) -> float:
     )
 
 
-def gns_annihilation(model: GnsModel, f) -> np.ndarray:
-    """a(f) on the doubled space, antilinear in f.
+def _slot_ladders(model: GnsModel, f) -> tuple[np.ndarray, np.ndarray]:
+    """Slot-sized ``A``, ``B`` with ``a(f) = A (x) I + I (x) B``.
 
-    The Kronecker sum of ``sqrt(2) i conj(alpha_k) a`` over the first slot's
-    modes and ``-sqrt(2) i beta_k a*`` over the second's, with ``alpha`` and
-    ``beta`` the slot amplitudes of pi(W_f).
+    ``A`` is the Kronecker sum of ``sqrt(2) i conj(alpha_k) a`` over the first
+    slot's modes and ``B`` that of ``-sqrt(2) i beta_k a*`` over the second's,
+    with ``alpha`` and ``beta`` the slot amplitudes of pi(W_f).
     """
-    check_doubled_cap(model)
     first, second = model.slot_amplitudes(f)
     a = _ladder(model.cutoff)
-    adag = a.T
-    return _kron_sum(
-        [np.sqrt(2) * 1j * np.conj(alpha) * a for alpha in first]
-        + [-np.sqrt(2) * 1j * beta * adag for beta in second]
+    return (
+        _kron_sum([np.sqrt(2) * 1j * np.conj(alpha) * a for alpha in first]),
+        _kron_sum([-np.sqrt(2) * 1j * beta * a.T for beta in second]),
     )
+
+
+def gns_annihilation(model: GnsModel, f) -> np.ndarray:
+    """a(f) on the doubled space, antilinear in f (see _slot_ladders)."""
+    check_doubled_cap(model)
+    return _kron_sum(list(_slot_ladders(model, f)))
 
 
 def gns_creation(model: GnsModel, f) -> np.ndarray:
@@ -297,9 +335,19 @@ def gns_field_operator(model: GnsModel, f) -> np.ndarray:
 
 
 def gns_number_operator(model: GnsModel, f) -> np.ndarray:
-    """N_f = a*(f) a(f) on the doubled space."""
-    a = gns_annihilation(model, f)
-    return a.conj().T @ a
+    """N_f = a*(f) a(f) = A*A (x) I + I (x) B*B + A* (x) B + A (x) B*.
+
+    ``A`` and ``B`` are _slot_ladders; only slot-sized products are formed.
+    """
+    check_doubled_cap(model)
+    a, b = _slot_ladders(model, f)
+    a_adj, b_adj = a.conj().T, b.conj().T
+    eye = np.eye(a.shape[0], dtype=complex)
+    number = np.kron(a_adj @ a, eye)
+    number += np.kron(eye, b_adj @ b)
+    number += np.kron(a_adj, b)
+    number += np.kron(a, b_adj)
+    return number
 
 
 def one_particle_number_expectation(covariance: OperatorSpec, f) -> float:

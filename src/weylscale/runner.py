@@ -463,7 +463,8 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
             occupation_dev <= arithmetic_tol
             and quasi == quasi_expected
             and roundtrip_dev <= 1e-14
-            and exponent_dev <= 1e-14
+            # 1 - c cancels, so the round-off of (1+c)/(1-c) grows like eps/h^2
+            and exponent_dev <= 1e-14 * h**-2
             and pointwise_dev <= pointwise_tol
         )
         record.cells.append(

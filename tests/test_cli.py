@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import math
 import os
 import resource
@@ -714,6 +715,32 @@ def test_rescale_fock_checks_explicit_vector_dimension(tmp_path, capsys):
     path.write_text("space: {dimension: 2}\nvectors: {explicit: [[1, 2, 3]]}\nh_values: [0.5]\n")
     assert main(["rescale-fock", "--config", str(path)]) == 2
     assert "config error: vectors.explicit: expected dimension 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [0.001, 0.003, 0.01, 0.02, 0.05])
+def test_rescale_fock_small_scales_pass(tmp_path, capsys, h):
+    # (1+c)/(1-c) loses about eps/h^2 to the cancellation in 1 - c
+    path = tmp_path / "config.yaml"
+    path.write_text(f"space: {{dimension: 1}}\nh_values: [{h}]\n")
+    assert main(["rescale-fock", "--config", str(path), "--out", str(tmp_path / "r")]) == 0
+
+
+def test_rescale_fock_flags_a_wrong_mixture_coordinate(tmp_path, capsys, monkeypatch):
+    import weylscale.fock
+    import weylscale.runner
+
+    h_values = [0.001, 0.05, 0.5]
+    monkeypatch.setattr(
+        weylscale.runner, "c_parameter", lambda h: weylscale.fock.c_parameter(h) * (1 + 1e-9)
+    )
+    path = tmp_path / "config.yaml"
+    path.write_text(f"space: {{dimension: 1}}\nh_values: {h_values}\n")
+    out = tmp_path / "r.json"
+    assert main(["rescale-fock", "--config", str(path), "--out", str(out)]) == 3
+    cells = json.loads(out.read_text())["cells"]
+    for h, cell in zip(h_values, cells):
+        assert not cell["ok"]
+        assert cell["exponent_deviation"] > 1e-14 * h**-2
 
 
 class TestSuiteRegistry:

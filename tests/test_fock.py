@@ -35,7 +35,9 @@ from weylscale.errors import (
     OutOfRange,
     SpectrumBelowOne,
 )
-from weylscale.fock import _reliable_block, _reliable_slot
+from weylscale import fock
+from weylscale.cli import main
+from weylscale.fock import _kron_difference_max, _reliable_block, _reliable_slot
 from weylscale.spectral import INF
 from weylscale.weyl import sigma
 
@@ -228,7 +230,139 @@ class TestFactorizedResiduals:
         assert peak < doubled_matrix_bytes / 10
 
 
+class TestDisplacementCache:
+    """A model builds each per-mode displacement once and hands it out read-only."""
+
+    @staticmethod
+    def _count_expm(monkeypatch):
+        calls, original = [], fock.expm
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(fock, "expm", counting)
+        return calls
+
+    @pytest.mark.parametrize("count, expected", [(1, 6), (3, 12)])
+    def test_gns_check_expm_calls(self, monkeypatch, tmp_path, capsys, count, expected):
+        # one vector: f for the expectation, then g = i f and f + g, two slots
+        # each; three vectors: f for each expectation, then f + g for each pair
+        config = tmp_path / "gns.yaml"
+        config.write_text(
+            f"operator: {{matrix: [[1.6]]}}\n"
+            f"vectors: {{random: {{count: {count}, seed: 3}}}}\n"
+            f"cutoff: 40\n"
+        )
+        calls = self._count_expm(monkeypatch)
+        assert main(["gns-check", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == expected
+
+    def test_residuals_reuse_expectation_matrices(self, monkeypatch):
+        model = GnsModel(make_operator([[1.6]]), cutoff=12)
+        f, g = np.array([0.4 + 0.1j]), np.array([-0.2 + 0.3j])
+        calls = self._count_expm(monkeypatch)
+        for vec in (f, g):
+            gns_expectation(model, WeylWord.generator(vec))
+        assert len(calls) == 4
+        commutant_residual(model, f, g)
+        assert len(calls) == 4
+        weyl_relation_residual(model, f, g)
+        assert len(calls) == 6
+
+    def test_cached_matrix_is_read_only(self):
+        model = GnsModel(make_operator([[1.6]]), cutoff=8)
+        first, _ = fock._slot_pair(model, model.slot_amplitudes([0.5j]))
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            model._mode_displacement(0.25)[1, 1] = 0.0
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 24), (2, 5)])
+    def test_reused_model_matches_fresh_models(self, rng, modes, cutoff):
+        covariance = random_covariance(rng, modes)
+        vectors = [0.6 * random_vector(rng, modes) for _ in range(3)]
+        reused = GnsModel(covariance, cutoff=cutoff)
+
+        def results(model_for):
+            values = [gns_expectation(model_for(), WeylWord.generator(f)) for f in vectors]
+            for f, g in zip(vectors, vectors[1:] + vectors[:1]):
+                values.append(weyl_relation_residual(model_for(), f, g))
+                values.append(commutant_residual(model_for(), f, g))
+            return values
+
+        cached = results(lambda: reused)
+        fresh = results(lambda: GnsModel(covariance, cutoff=cutoff))
+        assert cached == fresh
+        assert results(lambda: reused) == fresh
+
+    def test_signed_zero_amplitudes_kept_apart(self):
+        model = GnsModel(make_operator([[1.6]]), cutoff=6)
+        positive = model._mode_displacement(0.0)
+        negative = model._mode_displacement(-0.0j)
+        assert positive is not negative
+        assert len(model._displacements) == 2
+        assert model._mode_displacement(complex(0.0, 0.0)) is positive
+
+
+def _one_shot_kron_difference_max(p, q, r, s):
+    """Max-norm of P (x) Q - R (x) S in one broadcast over all rows."""
+    diff = p[:, None, :, None] * q[None, :, None, :]
+    diff -= r[:, None, :, None] * s[None, :, None, :]
+    return float(np.max(np.abs(diff)))
+
+
+class TestBlockedKronDifferenceMax:
+    @staticmethod
+    def _complex(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("side", range(1, 32))
+    def test_equals_one_shot_broadcast(self, rng, side):
+        p, q = self._complex(rng, (side, side)), self._complex(rng, (side, side))
+        r, s = self._complex(rng, (side, side)), self._complex(rng, (side, side))
+        near_r = p + 1e-13 * self._complex(rng, (side, side))
+        near_s = q * (1 + 1e-15 * self._complex(rng, (side, side)))
+        for args in [(p, q, r, s), (p, q, near_r, near_s), (p, q, p, q)]:
+            assert _kron_difference_max(*args) == _one_shot_kron_difference_max(*args)
+
+    @pytest.mark.parametrize("side", [11, 13])
+    def test_blocks_that_do_not_divide_the_side(self, rng, side):
+        step = fock._KRON_BLOCK_ENTRIES // side**2
+        assert 1 < step < side**2 and side**2 % step != 0
+        p, q = self._complex(rng, (side, side)), self._complex(rng, (side, side))
+        for entry in (0, side**2 - 1):
+            # the largest entry sits in the first block, then in the short last one
+            r = p.copy()
+            r.flat[entry] += 5.0
+            assert _kron_difference_max(p, q, r, q) == _one_shot_kron_difference_max(p, q, r, q)
+        r = p.copy()
+        r.flat[-1] = np.nan
+        assert np.isnan(_kron_difference_max(p, q, r, q))
+
+    def test_peak_memory_at_side_21(self, rng):
+        p, q, r, s = (self._complex(rng, (21, 21)) for _ in range(4))
+        tracemalloc.start()
+        try:
+            _kron_difference_max(p, q, r, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
+
 class TestNumberOperator:
+    @pytest.mark.parametrize("modes, cutoff", [(1, 12), (2, 4)])
+    def test_matches_dense_product(self, rng, modes, cutoff):
+        from weylscale.fock import gns_annihilation
+
+        model = GnsModel(random_covariance(rng, modes), cutoff=cutoff)
+        f = random_vector(rng, modes)
+        a = gns_annihilation(model, f)
+        dense = a.conj().T @ a
+        number = gns_number_operator(model, f)
+        assert np.max(np.abs(number - dense)) <= 1e-13 * np.max(np.abs(dense))
+
     def test_truncated_matches_closed_form(self):
         covariance = make_operator([[2.0]])
         model = GnsModel(covariance, cutoff=40)
