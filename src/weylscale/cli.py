@@ -5,19 +5,24 @@ config file, executes the suite, and writes one self-contained report to the
 output path (standard output by default).  Exit codes: 0 when every cell
 meets its contract, 2 on configuration errors, 3 when cells fail (the
 failing cells are listed on standard error).
+
+The argument parser is built once per process and shared by every ``main``
+call; each call parses into a fresh namespace, so nothing carries over.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_tolerance
 from .errors import ConfigInvalid
 from .report import failing_cells, record_passes, render
 from .runner import SUITES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylscale",
@@ -47,7 +52,9 @@ def main(argv=None) -> int:
                 raise ConfigInvalid("--seed: must be at least 0")
             config.seed = args.seed
         if args.tol is not None:
-            config.tolerances[SUITES[args.command].tolerance] = args.tol
+            config.tolerances[SUITES[args.command].tolerance] = check_tolerance(
+                args.tol, "--tol"
+            )
         if args.format is not None:
             config.output_format = args.format
         record = SUITES[args.command](config)

@@ -205,6 +205,13 @@ _DEFAULT_TOLERANCES = {
 }
 
 
+def check_tolerance(value: float, where: str) -> float:
+    """A tolerance must be a number at least 0; NaN and negatives fail every cell."""
+    if not value >= 0:
+        raise ConfigInvalid(f"{where}: must be at least 0, got {value}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment inputs shared by every suite."""
@@ -325,7 +332,8 @@ class ExperimentConfig:
         for key, value in _section(raw, "tolerances").items():
             if key not in _DEFAULT_TOLERANCES:
                 raise ConfigInvalid(f"tolerances.{key}: unknown tolerance")
-            config.tolerances[key] = parse_number(value, f"tolerances.{key}")
+            where = f"tolerances.{key}"
+            config.tolerances[key] = check_tolerance(parse_number(value, where), where)
 
         config.output_format = _section(raw, "output").get("format", "object")
         if config.output_format not in ("object", "table"):

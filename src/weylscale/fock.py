@@ -15,7 +15,8 @@ both the vacuum value ``exp(-||f||^2/4)`` and the product phase
 ``exp(-i sigma(f,g)/2)``.  Displacements are built as ``expm`` of the
 truncated generator, so they are exactly unitary; truncation shows up only
 near the top of the ladder, which is why relation residuals are measured on
-the block of occupation numbers up to half the cutoff.
+the block of occupation numbers up to half the cutoff.  ``expm`` is scipy's,
+imported on first use, so runs that build no displacement never load scipy.
 
 Every doubled operator is a tensor product over the two slots, so products
 factor as ``(A1 (x) A2)(B1 (x) B2) = A1 B1 (x) A2 B2``.  The relation and
@@ -50,7 +51,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CovarianceBelowIdentity,
@@ -87,6 +87,13 @@ _KRON_BLOCK_ENTRIES = 6144
 
 def _ladder(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1).astype(complex)
+
+
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """scipy's matrix exponential, with scipy imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(matrix)
 
 
 def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:

@@ -444,12 +444,18 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
                 {"h": float(h), "error": "scale outside (0, 1]", "ok": False}
             )
             continue
+        c = c_parameter(h)
+        if c == 1.0:
+            # below about 5.6e-17, (1 - h) / (1 + h) rounds to 1, outside h_of_c's [0, 1)
+            record.cells.append(
+                {"h": float(h), "error": "scale below float resolution: c rounds to 1", "ok": False}
+            )
+            continue
         spectral_cov = OperatorSpec.from_atoms([(1.0 / h, INF)])
         occupation = one_particle_number_expectation(spectral_cov, unit)
         occupation_dev = abs(occupation - (1.0 - h) / (2.0 * h))
         quasi = is_quasi_equivalent_to_fock(spectral_cov)
         quasi_expected = h == 1
-        c = c_parameter(h)
         roundtrip_dev = abs(h_of_c(c) - h)
         exponent_dev = abs((1.0 + c) / (1.0 - c) - 1.0 / h)
         functional = RescaledFockState(h)

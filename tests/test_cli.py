@@ -717,7 +717,7 @@ def test_rescale_fock_checks_explicit_vector_dimension(tmp_path, capsys):
     assert "config error: vectors.explicit: expected dimension 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("h", [0.001, 0.003, 0.01, 0.02, 0.05])
+@pytest.mark.parametrize("h", [6e-17, 0.001, 0.003, 0.01, 0.02, 0.05])
 def test_rescale_fock_small_scales_pass(tmp_path, capsys, h):
     # (1+c)/(1-c) loses about eps/h^2 to the cancellation in 1 - c
     path = tmp_path / "config.yaml"
@@ -743,6 +743,95 @@ def test_rescale_fock_flags_a_wrong_mixture_coordinate(tmp_path, capsys, monkeyp
         assert cell["exponent_deviation"] > 1e-14 * h**-2
 
 
+@pytest.mark.parametrize("h", [5.5e-17, 1e-200, 5e-324])
+def test_rescale_fock_scale_below_float_resolution_is_failed_cell(tmp_path, capsys, h):
+    # (1 - h) / (1 + h) rounds to exactly 1, which h_of_c rejects
+    path = tmp_path / "config.yaml"
+    path.write_text(f"space: {{dimension: 1}}\nh_values: [{h!r}]\n")
+    out = tmp_path / "r.json"
+    assert main(["rescale-fock", "--config", str(path), "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert cell == {"h": h, "error": "scale below float resolution: c rounds to 1", "ok": False}
+
+
+_SUITE_CONFIGS = {
+    "positivity-scan": POSITIVITY_CONFIG,
+    "kms-verify": KMS_CONFIG,
+    "gns-check": GNS_CONFIG,
+    "rescale-fock": RESCALE_CONFIG,
+    "restrict-scan": RESTRICT_CONFIG,
+}
+
+
+@pytest.mark.parametrize("value", [".nan", "-1"])
+@pytest.mark.parametrize("key", ["gram", "residual", "gns", "arithmetic", "pointwise", "two_route"])
+def test_nan_or_negative_tolerance_is_config_error(tmp_path, capsys, key, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{RESCALE_CONFIG}tolerances: {{{key}: {value}}}\n")
+    out = tmp_path / "r.json"
+    assert main(["rescale-fock", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: tolerances.{key}: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("suite", list(_SUITE_CONFIGS))
+def test_nan_or_negative_tol_override_is_config_error(tmp_path, capsys, suite, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(_SUITE_CONFIGS[suite])
+    out = tmp_path / "r.json"
+    assert main([suite, "--config", str(path), "--tol", value, "--out", str(out)]) == 2
+    assert "config error: --tol: must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_tolerance_still_accepted(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{RESCALE_CONFIG}tolerances: {{pointwise: .inf}}\n")
+    assert main(["rescale-fock", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["rescale-fock", "--config", str(path), "--tol", "inf", "--out", str(tmp_path / "b")]) == 0
+
+
+def test_scipy_is_loaded_only_by_gns_check(tmp_path):
+    paths = {}
+    for suite, text in _SUITE_CONFIGS.items():
+        paths[suite] = str(tmp_path / f"{suite}.yaml")
+        Path(paths[suite]).write_text(text)
+    script = f"""
+import sys
+import weylscale.cli as cli
+paths = {paths!r}
+for suite in ("positivity-scan", "kms-verify", "rescale-fock", "restrict-scan"):
+    assert cli.main([suite, "--config", paths[suite], "--out", paths[suite] + ".out"]) == 0
+print("scipy" in sys.modules)
+assert cli.main(["gns-check", "--config", paths["gns-check"], "--out", paths["gns-check"] + ".out"]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(weylscale.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
+def test_overrides_do_not_carry_to_the_next_call(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(KMS_CONFIG)
+    argv = ["kms-verify", "--config", str(path), "--out"]
+    overrides = ["--seed", "5", "--tol", "1e-3", "--format", "table"]
+    build_parser.cache_clear()
+    assert main(argv + [str(tmp_path / "a")] + overrides) == 0
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    build_parser.cache_clear()
+    assert main(argv + [str(tmp_path / "fresh")]) == 0
+    capsys.readouterr()
+    after = (tmp_path / "b").read_bytes()
+    assert after == (tmp_path / "fresh").read_bytes()
+    assert after != (tmp_path / "a").read_bytes()
+
+
 class TestSuiteRegistry:
     def test_tol_sets_each_suite_primary_tolerance(self):
         assert {name: suite.tolerance for name, suite in SUITES.items()} == {
@@ -752,6 +841,9 @@ class TestSuiteRegistry:
             "rescale-fock": "pointwise",
             "restrict-scan": "residual",
         }
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_help_is_first_docstring_line(self):
         parser = build_parser()
@@ -978,6 +1070,7 @@ _KMS_EXAMPLE = {
 @example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [math.nan, 0.5]}, None))
 @example(("restrict-scan", {**_KMS_EXAMPLE, "h_values": [1.5]}, -1))
 @example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [0.5, 2.0], "t_grid": [2.0, 1.0]}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [0.5], "tolerances": {"residual": math.nan}}, None))
 def test_suite_configs_get_clean_verdicts(drawn):
     import yaml
 
