@@ -165,11 +165,11 @@ def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.nd
             if key not in section:
                 raise ConfigInvalid(f"{where}.{key}: missing")
         count = _parse_integer(section["count"], f"{where}.count", minimum=1)
-        return np.linspace(
-            parse_number(section["start"], f"{where}.start"),
-            parse_number(section["stop"], f"{where}.stop"),
-            count,
-        )
+        start = parse_number(section["start"], f"{where}.start")
+        stop = parse_number(section["stop"], f"{where}.stop")
+        if not math.isfinite(stop - start):
+            raise ConfigInvalid(f"{where}: start and stop must be finite, with a finite difference")
+        return np.linspace(start, stop, count)
     raise ConfigInvalid(f"{where}: expected a list or start/stop/count mapping")
 
 

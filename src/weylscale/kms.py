@@ -8,7 +8,10 @@ two-point data of the state extend to functions analytic on the strip
 this module evaluates those functions by exact functional calculus and sizes
 the boundary residuals, both for the original state and for the state pushed
 to scale ``h`` (covariance ``A/h``, modular operator ``j_h`` applied to the
-spectrum of ``Delta``).
+spectrum of ``Delta``).  One private function builds that scale-h modular
+operator both ways, ``j_h`` over a modular spectrum and the modular map of the
+rescaled covariance, and sizes their distance; the rescaled model here and the
+restricted model of :mod:`weylscale.restriction` both call it.
 
 Two-point values are computed in the eigenbasis ``Delta = V diag(delta) V*``:
 ``f``, ``g``, ``A f`` and ``A g`` are mapped there once, and every value of
@@ -343,6 +346,15 @@ class RescaledKmsModel:
     two_route_residual: float
 
 
+def _two_route(
+    modular: OperatorSpec, covariance_h: OperatorSpec, h: float, beta: float
+) -> tuple[OperatorSpec, float]:
+    """``j_h`` applied to the spectrum of ``modular``, with its spectral distance
+    to the modular map of ``covariance_h``, the same operator built the other way."""
+    via_spectrum = apply_function(modular, lambda lam: j_h_function(lam, h, beta))
+    return via_spectrum, spectral_distance(via_spectrum, modular_operator(covariance_h, beta))
+
+
 def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
     """Build the rescaled modular data, checking both constructions agree.
 
@@ -350,10 +362,14 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
     spectrum of Delta.  They coincide identically ((a/h+1)/(a/h-1) =
     (1-h+(1+h)d^beta)/(1+h+(1-h)d^beta) under d^beta = (a+1)/(a-1)), and the
     spectral residual between the two is recorded.  h = 1 is allowed and
-    degenerates to the unrescaled model.
+    degenerates to the unrescaled model.  A scale so small that ``A/h`` comes
+    within a factor 4 of the largest float is out of range: the matrix of
+    ``A/h`` and its symmetrization would overflow.
     """
     if not 0 < h <= 1:
         raise OutOfRange(f"scale parameter {h} outside (0, 1]")
+    if not 4.0 * model.covariance.atoms[-1].value / h < INF:
+        raise OutOfRange(f"scale parameter {h} too small: the covariance over h overflows")
     beta = model.beta
     covariance_h = apply_function(model.covariance, lambda lam: lam / h)
     if model.covariance.declared_infimum is not None:
@@ -361,9 +377,7 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
         covariance_h = covariance_h.with_declared_bounds(
             infimum=model.covariance.declared_infimum / h
         )
-    via_covariance = modular_operator(covariance_h, beta)
-    via_spectrum = apply_function(model.modular, lambda lam: j_h_function(lam, h, beta))
-    residual = spectral_distance(via_covariance, via_spectrum)
+    via_spectrum, residual = _two_route(model.modular, covariance_h, h, beta)
     generator_h = apply_function(via_spectrum, math.log)
     delta_bottom = math.log(j_h_function(inf_spectrum(model.modular), h, beta))
     if model.modular.declared_supremum == INF:

@@ -10,6 +10,11 @@ own bounded modular dynamics, and extends to a non-regular functional on the
 full algebra by declaring the value zero off the subspace.  As ``h`` grows to
 ``h_star`` the subspaces shrink and the extensions approach the trace state,
 the indicator of the identity generator.
+
+One :class:`RestrictedModel` per scale serves both the KMS residuals on the
+subspace and the non-regular extension; its scale-h modular operator comes
+from the same two-route construction as the rescaled model of
+:mod:`weylscale.kms`.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from .errors import (
 from .kms import (
     KmsWitnessReport,
     _boundary_report,
+    _two_route,
     covariance_from_hamiltonian,
-    j_h_function,
     modular_operator,
 )
 from .spectral import (
+    ATOM_MERGE_TOL,
     Interval,
     OperatorSpec,
     ProjectionSpec,
@@ -98,7 +104,9 @@ def restricted_model(
     the restricted algebra collapses to scalars.  With ``beta`` the model also
     carries the restricted modular operator (bounded, spectrum inside
     ``[e^eps, lambda_star)``) and its scale-h version built by the spectral
-    map ``j_h``, cross-checked against the modular map of ``A^(h)/h``.
+    map ``j_h``, cross-checked against the modular map of ``A^(h)/h``; a scale
+    at which ``A^(h)/h`` has spectrum within ``ATOM_MERGE_TOL`` of 1, where
+    that map is singular, is then out of range.
     """
     h_star = op_norm(covariance)
     if not 1 < h < h_star:
@@ -118,12 +126,14 @@ def restricted_model(
         )
     lam_star = restricted_mod = rescaled_mod = residual = None
     if beta is not None:
+        if inf_spectrum(rescaled) - 1.0 <= ATOM_MERGE_TOL:
+            raise ScaleOutOfRange(
+                f"scale parameter {h} too close below the covariance eigenvalue "
+                f"{inf_spectrum(restricted)}: the rescaled modular map is singular there"
+            )
         lam_star = lambda_star(h, beta)
         restricted_mod = modular_operator(restricted, beta)
-        rescaled_mod = apply_function(
-            restricted_mod, lambda lam: j_h_function(lam, h, beta)
-        )
-        residual = spectral_distance(rescaled_mod, modular_operator(rescaled, beta))
+        rescaled_mod, residual = _two_route(restricted_mod, rescaled, h, beta)
         if covariance.declared_infimum is not None and covariance.declared_infimum <= 1:
             # unbounded regime: the covariance spectrum fills (1, h_star], so the
             # restriction fills (h, h_star], the restricted modular spectrum fills
@@ -190,34 +200,23 @@ def restricted_kms_residuals(
     state (covariance A^(h), modular operator Delta^(h)); with ``rescaled=True``
     it runs for the scale-h state (covariance A^(h)/h, modular operator
     Delta_h^(h)).  Vectors are given in full-space coordinates and must lie in
-    the subspace.
+    the subspace, up to ``SUBSPACE_TOL`` relative to their norm (the round-off
+    of a projection grows with the vector).
     """
     if model.beta is None or model.restricted_modular is None:
         raise ModelMismatch("restricted model carries no modular data; rebuild with beta")
     for name, vec in (("f", f), ("g", g)):
         residual = model.membership_residual(vec)
-        if residual > SUBSPACE_TOL:
+        if residual > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(vec))):
             raise VectorOutsideSubspace(
                 f"vector {name} has projection residual {residual:.3e}"
             )
-    f_sub = model.compress(f)
-    g_sub = model.compress(g)
     if rescaled:
-        return _boundary_report(
-            model.rescaled_covariance,
-            model.rescaled_restricted_modular,
-            model.beta,
-            f_sub,
-            g_sub,
-            t_grid,
-        )
+        covariance, modular = model.rescaled_covariance, model.rescaled_restricted_modular
+    else:
+        covariance, modular = model.restricted_covariance, model.restricted_modular
     return _boundary_report(
-        model.restricted_covariance,
-        model.restricted_modular,
-        model.beta,
-        f_sub,
-        g_sub,
-        t_grid,
+        covariance, modular, model.beta, model.compress(f), model.compress(g), t_grid
     )
 
 
@@ -233,16 +232,8 @@ class NonRegularFunctional(StateFunctional):
 
     def __init__(self, model: RestrictedModel):
         self.model = model
-        self.dimension = (
-            model.covariance.matrix.shape[0] if model.covariance.is_matrix else None
-        )
-        self._scaled_values = None
-        if model.covariance.is_matrix:
-            values = [
-                float(model.covariance.eigenvalues[i])
-                for i in model.projection.selected_indices
-            ]
-            self._scaled_values = np.asarray(values) / model.h
+        self.dimension = model.covariance.require_matrix().shape[0]
+        self._scaled_values = model.restricted_covariance.eigenvalues / model.h
 
     def value(self, f) -> complex:
         if not self.model.contains(f):
@@ -254,9 +245,7 @@ class NonRegularFunctional(StateFunctional):
 
 def nonregular_extension(covariance: OperatorSpec, h: float) -> NonRegularFunctional:
     """Extension of the restricted scale-h Gaussian by zero off the subspace."""
-    model = restricted_model(covariance, h)
-    model.covariance.require_matrix()
-    return NonRegularFunctional(model)
+    return NonRegularFunctional(restricted_model(covariance, h))
 
 
 def trace_state() -> TraceState:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .config import ExperimentConfig, random_complex_vectors
-from .errors import ConfigInvalid, ScaleOutOfRange, WeylscaleError
+from .errors import ConfigInvalid, WeylscaleError
 from .fock import (
     GnsModel,
     MixtureMeasure,
@@ -38,8 +38,8 @@ from .kms import (
 )
 from .report import ReportRecord
 from .restriction import (
+    NonRegularFunctional,
     check_trace_property,
-    nonregular_extension,
     restricted_kms_residuals,
     restricted_model,
     spectral_correspondence_check,
@@ -258,6 +258,23 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
 # kms-verify
 
 
+def _kms_scale_model(model, h: float):
+    """(path, model, error) of one kms-verify scale, shared by all its pairs: the
+    restricted model above 1, the base model at 1, the rescaled model below, or
+    the message of the error that kept the scale's model from being built."""
+    if not h > 0:
+        return "invalid", None, "scale must be positive"
+    if h == 1:
+        return "unrescaled", model, None
+    path = "restricted" if h > 1 else "rescaled"
+    try:
+        if h > 1:
+            return path, restricted_model(model.covariance, h, beta=model.beta), None
+        return path, rescaled_modular(model, h), None
+    except WeylscaleError as exc:
+        return path, None, str(exc)
+
+
 @_suite("kms-verify", "residual")
 def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     """Boundary residuals of the KMS condition across scales (and regimes)."""
@@ -277,63 +294,39 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     h_star = op_norm(model.covariance)
 
     for h in config.h_values:
+        path, scaled, error = _kms_scale_model(model, h)
         for index, (f, g) in enumerate(pairs):
-            cell = {"h": float(h), "pair": index}
-            if not h > 0:
-                cell.update({"path": "invalid", "error": "scale must be positive", "ok": False})
-                record.cells.append(cell)
-                continue
-            if h > 1:
-                try:
-                    rmodel = restricted_model(model.covariance, h, beta=model.beta)
-                except ScaleOutOfRange as exc:
-                    cell.update({"path": "restricted", "error": str(exc), "ok": False})
-                    record.cells.append(cell)
-                    continue
-                cell["path"] = "restricted"
-                within = _restricted_kms(cell, rmodel, f, g, config.t_grid, tol)
-                bounded = op_norm(rmodel.restricted_modular) <= rmodel.lam_star + 1e-12
-                ok = within and rmodel.two_route_residual <= two_route_tol and bounded
+            cell = {"h": float(h), "pair": index, "path": path}
+            if error is not None:
+                cell.update({"error": error, "ok": False})
+            elif path == "restricted":
+                within = _restricted_kms(cell, scaled, f, g, config.t_grid, tol)
+                bounded = op_norm(scaled.restricted_modular) <= scaled.lam_star + 1e-12
+                ok = within and scaled.two_route_residual <= two_route_tol and bounded
                 cell.update(
                     {
-                        "lambda_star": rmodel.lam_star,
+                        "lambda_star": scaled.lam_star,
                         "modular_bounded": bounded,
-                        "two_route_residual": rmodel.two_route_residual,
+                        "two_route_residual": scaled.two_route_residual,
                         "ok": ok,
-                    }
-                )
-            elif h == 1:
-                report = kms_boundary_residuals(model, f, g, config.t_grid)
-                cell.update(
-                    {
-                        "path": "unrescaled",
-                        "max_r0": float(np.max(report.r0)),
-                        "max_rbeta": float(np.max(report.r_beta)),
-                        "strip_sup": report.strip_sup,
-                        "ok": report.max_residual <= tol,
                     }
                 )
             else:
-                rmodel = rescaled_modular(model, h)
-                report = rescaled_kms_residuals(rmodel, f, g, config.t_grid)
-                bottom_exact = inf_spectrum(rmodel.generator_h) == rmodel.delta_bottom
-                ok = (
-                    report.max_residual <= tol
-                    and rmodel.two_route_residual <= two_route_tol
-                    and bottom_exact
-                )
-                cell.update(
-                    {
-                        "path": "rescaled",
-                        "max_r0": float(np.max(report.r0)),
-                        "max_rbeta": float(np.max(report.r_beta)),
-                        "strip_sup": report.strip_sup,
-                        "two_route_residual": rmodel.two_route_residual,
-                        "delta_bottom": rmodel.delta_bottom,
-                        "delta_bottom_exact": bottom_exact,
-                        "ok": ok,
-                    }
-                )
+                if path == "unrescaled":
+                    report = kms_boundary_residuals(scaled, f, g, config.t_grid)
+                else:
+                    report = rescaled_kms_residuals(scaled, f, g, config.t_grid)
+                cell["max_r0"] = float(np.max(report.r0))
+                cell["max_rbeta"] = float(np.max(report.r_beta))
+                cell["strip_sup"] = report.strip_sup
+                ok = report.max_residual <= tol
+                if path == "rescaled":
+                    bottom_exact = inf_spectrum(scaled.generator_h) == scaled.delta_bottom
+                    ok = ok and scaled.two_route_residual <= two_route_tol and bottom_exact
+                    cell["two_route_residual"] = scaled.two_route_residual
+                    cell["delta_bottom"] = scaled.delta_bottom
+                    cell["delta_bottom_exact"] = bottom_exact
+                cell["ok"] = ok
             record.cells.append(cell)
 
     exp_residual = spectral_distance(model.modular, apply_function(model.hamiltonian, math.exp))
@@ -530,7 +523,7 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
             rmodel = restricted_model(
                 covariance, h, beta=config.beta if has_kms else None
             )
-        except ScaleOutOfRange as exc:
+        except WeylscaleError as exc:
             record.cells.append({"h": float(h), "error": str(exc), "ok": False})
             continue
         selection = rmodel.projection.selected_indices
@@ -555,7 +548,7 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
         checks = [cell["rescaled_dominates_identity"], nested]
         excluded = [i for i in range(dim) if i not in selection]
         if excluded:
-            functional = nonregular_extension(covariance, h)
+            functional = NonRegularFunctional(rmodel)
             direction = covariance.eigenvectors[:, excluded[0]]
             values = [functional.value(t * direction) for t in (0.0, 0.5, 1.0)]
             dichotomy = values[0] == 1.0 and values[1] == 0.0 and values[2] == 0.0

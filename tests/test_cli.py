@@ -755,6 +755,116 @@ def test_rescale_fock_scale_below_float_resolution_is_failed_cell(tmp_path, caps
     assert cell == {"h": h, "error": "scale below float resolution: c rounds to 1", "ok": False}
 
 
+def _count_builds(monkeypatch):
+    """Count every call of the two scale-model builders, under each name they are bound to."""
+    import weylscale.restriction
+    import weylscale.runner
+
+    calls = {"rescaled_modular": 0, "restricted_model": 0}
+    for name, modules in (
+        ("rescaled_modular", [weylscale.runner]),
+        ("restricted_model", [weylscale.runner, weylscale.restriction]),
+    ):
+        original = getattr(modules[0], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kms_verify_builds_each_scale_model_once(monkeypatch):
+    text = KMS_CONFIG.replace("count: 2", "count: 3").replace("[0.25, 0.5, 1.0, 2.0]", "[0.5, 2.0]")
+    calls = _count_builds(monkeypatch)
+    record = run_kms_verify(_config(text))
+    assert [(cell["h"], cell["pair"]) for cell in record.cells] == [
+        (h, pair) for h in (0.5, 2.0) for pair in range(3)
+    ]
+    assert all(cell["ok"] for cell in record.cells)
+    assert calls == {"rescaled_modular": 1, "restricted_model": 1}
+
+
+def test_restrict_scan_reuses_its_model_for_the_extension(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    record = run_restrict_scan(_config(RESTRICT_CONFIG))
+    assert [cell["dichotomy_exact"] for cell in record.cells] == [True] * 3
+    assert calls["restricted_model"] == 3
+
+
+# a matrix Hamiltonian whose covariance has the eigenvalue 1.3130352854993315
+_NEAR_EIGENVALUE = """
+operator:
+  kms: {beta: 1, matrix: [[0.3, 0, 0], [0, 0.9, 0], [0, 0, 2.0]]}
+vectors:
+  random: {count: 2, seed: 3}
+h_values: [%r]
+"""
+
+
+@pytest.mark.parametrize("suite", ["kms-verify", "restrict-scan"])
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        # one ulp and 1e-13 relative below the eigenvalue, where A^(h)/h has spectrum 1
+        (1.3130352854993312, "too close below the covariance eigenvalue 1.3130352854993315"),
+        (1.3130352854993315 * (1 - 1e-13), "too close below the covariance eigenvalue"),
+        (1.0000000001, "too close to the pole at 1"),
+    ],
+)
+def test_restricted_scale_without_a_model_is_failed_cell(tmp_path, capsys, suite, h, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(_NEAR_EIGENVALUE % h)
+    out = tmp_path / "r.json"
+    assert main([suite, "--config", str(path), "--out", str(out)]) == 3
+    cells = json.loads(out.read_text())["cells"]
+    assert cells and all(cell["h"] == h and not cell["ok"] for cell in cells)
+    assert all(f"scale parameter {h!r}" in cell["error"] for cell in cells)
+    assert all(message in cell["error"] for cell in cells)
+    if suite == "kms-verify":
+        assert [cell["path"] for cell in cells] == ["restricted", "restricted"]
+
+
+@pytest.mark.parametrize("entry", [1e4, 1e6])
+def test_restricted_membership_is_relative_to_the_vector(tmp_path, capsys, entry):
+    # the projected vectors miss the subspace by round-off that grows with their norm
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "operator:\n"
+        "  kms: {beta: 1, matrix: [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]]}\n"
+        f"vectors: {{explicit: [[{entry!r}, 2.0, -3.1], [0.7, {-entry!r}, 1.3]]}}\n"
+        "h_values: [1.3]\n"
+    )
+    out = tmp_path / "r.json"
+    code = main(["kms-verify", "--config", str(path), "--out", str(out)])
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert cell["path"] == "restricted" and "error" not in cell
+    assert all(math.isfinite(cell[key]) for key in ("max_r0", "rescaled_max_rbeta"))
+    # the residuals still grow with the vectors past the absolute tolerance of 1e-10
+    assert code == 3 and not cell["ok"]
+
+
+@pytest.mark.parametrize(
+    "energy, h",
+    # covariance 3: A/h overflows; covariance 1.313...: A/h is finite, its matrix would not be
+    [("ln2", 1e-308), ("ln2", 5e-324), ("2.0", 1e-308)],
+)
+def test_kms_verify_scale_whose_covariance_overflows_is_failed_cell(tmp_path, capsys, energy, h):
+    path = tmp_path / "config.yaml"
+    text = KMS_CONFIG.replace('"ln2"', energy).replace("[0.25, 0.5, 1.0, 2.0]", f"[{h!r}, 0.5]")
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    assert main(["kms-verify", "--config", str(path), "--out", str(out)]) == 3
+    cells = json.loads(out.read_text())["cells"]
+    failed = [cell for cell in cells if cell["h"] == h]
+    assert [cell["pair"] for cell in failed] == [0, 1]
+    assert all(cell["path"] == "rescaled" and not cell["ok"] for cell in failed)
+    assert all("too small: the covariance over h overflows" in cell["error"] for cell in failed)
+    assert all(cell["ok"] for cell in cells if cell["h"] == 0.5)
+
+
 _SUITE_CONFIGS = {
     "positivity-scan": POSITIVITY_CONFIG,
     "kms-verify": KMS_CONFIG,
@@ -877,6 +987,26 @@ def test_invalid_time_grid_is_config_error(tmp_path, capsys, suite, t_grid):
     assert main([suite, "--config", str(path), "--out", str(out)]) == 2
     assert "config error: t_grid:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["h_grid", "t_grid"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "{start: 1, stop: .inf, count: 1}",
+        "{start: -.inf, stop: 1, count: 3}",
+        "{start: -1.0e308, stop: 1.0e308, count: 3}",
+    ],
+)
+def test_grid_without_a_finite_span_is_config_error(tmp_path, capsys, key, grid):
+    # numpy's linspace would warn and fill the grid with NaN
+    text = POSITIVITY_CONFIG
+    if key == "h_grid":
+        text = text.replace("h_values: [0.5, 1.0, 1.5, 2.0]\n", "")
+    path = tmp_path / "config.yaml"
+    path.write_text(f"{text}{key}: {grid}\n")
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    assert f"config error: {key}: start and stop must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +1132,7 @@ def _vectors(draw, dim, pairs=False):
         random = {"count": draw(_counts), "seed": draw(_mostly(st.integers(0, 99), _bad_scalars))}
         return {"random": random}
     count = 2 * draw(st.integers(1, 2)) if pairs else draw(st.integers(1, 3))
-    entries = st.floats(min_value=-1.0, max_value=1.0)
+    entries = st.floats(min_value=-1e4, max_value=1e4)
     vectors = draw(
         st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=count, max_size=count)
     )
@@ -1020,6 +1150,17 @@ _BAD_T_GRIDS = (
 )
 
 
+def _near_eigenvalue(draw, matrix, beta):
+    """Now and then a scale one ulp or 1e-13 relative below a covariance eigenvalue."""
+    lam = draw(st.sampled_from([row[i] for i, row in enumerate(matrix)]))
+    usable = all(isinstance(x, float) and 0 < x < math.inf for x in (lam, beta))
+    if not usable or draw(_mostly(st.just(True), st.just(False))):
+        return []
+    w = math.exp(-beta * lam)
+    eigenvalue = (1.0 + w) / (1.0 - w)  # the covariance map of weylscale.kms
+    return [draw(st.sampled_from([math.nextafter(eigenvalue, 0), eigenvalue * (1 - 1e-13)]))]
+
+
 @st.composite
 def suite_configs(draw):
     """(suite, config, --seed override) with each suite's usable ranges mostly hit."""
@@ -1029,10 +1170,14 @@ def suite_configs(draw):
     config: dict = {"t_grid": draw(_mostly(t_grid, st.sampled_from(_BAD_T_GRIDS)))}
     if suite == "kms-verify":
         beta = draw(_mostly(st.floats(min_value=0.2, max_value=3.0), _bad_scalars))
-        config["operator"] = {"kms": {"beta": beta, "matrix": _diagonal(draw, dim, 0.2, 2.0)}}
+        matrix = _diagonal(draw, dim, 0.2, 2.0)
+        config["operator"] = {"kms": {"beta": beta, "matrix": matrix}}
         config["vectors"] = _vectors(draw, dim, pairs=True)
-        # rescaled below 1, unrescaled at 1, restricted above
-        scales = _scale_list(draw, 0.05, 2.0) + draw(st.sampled_from([[], [1.0]]))
+        # rescaled below 1, unrescaled at 1, restricted above; A/h overflows at the tiny
+        # scales, and the modular map of A^(h)/h is singular just below an eigenvalue
+        scales = _scale_list(draw, 0.05, 2.0)
+        scales += draw(st.sampled_from([[], [1.0], [5e-324], [1e-308]]))
+        scales += _near_eigenvalue(draw, matrix, beta)
         config["h_values"] = _or_scalar(draw, scales)
     elif suite == "gns-check":
         # one mode at a low cutoff keeps the truncated Fock space small
@@ -1065,12 +1210,35 @@ _KMS_EXAMPLE = {
 }
 
 
+_NEAR_EIGENVALUE_EXAMPLE = {
+    "operator": {"kms": {"beta": 1.0, "matrix": [[0.3, 0, 0], [0, 0.9, 0], [0, 0, 2.0]]}},
+    "h_values": [1.3130352854993312],
+}
+# A/h is finite at covariance 1.313..., the matrix of A/h would overflow
+_OVERFLOWING_MATRIX_EXAMPLE = {
+    "operator": {"kms": {"beta": 1.0, "matrix": [[2.0]]}},
+    "h_values": [1e-308],
+}
+_LARGE_VECTORS_EXAMPLE = {
+    "operator": {
+        "kms": {"beta": 1.0, "matrix": [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]]}
+    },
+    "vectors": {"explicit": [[1e6, 2.0, -3.1], [0.7, -1e6, 1.3]]},
+    "h_values": [1.3],
+}
+
+
 @settings(max_examples=80)
 @given(suite_configs())
 @example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [math.nan, 0.5]}, None))
 @example(("restrict-scan", {**_KMS_EXAMPLE, "h_values": [1.5]}, -1))
 @example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [0.5, 2.0], "t_grid": [2.0, 1.0]}, None))
 @example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [0.5], "tolerances": {"residual": math.nan}}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [1e-308, 5e-324]}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, **_OVERFLOWING_MATRIX_EXAMPLE}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, **_NEAR_EIGENVALUE_EXAMPLE}, None))
+@example(("restrict-scan", {**_KMS_EXAMPLE, **_NEAR_EIGENVALUE_EXAMPLE}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, **_LARGE_VECTORS_EXAMPLE}, None))
 def test_suite_configs_get_clean_verdicts(drawn):
     import yaml
 

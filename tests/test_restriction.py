@@ -5,6 +5,7 @@ import pytest
 
 from weylscale import (
     INF,
+    NonRegularFunctional,
     OperatorSpec,
     WeylWord,
     check_sigma_h_positivity,
@@ -28,10 +29,11 @@ from weylscale.errors import (
     ModelMismatch,
     OutOfRange,
     ScaleOutOfRange,
+    SpectralVariantHasNoVectors,
     VectorOutsideSubspace,
 )
 
-from conftest import random_vector, random_word
+from conftest import random_covariance, random_vector, random_word
 
 LOG2 = math.log(2.0)
 
@@ -182,6 +184,25 @@ class TestNonRegularExtension:
                 vectors.append(c1 * e1 + c2 * e2 if rng.uniform() < 0.5 else c2 * e2)
             report = check_sigma_h_positivity(phi, vectors, 1.0)
             assert report.min_eigenvalue >= -1e-10
+
+    def test_from_a_kms_model_equals_the_extension(self, rng):
+        # restrict-scan evaluates the extension on the scale's KMS model
+        covariance = random_covariance(rng, 5, 1.2, 4.0)
+        values = covariance.eigenvalues
+        h = 0.5 * (values[1] + values[2])
+        model = restricted_model(covariance, h, beta=0.7)
+        phi, reference = NonRegularFunctional(model), nonregular_extension(covariance, h)
+        basis = model.projection.basis()
+        for _ in range(10):
+            inside = basis @ random_vector(rng, basis.shape[1])
+            for f in (inside, random_vector(rng, 5), 1e3 * inside):
+                assert phi.value(f) == reference.value(f)
+        assert phi.value(inside) != 0.0
+
+    def test_needs_a_matrix_model(self):
+        model = restricted_model(make_operator([(1.0, INF), (3.0, 2)]), 2.0)
+        with pytest.raises(SpectralVariantHasNoVectors):
+            NonRegularFunctional(model)
 
     def test_nesting_of_subspaces(self):
         covariance = make_operator(np.diag([1.2, 2.0, 3.0]))
