@@ -47,12 +47,10 @@ from .spectral import (
     spectral_projection,
 )
 from .weyl import (
-    SymplecticSpace,
     WeylWord,
     gamma_iso,
     inner,
     sigma,
-    sigma_scaled,
     weyl_adjoint,
     weyl_multiply,
     word_distance,
@@ -101,9 +99,7 @@ from .kms import (
     RescaledKmsModel,
     TwoPointReport,
     F_function,
-    F_h_function,
     Phi_function,
-    Phi_h_function,
     covariance_from_hamiltonian,
     default_time_grid,
     evolve_word,

@@ -19,7 +19,8 @@ import yaml
 
 from .errors import ConfigInvalid, WeylscaleError
 from .spectral import INF, OperatorSpec
-from .kms import default_time_grid
+from .kms import TWO_ROUTE_TOL, default_time_grid
+from .states import GRAM_PSD_TOL
 
 #: PyYAML's libyaml-backed safe loader when it was built with libyaml; the
 #: constructors are the same Python ones, so the parsed documents are too.
@@ -196,12 +197,12 @@ def _section(raw: dict, key: str) -> dict:
 
 
 _DEFAULT_TOLERANCES = {
-    "gram": 1e-10,
+    "gram": GRAM_PSD_TOL,
     "residual": 1e-10,
     "gns": 1e-5,
     "arithmetic": 1e-12,
     "pointwise": 1e-14,
-    "two_route": 1e-12,
+    "two_route": TWO_ROUTE_TOL,
 }
 
 
@@ -357,9 +358,9 @@ class ExperimentConfig:
         if self.dimension is not None:
             return self.dimension
         if self.operator is not None and self.operator.is_matrix:
-            return self.operator.matrix.shape[0]
+            return self.operator.dimension
         if self.hamiltonian is not None and self.hamiltonian.is_matrix:
-            return self.hamiltonian.matrix.shape[0]
+            return self.hamiltonian.dimension
         raise ConfigInvalid("space.dimension: required when no matrix operator fixes it")
 
     def rng(self) -> np.random.Generator:

@@ -37,7 +37,7 @@ class NonPositiveScale(WeylscaleError):
     """Scaling parameter must be strictly positive."""
 
 
-class CovarianceBelowIdentity(WeylscaleError):
+class CovarianceBelowIdentity(SpectrumBelowOne):
     """Covariance operator fails A >= I, so the Gaussian functional is not a state."""
 
 

@@ -53,19 +53,17 @@ from functools import reduce
 import numpy as np
 
 from .errors import (
-    CovarianceBelowIdentity,
     CutoffTooSmall,
     DimensionMismatch,
     InvalidMeasure,
     NonUnitary,
     OutOfRange,
-    SpectrumBelowOne,
 )
 from .spectral import (
     OperatorSpec,
-    inf_spectrum,
     is_trace_class_minus_identity,
     quadratic_form,
+    require_dominates_identity,
     scalar_value,
 )
 from .states import StateFunctional
@@ -135,16 +133,13 @@ class GnsModel:
     """Doubled truncated Fock space carrying a Gaussian state's representation."""
 
     def __init__(self, covariance: OperatorSpec, cutoff: int = 40):
-        matrix = covariance.require_matrix()
+        covariance.require_matrix()
         if cutoff < CUTOFF_FLOOR:
             raise CutoffTooSmall(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
-        if inf_spectrum(covariance) < 1 - 1e-12:
-            raise CovarianceBelowIdentity(
-                f"GNS doubling needs A >= I, spectrum reaches {inf_spectrum(covariance)}"
-            )
+        require_dominates_identity(covariance)
         self.covariance = covariance
         self.cutoff = int(cutoff)
-        self.modes = matrix.shape[0]
+        self.modes = covariance.dimension
         self._basis = covariance.eigenvectors
         eigs = covariance.eigenvalues
         self._t1 = np.sqrt((eigs + 1.0) / 2.0)
@@ -359,8 +354,7 @@ def gns_number_operator(model: GnsModel, f) -> np.ndarray:
 
 def one_particle_number_expectation(covariance: OperatorSpec, f) -> float:
     """Closed form <N_f> = (1/2) <f, (A - I) f> in the Gaussian state."""
-    if inf_spectrum(covariance) < 1 - 1e-12:
-        raise SpectrumBelowOne(f"covariance spectrum reaches {inf_spectrum(covariance)} < 1")
+    require_dominates_identity(covariance)
     f = np.asarray(f, dtype=complex)
     if covariance.is_matrix:
         return 0.5 * (quadratic_form(covariance, f, f).real - float(np.vdot(f, f).real))

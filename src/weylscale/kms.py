@@ -18,6 +18,9 @@ Two-point values are computed in the eigenbasis ``Delta = V diag(delta) V*``:
 ``F`` and ``Phi`` is a sum ``sum_k p_k delta_k^{iz} + m_k delta_k^{-iz}``,
 evaluated for a whole grid of ``z`` as one array product.  ``A`` only acts on
 the vectors, so this is exact for any Hermitian pair, commuting or not.
+
+:func:`F_function` and :func:`Phi_function` serve the rescaled state too: pass
+a RescaledKmsModel's ``covariance_h`` and ``modular_h``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .spectral import (
     inf_spectrum,
     quadratic_form,
     spectral_distance,
+    vector_pair,
 )
 from .weyl import WeylWord, weyl_multiply
 
@@ -143,20 +147,9 @@ def evolve_word(u: WeylWord, modular: OperatorSpec, t: float) -> WeylWord:
     return WeylWord(u.dim, [(transport @ vec, coeff) for vec, coeff in u.items()])
 
 
-def _as_pair(covariance: OperatorSpec, f, g) -> tuple[np.ndarray, np.ndarray]:
-    m = covariance.require_matrix()
-    f = np.asarray(f, dtype=complex).ravel()
-    g = np.asarray(g, dtype=complex).ravel()
-    if f.shape != (m.shape[0],) or g.shape != (m.shape[0],):
-        raise DimensionMismatch(
-            f"vectors of shape {f.shape}, {g.shape} against operator of dimension {m.shape[0]}"
-        )
-    return f, g
-
-
 def _modular_coordinates(covariance: OperatorSpec, modular: OperatorSpec, f, g):
     """V* f, V* g, V* A f and V* A g for the modular eigenvectors V."""
-    f, g = _as_pair(covariance, f, g)
+    f, g = vector_pair(covariance, f, g)
     a = covariance.matrix
     modular.require_matrix()
     return (modular.eigenvectors.conj().T @ np.stack([f, g, a @ f, a @ g], axis=1)).T
@@ -233,7 +226,7 @@ def two_point_function(
     """Two-point correlation omega(W_f W_{T_t g}): literal closed form vs GNS oracle."""
     from .fock import GnsModel, gns_expectation
 
-    f, g = _as_pair(covariance, f, g)
+    f, g = vector_pair(covariance, f, g)
     s_ff = quadratic_form(covariance, f, f).real
     s_gg = quadratic_form(covariance, g, g).real
     formula = np.exp(0.25 * s_ff - 0.25 * s_gg) * np.exp(
@@ -277,7 +270,7 @@ class KmsWitnessReport:
 def _boundary_report(
     covariance: OperatorSpec, modular: OperatorSpec, beta: float, f, g, t_grid
 ) -> KmsWitnessReport:
-    f, g = _as_pair(covariance, f, g)
+    f, g = vector_pair(covariance, f, g)
     grid = default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or (len(grid) > 1 and np.any(np.diff(grid) <= 0)):
         raise OutOfRange("time grid must be one-dimensional and strictly increasing")
@@ -396,16 +389,6 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
         delta_bottom=delta_bottom,
         two_route_residual=residual,
     )
-
-
-def F_h_function(rescaled: RescaledKmsModel, f, g, t: float) -> complex:
-    """Real-time kernel of the rescaled state (A/h and its modular operator)."""
-    return F_function(rescaled.covariance_h, rescaled.modular_h, f, g, t)
-
-
-def Phi_h_function(rescaled: RescaledKmsModel, f, g, z: complex) -> complex:
-    """Strip function of the rescaled state."""
-    return Phi_function(rescaled.covariance_h, rescaled.modular_h, rescaled.base.beta, f, g, z)
 
 
 def rescaled_kms_residuals(rescaled: RescaledKmsModel, f, g, t_grid=None) -> KmsWitnessReport:

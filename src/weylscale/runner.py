@@ -49,6 +49,7 @@ from .spectral import (
     INF,
     OperatorSpec,
     apply_function,
+    dominates_identity,
     inf_spectrum,
     op_norm,
     spectral_distance,
@@ -75,7 +76,7 @@ def _operator_echo(op: OperatorSpec | None) -> dict | None:
         ],
     }
     if op.is_matrix:
-        echo["dimension"] = op.matrix.shape[0]
+        echo["dimension"] = op.dimension
         echo["entries"] = op.matrix
     return echo
 
@@ -168,6 +169,19 @@ def _vectors(config: ExperimentConfig, dim: int, count: int) -> list[np.ndarray]
     return random_complex_vectors(config.rng(), count * config.random_count, dim)
 
 
+def _overflow(bound: float, vectors) -> str | None:
+    """The error of a cell whose array products could overflow, else None.
+
+    ``bound`` is a norm ``||A||`` times the dimension; with ``p >= 1`` the largest
+    real or imaginary part of an entry, ``2 * bound * p^2`` bounds ``||A|| ||f|| ||g||``.
+    It is a Python float product, so an overflow is ``inf``, never a numpy warning.
+    """
+    peak = max(1.0, float(np.max(np.abs(np.asarray(vectors, dtype=complex).view(float)))))
+    if math.isfinite(2.0 * bound * peak * peak):
+        return None
+    return f"overflow: vector entries up to {peak:.3g} against a norm bound of {bound:.3g}"
+
+
 def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) -> bool:
     """Write the restricted model's KMS residual fields into ``cell``.
 
@@ -199,18 +213,25 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
         admissible_bound = h_max(covariance)
     except WeylscaleError as exc:
         raise ConfigInvalid(f"operator: {exc}") from exc
-    vectors = _vectors(config, covariance.matrix.shape[0], config.random_sets)
+    dim = covariance.dimension
+    vectors = _vectors(config, dim, config.random_sets)
     # random draws form random.sets sets of random.count; explicit vectors one set
     size = config.random_count or len(vectors)
     sets = [vectors[i : i + size] for i in range(0, len(vectors), size)]
     phi = quasi_free_functional(covariance)
     lowest = covariance.eigenvectors[:, 0]
     gram_tol = config.tolerance("gram")
+    norm = op_norm(covariance)
 
     threshold = None
     first_failing = None
     witness_summary = None
     for h in config.h_values:
+        # the kernel's phases scale with h, its differences of forms reach 4 G_jk
+        error = _overflow(4 * dim * max(norm, h), vectors)
+        if error is not None:
+            record.cells.append({"h": float(h), "error": error, "ok": False})
+            continue
         reports = [check_sigma_h_positivity(phi, vecs, h, gram_tol) for vecs in sets]
         all_psd = all(r.verdict for r in reports)
         min_eig = min(r.min_eigenvalue for r in reports)
@@ -285,7 +306,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     except WeylscaleError as exc:
         raise ConfigInvalid(f"operator.kms: {exc}") from exc
     _require(len(config.h_values) > 0, "h_values: required")
-    dim = config.hamiltonian.matrix.shape[0]
+    dim = config.hamiltonian.dimension
     vectors = _vectors(config, dim, 2)
     _require(len(vectors) % 2 == 0, "vectors.explicit: need an even count to form pairs")
     pairs = list(zip(vectors[0::2], vectors[1::2]))
@@ -297,8 +318,10 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
         path, scaled, error = _kms_scale_model(model, h)
         for index, (f, g) in enumerate(pairs):
             cell = {"h": float(h), "pair": index, "path": path}
-            if error is not None:
-                cell.update({"error": error, "ok": False})
+            # every path's covariance has norm at most h_star / min(h, 1)
+            pair_error = error or _overflow(dim * h_star / min(h, 1.0), (f, g))
+            if pair_error is not None:
+                cell.update({"error": pair_error, "ok": False})
             elif path == "restricted":
                 within = _restricted_kms(cell, scaled, f, g, config.t_grid, tol)
                 bounded = op_norm(scaled.restricted_modular) <= scaled.lam_star + 1e-12
@@ -364,7 +387,7 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
         raise ConfigInvalid(f"cutoff: {exc}") from exc
     phi = quasi_free_functional(covariance)
     tol = config.tolerance("gns")
-    vectors = _vectors(config, covariance.matrix.shape[0], 1)
+    vectors = _vectors(config, covariance.dimension, 1)
     clipped = []
     for vec in vectors:
         norm = float(np.linalg.norm(vec))
@@ -512,7 +535,7 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
     _require(len(config.h_values) > 0, "h_values: required")
     _require(config.random_count is not None, "vectors.random: required for this suite")
     rng = config.rng()
-    dim = covariance.matrix.shape[0]
+    dim = covariance.dimension
     tol = config.tolerance("residual")
     h_star = op_norm(covariance)
     has_kms = config.hamiltonian is not None and config.beta is not None
@@ -537,12 +560,11 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
             else:
                 nested = set(prev_selection) <= set(selection)
         previous = (float(h), selection)
-        bottom = inf_spectrum(rmodel.rescaled_covariance)
         cell = {
             "h": float(h),
             "subspace_dimension": int(rmodel.subspace_dimension),
-            "rescaled_bottom": bottom,
-            "rescaled_dominates_identity": bottom >= 1 - 1e-12,
+            "rescaled_bottom": inf_spectrum(rmodel.rescaled_covariance),
+            "rescaled_dominates_identity": dominates_identity(rmodel.rescaled_covariance),
             "nested": nested,
         }
         checks = [cell["rescaled_dominates_identity"], nested]

@@ -11,6 +11,11 @@ Eigenvalues are canonicalized: values closer than ``ATOM_MERGE_TOL`` are
 merged into one atom, and matrix eigenvalues are snapped to their atom
 representative.  Interval selections in :func:`spectral_projection` therefore
 compare spectral values exactly, with no endpoint tolerance.
+
+Whether a covariance dominates the identity (``A >= I``, or ``A/h >= I`` at
+scale ``h``) is decided only by :func:`dominates_identity`, with the same
+``ATOM_MERGE_TOL`` slack, and :func:`vector_pair` is the one shape check of a
+vector pair against an operator.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CovarianceBelowIdentity,
     DimensionMismatch,
     DomainViolation,
     NonFiniteEntries,
     NonHermitian,
     NonPositiveAtom,
     SpectralVariantHasNoVectors,
-    SpectrumBelowOne,
 )
 
 #: Distinguished infinite multiplicity marker.
@@ -204,7 +209,7 @@ class OperatorSpec:
 
     def __repr__(self) -> str:
         if self.is_matrix:
-            return f"OperatorSpec(matrix {self.matrix.shape[0]}x{self.matrix.shape[0]}, spectrum {[a.value for a in self.atoms]})"
+            return f"OperatorSpec(matrix {self.dimension}x{self.dimension}, spectrum {[a.value for a in self.atoms]})"
         spec = ", ".join(
             f"({a.value}, {'INF' if a.infinite else int(a.multiplicity)})" for a in self.atoms
         )
@@ -323,14 +328,25 @@ def op_norm(op: OperatorSpec) -> float:
     return op.atoms[-1].value
 
 
+def dominates_identity(op: OperatorSpec) -> bool:
+    """Whether ``op >= I``: the bottom of the spectrum is at least 1 - ATOM_MERGE_TOL."""
+    return inf_spectrum(op) >= 1 - ATOM_MERGE_TOL
+
+
+def require_dominates_identity(op: OperatorSpec) -> float:
+    """The bottom of the spectrum; CovarianceBelowIdentity unless dominates_identity(op)."""
+    if not dominates_identity(op):
+        raise CovarianceBelowIdentity(f"spectrum reaches {inf_spectrum(op)} < 1")
+    return inf_spectrum(op)
+
+
 def is_trace_class_minus_identity(op: OperatorSpec) -> bool:
     """Whether sum of multiplicity * (eigenvalue - 1) is finite.
 
     Requires spectrum >= 1.  Finite matrices always qualify; a spectral atom
     strictly above 1 with infinite multiplicity does not.
     """
-    if inf_spectrum(op) < 1 - ATOM_MERGE_TOL:
-        raise SpectrumBelowOne(f"spectrum reaches {inf_spectrum(op)} < 1")
+    require_dominates_identity(op)
     if op.is_matrix:
         return True
     for atom in op.atoms:
@@ -353,16 +369,23 @@ def spectral_projection(op: OperatorSpec, interval: Interval) -> ProjectionSpec:
     return ProjectionSpec(op, interval, (), atoms)
 
 
+def vector_pair(op: OperatorSpec, f, g) -> tuple[np.ndarray, np.ndarray]:
+    """f and g as flat complex vectors, checked against the matrix operator's dimension."""
+    op.require_matrix()
+    # reshape, not ravel: ravel copies a strided column, and a copy's products round differently
+    f = np.asarray(f, dtype=complex).reshape(-1)
+    g = np.asarray(g, dtype=complex).reshape(-1)
+    if f.shape != (op.dimension,) or g.shape != (op.dimension,):
+        raise DimensionMismatch(
+            f"vectors of shape {f.shape}, {g.shape} against operator of dimension {op.dimension}"
+        )
+    return f, g
+
+
 def quadratic_form(op: OperatorSpec, f, g) -> complex:
     """<f, op g> with the inner product conjugate-linear in the first slot."""
-    m = op.require_matrix()
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    if f.shape != (m.shape[0],) or g.shape != (m.shape[0],):
-        raise DimensionMismatch(
-            f"vectors of shape {f.shape}, {g.shape} against operator of dimension {m.shape[0]}"
-        )
-    return complex(np.vdot(f, m @ g))
+    f, g = vector_pair(op, f, g)
+    return complex(np.vdot(f, op.matrix @ g))
 
 
 def scalar_value(op: OperatorSpec) -> float:

@@ -11,6 +11,9 @@ phases from ``Im(conj(F) F^T)``, and for Gaussian functionals every
 ``phi(f_j - f_k)`` from one Gram matrix ``G = conj(F) A F^T`` through
 ``<f_j - f_k, A (f_j - f_k)> = G_jj + G_kk - 2 Re G_jk``.  Functionals without
 such a closed form are evaluated entry by entry.
+
+The checked Gaussian functional and :func:`h_max` decide ``A >= I`` by
+:func:`weylscale.spectral.require_dominates_identity`.
 """
 
 from __future__ import annotations
@@ -20,13 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    CovarianceBelowIdentity,
-    DimensionMismatch,
-    NonPositiveScale,
-    SpectrumBelowOne,
-)
-from .spectral import OperatorSpec, apply_function, inf_spectrum, quadratic_form, scalar_value
+from .errors import DimensionMismatch, NonPositiveScale
+from .spectral import OperatorSpec, apply_function, quadratic_form, require_dominates_identity, scalar_value
 from .weyl import KEY_GRID, WeylWord, sigma
 
 #: Default relative tolerance for the PSD verdict of a Gram kernel.
@@ -37,8 +35,6 @@ WITNESS_EIG_THRESHOLD = -1e-8
 
 #: Scales swept by the deterministic negative-witness scan.
 WITNESS_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-_COVARIANCE_SLACK = 1e-12
 
 
 class StateFunctional:
@@ -89,7 +85,7 @@ class QuasiFreeState(StateFunctional):
 
     def __init__(self, covariance: OperatorSpec):
         self.covariance = covariance
-        self.dimension = covariance.matrix.shape[0] if covariance.is_matrix else None
+        self.dimension = covariance.dimension if covariance.is_matrix else None
 
     def form(self, f) -> float:
         """The quadratic form <f, A f> (real for Hermitian A)."""
@@ -164,10 +160,8 @@ def quasi_free_functional(covariance: OperatorSpec, checked: bool = True) -> Qua
     condition for the functional to be a state on the unscaled algebra.  Pass
     ``checked=False`` to build a sub-vacuum functional for negative testing.
     """
-    if checked and inf_spectrum(covariance) < 1 - _COVARIANCE_SLACK:
-        raise CovarianceBelowIdentity(
-            f"covariance spectrum reaches {inf_spectrum(covariance)} < 1"
-        )
+    if checked:
+        require_dominates_identity(covariance)
     return QuasiFreeState(covariance)
 
 
@@ -220,7 +214,6 @@ def gram_matrix(phi: StateFunctional, vectors: Sequence, h: float) -> np.ndarray
 class GramReport:
     """Outcome of a kernel positivity check at a given scale parameter."""
 
-    vectors: tuple
     h: float
     kernel: np.ndarray
     min_eigenvalue: float
@@ -241,7 +234,6 @@ def check_sigma_h_positivity(
     min_eig = float(eigenvalues[0])
     floor = -tol * kernel.shape[0] * float(np.max(np.abs(kernel)))
     return GramReport(
-        vectors=tuple(np.asarray(v, dtype=complex) for v in vectors),
         h=float(h),
         kernel=kernel,
         min_eigenvalue=min_eig,
@@ -269,20 +261,15 @@ def two_point_criterion(covariance: OperatorSpec, f, g, h: float) -> TwoPointChe
 
 def h_max(covariance: OperatorSpec) -> float:
     """Largest admissible scale parameter: the bottom of the covariance spectrum."""
-    bottom = inf_spectrum(covariance)
-    if bottom < 1 - _COVARIANCE_SLACK:
-        raise SpectrumBelowOne(f"covariance spectrum reaches {bottom} < 1")
-    return bottom
+    return require_dominates_identity(covariance)
 
 
 @dataclass(frozen=True)
 class GramViolationWitness:
-    """A finite vector family on which the positivity kernel fails."""
+    """The scale s of scan_for_gram_violation's failing family, with its kernel's bottom."""
 
     scale: float
-    vectors: tuple
     min_eigenvalue: float
-    report: GramReport
 
 
 def scan_for_gram_violation(
@@ -312,10 +299,5 @@ def scan_for_gram_violation(
         )
         report = check_sigma_h_positivity(phi, family, h)
         if report.min_eigenvalue < threshold:
-            return GramViolationWitness(
-                scale=s,
-                vectors=family,
-                min_eigenvalue=report.min_eigenvalue,
-                report=report,
-            )
+            return GramViolationWitness(scale=s, min_eigenvalue=report.min_eigenvalue)
     return None

@@ -3,14 +3,12 @@
 A word is a finite complex-linear combination of generators ``W_f`` indexed
 by vectors of the one-particle space.  Products follow the twisted rule
 ``W_f W_g = exp(-i/2 * h * sigma(f, g)) W_{f+g}`` where ``sigma(f, g) =
-Im<f, g>`` and ``h > 0`` is the scaling parameter multiplying the symplectic
-form.  Generator keys are canonicalized on a fixed grid so that vectors that
-are equal up to floating-point noise merge into one term.
+Im<f, g>`` and ``h > 0`` scales the symplectic form; ``h * sigma`` is written
+out in that phase, the one place it is used.  Generator keys are canonicalized
+on a fixed grid so that vectors equal up to floating-point noise merge into one term.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,32 +26,6 @@ def inner(f, g) -> complex:
 def sigma(f, g) -> float:
     """Symplectic form sigma(f, g) = Im<f, g>."""
     return inner(f, g).imag
-
-
-def sigma_scaled(f, g, h: float) -> float:
-    """Rescaled symplectic form h * sigma(f, g)."""
-    return h * sigma(f, g)
-
-
-@dataclass(frozen=True)
-class SymplecticSpace:
-    """Complex one-particle space with symplectic form Im<.,.> scaled by h."""
-
-    dimension: int
-    h: float = 1.0
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise NonPositiveScale(f"scale parameter {self.h} must be positive")
-
-    def inner(self, f, g) -> complex:
-        return inner(f, g)
-
-    def sigma(self, f, g) -> float:
-        return sigma(f, g)
-
-    def sigma_h(self, f, g) -> float:
-        return self.h * sigma(f, g)
 
 
 def _canonical_key(vec: np.ndarray) -> tuple:

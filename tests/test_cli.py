@@ -865,6 +865,56 @@ def test_kms_verify_scale_whose_covariance_overflows_is_failed_cell(tmp_path, ca
     assert all(cell["ok"] for cell in cells if cell["h"] == 0.5)
 
 
+def test_kms_verify_pair_whose_products_overflow_is_failed_cell(tmp_path, capsys):
+    # A/h is finite at h = 1e-300, but A/h times entries near 1e6 is not: the
+    # pair is an error cell before any array product, not a cell of NaN residuals
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "operator:\n"
+        "  kms: {beta: 1, matrix: [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]]}\n"
+        "vectors: {explicit: [[1e6, 2, -3.1], [0.7, -1e6, 1.3]]}\n"
+        "h_values: [1e-300, 0.5]\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["kms-verify", "--config", str(path), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    tiny, moderate = report["cells"]
+    assert tiny["path"] == "rescaled" and not tiny["ok"]
+    assert tiny["error"].startswith("overflow:") and "max_r0" not in tiny
+    assert moderate["path"] == "rescaled" and "error" not in moderate
+    assert math.isfinite(report["summary"]["max_residual"])
+
+
+def test_positivity_scan_kernel_overflow_is_failed_cell(tmp_path, capsys):
+    # an admissible scale (h_max is 2) whose kernel entries would overflow
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "operator: {matrix: [[2, 0], [0, 3]]}\n"
+        "vectors: {explicit: [[1e200, 0], [0, 1e200]]}\n"
+        "h_values: [1]\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["positivity-scan", "--config", str(path), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    (cell,) = report["cells"]
+    assert cell["h"] == 1 and not cell["ok"]
+    assert cell["error"].startswith("overflow:") and "gram_all_psd" not in cell
+    assert report["summary"]["h_max"] == 2 and report["summary"]["first_failing_h"] is None
+
+
+def test_gns_check_doubled_axis_beyond_cap_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "operator: {matrix: [[2, 0], [0, 3]]}\n"
+        "vectors: {random: {count: 1, seed: 1}}\n"
+        "cutoff: 10\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["gns-check", "--config", str(path), "--out", str(out)]) == 2
+    assert "doubled Fock space axis 14641 exceeds cap 10000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _SUITE_CONFIGS = {
     "positivity-scan": POSITIVITY_CONFIG,
     "kms-verify": KMS_CONFIG,
@@ -1239,6 +1289,7 @@ _LARGE_VECTORS_EXAMPLE = {
 @example(("kms-verify", {**_KMS_EXAMPLE, **_NEAR_EIGENVALUE_EXAMPLE}, None))
 @example(("restrict-scan", {**_KMS_EXAMPLE, **_NEAR_EIGENVALUE_EXAMPLE}, None))
 @example(("kms-verify", {**_KMS_EXAMPLE, **_LARGE_VECTORS_EXAMPLE}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, **_LARGE_VECTORS_EXAMPLE, "h_values": [1e-300]}, None))
 def test_suite_configs_get_clean_verdicts(drawn):
     import yaml
 

@@ -28,6 +28,7 @@ from weylscale import (
     weyl_relation_residual,
 )
 from weylscale.errors import (
+    CovarianceBelowIdentity,
     CutoffTooSmall,
     DimensionMismatch,
     InvalidMeasure,
@@ -97,6 +98,19 @@ class TestGnsModel:
     def test_zero_vector_gives_identity(self):
         model = GnsModel(make_operator([[2.0]]), cutoff=10)
         assert np.allclose(gns_weyl_operator(model, [0.0]), np.eye(121))
+
+    def test_covariance_below_identity_rejected(self):
+        with pytest.raises(CovarianceBelowIdentity):
+            GnsModel(make_operator(np.diag([0.9, 2.0])), cutoff=8)
+
+    def test_dense_builders_refuse_axes_beyond_the_cap(self):
+        # two modes at cutoff 10: the doubled axis is 11^4 = 14641 > DOUBLED_DIM_CAP
+        model = GnsModel(make_operator(np.diag([2.0, 3.0])), cutoff=10)
+        assert model.slot_dimension**2 > fock.DOUBLED_DIM_CAP
+        with pytest.raises(OutOfRange, match="doubled Fock space axis 14641 exceeds cap 10000"):
+            gns_weyl_operator(model, [0.1, 0.2])
+        # cutoff 9 gives an axis of exactly 10^4, which the cap allows
+        fock.check_doubled_cap(GnsModel(make_operator(np.diag([2.0, 3.0])), cutoff=9))
 
 
 class TestGnsExpectation:

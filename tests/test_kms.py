@@ -5,9 +5,7 @@ import pytest
 
 from weylscale import (
     F_function,
-    F_h_function,
     Phi_function,
-    Phi_h_function,
     WeylWord,
     covariance_from_hamiltonian,
     default_time_grid,
@@ -370,8 +368,9 @@ class TestRescaledBoundary:
         rescaled = rescaled_modular(scalar_model, 1.0 / 3.0)
         f = np.array([1.0])
         # (1/2)(A_h + 1) + (1/2)(A_h - 1) = A_h = 9
-        assert Phi_h_function(rescaled, f, f, 0.0) == pytest.approx(9.0)
-        assert F_h_function(rescaled, f, f, 0.0) == pytest.approx(9.0)
+        covariance, modular = rescaled.covariance_h, rescaled.modular_h
+        assert Phi_function(covariance, modular, rescaled.base.beta, f, f, 0.0) == pytest.approx(9.0)
+        assert F_function(covariance, modular, f, f, 0.0) == pytest.approx(9.0)
 
     def test_residuals_small(self, scalar_model, two_mode_model, rng):
         for model in (scalar_model, two_mode_model):

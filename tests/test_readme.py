@@ -1,0 +1,24 @@
+"""The README's quick tour runs as written, so a deleted or renamed public name fails here."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import weylscale
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_tour_runs():
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    env = {**os.environ, "PYTHONPATH": str(Path(weylscale.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", tour],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -18,6 +18,7 @@ from weylscale import (
     spectral_projection,
 )
 from weylscale.errors import (
+    CovarianceBelowIdentity,
     DimensionMismatch,
     DomainViolation,
     NonFiniteEntries,
@@ -26,6 +27,7 @@ from weylscale.errors import (
     SpectralVariantHasNoVectors,
     SpectrumBelowOne,
 )
+from weylscale.spectral import ATOM_MERGE_TOL, dominates_identity, require_dominates_identity
 
 from conftest import random_covariance
 
@@ -163,6 +165,28 @@ class TestTraceClass:
     def test_spectrum_below_one_rejected(self):
         with pytest.raises(SpectrumBelowOne):
             is_trace_class_minus_identity(make_operator([(0.5, 1)]))
+
+
+class TestIdentityBound:
+    @pytest.mark.parametrize(
+        "bottom, expected",
+        [(1.0, True), (1.0 - ATOM_MERGE_TOL, True), (1.0 - 2 * ATOM_MERGE_TOL, False), (0.5, False)],
+    )
+    def test_slack_is_the_atom_merge_tolerance(self, bottom, expected):
+        op = make_operator([(bottom, 1), (3.0, INF)])
+        assert dominates_identity(op) is expected
+
+    def test_declared_infimum_decides(self):
+        op = make_operator([(2.0, 1)], declared_infimum=0.5)
+        assert not dominates_identity(op)
+
+    def test_raising_form_returns_the_bottom(self):
+        assert require_dominates_identity(make_operator(np.diag([1.5, 2.0]))) == 1.5
+        with pytest.raises(CovarianceBelowIdentity, match="spectrum reaches 0.9 < 1"):
+            require_dominates_identity(make_operator(0.9 * np.eye(2)))
+
+    def test_covariance_error_is_a_spectrum_error(self):
+        assert issubclass(CovarianceBelowIdentity, SpectrumBelowOne)
 
 
 class TestSpectralProjection:

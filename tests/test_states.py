@@ -3,6 +3,8 @@ import pytest
 
 from weylscale import (
     INF,
+    MixtureMeasure,
+    MixtureState,
     NonRegularFunctional,
     QuasiFreeState,
     RescaledFockState,
@@ -95,6 +97,30 @@ class TestRescaleFunctional:
         assert phi.value(f) == pytest.approx(np.exp(-1.0 / (4 * 0.5)))
         composed = rescale_functional(RescaledFockState(1.0), 0.5)
         assert composed.value(f) == pytest.approx(phi.value(f))
+
+    def test_trace_state_is_unchanged(self):
+        phi = TraceState()
+        assert rescale_functional(phi, 0.3) is phi
+
+    def test_generic_functional_is_evaluated_at_f_over_sqrt_h(self, rng):
+        # a mixture has no closed-form rescaling, so the generic wrapper serves it
+        base = MixtureState(MixtureMeasure(((0.0, 0.25), (0.5, 0.75))))
+        phi = rescale_functional(base, 0.4)
+        assert not isinstance(phi, MixtureState)
+        for _ in range(5):
+            f = random_vector(rng, 3)
+            assert phi.value(f) == base.value(f / np.sqrt(0.4))
+
+    def test_generic_functional_kernel(self, rng):
+        # gram_matrix takes the wrapper entry by entry, and the kernel at scale h
+        # equals the rescaled kernel at scale 1 on the sqrt(h)-stretched vectors
+        base = MixtureState(MixtureMeasure(((0.0, 0.25), (0.5, 0.75))))
+        h = 0.4
+        vectors = [random_vector(rng, 2) for _ in range(4)]
+        lhs = gram_matrix(base, vectors, h)
+        rhs = gram_matrix(rescale_functional(base, h), [np.sqrt(h) * f for f in vectors], 1.0)
+        assert rhs.shape == (4, 4)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
 def per_entry_kernel(phi, vectors, h):

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylscale import (
-    SymplecticSpace,
     WeylWord,
     gamma_iso,
     sigma,
-    sigma_scaled,
     weyl_adjoint,
     weyl_multiply,
     word_distance,
@@ -23,10 +21,8 @@ def test_sigma_basics():
     g = np.array([1j, 0.0])
     assert sigma(f, g) == 1.0
     assert sigma(f, f) == 0.0
-    assert sigma_scaled(f, g, 2.0) == 2.0
-    space = SymplecticSpace(2, h=2.0)
-    assert space.sigma_h(f, g) == 2.0
-    assert space.sigma(g, f) == -1.0
+    assert 2.0 * sigma(f, g) == 2.0
+    assert sigma(g, f) == -1.0
 
 
 class TestMultiply:
