@@ -368,9 +368,6 @@ class ExperimentConfig:
             raise ConfigInvalid("vectors.random.seed: required for reproducibility")
         return np.random.default_rng(self.seed)
 
-    def tolerance(self, name: str) -> float:
-        return self.tolerances[name]
-
 
 def random_complex_vectors(rng: np.random.Generator, count: int, dim: int) -> list[np.ndarray]:
     """Standard complex Gaussian sample, deterministic given the generator state."""

@@ -394,10 +394,10 @@ class MixtureMeasure:
         for c, w in self.points:
             if not 0 <= c < 1:
                 raise InvalidMeasure(f"support point {c} outside [0, 1)")
-            if w <= 0:
+            if not w > 0:
                 raise InvalidMeasure(f"weight {w} is not positive")
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise InvalidMeasure(f"weights sum to {total}, expected 1")
 
 

@@ -68,7 +68,7 @@ def covariance_from_hamiltonian(hamiltonian: OperatorSpec, beta: float) -> Opera
         raise NonPositiveHamiltonian(
             f"hamiltonian spectrum reaches {inf_spectrum(hamiltonian)} <= 0"
         )
-    if beta <= 0:
+    if not beta > 0:
         raise NonPositiveBeta(f"inverse temperature {beta} must be positive")
 
     def bose_map(lam: float) -> float:
@@ -80,7 +80,7 @@ def covariance_from_hamiltonian(hamiltonian: OperatorSpec, beta: float) -> Opera
 
 def modular_operator(covariance: OperatorSpec, beta: float) -> OperatorSpec:
     """Modular operator ((A+I)/(A-I))^{1/beta}; singular where A has spectrum 1."""
-    if beta <= 0:
+    if not beta > 0:
         raise NonPositiveBeta(f"inverse temperature {beta} must be positive")
     for atom in covariance.atoms:
         if abs(atom.value - 1.0) <= ATOM_MERGE_TOL:
@@ -101,19 +101,19 @@ class KmsModel:
     epsilon: float  # bottom of the hamiltonian spectrum
 
 
-def kms_model(hamiltonian: OperatorSpec, beta: float, unbounded_above: bool = False) -> KmsModel:
+def kms_model(hamiltonian: OperatorSpec, beta: float) -> KmsModel:
     """Assemble the equilibrium model for a one-particle Hamiltonian.
 
-    With ``unbounded_above`` (spectral variant only) the model declares the
-    regime of an unbounded Hamiltonian as side data: the covariance spectrum
-    then accumulates at 1 and the modular operator is unbounded, although the
-    stored atoms carry only the finitely many points the formulas use.
+    A Hamiltonian declared unbounded above (``declared_supremum == INF``, set
+    by ``with_declared_bounds``) puts the model in that regime as side data:
+    the covariance spectrum then accumulates at 1 and the modular operator is
+    unbounded, although the stored atoms carry only the finitely many points
+    the formulas use.
     """
     covariance = covariance_from_hamiltonian(hamiltonian, beta)
     modular = modular_operator(covariance, beta)
     epsilon = inf_spectrum(hamiltonian)
-    if unbounded_above:
-        hamiltonian = hamiltonian.with_declared_bounds(supremum=INF)
+    if hamiltonian.declared_supremum == INF:
         covariance = covariance.with_declared_bounds(infimum=1.0)
         modular = modular.with_declared_bounds(supremum=INF)
     return KmsModel(
@@ -206,12 +206,10 @@ class TwoPointReport:
     mismatch instead of correcting either side.
     """
 
-    time: float
     formula_value: complex
     oracle_value: complex
     deviation: float
     formula_matches_oracle: bool
-    tol: float
 
 
 def two_point_function(
@@ -237,12 +235,10 @@ def two_point_function(
     oracle = gns_expectation(GnsModel(covariance, cutoff), word)
     deviation = abs(complex(formula) - oracle)
     return TwoPointReport(
-        time=float(t),
         formula_value=complex(formula),
         oracle_value=oracle,
         deviation=deviation,
         formula_matches_oracle=deviation <= tol,
-        tol=tol,
     )
 
 
@@ -250,8 +246,6 @@ def two_point_function(
 class KmsWitnessReport:
     """Sampled F and Phi values with the two boundary residuals of the KMS condition."""
 
-    f: np.ndarray
-    g: np.ndarray
     t_grid: np.ndarray
     F_values: np.ndarray
     Phi_lower: np.ndarray  # Phi(t + i0)
@@ -270,7 +264,6 @@ class KmsWitnessReport:
 def _boundary_report(
     covariance: OperatorSpec, modular: OperatorSpec, beta: float, f, g, t_grid
 ) -> KmsWitnessReport:
-    f, g = vector_pair(covariance, f, g)
     grid = default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or (len(grid) > 1 and np.any(np.diff(grid) <= 0)):
         raise OutOfRange("time grid must be one-dimensional and strictly increasing")
@@ -286,8 +279,6 @@ def _boundary_report(
     lower, upper = strip[0], strip[1]
     strip_sup = float(np.max(np.abs(strip[2:]), initial=0.0))
     return KmsWitnessReport(
-        f=f,
-        g=g,
         t_grid=grid,
         F_values=F_vals,
         Phi_lower=lower,
@@ -311,9 +302,9 @@ def j_h_function(lam: float, h: float, beta: float) -> float:
     h > 1 (the restriction regime) it stays admissible only below the pole at
     l^beta = (h+1)/(h-1); beyond it the argument is out of range.
     """
-    if beta <= 0:
+    if not beta > 0:
         raise OutOfRange(f"inverse temperature {beta} must be positive")
-    if h <= 0:
+    if not h > 0:
         raise OutOfRange(f"scale parameter {h} must be positive")
     if lam < 1 - ATOM_MERGE_TOL:
         raise OutOfRange(f"spectral argument {lam} below 1")
@@ -331,7 +322,6 @@ class RescaledKmsModel:
     """Scale-h equilibrium data: covariance A/h and modular operator j_h(Delta)."""
 
     base: KmsModel
-    h: float
     covariance_h: OperatorSpec
     modular_h: OperatorSpec
     generator_h: OperatorSpec  # log of the rescaled modular operator
@@ -382,7 +372,6 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
         )
     return RescaledKmsModel(
         base=model,
-        h=float(h),
         covariance_h=covariance_h,
         modular_h=via_spectrum,
         generator_h=generator_h,

@@ -57,9 +57,9 @@ SUBSPACE_TOL = 1e-12
 
 def lambda_star(h: float, beta: float) -> float:
     """Top of the restricted modular spectrum: ((h+1)/(h-1))^{1/beta}."""
-    if beta <= 0:
+    if not beta > 0:
         raise OutOfRange(f"inverse temperature {beta} must be positive")
-    if h < 1 + 1e-9:
+    if not h >= 1 + 1e-9:
         raise OutOfRange(f"scale parameter {h} too close to the pole at 1")
     return ((h + 1.0) / (h - 1.0)) ** (1.0 / beta)
 
@@ -70,7 +70,6 @@ class RestrictedModel:
 
     covariance: OperatorSpec
     h: float
-    h_star: float
     projection: ProjectionSpec
     restricted_covariance: OperatorSpec  # A^(h) on the compressed basis
     rescaled_covariance: OperatorSpec  # A^(h) / h
@@ -107,8 +106,12 @@ def restricted_model(
         raise ScaleOutOfRange(f"scale parameter {h} outside (1, {h_star})")
     projection = spectral_projection(covariance, Interval(h, h_star, False, True))
     if covariance.is_matrix:
-        values = [float(covariance.eigenvalues[i]) for i in projection.selected_indices]
-        restricted = OperatorSpec.from_matrix(np.diag(values))
+        # A^(h) is diagonal in the covariance's eigenbasis, so it needs no eigh; its
+        # matrix keeps the selected values, which a second snap may move by an ulp
+        values = covariance.eigenvalues[list(projection.selected_indices)]
+        restricted = OperatorSpec.from_eigen(
+            values, np.eye(len(values), dtype=complex), np.diag(values).astype(complex)
+        )
     else:
         restricted = OperatorSpec.from_atoms(
             [(a.value, a.multiplicity) for a in projection.selected_atoms]
@@ -135,7 +138,6 @@ def restricted_model(
     return RestrictedModel(
         covariance=covariance,
         h=float(h),
-        h_star=float(h_star),
         projection=projection,
         restricted_covariance=restricted,
         rescaled_covariance=rescaled,

@@ -220,7 +220,7 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     sets = [vectors[i : i + size] for i in range(0, len(vectors), size)]
     phi = quasi_free_functional(covariance)
     lowest = covariance.eigenvectors[:, 0]
-    gram_tol = config.tolerance("gram")
+    gram_tol = config.tolerances["gram"]
     norm = op_norm(covariance)
 
     threshold = None
@@ -310,8 +310,8 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     vectors = _vectors(config, dim, 2)
     _require(len(vectors) % 2 == 0, "vectors.explicit: need an even count to form pairs")
     pairs = list(zip(vectors[0::2], vectors[1::2]))
-    tol = config.tolerance("residual")
-    two_route_tol = config.tolerance("two_route")
+    tol = config.tolerances["residual"]
+    two_route_tol = config.tolerances["two_route"]
     h_star = op_norm(model.covariance)
 
     for h in config.h_values:
@@ -386,7 +386,7 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     except WeylscaleError as exc:
         raise ConfigInvalid(f"cutoff: {exc}") from exc
     phi = quasi_free_functional(covariance)
-    tol = config.tolerance("gns")
+    tol = config.tolerances["gns"]
     vectors = _vectors(config, covariance.dimension, 1)
     clipped = []
     for vec in vectors:
@@ -444,8 +444,8 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
 def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
     """Rescaled Fock family: occupation expectation, quasi-equivalence, mixture match."""
     _require(len(config.h_values) > 0, "h_values: required")
-    arithmetic_tol = config.tolerance("arithmetic")
-    pointwise_tol = config.tolerance("pointwise")
+    arithmetic_tol = config.tolerances["arithmetic"]
+    pointwise_tol = config.tolerances["pointwise"]
     if config.random_count or config.vectors_explicit:
         dim = config.space_dimension()
         vectors = _vectors(config, dim, 1)
@@ -536,7 +536,7 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
     _require(config.random_count is not None, "vectors.random: required for this suite")
     rng = config.rng()
     dim = covariance.dimension
-    tol = config.tolerance("residual")
+    tol = config.tolerances["residual"]
     h_star = op_norm(covariance)
     has_kms = config.hamiltonian is not None and config.beta is not None
 

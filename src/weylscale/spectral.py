@@ -10,7 +10,9 @@ admissibility bounds) that only depend on spectral data.
 Eigenvalues are canonicalized: values closer than ``ATOM_MERGE_TOL`` are
 merged into one atom, and matrix eigenvalues are snapped to their atom
 representative.  Interval selections in :func:`spectral_projection` therefore
-compare spectral values exactly, with no endpoint tolerance.
+compare spectral values exactly, with no endpoint tolerance.  Every matrix
+operator is built by :meth:`OperatorSpec.from_eigen`, and bounds the atoms do
+not carry are declared only by :meth:`OperatorSpec.with_declared_bounds`.
 
 Whether a covariance dominates the identity (``A >= I``, or ``A/h >= I`` at
 scale ``h``) is decided only by :func:`dominates_identity`, with the same
@@ -78,11 +80,6 @@ class Interval:
             return x <= self.upper
         return x < self.upper
 
-    def __str__(self) -> str:
-        left = "[" if self.include_lower else "("
-        right = "]" if self.include_upper else ")"
-        return f"{left}{self.lower}, {self.upper}{right}"
-
 
 def _merge_sorted_values(values: Sequence[float], counts: Sequence[float]) -> tuple[Atom, ...]:
     """Group sorted values into atoms, merging points within ATOM_MERGE_TOL."""
@@ -149,35 +146,39 @@ class OperatorSpec:
         if residual > HERMITICITY_TOL:
             raise NonHermitian(f"conjugate-symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL}")
         m = (m + m.conj().T) / 2
-        eigvals, eigvecs = np.linalg.eigh(m)
-        snapped, atoms = _snap_eigenvalues(eigvals)
-        m.flags.writeable = False
-        snapped.flags.writeable = False
-        eigvecs.flags.writeable = False
-        return cls("matrix", m, snapped, eigvecs, atoms)
+        return cls.from_eigen(*np.linalg.eigh(m), m)
 
     @classmethod
-    def from_atoms(
-        cls,
-        pairs: Iterable[tuple[float, float]],
-        declared_infimum: float | None = None,
-        declared_supremum: float | None = None,
+    def from_eigen(
+        cls, eigvals: np.ndarray, eigvecs: np.ndarray, matrix: np.ndarray | None = None
     ) -> "OperatorSpec":
+        """Matrix operator of ascending ``eigvals`` on the columns of ``eigvecs``: the values
+        snapped, ``matrix`` rebuilt as symmetrized ``V diag V*`` when absent, all frozen."""
+        snapped, atoms = _snap_eigenvalues(eigvals)
+        if matrix is None:
+            matrix = eigvecs @ np.diag(snapped).astype(complex) @ eigvecs.conj().T
+            matrix = (matrix + matrix.conj().T) / 2
+        for a in (matrix, snapped, eigvecs):
+            a.flags.writeable = False
+        return cls("matrix", matrix, snapped, eigvecs, atoms)
+
+    @classmethod
+    def from_atoms(cls, pairs: Iterable[tuple[float, float]]) -> "OperatorSpec":
+        """Spectral operator of finite positive values with positive integer or INF
+        multiplicities; declare an unbounded spectrum by :meth:`with_declared_bounds`."""
         cleaned: list[tuple[float, float]] = []
         for value, mult in pairs:
             value = float(value)
-            if not value > 0:
-                raise NonPositiveAtom(f"atom value {value} is not strictly positive")
+            if not 0 < value < INF:
+                raise NonPositiveAtom(f"atom value {value} is not strictly positive and finite")
             if mult != INF:
-                if mult != int(mult) or mult <= 0:
-                    raise NonPositiveAtom(
-                        f"atom multiplicity {mult} is not a positive integer"
-                    )
+                if not mult > 0 or mult != int(mult):
+                    raise NonPositiveAtom(f"atom multiplicity {mult} is not a positive integer")
                 mult = int(mult)
             cleaned.append((value, mult))
         cleaned.sort(key=lambda p: p[0])
         atoms = _merge_sorted_values([p[0] for p in cleaned], [p[1] for p in cleaned])
-        return cls("spectral", None, None, None, atoms, declared_infimum, declared_supremum)
+        return cls("spectral", None, None, None, atoms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -221,7 +222,6 @@ class ProjectionSpec:
     """Spectral projection of an operator onto an interval of its spectrum."""
 
     source: OperatorSpec
-    interval: Interval
     selected_indices: tuple[int, ...]  # matrix variant: eigenvector columns
     selected_atoms: tuple[Atom, ...]
 
@@ -254,7 +254,7 @@ class ProjectionSpec:
         return float(np.linalg.norm(f - self.apply(f)))
 
 
-def make_operator(data, **declared_bounds) -> OperatorSpec:
+def make_operator(data) -> OperatorSpec:
     """Build an operator from square matrix entries or an atom list.
 
     A sequence of ``(eigenvalue, multiplicity)`` tuples (or Atom instances)
@@ -268,9 +268,7 @@ def make_operator(data, **declared_bounds) -> OperatorSpec:
         isinstance(item, (tuple, Atom)) for item in data
     ):
         pairs = [(item.value, item.multiplicity) if isinstance(item, Atom) else item for item in data]
-        return OperatorSpec.from_atoms(pairs, **declared_bounds)
-    if declared_bounds:
-        raise DimensionMismatch("declared bounds are only supported on the spectral variant")
+        return OperatorSpec.from_atoms(pairs)
     return OperatorSpec.from_matrix(data)
 
 
@@ -298,14 +296,7 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
     if op.is_matrix:
         mapped = np.array([evaluate(v) for v in op.eigenvalues])
         order = np.argsort(mapped, kind="stable")
-        eigvals = mapped[order]
-        eigvecs = op.eigenvectors[:, order]
-        snapped, atoms = _snap_eigenvalues(eigvals)
-        matrix = eigvecs @ np.diag(snapped).astype(complex) @ eigvecs.conj().T
-        matrix = (matrix + matrix.conj().T) / 2
-        for a in (matrix, snapped, eigvecs):
-            a.flags.writeable = False
-        return OperatorSpec("matrix", matrix, snapped, eigvecs, atoms)
+        return OperatorSpec.from_eigen(mapped[order], op.eigenvectors[:, order])
 
     mapped_pairs = sorted(
         ((evaluate(a.value), a.multiplicity) for a in op.atoms), key=lambda p: p[0]
@@ -364,9 +355,9 @@ def spectral_projection(op: OperatorSpec, interval: Interval) -> ProjectionSpec:
     if op.is_matrix:
         idx = tuple(i for i, v in enumerate(op.eigenvalues) if interval.contains(float(v)))
         atoms = tuple(a for a in op.atoms if interval.contains(a.value))
-        return ProjectionSpec(op, interval, idx, atoms)
+        return ProjectionSpec(op, idx, atoms)
     atoms = tuple(a for a in op.atoms if interval.contains(a.value))
-    return ProjectionSpec(op, interval, (), atoms)
+    return ProjectionSpec(op, (), atoms)
 
 
 def vector_pair(op: OperatorSpec, f, g) -> tuple[np.ndarray, np.ndarray]:

@@ -52,9 +52,6 @@ class StateFunctional:
     def value(self, f) -> complex:
         raise NotImplementedError
 
-    def __call__(self, f) -> complex:
-        return self.value(f)
-
     def difference_values(self, rows: np.ndarray) -> np.ndarray:
         """The n x n array phi(f_j - f_k) for the rows f_j of ``rows``.
 
@@ -112,7 +109,7 @@ class RescaledFockState(StateFunctional):
     tag = "rescaled_fock"
 
     def __init__(self, h: float):
-        if h <= 0:
+        if not h > 0:
             raise NonPositiveScale(f"scale parameter {h} must be positive")
         self.h = float(h)
 
@@ -153,15 +150,11 @@ class _RescaledFunctional(StateFunctional):
         return self.base.value(f / np.sqrt(self.h))
 
 
-def quasi_free_functional(covariance: OperatorSpec, checked: bool = True) -> QuasiFreeState:
-    """Gaussian functional for a covariance operator.
-
-    With ``checked`` (the default) the covariance must satisfy A >= I, the
-    condition for the functional to be a state on the unscaled algebra.  Pass
-    ``checked=False`` to build a sub-vacuum functional for negative testing.
-    """
-    if checked:
-        require_dominates_identity(covariance)
+def quasi_free_functional(covariance: OperatorSpec) -> QuasiFreeState:
+    """Gaussian functional for a covariance operator satisfying A >= I, the
+    condition for it to be a state on the unscaled algebra.  ``QuasiFreeState``
+    itself builds the functional unchecked, sub-vacuum ones included."""
+    require_dominates_identity(covariance)
     return QuasiFreeState(covariance)
 
 
@@ -172,7 +165,7 @@ def rescale_functional(phi: StateFunctional, h: float) -> StateFunctional:
     becomes the Gaussian with covariance A / h (no positivity check), and a
     rescaled Fock functional composes multiplicatively in h.
     """
-    if h <= 0:
+    if not h > 0:
         raise NonPositiveScale(f"scale parameter {h} must be positive")
     if isinstance(phi, QuasiFreeState):
         return QuasiFreeState(apply_function(phi.covariance, lambda lam: lam / h))
@@ -214,11 +207,9 @@ def gram_matrix(phi: StateFunctional, vectors: Sequence, h: float) -> np.ndarray
 class GramReport:
     """Outcome of a kernel positivity check at a given scale parameter."""
 
-    h: float
     kernel: np.ndarray
     min_eigenvalue: float
     verdict: bool
-    tol: float
 
 
 def check_sigma_h_positivity(
@@ -233,13 +224,7 @@ def check_sigma_h_positivity(
     eigenvalues = np.linalg.eigvalsh(kernel)
     min_eig = float(eigenvalues[0])
     floor = -tol * kernel.shape[0] * float(np.max(np.abs(kernel)))
-    return GramReport(
-        h=float(h),
-        kernel=kernel,
-        min_eigenvalue=min_eig,
-        verdict=min_eig >= floor,
-        tol=tol,
-    )
+    return GramReport(kernel=kernel, min_eigenvalue=min_eig, verdict=min_eig >= floor)
 
 
 class TwoPointCheck(NamedTuple):

@@ -99,17 +99,6 @@ class WeylWord:
             out._add_term(vec, coeff)
         return out
 
-    def __sub__(self, other: "WeylWord") -> "WeylWord":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "WeylWord":
-        out = WeylWord(self.dim)
-        for vec, coeff in self.items():
-            out._add_term(vec, coeff * complex(scalar))
-        return out
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         parts = [f"({coeff:.4g})*W{np.round(vec, 6)}" for vec, coeff in self.items()]
         return " + ".join(parts) if parts else "0"
@@ -131,7 +120,7 @@ def weyl_multiply(u: WeylWord, v: WeylWord, h: float) -> WeylWord:
     """Product of two words in the algebra with symplectic form h * sigma."""
     if u.dim != v.dim:
         raise DimensionMismatch(f"words over C^{u.dim} and C^{v.dim}")
-    if h <= 0:
+    if not h > 0:
         raise NonPositiveScale(f"scale parameter {h} must be positive")
     out = WeylWord(u.dim)
     for f, a in u.items():
@@ -156,7 +145,7 @@ def gamma_iso(u: WeylWord, h: float, direction: str = "forward") -> WeylWord:
     W_f -> W_{sqrt(h) f}; ``inverse`` is W_f -> W_{f / sqrt(h)}.  The two
     directions are mutually inverse on words.
     """
-    if h <= 0:
+    if not h > 0:
         raise NonPositiveScale(f"scale parameter {h} must be positive")
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")

@@ -992,6 +992,70 @@ def test_overrides_do_not_carry_to_the_next_call(tmp_path, capsys):
     assert after != (tmp_path / "a").read_bytes()
 
 
+KMS_TEMPLATE = "operator:\n  kms: {{matrix: {}, beta: {}}}\nvectors:\n  random: {{count: 2, seed: 3}}\nh_values: [1.5]\n"
+
+
+@pytest.mark.parametrize("suite", ["positivity-scan", "gns-check", "restrict-scan", "kms-verify"])
+def test_non_positive_hamiltonian_is_config_error(tmp_path, capsys, suite):
+    path = tmp_path / "config.yaml"
+    path.write_text(KMS_TEMPLATE.format("[[-1, 0], [0, 2]]", 1))
+    assert main([suite, "--config", str(path)]) == 2
+    assert "config error: operator.kms: hamiltonian spectrum reaches -1.0 <= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["positivity-scan", "kms-verify"])
+def test_nan_inverse_temperature_is_named(tmp_path, capsys, suite):
+    path = tmp_path / "config.yaml"
+    path.write_text(KMS_TEMPLATE.format("[[2]]", ".nan"))
+    assert main([suite, "--config", str(path)]) == 2
+    assert "config error: operator.kms: inverse temperature nan must be positive" in capsys.readouterr().err
+
+
+def test_gns_check_covariance_below_identity_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("operator: {matrix: [[0.5]]}\nvectors:\n  random: {count: 2, seed: 3}\n")
+    assert main(["gns-check", "--config", str(path)]) == 2
+    assert "config error: operator/cutoff: spectrum reaches 0.5 < 1" in capsys.readouterr().err
+
+
+def test_failing_summary_flag_is_listed(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "operator:\n  kms: {matrix: [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]], beta: 1}\n"
+        "vectors:\n  random: {count: 2, seed: 3}\nh_values: [1.0]\n"
+    )
+    argv = ["kms-verify", "--config", str(path), "--tol", "0", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 3
+    assert "contract violation: summary.modular_exponential_ok" in capsys.readouterr().err
+
+
+def test_rescale_fock_takes_the_dimension_from_the_operator(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    matrix = "operator: {matrix: [[2, 0], [0, 3]]}\nh_values: [0.5]\n"
+    path.write_text(matrix + "vectors: {explicit: [[1, 0]]}\n")
+    assert main(["rescale-fock", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    path.write_text(matrix + "vectors: {explicit: [[1, 0, 0]]}\n")
+    assert main(["rescale-fock", "--config", str(path)]) == 2
+    assert "config error: vectors.explicit: expected dimension 2" in capsys.readouterr().err
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(KMS_CONFIG)
+    direct, spawned = tmp_path / "direct.json", tmp_path / "spawned.json"
+    code = main(["kms-verify", "--config", str(path), "--out", str(direct)])
+    env = {**os.environ, "PYTHONPATH": str(Path(weylscale.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "weylscale", "kms-verify", "--config", str(path), "--out", str(spawned)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == code == 0, result.stderr
+    assert spawned.read_bytes() == direct.read_bytes()
+
+
 class TestSuiteRegistry:
     def test_tol_sets_each_suite_primary_tolerance(self):
         assert {name: suite.tolerance for name, suite in SUITES.items()} == {

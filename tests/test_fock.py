@@ -479,6 +479,8 @@ class TestUniversalInvariance:
             MixtureMeasure(((1.0, 1.0),))  # support point outside [0, 1)
         with pytest.raises(InvalidMeasure):
             MixtureMeasure(())
+        with pytest.raises(InvalidMeasure):
+            MixtureMeasure(((0.5, float("nan")),))  # NaN passes both w <= 0 and |sum - 1| > tol
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitary):

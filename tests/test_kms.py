@@ -354,7 +354,7 @@ class TestRescaledModular:
 
     def test_unbounded_declaration(self):
         model = kms_model(
-            OperatorSpec.from_atoms([(LOG2, 1)]), beta=1.0, unbounded_above=True
+            OperatorSpec.from_atoms([(LOG2, 1)]).with_declared_bounds(supremum=INF), beta=1.0
         )
         assert inf_spectrum(model.covariance) == 1.0
         assert op_norm(model.modular) == INF
@@ -423,7 +423,7 @@ class TestTwoPoint:
 
 def test_unbounded_declaration_propagates_through_rescaling():
     model = kms_model(
-        OperatorSpec.from_atoms([(LOG2, 1)]), beta=1.0, unbounded_above=True
+        OperatorSpec.from_atoms([(LOG2, 1)]).with_declared_bounds(supremum=INF), beta=1.0
     )
     rescaled = rescaled_modular(model, 0.5)
     # spectrum of A accumulates at 1, so A/h accumulates at 1/h

@@ -7,18 +7,24 @@ from weylscale import (
     INF,
     NonRegularFunctional,
     OperatorSpec,
+    RescaledFockState,
     WeylWord,
     check_sigma_h_positivity,
     check_trace_property,
+    covariance_from_hamiltonian,
     evaluate_state,
+    gamma_iso,
     inf_spectrum,
+    j_h_function,
     kms_model,
     lambda_star,
     limit_to_trace_state,
     make_operator,
+    modular_operator,
     nonregular_extension,
     op_norm,
     quasi_free_functional,
+    rescale_functional,
     restricted_kms_residuals,
     restricted_model,
     spectral_correspondence_check,
@@ -27,6 +33,8 @@ from weylscale import (
 )
 from weylscale.errors import (
     ModelMismatch,
+    NonPositiveBeta,
+    NonPositiveScale,
     OutOfRange,
     ScaleOutOfRange,
     SpectralVariantHasNoVectors,
@@ -69,7 +77,7 @@ class TestRestrictedModel:
         assert op_norm(model.restricted_modular) <= model.lam_star + 1e-12
 
     def test_unbounded_regime_attains_lambda_star(self):
-        base = kms_model(OperatorSpec.from_atoms([(LOG2, 1)]), 1.0, unbounded_above=True)
+        base = kms_model(OperatorSpec.from_atoms([(LOG2, 1)]).with_declared_bounds(supremum=INF), 1.0)
         model = restricted_model(base.covariance, 2.0, beta=1.0)
         assert op_norm(model.restricted_modular) == model.lam_star
         assert inf_spectrum(model.rescaled_covariance) == 1.0
@@ -261,3 +269,39 @@ class TestTraceLimit:
         assert report.values == pytest.approx(expected)
         # the tail tends to exp(-||f||^2/4), not the trace-state value 0
         assert abs(report.eventual_value - np.exp(-0.25)) < 0.05
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: weyl_multiply(WeylWord.identity(1), WeylWord.identity(1), NAN), NonPositiveScale),
+        (lambda: gamma_iso(WeylWord.identity(1), NAN), NonPositiveScale),
+        (lambda: RescaledFockState(NAN), NonPositiveScale),
+        (lambda: rescale_functional(trace_state(), NAN), NonPositiveScale),
+        (lambda: j_h_function(2.0, NAN, 1.0), OutOfRange),
+        (lambda: j_h_function(2.0, 0.5, NAN), OutOfRange),
+        (lambda: lambda_star(NAN, 1.0), OutOfRange),
+        (lambda: lambda_star(3.0, NAN), OutOfRange),
+        (lambda: modular_operator(make_operator([[3.0]]), NAN), NonPositiveBeta),
+        (lambda: covariance_from_hamiltonian(make_operator([[LOG2]]), NAN), NonPositiveBeta),
+    ],
+    ids=[
+        "weyl_multiply",
+        "gamma_iso",
+        "RescaledFockState",
+        "rescale_functional",
+        "j_h_function-h",
+        "j_h_function-beta",
+        "lambda_star-h",
+        "lambda_star-beta",
+        "modular_operator",
+        "covariance_from_hamiltonian",
+    ],
+)
+def test_nan_scale_or_inverse_temperature_rejected(call, error):
+    # each guard reads "not x > 0", which NaN fails, rather than "x <= 0", which it passes
+    with pytest.raises(error):
+        call()

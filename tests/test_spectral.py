@@ -66,6 +66,12 @@ class TestMakeOperator:
         with pytest.raises(NonPositiveAtom):
             make_operator([(1.0, 0)])
 
+    @pytest.mark.parametrize("pair", [(2.0, math.nan), (math.inf, 1), (math.nan, 1)])
+    def test_nan_multiplicity_or_non_finite_atom_rejected(self, pair):
+        # an unbounded spectrum is declared by with_declared_bounds, not by an atom at infinity
+        with pytest.raises(NonPositiveAtom):
+            OperatorSpec.from_atoms([pair])
+
     def test_atoms_sorted_and_merged(self):
         op = make_operator([(3.0, 2), (1.0, 1), (3.0 + 1e-14, INF)])
         assert [a.value for a in op.atoms] == pytest.approx([1.0, 3.0], abs=1e-12)
@@ -145,7 +151,7 @@ class TestSpectrumBounds:
         assert op_norm(op) == expected_norm
 
     def test_declared_bounds_take_precedence(self):
-        op = OperatorSpec.from_atoms([(3.0, INF)], declared_infimum=1.0, declared_supremum=INF)
+        op = OperatorSpec.from_atoms([(3.0, INF)]).with_declared_bounds(infimum=1.0, supremum=INF)
         assert inf_spectrum(op) == 1.0
         assert op_norm(op) == INF
 
@@ -177,7 +183,7 @@ class TestIdentityBound:
         assert dominates_identity(op) is expected
 
     def test_declared_infimum_decides(self):
-        op = make_operator([(2.0, 1)], declared_infimum=0.5)
+        op = make_operator([(2.0, 1)]).with_declared_bounds(infimum=0.5)
         assert not dominates_identity(op)
 
     def test_raising_form_returns_the_bottom(self):

@@ -46,7 +46,7 @@ class TestQuasiFreeFunctional:
         below = make_operator(0.9 * np.eye(2))
         with pytest.raises(CovarianceBelowIdentity):
             quasi_free_functional(below)
-        phi = quasi_free_functional(below, checked=False)
+        phi = QuasiFreeState(below)
         assert phi.value([1.0, 0.0]) == pytest.approx(np.exp(-0.225))
 
     def test_conjugation_symmetry(self, rng):
