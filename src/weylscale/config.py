@@ -5,11 +5,34 @@ rationals), and interval-endpoint semantics downstream depend on hitting
 them without decimal round-off.  Numeric fields therefore accept, besides
 plain decimals, the exact expressions ``"e"``, ``"pi"``, ``"p/q"`` rationals,
 and ``"ln(x)"`` / ``"sqrt(x)"`` / ``"exp(x)"`` with a numeric argument,
-evaluated once at parse time.
+evaluated once at parse time.  An expression nests at most
+``MAX_EXPRESSION_DEPTH`` functions and quotients; a deeper one is a config
+error.
+
+``ExperimentConfig.from_file`` reads a UTF-8 file as YAML 1.1 with PyYAML's
+safe loader, except that PyYAML does not build one node per matrix or vector
+entry.  The reader takes out the numeric rows of two layouts:
+
+- the ``<indent>- [tok, tok, ...]`` lines directly under a ``matrix:`` key line;
+- a one-line ``<indent>explicit: [[tok, ...], [tok, ...], ...]``;
+
+where every token is a plain float (``1.5``, ``-2.``, ``3.0e-05``), a plain int
+without a leading zero, or a double-quoted complex literal (``"0.5-1.25j"``).
+It casts those tokens to the objects PyYAML builds from them (``float``,
+``int``, the quoted text), loads the rest of the text with PyYAML, and puts
+the rows back at their keys.  Any ``matrix:`` or ``explicit:`` line in
+another layout, or with another token, sends the whole file through PyYAML,
+so the YAML 1.1 readings stay PyYAML's: ``1e-05`` is a string, ``012`` octal
+10, ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``, ``1_000`` and
+``[re, im]`` pairs on those lines do the same.  So does a row block that
+PyYAML would read as something other than the value of its key (text in a
+block scalar, say), and a rest that is not valid YAML, so errors keep
+PyYAML's message, line and column.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -31,9 +54,14 @@ _CONSTANTS = {"e": math.e, "pi": math.pi, "inf": INF, "INF": INF}
 
 _FUNC_RE = re.compile(r"^(ln|log|sqrt|exp)\s*\(?\s*([^)]*?)\s*\)?$")
 
+#: Deepest nesting of functions and quotients in one exact expression.
+MAX_EXPRESSION_DEPTH = 100
 
-def parse_number(value, where: str = "value") -> float:
+
+def parse_number(value, where: str = "value", _depth: int = 0) -> float:
     """Resolve a decimal or exact-expression scalar to a float."""
+    if _depth > MAX_EXPRESSION_DEPTH:
+        raise ConfigInvalid(f"{where}: expression nested more than {MAX_EXPRESSION_DEPTH} levels deep")
     if isinstance(value, bool):
         raise ConfigInvalid(f"{where}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
@@ -49,15 +77,15 @@ def parse_number(value, where: str = "value") -> float:
         if match:
             fn, arg = match.groups()
             try:
-                return _FUNCTIONS[fn](parse_number(arg, where))
+                return _FUNCTIONS[fn](parse_number(arg, where, _depth + 1))
             except (ValueError, OverflowError) as exc:
                 raise ConfigInvalid(f"{where}: cannot evaluate {value!r} ({exc})") from exc
         if "/" in text:
             num, _, den = text.partition("/")
-            denominator = parse_number(den, where)
+            denominator = parse_number(den, where, _depth + 1)
             if denominator == 0:
                 raise ConfigInvalid(f"{where}: zero denominator in {value!r}")
-            return parse_number(num, where) / denominator
+            return parse_number(num, where, _depth + 1) / denominator
         try:
             return float(text)
         except ValueError:
@@ -213,6 +241,119 @@ def check_tolerance(value: float, where: str) -> float:
     return value
 
 
+# -- reading a file: numeric rows cast directly, the rest by PyYAML ------------
+
+#: One row's tokens: plain floats and ints as YAML 1.1 resolves them, and
+#: double-quoted complex literals, comma-and-space separated.
+_TOKEN = r'(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|[-+]?(?:0|[1-9][0-9]*)|"[0-9.eE+\-j]+")'
+_ROW_RE = re.compile(f"{_TOKEN}(?:, {_TOKEN})*")
+
+#: Stands in for a block of rows in the text PyYAML reads; a file holding it
+#: is read by PyYAML whole.
+_PLACEHOLDER = "weylscale-rows-"
+
+
+def _cast_row(tokens: str) -> list | None:
+    """The list PyYAML builds from the flow row ``[tokens]``, or None outside the grammar."""
+    if not _ROW_RE.fullmatch(tokens):
+        return None
+    try:
+        return [t[1:-1] if t[0] == '"' else float(t) if "." in t else int(t) for t in tokens.split(", ")]
+    except ValueError:  # an int beyond Python's digit limit
+        return None
+
+
+def _take_rows(text: str) -> tuple[str, dict] | None:
+    """``text`` with its row blocks replaced by placeholders, and each placeholder's rows.
+
+    The rows under a ``matrix:`` key line become the one row ``- "<placeholder>"``
+    and an ``explicit: [[...]]`` line becomes ``explicit: ["<placeholder>"]``.
+    Both keep the place of the block in the YAML structure, so wherever
+    PyYAML reads the stand-in as the whole value of a key, it reads the block
+    there too.  None when there is no block, or when a line that starts
+    with ``matrix:`` or ``explicit:`` (after its indent) is not in this layout
+    or holds a token outside the grammar.
+    """
+    if _PLACEHOLDER in text:
+        return None
+    lines = text.split("\n")
+    kept, blocks = [], {}
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        i += 1
+        body = line.lstrip(" ")
+        placeholder = f"{_PLACEHOLDER}{len(blocks)}"
+        if body.startswith("matrix:"):
+            first = lines[i] if i < len(lines) else ""
+            if body != "matrix:" or not first.lstrip(" ").startswith("- ["):
+                return None
+            prefix = first[: first.index("-")] + "- ["
+            rows = []
+            while i < len(lines) and lines[i].startswith(prefix):
+                row = lines[i]
+                rows.append(_cast_row(row[len(prefix) : -1]) if row.endswith("]") else None)
+                i += 1
+            if None in rows:
+                return None
+            blocks[placeholder] = rows
+            kept += [line, f'{prefix[:-1]}"{placeholder}"']
+        elif body.startswith("explicit:"):
+            rows = [_cast_row(tokens) for tokens in body[12:-2].split("], [")]
+            if not (body.startswith("explicit: [[") and body.endswith("]]")) or None in rows:
+                return None
+            blocks[placeholder] = rows
+            kept.append(f'{line[: len(line) - len(body)]}explicit: ["{placeholder}"]')
+        else:
+            kept.append(line)
+    return ("\n".join(kept), blocks) if blocks else None
+
+
+def _splice(document, blocks: dict) -> bool:
+    """Put each block's rows in place of its stand-in, in place.
+
+    True when every stand-in was met as the whole value of a key in nested
+    mappings; otherwise PyYAML read some block as something else (text in a
+    block scalar, say), or it sits in a list, and the file must be read whole.
+    """
+    pending = dict(blocks)
+    stack, seen = [document], set()
+    while stack:
+        mapping = stack.pop()
+        if not isinstance(mapping, dict) or id(mapping) in seen:
+            continue
+        seen.add(id(mapping))
+        for key, value in mapping.items():
+            if type(value) is list and len(value) == 1 and type(value[0]) is str and value[0] in pending:
+                mapping[key] = pending.pop(value[0])
+            else:
+                stack.append(value)
+    return not pending
+
+
+def _load_yaml(text: str, name: str):
+    """The document PyYAML's safe loader builds from ``text``, read as the file ``name``.
+
+    The rows ``_take_rows`` finds are cast here and only the rest goes
+    through PyYAML.  If that rest is not valid YAML, or a block did not land
+    as the value of its key, the whole text goes through PyYAML, so the
+    document and any error (line and column included) are PyYAML's.
+    """
+    taken = _take_rows(text)
+    if taken is not None:
+        stripped, blocks = taken
+        try:
+            document = yaml.load(stripped, Loader=_YAML_LOADER)
+        except yaml.YAMLError:
+            pass
+        else:
+            if _splice(document, blocks):
+                return document
+    stream = io.StringIO(text)
+    stream.name = name
+    return yaml.load(stream, Loader=_YAML_LOADER)
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved experiment inputs shared by every suite."""
@@ -345,9 +486,11 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                raw = yaml.load(handle, Loader=_YAML_LOADER)
-        except OSError as exc:
+                text, name = handle.read(), handle.name
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigInvalid(f"config file: {exc}") from exc
+        try:
+            raw = _load_yaml(text, name)
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"config file: invalid YAML ({exc})") from exc
         return cls.from_dict(raw or {})

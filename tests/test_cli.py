@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import weylscale
 from weylscale.cli import build_parser, main
-from weylscale.config import ExperimentConfig, parse_complex, parse_number
+from weylscale.config import MAX_EXPRESSION_DEPTH, ExperimentConfig, parse_complex, parse_number
 from weylscale.errors import ConfigInvalid
 from weylscale.report import ReportRecord, render_object, render_table
 from weylscale.runner import (
@@ -57,6 +57,12 @@ class TestNumberParsing:
         for bad in ("spam", "1/0", None, [1], "ln(-1)", "sqrt(-4)", "exp(1000)", "log(0)", 10**400):
             with pytest.raises(ConfigInvalid):
                 parse_number(bad)
+
+    def test_nesting_depth_is_bounded(self):
+        assert parse_number("sqrt" * MAX_EXPRESSION_DEPTH + "4") == pytest.approx(1.0)
+        for deep in ("sqrt" * (MAX_EXPRESSION_DEPTH + 1) + "4", "1/" * (MAX_EXPRESSION_DEPTH + 1) + "1"):
+            with pytest.raises(ConfigInvalid, match=f"^beta: expression nested more than {MAX_EXPRESSION_DEPTH} levels deep$"):
+                parse_number(deep, "beta")
 
     def test_complex_forms(self):
         assert parse_complex("1+2j") == 1 + 2j
@@ -1056,6 +1062,22 @@ def test_module_entry_point_matches_main(tmp_path, capsys):
     assert spawned.read_bytes() == direct.read_bytes()
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_values: [\xff]\n")
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    assert "config error: config file: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expression", ["ln" * 3000 + "2", "1/" * 3000 + "1"])
+def test_deeply_nested_expression_is_config_error(tmp_path, capsys, expression):
+    path = tmp_path / "config.yaml"
+    path.write_text(f'operator: {{matrix: [[2]]}}\nvectors: {{explicit: [[1]]}}\nh_values: ["{expression}"]\n')
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: h_values[0]: expression nested more than {MAX_EXPRESSION_DEPTH} levels deep" in err
+
+
 class TestSuiteRegistry:
     def test_tol_sets_each_suite_primary_tolerance(self):
         assert {name: suite.tolerance for name, suite in SUITES.items()} == {
@@ -1224,7 +1246,9 @@ def test_positivity_scan_configs_get_clean_verdicts(config):
 # property test: the other four suites, with bad scales and seed overrides
 
 # numbers no suite can use as a scale or inverse temperature, in every input form
-_bad_scalars = st.one_of(_bad_numbers, st.sampled_from(["ln(-1)", "exp(1000)", 10**400]))
+_bad_scalars = st.one_of(
+    _bad_numbers, st.sampled_from(["ln(-1)", "exp(1000)", 10**400, "ln" * 3000 + "2", "1/" * 3000 + "1"])
+)
 
 
 def _scale_list(draw, low, high):

@@ -1,0 +1,277 @@
+"""The config reader: numeric rows cast directly give PyYAML's document, or PyYAML reads the file.
+
+Every case compares ``ExperimentConfig.from_file`` (and the document it
+reads) with plain ``yaml.load`` of the same file followed by ``from_dict``:
+the same document, the same config bit for bit, or the same ``ConfigInvalid``
+message.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylscale import config as config_module
+from weylscale.config import ExperimentConfig, _load_yaml, _take_rows
+from weylscale.errors import ConfigInvalid
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reference(path):
+    """What the file gave before the fast reader: PyYAML on the open file, then from_dict."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = yaml.load(handle, Loader=config_module._YAML_LOADER)
+    except yaml.YAMLError as exc:
+        return "error", f"config file: invalid YAML ({exc})"
+    return "document", document
+
+
+def _outcome(read):
+    try:
+        return "config", _fingerprint(read())
+    except ConfigInvalid as exc:
+        return "error", str(exc)
+
+
+def _operator_bytes(spec):
+    if spec is None:
+        return None
+    return (spec.matrix.tobytes(), spec.matrix.dtype.str) if spec.is_matrix else repr(spec.atoms)
+
+
+def _fingerprint(config):
+    """Every field of a config, floats and arrays by their bits."""
+    vectors = config.vectors_explicit
+    return (
+        _operator_bytes(config.operator),
+        _operator_bytes(config.hamiltonian),
+        repr(config.beta),
+        config.dimension,
+        None if vectors is None else [(v.tobytes(), v.dtype.str) for v in vectors],
+        (config.random_count, config.random_sets, config.seed),
+        repr(config.h_values),
+        config.t_grid.tobytes(),
+        repr(config.tolerances),
+        config.output_format,
+        config.cutoff,
+    )
+
+
+def assert_reads_like_pyyaml(path):
+    text = Path(path).read_text(encoding="utf-8")
+    kind, reference = _reference(path)
+    if kind == "document":
+        assert repr(_load_yaml(text, str(path))) == repr(reference)
+        expected = _outcome(lambda: ExperimentConfig.from_dict(reference or {}))
+    else:
+        with pytest.raises(yaml.YAMLError) as info:
+            _load_yaml(text, str(path))
+        assert f"config file: invalid YAML ({info.value})" == reference
+        expected = ("error", reference)
+    assert _outcome(lambda: ExperimentConfig.from_file(path)) == expected
+
+
+# ---------------------------------------------------------------------------
+# table: inputs the reader must hand to PyYAML, or cast exactly as PyYAML does
+
+BASE = """operator:
+  kms:
+    beta: 1.0
+    matrix:
+      - [1.5, 0.25]
+      - [0.25, 2.0]
+vectors:
+  explicit: [["0.5+0.5j", "1.0-0.25j"], [1.0, 0.0]]
+h_values: [0.5, 1.0]
+"""
+
+QUIRK_TOKENS = ["1e-05", "1.5e10", "012", "0x1F", "1_000", "190:20", ".inf", ".5", "+1"]
+
+CASES = {
+    **{f"matrix-{token}": BASE.replace("[1.5, 0.25]", f"[1.5, {token}]") for token in QUIRK_TOKENS},
+    **{f"symmetric-{token}": BASE.replace("0.25", token) for token in QUIRK_TOKENS},
+    **{f"explicit-{token}": BASE.replace("[1.0, 0.0]]", f"[1.0, {token}]]") for token in QUIRK_TOKENS},
+    "fast-path": BASE,
+    "comment-on-row": BASE.replace("- [0.25, 2.0]", "- [0.25, 2.0]  # second row"),
+    "comment-after-explicit": BASE.replace("0.0]]", "0.0]]  # two vectors"),
+    "comment-between-rows": BASE.replace("      - [0.25", "      # second\n      - [0.25"),
+    "anchored-row": BASE.replace("- [1.5, 0.25]", "- &a [1.5, 0.25]") + "t_grid: *a\n",
+    "anchored-second-row": BASE.replace("- [0.25, 2.0]", "- &a [0.25, 2.0]")
+    + "h_grid: {start: 0.5, stop: 1.0, count: 2}\nt_grid: *a\n",
+    "aliased-mapping": BASE.replace("  kms:\n", "  kms: &k\n") + "experiment: *k\n",
+    "block-scalar": "experiment: |\n  matrix:\n    - [1.0, 2.0]\n  explicit: [[1.0]]\n" + BASE,
+    "folded-scalar": BASE + "experiment: >\n  matrix:\n    - [1.0, 2.0]\n",
+    "two-matrix-keys": BASE.replace("  kms:\n", "  matrix:\n    - [3.0]\n  kms:\n"),
+    "duplicate-matrix-key": BASE.replace("      - [0.25, 2.0]\n", "      - [0.25, 2.0]\n    matrix:\n      - [2.0]\n"),
+    "row-at-key-indent": BASE.replace("      - [", "    - ["),
+    "row-less-than-key": BASE.replace("      - [", "  - ["),
+    "rows-of-two-indents": BASE.replace("      - [0.25", "        - [0.25"),
+    "empty-row": BASE.replace("- [0.25, 2.0]", "- []"),
+    "empty-explicit-row": BASE.replace("[1.0, 0.0]]", "[]]"),
+    "syntax-error-below-rows": BASE + "t_grid: [1.0, 2.0\n",
+    "syntax-error-above-rows": "h_grid: {start: 1\n" + BASE,
+    "tab-in-row": BASE.replace("- [1.5, 0.25]", "- [1.5,\t0.25]"),
+    "row-pair": BASE.replace("[1.0, 0.0]]", "[[1.0, 0.5], 0.0]]"),
+    "row-no-space": BASE.replace("- [1.5, 0.25]", "- [1.5,0.25]"),
+    "row-trailing-space": BASE.replace("- [1.5, 0.25]", "- [1.5, 0.25] "),
+    "quoted-expression": BASE.replace("[1.0, 0.0]]", '["ln2", 0.0]]'),
+    "single-quoted": BASE.replace("[1.0, 0.0]]", "['1.0', 0.0]]"),
+    "flow-mapping": 'operator: {kms: {beta: 1.0,\n  matrix:\n    - [1.5]\n  }}\nh_values: [1.0]\n',
+    "flow-explicit": "operator: {matrix: [[2.0]]}\nvectors: {a: 1,\n  explicit: [[1.0]]\n  }\n",
+    "placeholder-text": BASE + "experiment: [weylscale-rows-0]\n",
+    "escaped-quote": BASE.replace("[1.0, 0.0]]", '["\\x31.5", 0.0]]'),
+    "multi-document": BASE + "---\nh_values: [1.0]\n",
+    "top-level-list": "- matrix:\n    - [1.0]\n",
+    "block-in-list": BASE + "experiment:\n  -\n    matrix:\n      - [1.0]\n",
+    "key-with-comment": BASE.replace("    matrix:\n", "    matrix:  # H\n"),
+    "big-int": BASE.replace("[1.0, 0.0]]", "[1" + "0" * 400 + ", 0.0]]"),
+    "signed-zeros": BASE.replace("[1.0, 0.0]]", "[-0.0, +0.0], [-0, +0]]"),
+    "crlf": BASE.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_reader_agrees_with_pyyaml(tmp_path, name):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(CASES[name].encode("utf-8"))
+    assert_reads_like_pyyaml(path)
+
+
+@pytest.mark.parametrize(
+    "token, taken",
+    [(token, False) for token in QUIRK_TOKENS if token != "+1"]
+    + [("1.0e5", False), ("00", False), ("1.0 # c", False), ("'1.0'", False), ("~", False), ("true", False)]
+    + [("+1", True), ("-0", True), ("1.e+5", True), ("-2.5E-3", True), ('"1e-05-2.0j"', True)],
+)
+def test_only_the_strict_grammar_is_taken_out(token, taken):
+    assert (_take_rows(BASE.replace("[1.5, 0.25]", f"[1.5, {token}]")) is not None) == taken
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "comment-on-row",
+        "comment-after-explicit",
+        "key-with-comment",
+        "anchored-row",
+        "tab-in-row",
+        "row-pair",
+        "row-no-space",
+        "row-trailing-space",
+        "empty-row",
+        "empty-explicit-row",
+        "escaped-quote",
+        "placeholder-text",
+    ],
+)
+def test_other_layouts_send_the_whole_text_to_pyyaml(name):
+    assert _take_rows(CASES[name]) is None
+
+
+# ---------------------------------------------------------------------------
+# property test: documents mixing accepted and fallback tokens
+
+
+_ACCEPTED = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.tuples(st.floats(-10, 10), st.floats(-10, 10)).map(
+        lambda z: f'"{z[0]!r}{"" if z[1] < 0 or repr(z[1]).startswith("-") else "+"}{z[1]!r}j"'
+    ),
+)
+_FALLBACK = st.sampled_from(
+    QUIRK_TOKENS + ["ln2", '"ln(2)"', "[1.0, 0.5]", "'2.0'", "~", "true", ".nan", "-.inf", "1.0  # c", "&x 1.0", "00", '"\\x31.5"']
+)
+_TOKENS = st.integers(0, 9).flatmap(lambda k: _FALLBACK if k == 9 else _ACCEPTED)
+
+
+@st.composite
+def config_texts(draw):
+    dim = draw(st.integers(1, 3))
+    key_pad = draw(st.sampled_from(["  ", "    "]))
+    row_pad = key_pad + draw(st.sampled_from(["  ", "  ", "    ", ""]))
+    lines = ["operator:"]
+    if draw(st.booleans()):
+        lines += ["  kms:", f"    beta: {draw(st.sampled_from(['1.0', '0.5', 'ln2', '1e-05']))}"]
+        key_pad, row_pad = "  " + key_pad, "  " + row_pad
+    lines.append(f"{key_pad}matrix:")
+    for _ in range(dim):
+        lines.append(f"{row_pad}- [{', '.join(draw(_TOKENS) for _ in range(dim))}]")
+    count = draw(st.integers(1, 3))
+    vectors = ", ".join(f"[{', '.join(draw(_TOKENS) for _ in range(dim))}]" for _ in range(count))
+    lines += ["vectors:", f"  explicit: [{vectors}]"]
+    lines.append(f"h_values: [{', '.join(draw(_TOKENS) for _ in range(draw(st.integers(1, 3))))}]")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\nt_grid: [1.0, 2.0\n"]))
+
+
+@settings(max_examples=200)
+@given(config_texts())
+def test_mixed_documents_read_like_pyyaml(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mixed") / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_pyyaml(path)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's layout takes the fast path
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def yaml_inputs(monkeypatch):
+    """The text of every ``yaml.load`` call the config module makes."""
+    seen = []
+    load = yaml.load
+
+    def recording_load(stream, Loader):
+        seen.append(stream if isinstance(stream, str) else stream.getvalue())
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", recording_load)
+    return seen
+
+
+def test_benchmark_layout_sends_only_the_other_lines_to_pyyaml(tmp_path, yaml_inputs):
+    workloads = _workloads()
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.5, 3.0, 128)
+    hamiltonian = workloads.block_rotated(values, rng, 4)
+    vectors = workloads.complex_vectors(rng, 160, 6, 0.3)
+    covariance = workloads.dense_hermitian(rng.uniform(1.5, 3.0, 6), rng)
+    documents = {
+        "kms": {
+            "operator": {"kms": {"beta": 1.0, "matrix": hamiltonian.tolist()}},
+            "vectors": {"random": {"count": 1, "seed": 3}},
+            "h_values": [0.7, 1.0, 2.0],
+        },
+        "positivity": {
+            "operator": {"matrix": covariance.tolist()},
+            "vectors": {"explicit": vectors.tolist()},
+            "h_values": [0.5, 1.5],
+        },
+    }
+    for name, document in documents.items():
+        path = tmp_path / f"{name}.yaml"
+        workloads.write_config(str(path), document)
+        text = path.read_text(encoding="utf-8")
+        yaml_inputs.clear()
+        config = ExperimentConfig.from_file(path)
+        (seen,) = yaml_inputs
+        assert len(seen.splitlines()) == len(text.splitlines()) - (128 if name == "kms" else 6) + 1
+        assert len(seen) < 300 < len(text) / 100
+        yaml_inputs.clear()
+        assert _fingerprint(config) == _fingerprint(ExperimentConfig.from_dict(yaml.load(text, Loader=yaml.SafeLoader)))
