@@ -3,11 +3,11 @@
 Worked equilibrium cases live at exact spectral points (logarithms,
 rationals), and interval-endpoint semantics downstream depend on hitting
 them without decimal round-off.  Numeric fields therefore accept, besides
-plain decimals, the exact expressions ``"e"``, ``"pi"``, ``"p/q"`` rationals,
-and ``"ln(x)"`` / ``"sqrt(x)"`` / ``"exp(x)"`` with a numeric argument,
-evaluated once at parse time.  An expression nests at most
-``MAX_EXPRESSION_DEPTH`` functions and quotients; a deeper one is a config
-error.
+plain decimals, the exact expressions ``"e"``, ``"pi"``, ``"p/q"`` quotients
+(read left to right), and ``"ln(x)"`` / ``"sqrt(x)"`` / ``"exp(x)"`` with a
+numeric argument, evaluated once at parse time.  An expression nests at most
+``MAX_EXPRESSION_DEPTH`` functions and quotients and has balanced
+parentheses; any other is a config error.
 
 ``ExperimentConfig.from_file`` reads a UTF-8 file as YAML 1.1 with PyYAML's
 safe loader, except that PyYAML does not build one node per matrix or vector
@@ -36,6 +36,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import yaml
@@ -52,14 +53,47 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FUNCTIONS = {"ln": math.log, "log": math.log, "sqrt": math.sqrt, "exp": math.exp}
 _CONSTANTS = {"e": math.e, "pi": math.pi, "inf": INF, "INF": INF}
 
-_FUNC_RE = re.compile(r"^(ln|log|sqrt|exp)\s*\(?\s*([^)]*?)\s*\)?$")
+#: A function name and the rest of the expression: its argument, in
+#: parentheses or, without them, all of the rest (``"ln2/3"`` is ``ln(2/3)``).
+_FUNC_RE = re.compile(r"(ln|log|sqrt|exp)\s*(.*)", re.DOTALL)
 
 #: Deepest nesting of functions and quotients in one exact expression.
 MAX_EXPRESSION_DEPTH = 100
 
 
+def _balanced(text: str) -> bool:
+    """Whether every parenthesis of ``text`` closes one opened before it, and all close."""
+    depth = 0
+    for char in text:
+        if char == "(":
+            depth += 1
+        elif char == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
+def _last_quotient_slash(text: str) -> int:
+    """Index of the last ``/`` outside parentheses of a balanced ``text``, or -1."""
+    if "(" not in text:
+        return text.rfind("/")
+    depth, slash = 0, -1
+    for i, char in enumerate(text):
+        if char in "()":
+            depth += 1 if char == "(" else -1
+        elif char == "/" and depth == 0:
+            slash = i
+    return slash
+
+
 def parse_number(value, where: str = "value", _depth: int = 0) -> float:
-    """Resolve a decimal or exact-expression scalar to a float."""
+    """Resolve a decimal or exact-expression scalar to a float.
+
+    A chain of quotients is read left to right (``"1/2/4"`` is 0.125), and a
+    function applies to its parenthesized argument (``"ln(2)/3"``) or, without
+    parentheses, to all of the rest of the text (``"ln2/3"``).
+    """
     if _depth > MAX_EXPRESSION_DEPTH:
         raise ConfigInvalid(f"{where}: expression nested more than {MAX_EXPRESSION_DEPTH} levels deep")
     if isinstance(value, bool):
@@ -73,19 +107,26 @@ def parse_number(value, where: str = "value", _depth: int = 0) -> float:
         text = value.strip()
         if text in _CONSTANTS:
             return _CONSTANTS[text]
-        match = _FUNC_RE.match(text)
+        # the parts a balanced text is split into below are balanced, so check once
+        if _depth == 0 and not _balanced(text):
+            raise ConfigInvalid(f"{where}: unbalanced parentheses in {value!r}")
+        match = _FUNC_RE.fullmatch(text)
         if match:
             fn, arg = match.groups()
-            try:
-                return _FUNCTIONS[fn](parse_number(arg, where, _depth + 1))
-            except (ValueError, OverflowError) as exc:
-                raise ConfigInvalid(f"{where}: cannot evaluate {value!r} ({exc})") from exc
-        if "/" in text:
-            num, _, den = text.partition("/")
-            denominator = parse_number(den, where, _depth + 1)
+            if arg.startswith("("):
+                # "ln(2)/3" is a quotient: the function's parentheses must close at the end
+                arg = arg[1:-1] if arg.endswith(")") and _balanced(arg[1:-1]) else None
+            if arg is not None:
+                try:
+                    return _FUNCTIONS[fn](parse_number(arg, where, _depth + 1))
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigInvalid(f"{where}: cannot evaluate {value!r} ({exc})") from exc
+        slash = _last_quotient_slash(text)
+        if slash >= 0:
+            denominator = parse_number(text[slash + 1 :], where, _depth + 1)
             if denominator == 0:
                 raise ConfigInvalid(f"{where}: zero denominator in {value!r}")
-            return parse_number(num, where, _depth + 1) / denominator
+            return parse_number(text[:slash], where, _depth + 1) / denominator
         try:
             return float(text)
         except ValueError:
@@ -135,7 +176,7 @@ def _real_rows(rows: list) -> np.ndarray | None:
     or an int too large for a float, returns None so the per-entry parser
     reports it.
     """
-    if not all(type(x) in (int, float) for row in rows for x in row):
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
         return None
     try:
         return np.array(rows, dtype=float)
@@ -257,6 +298,8 @@ def _cast_row(tokens: str) -> list | None:
     """The list PyYAML builds from the flow row ``[tokens]``, or None outside the grammar."""
     if not _ROW_RE.fullmatch(tokens):
         return None
+    if '"' not in tokens and tokens.count(".") == tokens.count(", ") + 1:
+        return list(map(float, tokens.split(", ")))  # a plain float has one dot, an int none
     try:
         return [t[1:-1] if t[0] == '"' else float(t) if "." in t else int(t) for t in tokens.split(", ")]
     except ValueError:  # an int beyond Python's digit limit
@@ -493,6 +536,8 @@ class ExperimentConfig:
             raw = _load_yaml(text, name)
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"config file: invalid YAML ({exc})") from exc
+        except ValueError as exc:  # from PyYAML's constructors: an int over Python's digit limit, say
+            raise ConfigInvalid(f"config file: {exc}") from exc
         return cls.from_dict(raw or {})
 
     # -- derived views --------------------------------------------------------

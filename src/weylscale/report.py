@@ -54,6 +54,30 @@ def _array_text(items: list, ndim: int, entry) -> str:
     return "[" + ", ".join(_array_text(row, ndim - 1, entry) for row in items) + "]"
 
 
+#: One entry of an array row, as format_float and _format_complex write a finite one.
+_ROW_ENTRY = {np.dtype(np.float64): "%.17g", np.dtype(np.complex128): '{"re": %.17g, "im": %.17g}'}
+
+
+def _row_text(value: np.ndarray) -> str | None:
+    """A finite 1-d or 2-d float64 or complex128 array of two or more entries formatted
+    with one ``%`` per row (over the real and imaginary parts of a complex row); None
+    otherwise, for the per-entry path, which is as quick on a single entry.
+
+    ``%.17g`` writes a non-finite float as ``nan`` or ``inf``, and nothing else it
+    writes holds an ``n``, so such a text falls back to the per-entry path.
+    """
+    entry = _ROW_ENTRY.get(value.dtype)
+    if entry is None or value.ndim > 2 or value.size < 2:
+        return None
+    rows = np.ascontiguousarray(value).view(np.float64)
+    row_format = "[" + ", ".join([entry] * value.shape[-1]) + "]"
+    if value.ndim == 1:
+        text = row_format % tuple(rows.tolist())
+    else:
+        text = "[" + ", ".join([row_format % tuple(row) for row in rows.tolist()]) + "]"
+    return None if "n" in text else text
+
+
 def _render_value(value, pieces: list):
     if value is None:
         pieces.append("null")
@@ -68,8 +92,11 @@ def _render_value(value, pieces: list):
     elif isinstance(value, str):
         pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(value, np.ndarray) and value.dtype.kind in "fc" and value.ndim:
-        entry = _format_complex if value.dtype.kind == "c" else format_float
-        pieces.append(_array_text(value.tolist(), value.ndim, entry))
+        text = _row_text(value)
+        if text is None:
+            entry = _format_complex if value.dtype.kind == "c" else format_float
+            text = _array_text(value.tolist(), value.ndim, entry)
+        pieces.append(text)
     elif isinstance(value, dict):
         pieces.append("{")
         for i, (key, item) in enumerate(value.items()):

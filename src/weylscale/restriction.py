@@ -225,7 +225,8 @@ class NonRegularFunctional(StateFunctional):
 
     def __init__(self, model: RestrictedModel):
         self.model = model
-        self.dimension = model.covariance.require_matrix().shape[0]
+        model.covariance.require_matrix()
+        self.dimension = model.covariance.dimension
         self._scaled_values = model.restricted_covariance.eigenvalues / model.h
 
     def value(self, f) -> complex:

@@ -14,6 +14,13 @@ compare spectral values exactly, with no endpoint tolerance.  Every matrix
 operator is built by :meth:`OperatorSpec.from_eigen`, and bounds the atoms do
 not carry are declared only by :meth:`OperatorSpec.with_declared_bounds`.
 
+A matrix operator holds its eigendecomposition; its dense matrix
+``V diag V*`` is built the first time ``.matrix`` is read, and kept.  Most
+operators of a functional-calculus chain are only read in their eigenbasis,
+so most are never built.  Eigenvalue maps stay scalar (``math`` on each
+value), since numpy's ``exp``, ``log`` and ``power`` may differ from
+``math``'s by an ulp.
+
 Whether a covariance dominates the identity (``A >= I``, or ``A/h >= I`` at
 scale ``h``) is decided only by :func:`dominates_identity`, with the same
 ``ATOM_MERGE_TOL`` slack, and :func:`vector_pair` is the one shape check of a
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -97,6 +104,14 @@ def _merge_sorted_values(values: Sequence[float], counts: Sequence[float]) -> tu
     return tuple(atoms)
 
 
+def _dense_matrix(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Symmetrized ``V diag(eigvals) V*``, read-only."""
+    matrix = eigvecs @ np.diag(eigvals).astype(complex) @ eigvecs.conj().T
+    matrix = (matrix + matrix.conj().T) / 2
+    matrix.flags.writeable = False
+    return matrix
+
+
 def _group_value(group: list[float]) -> float:
     # the mean of one float is that float, so singletons skip np.mean
     return float(group[0]) if len(group) == 1 else float(np.mean(group))
@@ -105,6 +120,9 @@ def _group_value(group: list[float]) -> float:
 def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:
     """Merge sorted matrix eigenvalues into atoms and snap each eigenvalue to
     its atom representative, so interval tests on either are exact."""
+    if np.all(np.diff(eigvals) > ATOM_MERGE_TOL):
+        # the merge loop's own test: every value starts a group of one, kept as it is
+        return eigvals, tuple(Atom(value, 1.0) for value in eigvals.tolist())
     atoms = _merge_sorted_values(eigvals.tolist(), [1.0] * len(eigvals))
     snapped = np.empty_like(eigvals)
     i = 0
@@ -122,16 +140,17 @@ class OperatorSpec:
     Instances are immutable; build them through :func:`make_operator` (or the
     ``from_matrix`` / ``from_atoms`` constructors) so the canonical spectral
     form is always in place.  Equality is identity, since the fields hold
-    arrays.
+    arrays.  ``_matrix`` caches the dense matrix of a matrix operator once
+    :attr:`matrix` has built it.
     """
 
     variant: str
-    matrix: np.ndarray | None
     eigenvalues: np.ndarray | None
     eigenvectors: np.ndarray | None
     atoms: tuple[Atom, ...]
     declared_infimum: float | None = None
     declared_supremum: float | None = None
+    _matrix: np.ndarray | None = field(default=None, repr=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -152,15 +171,14 @@ class OperatorSpec:
     def from_eigen(
         cls, eigvals: np.ndarray, eigvecs: np.ndarray, matrix: np.ndarray | None = None
     ) -> "OperatorSpec":
-        """Matrix operator of ascending ``eigvals`` on the columns of ``eigvecs``: the values
-        snapped, ``matrix`` rebuilt as symmetrized ``V diag V*`` when absent, all frozen."""
+        """Matrix operator of ascending ``eigvals`` on the columns of ``eigvecs``, all frozen:
+        the values snapped, and ``matrix`` kept when given; otherwise the symmetrized
+        ``V diag V*`` of the snapped values is built on the first read of ``.matrix``."""
         snapped, atoms = _snap_eigenvalues(eigvals)
-        if matrix is None:
-            matrix = eigvecs @ np.diag(snapped).astype(complex) @ eigvecs.conj().T
-            matrix = (matrix + matrix.conj().T) / 2
         for a in (matrix, snapped, eigvecs):
-            a.flags.writeable = False
-        return cls("matrix", matrix, snapped, eigvecs, atoms)
+            if a is not None:
+                a.flags.writeable = False
+        return cls("matrix", snapped, eigvecs, atoms, _matrix=matrix)
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, float]]) -> "OperatorSpec":
@@ -178,7 +196,7 @@ class OperatorSpec:
             cleaned.append((value, mult))
         cleaned.sort(key=lambda p: p[0])
         atoms = _merge_sorted_values([p[0] for p in cleaned], [p[1] for p in cleaned])
-        return cls("spectral", None, None, None, atoms)
+        return cls("spectral", None, None, atoms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -187,16 +205,23 @@ class OperatorSpec:
         return self.variant == "matrix"
 
     @property
+    def matrix(self) -> np.ndarray | None:
+        """The dense Hermitian matrix (None for the spectral variant), built on first read."""
+        if self._matrix is None and self.is_matrix:
+            object.__setattr__(self, "_matrix", _dense_matrix(self.eigenvalues, self.eigenvectors))
+        return self._matrix
+
+    @property
     def dimension(self) -> float:
         """Total dimension: matrix size, or sum of multiplicities (may be INF)."""
         if self.is_matrix:
-            return self.matrix.shape[0]
+            return self.eigenvalues.shape[0]
         return sum(a.multiplicity for a in self.atoms)
 
-    def require_matrix(self) -> np.ndarray:
+    def require_matrix(self) -> None:
+        """SpectralVariantHasNoVectors unless this is a matrix operator."""
         if not self.is_matrix:
             raise SpectralVariantHasNoVectors("operation needs concrete eigenvectors")
-        return self.matrix
 
     def with_declared_bounds(
         self, infimum: float | None = None, supremum: float | None = None
@@ -285,6 +310,8 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
             y = fn(float(x))
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise DomainViolation(f"map undefined at spectral point {x}: {exc}") from exc
+        if type(y) is float and math.isfinite(y):
+            return y
         y = complex(y)
         if abs(y.imag) > 1e-12 * max(1.0, abs(y.real)):
             raise DomainViolation(f"map is not real at spectral point {x}: {y}")
@@ -294,7 +321,7 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
         return y
 
     if op.is_matrix:
-        mapped = np.array([evaluate(v) for v in op.eigenvalues])
+        mapped = np.array([evaluate(v) for v in op.eigenvalues.tolist()])
         order = np.argsort(mapped, kind="stable")
         return OperatorSpec.from_eigen(mapped[order], op.eigenvectors[:, order])
 
@@ -302,7 +329,7 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
         ((evaluate(a.value), a.multiplicity) for a in op.atoms), key=lambda p: p[0]
     )
     atoms = _merge_sorted_values([p[0] for p in mapped_pairs], [p[1] for p in mapped_pairs])
-    return OperatorSpec("spectral", None, None, None, atoms)
+    return OperatorSpec("spectral", None, None, atoms)
 
 
 def inf_spectrum(op: OperatorSpec) -> float:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,17 @@ class TestNumberParsing:
             ("3/4", 0.75),
             ("1/3", 1.0 / 3.0),
             ("-2.5e-1", -0.25),
+            # quotients are read left to right
+            ("1/2/4", 0.125),
+            ("8/2/2", 2.0),
+            ("exp(1)/exp(1)/2", 0.5),
+            # a function's parentheses bound its argument; without them it takes the rest
+            ("ln(1/2)/3", math.log(0.5) / 3),
+            ("ln(2)/3", math.log(2) / 3),
+            ("ln2/3", math.log(2 / 3)),
+            ("exp(ln(9)/2)", math.exp(math.log(9) / 2)),
+            ("lnln(4)", math.log(math.log(4))),
+            ("sqrt( 4 )", 2.0),
         ],
     )
     def test_accepted(self, text, expected):
@@ -57,6 +69,16 @@ class TestNumberParsing:
         for bad in ("spam", "1/0", None, [1], "ln(-1)", "sqrt(-4)", "exp(1000)", "log(0)", 10**400):
             with pytest.raises(ConfigInvalid):
                 parse_number(bad)
+
+    @pytest.mark.parametrize("text", ["sqrt(4", "sqrt4)", "ln(2", "(1/2", "1/(2", "ln(2))"])
+    def test_unbalanced_parentheses_rejected(self, text):
+        with pytest.raises(ConfigInvalid, match=r"^beta: unbalanced parentheses in "):
+            parse_number(text, "beta")
+
+    def test_quotient_zero_denominator_anywhere_in_a_chain(self):
+        for text in ("1/0/2", "1/2/0"):
+            with pytest.raises(ConfigInvalid, match="zero denominator"):
+                parse_number(text)
 
     def test_nesting_depth_is_bounded(self):
         assert parse_number("sqrt" * MAX_EXPRESSION_DEPTH + "4") == pytest.approx(1.0)
@@ -1078,6 +1100,40 @@ def test_deeply_nested_expression_is_config_error(tmp_path, capsys, expression):
     assert f"config error: h_values[0]: expression nested more than {MAX_EXPRESSION_DEPTH} levels deep" in err
 
 
+def test_chained_quotients_are_read_left_to_right(tmp_path):
+    path, out = tmp_path / "config.yaml", tmp_path / "report.json"
+    path.write_text(
+        'operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_values: ["1/2/4", "8/2/2", "ln(9)/2/ln(3)"]\n'
+    )
+    assert main(["positivity-scan", "--config", str(path), "--out", str(out)]) == 0
+    cells = json.loads(out.read_text())["cells"]
+    assert [cell["h"] for cell in cells] == [0.125, 2.0, math.log(9) / 2 / math.log(3)]
+
+
+@pytest.mark.parametrize("expression", ["sqrt(4", "sqrt4)"])
+def test_unbalanced_function_argument_is_config_error(tmp_path, capsys, expression):
+    path = tmp_path / "config.yaml"
+    path.write_text(f'operator: {{matrix: [[2]]}}\nvectors: {{explicit: [[1]]}}\nh_values: ["{expression}"]\n')
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    assert f"config error: h_values[0]: unbalanced parentheses in '{expression}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scalar, message",
+    [
+        ("1" + "0" * 5000, "config file: Exceeds the limit (4300 digits) for integer string conversion"),
+        ("2001-13-45", "config file: month must be in 1..12"),
+    ],
+    ids=["int-over-digit-limit", "impossible-date"],
+)
+def test_scalar_pyyaml_cannot_construct_is_config_error(tmp_path, capsys, scalar, message):
+    path, out = tmp_path / "config.yaml", tmp_path / "report.json"
+    path.write_text(f"operator: {{matrix: [[2]]}}\nvectors: {{explicit: [[1]]}}\nh_values: [{scalar}]\n")
+    assert main(["positivity-scan", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSuiteRegistry:
     def test_tol_sets_each_suite_primary_tolerance(self):
         assert {name: suite.tolerance for name, suite in SUITES.items()} == {
@@ -1245,9 +1301,22 @@ def test_positivity_scan_configs_get_clean_verdicts(config):
 # ---------------------------------------------------------------------------
 # property test: the other four suites, with bad scales and seed overrides
 
+class _HugeInt:
+    """An int literal beyond Python's 4300-digit limit; only ``_ConfigDumper`` writes it."""
+
+
+class _ConfigDumper(yaml.SafeDumper):
+    """``yaml.safe_dump``'s dumper, which also writes ``_HugeInt`` as a plain int literal."""
+
+
+_ConfigDumper.add_representer(
+    _HugeInt, lambda dumper, _: dumper.represent_scalar("tag:yaml.org,2002:int", "1" + "0" * 5000)
+)
+
 # numbers no suite can use as a scale or inverse temperature, in every input form
 _bad_scalars = st.one_of(
-    _bad_numbers, st.sampled_from(["ln(-1)", "exp(1000)", 10**400, "ln" * 3000 + "2", "1/" * 3000 + "1"])
+    _bad_numbers,
+    st.sampled_from(["ln(-1)", "exp(1000)", 10**400, "ln" * 3000 + "2", "1/" * 3000 + "1", _HugeInt()]),
 )
 
 
@@ -1378,14 +1447,13 @@ _LARGE_VECTORS_EXAMPLE = {
 @example(("restrict-scan", {**_KMS_EXAMPLE, **_NEAR_EIGENVALUE_EXAMPLE}, None))
 @example(("kms-verify", {**_KMS_EXAMPLE, **_LARGE_VECTORS_EXAMPLE}, None))
 @example(("kms-verify", {**_KMS_EXAMPLE, **_LARGE_VECTORS_EXAMPLE, "h_values": [1e-300]}, None))
+@example(("kms-verify", {**_KMS_EXAMPLE, "h_values": [0.5, _HugeInt()]}, None))
 def test_suite_configs_get_clean_verdicts(drawn):
-    import yaml
-
     suite, config, seed = drawn
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "config.yaml")
         with open(path, "w", encoding="utf-8") as handle:
-            yaml.safe_dump(config, handle)
+            yaml.dump(config, handle, Dumper=_ConfigDumper)
         argv = [suite, "--config", path] + ([] if seed is None else ["--seed", str(seed)])
         reports = []
         for name in ("a.json", "b.json"):
