@@ -34,9 +34,7 @@ from .errors import (
 from .spectral import (
     INF,
     Atom,
-    Interval,
     OperatorSpec,
-    ProjectionSpec,
     apply_function,
     inf_spectrum,
     is_trace_class_minus_identity,
@@ -44,7 +42,6 @@ from .spectral import (
     op_norm,
     quadratic_form,
     spectral_distance,
-    spectral_projection,
 )
 from .weyl import (
     WeylWord,

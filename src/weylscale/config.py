@@ -1,8 +1,8 @@
 """Experiment configuration: YAML documents with exact-expression numbers.
 
 Worked equilibrium cases live at exact spectral points (logarithms,
-rationals), and interval-endpoint semantics downstream depend on hitting
-them without decimal round-off.  Numeric fields therefore accept, besides
+rationals), and the exact eigenvalue comparisons downstream depend on
+hitting them without decimal round-off.  Numeric fields therefore accept, besides
 plain decimals, the exact expressions ``"e"``, ``"pi"``, ``"p/q"`` quotients
 (read left to right), and ``"ln(x)"`` / ``"sqrt(x)"`` / ``"exp(x)"`` with a
 numeric argument, evaluated once at parse time.  An expression nests at most

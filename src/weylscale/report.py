@@ -47,13 +47,6 @@ def _format_complex(z: complex) -> str:
     return '{"re": %s, "im": %s}' % (format_float(z.real), format_float(z.imag))
 
 
-def _array_text(items: list, ndim: int, entry) -> str:
-    """Nested lists from ``ndarray.tolist()``, innermost rows joined in one go."""
-    if ndim == 1:
-        return "[" + ", ".join(map(entry, items)) + "]"
-    return "[" + ", ".join(_array_text(row, ndim - 1, entry) for row in items) + "]"
-
-
 #: One entry of an array row, as format_float and _format_complex write a finite one.
 _ROW_ENTRY = {np.dtype(np.float64): "%.17g", np.dtype(np.complex128): '{"re": %.17g, "im": %.17g}'}
 
@@ -61,7 +54,8 @@ _ROW_ENTRY = {np.dtype(np.float64): "%.17g", np.dtype(np.complex128): '{"re": %.
 def _row_text(value: np.ndarray) -> str | None:
     """A finite 1-d or 2-d float64 or complex128 array of two or more entries formatted
     with one ``%`` per row (over the real and imaginary parts of a complex row); None
-    otherwise, for the per-entry path, which is as quick on a single entry.
+    otherwise, for the per-entry path of ``_render_value``, which is as quick on a
+    single entry.
 
     ``%.17g`` writes a non-finite float as ``nan`` or ``inf``, and nothing else it
     writes holds an ``n``, so such a text falls back to the per-entry path.
@@ -91,11 +85,7 @@ def _render_value(value, pieces: list):
         pieces.append(_format_complex(complex(value)))
     elif isinstance(value, str):
         pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(value, np.ndarray) and value.dtype.kind in "fc" and value.ndim:
-        text = _row_text(value)
-        if text is None:
-            entry = _format_complex if value.dtype.kind == "c" else format_float
-            text = _array_text(value.tolist(), value.ndim, entry)
+    elif isinstance(value, np.ndarray) and (text := _row_text(value)) is not None:
         pieces.append(text)
     elif isinstance(value, dict):
         pieces.append("{")

@@ -39,14 +39,11 @@ from .kms import (
 )
 from .spectral import (
     ATOM_MERGE_TOL,
-    Interval,
     OperatorSpec,
-    ProjectionSpec,
     apply_function,
     inf_spectrum,
     op_norm,
     spectral_distance,
-    spectral_projection,
 )
 from .states import StateFunctional, TraceState, evaluate_state
 from .weyl import weyl_multiply
@@ -66,11 +63,13 @@ def lambda_star(h: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class RestrictedModel:
-    """Covariance compressed to the spectral subspace that survives scale h."""
+    """Covariance compressed to the spectral subspace that survives scale h: the
+    eigenvector columns ``selected_indices`` with eigenvalue in ``(h, h_star]``, a
+    suffix of the ascending eigenbasis (empty for a spectral covariance)."""
 
     covariance: OperatorSpec
     h: float
-    projection: ProjectionSpec
+    selected_indices: tuple[int, ...]
     restricted_covariance: OperatorSpec  # A^(h) on the compressed basis
     rescaled_covariance: OperatorSpec  # A^(h) / h
     beta: float | None = None
@@ -81,11 +80,26 @@ class RestrictedModel:
 
     @property
     def subspace_dimension(self) -> float:
-        return self.projection.dimension
+        return self.restricted_covariance.dimension
+
+    def basis(self) -> np.ndarray:
+        """Orthonormal columns spanning the subspace (matrix covariance only)."""
+        self.covariance.require_matrix()
+        return self.covariance.eigenvectors[:, list(self.selected_indices)]
+
+    def project(self, f) -> np.ndarray:
+        """Orthogonal projection of f onto the subspace."""
+        v = self.basis()
+        return v @ (v.conj().T @ np.asarray(f, dtype=complex))
+
+    def residual(self, f) -> float:
+        """Distance of f from the subspace."""
+        f = np.asarray(f, dtype=complex)
+        return float(np.linalg.norm(f - self.project(f)))
 
     def compress(self, f) -> np.ndarray:
         """Coordinates of a subspace vector in the compressed eigenbasis."""
-        return self.projection.basis().conj().T @ np.asarray(f, dtype=complex)
+        return self.basis().conj().T @ np.asarray(f, dtype=complex)
 
 
 def restricted_model(
@@ -104,17 +118,19 @@ def restricted_model(
     h_star = op_norm(covariance)
     if not 1 < h < h_star:
         raise ScaleOutOfRange(f"scale parameter {h} outside (1, {h_star})")
-    projection = spectral_projection(covariance, Interval(h, h_star, False, True))
     if covariance.is_matrix:
+        eigs = covariance.eigenvalues
+        selected = tuple(np.flatnonzero((eigs > h) & (eigs <= h_star)).tolist())
         # A^(h) is diagonal in the covariance's eigenbasis, so it needs no eigh; its
         # matrix keeps the selected values, which a second snap may move by an ulp
-        values = covariance.eigenvalues[list(projection.selected_indices)]
+        values = eigs[list(selected)]
         restricted = OperatorSpec.from_eigen(
             values, np.eye(len(values), dtype=complex), np.diag(values).astype(complex)
         )
     else:
+        selected = ()
         restricted = OperatorSpec.from_atoms(
-            [(a.value, a.multiplicity) for a in projection.selected_atoms]
+            [(a.value, a.multiplicity) for a in covariance.atoms if h < a.value <= h_star]
         )
     # every selected eigenvalue is above h, so A^(h)/h >= I holds by construction
     rescaled = apply_function(restricted, lambda lam: lam / h)
@@ -138,7 +154,7 @@ def restricted_model(
     return RestrictedModel(
         covariance=covariance,
         h=float(h),
-        projection=projection,
+        selected_indices=selected,
         restricted_covariance=restricted,
         rescaled_covariance=rescaled,
         beta=None if beta is None else float(beta),
@@ -164,13 +180,8 @@ def spectral_correspondence_check(
     if spectral_distance(rebuilt, covariance) > 1e-10:
         raise ModelMismatch("covariance does not match the hamiltonian at this beta")
     h_star = op_norm(rebuilt)
-    cov_interval = Interval(h, h_star, False, True)
     e_eps = math.exp(inf_spectrum(hamiltonian))
-    if h > 1:
-        lam_upper = lambda_star(h, beta)
-    else:
-        lam_upper = math.inf
-    delta_interval = Interval(e_eps, lam_upper, True, False)
+    lam_upper = lambda_star(h, beta) if h > 1 else math.inf
     delta = apply_function(hamiltonian, math.exp)
     cov_atoms = [a.value for a in rebuilt.atoms]
     delta_atoms = sorted((a.value for a in delta.atoms), reverse=True)
@@ -179,7 +190,7 @@ def spectral_correspondence_check(
     if len(cov_atoms) != len(delta_atoms):
         raise ModelMismatch("covariance and hamiltonian have different atom counts")
     for a_value, d_value in zip(cov_atoms, delta_atoms):
-        if cov_interval.contains(a_value) != delta_interval.contains(d_value):
+        if (h < a_value <= h_star) != (e_eps <= d_value < lam_upper):
             return False
     return True
 
@@ -199,7 +210,7 @@ def restricted_kms_residuals(
     if model.beta is None or model.restricted_modular is None:
         raise ModelMismatch("restricted model carries no modular data; rebuild with beta")
     for name, vec in (("f", f), ("g", g)):
-        residual = model.projection.residual(vec)
+        residual = model.residual(vec)
         if residual > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(vec))):
             raise VectorOutsideSubspace(
                 f"vector {name} has projection residual {residual:.3e}"
@@ -230,7 +241,7 @@ class NonRegularFunctional(StateFunctional):
         self._scaled_values = model.restricted_covariance.eigenvalues / model.h
 
     def value(self, f) -> complex:
-        if self.model.projection.residual(f) > SUBSPACE_TOL:
+        if self.model.residual(f) > SUBSPACE_TOL:
             return 0.0
         coords = self.model.compress(f)
         exponent = float(np.vdot(coords, self._scaled_values * coords).real)
@@ -288,10 +299,8 @@ def limit_to_trace_state(covariance: OperatorSpec, f, h_grid) -> TraceLimitRepor
     covariance.require_matrix()
     f = np.asarray(f, dtype=complex)
     h_star = op_norm(covariance)
-    top = spectral_projection(
-        covariance, Interval(h_star, h_star, True, True)
-    )
-    inside = top.apply(f)
+    top = covariance.eigenvectors[:, np.flatnonzero(covariance.eigenvalues == h_star).tolist()]
+    inside = top @ (top.conj().T @ f)
     top_overlap = float(np.linalg.norm(inside))
     stays = float(np.linalg.norm(f - inside)) <= SUBSPACE_TOL
     values = []

@@ -188,7 +188,7 @@ def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) ->
     ``f`` and ``g`` are projected onto the restricted subspace first.  Returns
     whether the unrescaled and the rescaled residuals both meet ``tol``.
     """
-    f, g = rmodel.projection.apply(f), rmodel.projection.apply(g)
+    f, g = rmodel.project(f), rmodel.project(g)
     base = restricted_kms_residuals(rmodel, f, g, t_grid)
     rescaled = restricted_kms_residuals(rmodel, f, g, t_grid, rescaled=True)
     cell["max_r0"] = float(np.max(base.r0))
@@ -538,7 +538,7 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
     dim = covariance.dimension
     tol = config.tolerances["residual"]
     h_star = op_norm(covariance)
-    has_kms = config.hamiltonian is not None and config.beta is not None
+    has_kms = config.hamiltonian is not None
 
     previous: tuple[float, tuple[int, ...]] | None = None
     for h in config.h_values:
@@ -549,7 +549,7 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
         except WeylscaleError as exc:
             record.cells.append({"h": float(h), "error": str(exc), "ok": False})
             continue
-        selection = rmodel.projection.selected_indices
+        selection = rmodel.selected_indices
         if previous is None:
             nested = True
         else:
@@ -568,10 +568,10 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
             "nested": nested,
         }
         checks = [cell["rescaled_dominates_identity"], nested]
-        excluded = [i for i in range(dim) if i not in selection]
-        if excluded:
+        if len(selection) < dim:
+            # the selection is a suffix of the eigenbasis, so column 0 is excluded
             functional = NonRegularFunctional(rmodel)
-            direction = covariance.eigenvectors[:, excluded[0]]
+            direction = covariance.eigenvectors[:, 0]
             values = [functional.value(t * direction) for t in (0.0, 0.5, 1.0)]
             dichotomy = values[0] == 1.0 and values[1] == 0.0 and values[2] == 0.0
             cell["dichotomy_exact"] = dichotomy

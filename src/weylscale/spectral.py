@@ -9,10 +9,11 @@ admissibility bounds) that only depend on spectral data.
 
 Eigenvalues are canonicalized: values closer than ``ATOM_MERGE_TOL`` are
 merged into one atom, and matrix eigenvalues are snapped to their atom
-representative.  Interval selections in :func:`spectral_projection` therefore
-compare spectral values exactly, with no endpoint tolerance.  Every matrix
-operator is built by :meth:`OperatorSpec.from_eigen`, and bounds the atoms do
-not carry are declared only by :meth:`OperatorSpec.with_declared_bounds`.
+representative.  Selections by eigenvalue (the restricted subspace of
+:mod:`weylscale.restriction`, the top eigenspace) therefore compare spectral
+values exactly, with no endpoint tolerance.  Every matrix operator is built by
+:meth:`OperatorSpec.from_eigen`, and bounds the atoms do not carry are
+declared only by :meth:`OperatorSpec.with_declared_bounds`.
 
 A matrix operator holds its eigendecomposition; its dense matrix
 ``V diag V*`` is built the first time ``.matrix`` is read, and kept.  Most
@@ -68,26 +69,6 @@ class Atom:
         return self.multiplicity == INF
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Real interval with explicit endpoint-inclusion flags."""
-
-    lower: float
-    upper: float
-    include_lower: bool = False
-    include_upper: bool = True
-
-    def contains(self, x: float) -> bool:
-        if self.include_lower:
-            if x < self.lower:
-                return False
-        elif x <= self.lower:
-            return False
-        if self.include_upper:
-            return x <= self.upper
-        return x < self.upper
-
-
 def _merge_sorted_values(values: Sequence[float], counts: Sequence[float]) -> tuple[Atom, ...]:
     """Group sorted values into atoms, merging points within ATOM_MERGE_TOL."""
     atoms: list[Atom] = []
@@ -119,7 +100,7 @@ def _group_value(group: list[float]) -> float:
 
 def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:
     """Merge sorted matrix eigenvalues into atoms and snap each eigenvalue to
-    its atom representative, so interval tests on either are exact."""
+    its atom representative, so comparisons on either are exact."""
     if np.all(np.diff(eigvals) > ATOM_MERGE_TOL):
         # the merge loop's own test: every value starts a group of one, kept as it is
         return eigvals, tuple(Atom(value, 1.0) for value in eigvals.tolist())
@@ -242,43 +223,6 @@ class OperatorSpec:
         return f"OperatorSpec(atoms [{spec}])"
 
 
-@dataclass(frozen=True)
-class ProjectionSpec:
-    """Spectral projection of an operator onto an interval of its spectrum."""
-
-    source: OperatorSpec
-    selected_indices: tuple[int, ...]  # matrix variant: eigenvector columns
-    selected_atoms: tuple[Atom, ...]
-
-    @property
-    def dimension(self) -> float:
-        if self.source.is_matrix:
-            return len(self.selected_indices)
-        return sum(a.multiplicity for a in self.selected_atoms)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.dimension == 0
-
-    def basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the range (matrix variant only)."""
-        self.source.require_matrix()
-        return self.source.eigenvectors[:, list(self.selected_indices)]
-
-    def as_matrix(self) -> np.ndarray:
-        v = self.basis()
-        return v @ v.conj().T
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        v = self.basis()
-        return v @ (v.conj().T @ np.asarray(f, dtype=complex))
-
-    def residual(self, f: np.ndarray) -> float:
-        """Distance of f from the range of the projection."""
-        f = np.asarray(f, dtype=complex)
-        return float(np.linalg.norm(f - self.apply(f)))
-
-
 def make_operator(data) -> OperatorSpec:
     """Build an operator from square matrix entries or an atom list.
 
@@ -371,20 +315,6 @@ def is_trace_class_minus_identity(op: OperatorSpec) -> bool:
         if atom.infinite and atom.value > 1 + ATOM_MERGE_TOL:
             return False
     return True
-
-
-def spectral_projection(op: OperatorSpec, interval: Interval) -> ProjectionSpec:
-    """Projection onto eigenvectors/atoms with eigenvalue in the interval.
-
-    Endpoint tests are exact on canonicalized spectral values; an empty
-    selection is allowed.
-    """
-    if op.is_matrix:
-        idx = tuple(i for i, v in enumerate(op.eigenvalues) if interval.contains(float(v)))
-        atoms = tuple(a for a in op.atoms if interval.contains(a.value))
-        return ProjectionSpec(op, idx, atoms)
-    atoms = tuple(a for a in op.atoms if interval.contains(a.value))
-    return ProjectionSpec(op, (), atoms)
 
 
 def vector_pair(op: OperatorSpec, f, g) -> tuple[np.ndarray, np.ndarray]:

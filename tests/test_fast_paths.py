@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from weylscale import spectral
 from weylscale.cli import main
-from weylscale.report import _array_text, _format_complex, _row_text, format_float
+from weylscale.report import _render_value, _row_text
 from weylscale.spectral import (
     ATOM_MERGE_TOL,
     OperatorSpec,
@@ -147,8 +147,9 @@ def test_snap_matches_the_loop_with_and_without_clusters(values, spread):
 
 
 def _per_entry(array: np.ndarray) -> str:
-    entry = _format_complex if array.dtype.kind == "c" else format_float
-    return _array_text(array.tolist(), array.ndim, entry)
+    pieces: list = []
+    _render_value(array.tolist(), pieces)
+    return "".join(pieces)
 
 
 _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 1e-300, 2.5]

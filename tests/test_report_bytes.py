@@ -1,9 +1,11 @@
-"""Golden report bytes: the five suites on the worked configs of test_cli.
+"""Golden report bytes: the five suites on the worked configs of test_cli,
+and restrict-scan at two edges of its subspace selection.
 
 Each suite runs through the CLI in both report formats, and the report's
 SHA-256 and the exit code are compared with values recorded before the suite
-runners were restructured, so a change that moves a single byte of a report
-fails here.  Reports print floats to 17 significant digits, so the digests
+runners were restructured (the two restrict-scan edges before the selection
+became a comparison on the covariance eigenvalues), so a change that moves a
+single byte of a report fails here.  Reports print floats to 17 significant digits, so the digests
 depend on the numpy/BLAS build (eigensolver and matrix-product round-off):
 on another build they may differ without any change to the program, and
 must then be recorded again from an unchanged checkout on that build.
@@ -16,12 +18,39 @@ import pytest
 from test_cli import GNS_CONFIG, KMS_CONFIG, POSITIVITY_CONFIG, RESCALE_CONFIG, RESTRICT_CONFIG
 from weylscale.cli import main
 
-CONFIGS = {
-    "positivity-scan": POSITIVITY_CONFIG,
-    "kms-verify": KMS_CONFIG,
-    "gns-check": GNS_CONFIG,
-    "rescale-fock": RESCALE_CONFIG,
-    "restrict-scan": RESTRICT_CONFIG,
+# covariance eigenvalues 1.6666666666666667, 1.9999999999999998 and 3: the first
+# scale is the lowest eigenvalue exactly, which the selection (h, h_star] excludes
+RESTRICT_AT_EIGENVALUE_CONFIG = """
+operator:
+  kms:
+    matrix: [["ln2", 0, 0], [0, "ln3", 0], [0, 0, "ln4"]]
+    beta: 1
+vectors:
+  random: {count: 6, seed: 5}
+h_values: [1.6666666666666667, 1.8, 2.5]
+"""
+
+# hamiltonian eigenvalues 0.5, 0.5 and 1.5: the top covariance eigenvalue
+# (4.082988165073597) is doubly degenerate, so every subspace holds both of its vectors
+RESTRICT_DEGENERATE_TOP_CONFIG = """
+operator:
+  kms:
+    matrix: [[1, 0.5, 0], [0.5, 1, 0], [0, 0, 0.5]]
+    beta: 1
+vectors:
+  random: {count: 6, seed: 5}
+h_values: [1.8, 3.0, 4.0]
+"""
+
+#: golden case -> (suite, config text)
+CASES = {
+    "positivity-scan": ("positivity-scan", POSITIVITY_CONFIG),
+    "kms-verify": ("kms-verify", KMS_CONFIG),
+    "gns-check": ("gns-check", GNS_CONFIG),
+    "rescale-fock": ("rescale-fock", RESCALE_CONFIG),
+    "restrict-scan": ("restrict-scan", RESTRICT_CONFIG),
+    "restrict-scan-at-eigenvalue": ("restrict-scan", RESTRICT_AT_EIGENVALUE_CONFIG),
+    "restrict-scan-degenerate-top": ("restrict-scan", RESTRICT_DEGENERATE_TOP_CONFIG),
 }
 
 GOLDEN = [
@@ -35,15 +64,20 @@ GOLDEN = [
     ("rescale-fock", "table", 0, "17347823d5b1fd0b3af3d17c34dd1102aceba31e4040d1b3565c1f9c44010654"),
     ("restrict-scan", "object", 0, "6d6eeb53e22c2806c920002197476305fc0ce56b8673786ffa27480d264c3940"),
     ("restrict-scan", "table", 0, "311018fa9840e527e95be87e3f3496349f97b00f99a587986464ca233b5354ad"),
+    ("restrict-scan-at-eigenvalue", "object", 0, "c47a9cd6e36addbe7c378c6a4b9131ce3c635f75f1ec427f6191c5c01a3696bb"),
+    ("restrict-scan-at-eigenvalue", "table", 0, "ab2918610e509dadafd823f07f766bf6b8185fce2981d855eeedd2db657ce652"),
+    ("restrict-scan-degenerate-top", "object", 0, "4df216b7e4bb91e1a5bf310e5432c4c0a5fb7e72a01b9046964d555d540942ff"),
+    ("restrict-scan-degenerate-top", "table", 0, "4970ac3b24f2c659281fbbe3d9448cc89c08d9655b7de8f23ffa73e4b31d5bc9"),
 ]
 
 
 @pytest.mark.parametrize(
-    "suite, output_format, exit_code, digest", GOLDEN, ids=[f"{s}-{f}" for s, f, _, _ in GOLDEN]
+    "case, output_format, exit_code, digest", GOLDEN, ids=[f"{c}-{f}" for c, f, _, _ in GOLDEN]
 )
-def test_report_bytes_match_recorded_digest(tmp_path, capsys, suite, output_format, exit_code, digest):
+def test_report_bytes_match_recorded_digest(tmp_path, capsys, case, output_format, exit_code, digest):
+    suite, text = CASES[case]
     config = tmp_path / "config.yaml"
-    config.write_text(CONFIGS[suite])
+    config.write_text(text)
     out = tmp_path / "report"
     argv = [suite, "--config", str(config), "--format", output_format, "--out", str(out)]
     assert main(argv) == exit_code

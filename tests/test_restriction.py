@@ -41,6 +41,8 @@ from weylscale.errors import (
     VectorOutsideSubspace,
 )
 
+from weylscale.spectral import ATOM_MERGE_TOL
+
 from conftest import random_covariance, random_vector, random_word
 
 LOG2 = math.log(2.0)
@@ -83,6 +85,61 @@ class TestRestrictedModel:
         assert inf_spectrum(model.rescaled_covariance) == 1.0
 
 
+class TestSubspaceSelection:
+    """The subspace of a restricted model: covariance eigenvalues in (h, h_star]."""
+
+    def test_scale_at_an_eigenvalue_excludes_it(self):
+        covariance = make_operator(np.diag([1.5, 2.0, 3.0]))
+        assert restricted_model(covariance, 2.0).selected_indices == (2,)
+        assert restricted_model(covariance, 1.5).selected_indices == (1, 2)
+        assert restricted_model(covariance, np.nextafter(2.0, 0.0)).selected_indices == (1, 2)
+
+    def test_top_is_selected_just_below_it(self):
+        model = restricted_model(make_operator(np.diag([1.0, 3.0])), np.nextafter(3.0, 0.0))
+        assert model.selected_indices == (1,)
+        assert np.allclose(model.project(np.eye(2)), np.diag([0.0, 1.0]), atol=1e-12)
+
+    def test_atoms_at_the_scale_are_excluded(self):
+        model = restricted_model(make_operator([(1.5, INF), (3.0, 2)]), 1.5)
+        assert model.selected_indices == ()
+        assert [a.value for a in model.restricted_covariance.atoms] == [3.0]
+        assert model.subspace_dimension == 2
+
+    def test_cluster_is_selected_or_excluded_as_one(self):
+        # 2.0 and 2.0 + TOL/2 snap to their mean, which lies above 2.0
+        values = [1.5, 2.0, 2.0 + 0.5 * ATOM_MERGE_TOL, 3.0]
+        covariance = make_operator(np.diag(values))
+        cluster = covariance.eigenvalues[1]
+        assert covariance.eigenvalues[2] == cluster > 2.0
+        assert restricted_model(covariance, 2.0).selected_indices == (1, 2, 3)
+        assert restricted_model(covariance, cluster).selected_indices == (3,)
+        atoms = make_operator([(1.5, INF), (values[1], 1), (values[2], 1), (3.0, 1)])
+        assert restricted_model(atoms, 2.0).subspace_dimension == 3
+        assert restricted_model(atoms, atoms.atoms[1].value).subspace_dimension == 1
+
+    def test_projection_is_idempotent_and_self_adjoint(self, rng):
+        covariance = random_covariance(rng, 5)
+        values = covariance.eigenvalues
+        model = restricted_model(covariance, 0.5 * (values[1] + values[2]))
+        assert model.selected_indices == (2, 3, 4)
+        p = model.project(np.eye(5))
+        assert np.max(np.abs(p @ p - p)) <= 1e-10
+        assert np.max(np.abs(p - p.conj().T)) <= 1e-10
+        assert model.residual(model.project(random_vector(rng, 5))) <= 1e-12
+
+    def test_degenerate_top_eigenspace_is_flagged(self, rng):
+        gaussian = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q, _ = np.linalg.qr(gaussian)
+        covariance = make_operator(q @ np.diag([1.5, 3.0, 3.0]).astype(complex) @ q.conj().T)
+        assert covariance.eigenvalues[1] == covariance.eigenvalues[2]
+        f = covariance.eigenvectors[:, 1:] @ random_vector(rng, 2)
+        report = limit_to_trace_state(covariance, f, [2.0, 2.9])
+        assert report.stays_in_top_eigenspace
+        assert report.top_overlap == pytest.approx(np.linalg.norm(f))
+        mixed = f + 0.1 * covariance.eigenvectors[:, 0]
+        assert not limit_to_trace_state(covariance, mixed, [2.0, 2.9]).stays_in_top_eigenspace
+
+
 class TestLambdaStar:
     def test_values(self):
         assert lambda_star(3.0, 1.0) == pytest.approx(2.0)
@@ -123,8 +180,8 @@ class TestRestrictedResiduals:
         hamiltonian = make_operator(np.diag([LOG2, math.log(4.0)]))
         base = kms_model(hamiltonian, 1.0)
         model = restricted_model(base.covariance, 2.0, beta=1.0)
-        f = model.projection.apply(random_vector(rng, 2))
-        g = model.projection.apply(random_vector(rng, 2))
+        f = model.project(random_vector(rng, 2))
+        g = model.project(random_vector(rng, 2))
         for rescaled in (False, True):
             report = restricted_kms_residuals(model, f, g, rescaled=rescaled)
             assert report.max_residual <= 1e-10
@@ -173,7 +230,7 @@ class TestNonRegularExtension:
         covariance = make_operator(np.diag([1.0, 3.0]))
         model = restricted_model(covariance, 2.0)
         phi = quasi_free_functional(covariance)
-        basis = model.projection.basis()[:, 0]
+        basis = model.basis()[:, 0]
         for _ in range(20):
             coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             vectors = [c * basis for c in coeffs]
@@ -200,7 +257,7 @@ class TestNonRegularExtension:
         h = 0.5 * (values[1] + values[2])
         model = restricted_model(covariance, h, beta=0.7)
         phi, reference = NonRegularFunctional(model), nonregular_extension(covariance, h)
-        basis = model.projection.basis()
+        basis = model.basis()
         for _ in range(10):
             inside = basis @ random_vector(rng, basis.shape[1])
             for f in (inside, random_vector(rng, 5), 1e3 * inside):
@@ -216,7 +273,7 @@ class TestNonRegularExtension:
         covariance = make_operator(np.diag([1.2, 2.0, 3.0]))
         previous = None
         for h in (1.1, 1.5, 2.1, 2.8):
-            selection = set(restricted_model(covariance, h).projection.selected_indices)
+            selection = set(restricted_model(covariance, h).selected_indices)
             if previous is not None:
                 assert selection <= previous
             previous = selection

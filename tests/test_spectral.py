@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from weylscale import (
     INF,
-    Interval,
     OperatorSpec,
     apply_function,
     inf_spectrum,
@@ -15,7 +14,6 @@ from weylscale import (
     make_operator,
     op_norm,
     quadratic_form,
-    spectral_projection,
 )
 from weylscale.errors import (
     CovarianceBelowIdentity,
@@ -193,39 +191,6 @@ class TestIdentityBound:
 
     def test_covariance_error_is_a_spectrum_error(self):
         assert issubclass(CovarianceBelowIdentity, SpectrumBelowOne)
-
-
-class TestSpectralProjection:
-    def test_selects_upper_eigenvalue(self):
-        op = make_operator(np.diag([1.0, 3.0]))
-        proj = spectral_projection(op, Interval(2.0, 3.0, False, True))
-        assert proj.selected_indices == (1,)
-        assert np.allclose(proj.as_matrix(), np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_empty_projection(self):
-        op = make_operator(np.diag([1.0, 3.0]))
-        proj = spectral_projection(op, Interval(3.0, 4.0, False, True))
-        assert proj.is_zero
-
-    def test_atoms_endpoint_exclusion(self):
-        op = make_operator([(1.0, INF), (3.0, 2)])
-        proj = spectral_projection(op, Interval(1.0, 3.0, False, True))
-        assert [a.value for a in proj.selected_atoms] == [3.0]
-        assert proj.dimension == 2
-
-    def test_idempotent_and_self_adjoint(self, rng):
-        op = random_covariance(rng, 5)
-        proj = spectral_projection(op, Interval(1.5, 3.0, False, True))
-        p = proj.as_matrix()
-        assert np.max(np.abs(p @ p - p)) <= 1e-10
-        assert np.max(np.abs(p - p.conj().T)) <= 1e-10
-
-    def test_endpoints_exact_after_canonicalization(self):
-        op = make_operator(np.diag([2.0, 3.0]))
-        inclusive = spectral_projection(op, Interval(2.0, 3.0, True, True))
-        exclusive = spectral_projection(op, Interval(2.0, 3.0, False, False))
-        assert inclusive.dimension == 2
-        assert exclusive.dimension == 0
 
 
 class TestQuadraticForm:
