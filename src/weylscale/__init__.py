@@ -76,17 +76,10 @@ from .fock import (
     c_parameter,
     check_universal_invariance,
     commutant_residual,
-    gns_annihilation,
-    gns_commutant_weyl_operator,
-    gns_creation,
     gns_expectation,
-    gns_field_operator,
-    gns_number_operator,
-    gns_weyl_operator,
     h_of_c,
     is_quasi_equivalent_to_fock,
     one_particle_number_expectation,
-    truncated_displacement,
     universally_invariant_functional,
     weyl_relation_residual,
 )

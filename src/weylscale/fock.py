@@ -18,35 +18,25 @@ near the top of the ladder, which is why relation residuals are measured on
 the block of occupation numbers up to half the cutoff.  ``expm`` is scipy's,
 imported on first use, so runs that build no displacement never load scipy.
 
-Every doubled operator is a tensor product over the two slots, so products
-factor as ``(A1 (x) A2)(B1 (x) B2) = A1 B1 (x) A2 B2``.  The relation and
-commutant residuals are computed from such slot products on the reliable
-block, and no doubled matrix is formed for them; the max-norm of
-``P (x) Q - R (x) S`` is taken in blocks of ``_KRON_BLOCK_ENTRIES`` entries,
-consecutive entries of ``P`` and ``R`` against all of ``Q`` and ``S``.
+Every doubled operator is a tensor product over the two slots, and each slot
+one over the modes, so no doubled matrix is ever formed: the vacuum element
+factors over slots and modes, and products factor as
+``(A1 (x) A2)(B1 (x) B2) = A1 B1 (x) A2 B2``.  The relation and commutant
+residuals are computed from such slot products on the reliable block; the
+max-norm of ``P (x) Q - R (x) S`` is taken in blocks of
+``_KRON_BLOCK_ENTRIES`` entries, consecutive entries of ``P`` and ``R``
+against all of ``Q`` and ``S``.
 
 A model builds each per-mode displacement once: the matrices are kept, keyed
 on the exact bits of the amplitude, for as long as the model lives, and are
 read-only.  Each entry costs ``(cutoff+1)^2`` complex values (27 KB at cutoff
 40), and a gns-check run holds at most ``2 * modes`` entries per vector and
 per pair.
-
-Ladder operators take the Araki-Woods form
-``a(f) = a(T1 f) (x) I + I (x) a*(J T2 f)``: one Kronecker sum of per-mode
-ladders, ``a`` on the first slot's modes and ``a*`` on the second's.  The
-field operator and the creation operator follow from it as
-``(a + a*)/sqrt(2)`` and ``a*``; the number operator ``a* a`` is assembled
-from slot-sized products of the two Kronecker sums.  These builders and
-``gns_weyl_operator`` with ``gns_commutant_weyl_operator`` return dense
-doubled-space matrices as plain arrays and refuse axes beyond
-``DOUBLED_DIM_CAP``; the last two are the reference the residuals are
-tested against.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 
@@ -72,9 +62,8 @@ from .weyl import WeylWord, sigma
 #: Hard floor on the per-mode occupation cutoff.
 CUTOFF_FLOOR = 4
 
-#: Cap on the doubled-space axis length (cutoff+1)^(2*modes), for the dense
-#: builders (the Weyl, ladder, field and number operators) and for gns-check
-#: configs.
+#: Cap on the doubled-space axis length (cutoff+1)^(2*modes) of gns-check
+#: configs.  No doubled matrix is formed, so it bounds run time, not memory.
 DOUBLED_DIM_CAP = 10_000
 
 #: Entries of ``P (x) Q - R (x) S`` that _kron_difference_max evaluates at
@@ -98,35 +87,6 @@ def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
     """exp(alpha a* - conj(alpha) a) on the truncated ladder."""
     a = _ladder(cutoff)
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
-def _kron_sum(factors: list[np.ndarray]) -> np.ndarray:
-    """Kronecker sum: the sum over k of I (x) ... (x) factors[k] (x) ... (x) I."""
-    eyes = [np.eye(m.shape[0], dtype=complex) for m in factors]
-    return sum(
-        reduce(np.kron, eyes[:k] + [m] + eyes[k + 1 :]) for k, m in enumerate(factors)
-    )
-
-
-def truncated_displacement(alpha, cutoff: int) -> np.ndarray:
-    """Displacement operator D(alpha) on the truncated Fock space.
-
-    ``alpha`` is one complex amplitude per mode; several modes combine by
-    tensor product.  Built as the exponential of the truncated generator, so
-    the matrix is unitary to machine precision and ``<0|D(alpha)|0>`` matches
-    ``exp(-|alpha|^2/2)`` up to truncation leakage.
-    """
-    amplitudes = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    if cutoff < CUTOFF_FLOOR:
-        raise CutoffTooSmall(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
-    recommended = 8 * max(1.0, float(np.max(np.abs(amplitudes)) ** 2))
-    if cutoff < recommended:
-        warnings.warn(
-            f"cutoff {cutoff} below recommended {recommended:.0f} for |alpha| up to "
-            f"{np.max(np.abs(amplitudes)):.3g}; expect visible truncation error",
-            stacklevel=2,
-        )
-    return reduce(np.kron, [_mode_displacement(amp, cutoff) for amp in amplitudes])
 
 
 class GnsModel:
@@ -192,20 +152,6 @@ def check_doubled_cap(model: GnsModel):
         )
 
 
-def gns_weyl_operator(model: GnsModel, f) -> np.ndarray:
-    """The doubled-space matrix representing the generator W_f."""
-    check_doubled_cap(model)
-    return np.kron(*_slot_pair(model, model.slot_amplitudes(f)))
-
-
-def gns_commutant_weyl_operator(model: GnsModel, f) -> np.ndarray:
-    """The swapped-slot matrix that commutes with every gns_weyl_operator."""
-    check_doubled_cap(model)
-    # the commutant's slots are those of pi(W_f), swapped
-    a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
-    return np.kron(a2, a1)
-
-
 def gns_expectation(model: GnsModel, u: WeylWord) -> complex:
     """Vacuum-pair expectation <Omega, pi(u) Omega> of a word.
 
@@ -235,12 +181,6 @@ def _reliable_slot(model: GnsModel) -> np.ndarray:
     """
     occupations = np.indices((model.cutoff + 1,) * model.modes).reshape(model.modes, -1)
     return np.flatnonzero(np.all(occupations <= model.cutoff // 2, axis=0))
-
-
-def _reliable_block(model: GnsModel) -> np.ndarray:
-    """Doubled-space indices of the reliable block: both slots in _reliable_slot."""
-    slot = _reliable_slot(model)
-    return (slot[:, None] * model.slot_dimension + slot[None, :]).ravel()
 
 
 def _kron_difference_max(p, q, r, s) -> float:
@@ -298,58 +238,6 @@ def commutant_residual(model: GnsModel, f, g) -> float:
         b1[keep] @ a1[:, keep],
         b2[keep] @ a2[:, keep],
     )
-
-
-def _slot_ladders(model: GnsModel, f) -> tuple[np.ndarray, np.ndarray]:
-    """Slot-sized ``A``, ``B`` with ``a(f) = A (x) I + I (x) B``.
-
-    ``A`` is the Kronecker sum of ``sqrt(2) i conj(alpha_k) a`` over the first
-    slot's modes and ``B`` that of ``-sqrt(2) i beta_k a*`` over the second's,
-    with ``alpha`` and ``beta`` the slot amplitudes of pi(W_f).
-    """
-    first, second = model.slot_amplitudes(f)
-    a = _ladder(model.cutoff)
-    return (
-        _kron_sum([np.sqrt(2) * 1j * np.conj(alpha) * a for alpha in first]),
-        _kron_sum([-np.sqrt(2) * 1j * beta * a.T for beta in second]),
-    )
-
-
-def gns_annihilation(model: GnsModel, f) -> np.ndarray:
-    """a(f) on the doubled space, antilinear in f (see _slot_ladders)."""
-    check_doubled_cap(model)
-    return _kron_sum(list(_slot_ladders(model, f)))
-
-
-def gns_creation(model: GnsModel, f) -> np.ndarray:
-    """a*(f), the adjoint of gns_annihilation."""
-    return gns_annihilation(model, f).conj().T
-
-
-def gns_field_operator(model: GnsModel, f) -> np.ndarray:
-    """Truncated field operator Phi(f) = (a(f) + a*(f)) / sqrt(2).
-
-    It generates t -> pi(W_{t f}); the Kronecker sum runs over the first
-    slot's modes, then the second's.
-    """
-    a = gns_annihilation(model, f)
-    return (a + a.conj().T) / np.sqrt(2)
-
-
-def gns_number_operator(model: GnsModel, f) -> np.ndarray:
-    """N_f = a*(f) a(f) = A*A (x) I + I (x) B*B + A* (x) B + A (x) B*.
-
-    ``A`` and ``B`` are _slot_ladders; only slot-sized products are formed.
-    """
-    check_doubled_cap(model)
-    a, b = _slot_ladders(model, f)
-    a_adj, b_adj = a.conj().T, b.conj().T
-    eye = np.eye(a.shape[0], dtype=complex)
-    number = np.kron(a_adj @ a, eye)
-    number += np.kron(eye, b_adj @ b)
-    number += np.kron(a_adj, b)
-    number += np.kron(a, b_adj)
-    return number
 
 
 def one_particle_number_expectation(covariance: OperatorSpec, f) -> float:

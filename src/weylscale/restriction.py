@@ -121,8 +121,8 @@ def restricted_model(
     if covariance.is_matrix:
         eigs = covariance.eigenvalues
         selected = tuple(np.flatnonzero((eigs > h) & (eigs <= h_star)).tolist())
-        # A^(h) is diagonal in the covariance's eigenbasis, so it needs no eigh; its
-        # matrix keeps the selected values, which a second snap may move by an ulp
+        # A^(h) is diagonal in the covariance's eigenbasis, so it needs no eigh, and
+        # its matrix is that diagonal, given here in place of a V diag V* product
         values = eigs[list(selected)]
         restricted = OperatorSpec.from_eigen(
             values, np.eye(len(values), dtype=complex), np.diag(values).astype(complex)
@@ -173,8 +173,10 @@ def spectral_correspondence_check(
 
     The covariance must come from the given Hamiltonian at the given beta
     (checked spectrally); the two selections are then compared exactly on the
-    shared spectral atoms.  Above h_star both selections are empty and the
-    check holds vacuously.
+    shared spectral atoms.  They may differ only on a boundary atom, one whose
+    covariance value is within rounding of ``h`` and whose modular value is
+    within rounding of ``lambda_star``.  Above h_star both selections are empty
+    and the check holds vacuously.
     """
     rebuilt = covariance_from_hamiltonian(hamiltonian, beta)
     if spectral_distance(rebuilt, covariance) > 1e-10:
@@ -182,6 +184,20 @@ def spectral_correspondence_check(
     h_star = op_norm(rebuilt)
     e_eps = math.exp(inf_spectrum(hamiltonian))
     lam_upper = lambda_star(h, beta) if h > 1 else math.inf
+    a_tol = d_tol = 0.0
+    if h > 1:
+        # A boundary atom has beta * lambda = x = ln((h+1)/(h-1)).  Its covariance
+        # value (1+w)/(1-w), w = e^-x, takes w's rounding (1+x) times the map's
+        # condition (h^2-1)/(2h) on w; the modular map a -> ((a+1)/(a-1))^(1/beta),
+        # of condition 2h/(beta (h^2-1)), carries that error to lambda_star, beside
+        # the rounding 1 + (1+x)/beta of e^lambda and of the power.  One unit is a
+        # few ulps, for the elementary operations of each map.
+        unit = 4 * np.finfo(float).eps
+        x = math.log((h + 1.0) / (h - 1.0))
+        condition = (h * h - 1.0) / (2.0 * h)
+        a_rel = unit * (1.0 + condition * (1.0 + x))
+        d_rel = unit * (1.0 + (1.0 + x) / beta) + a_rel / (beta * condition)
+        a_tol, d_tol = a_rel * h, d_rel * lam_upper
     delta = apply_function(hamiltonian, math.exp)
     cov_atoms = [a.value for a in rebuilt.atoms]
     delta_atoms = sorted((a.value for a in delta.atoms), reverse=True)
@@ -190,7 +206,9 @@ def spectral_correspondence_check(
     if len(cov_atoms) != len(delta_atoms):
         raise ModelMismatch("covariance and hamiltonian have different atom counts")
     for a_value, d_value in zip(cov_atoms, delta_atoms):
-        if (h < a_value <= h_star) != (e_eps <= d_value < lam_upper):
+        if (h < a_value <= h_star) != (e_eps <= d_value < lam_upper) and not (
+            abs(a_value - h) <= a_tol and abs(d_value - lam_upper) <= d_tol
+        ):
             return False
     return True
 

@@ -94,8 +94,9 @@ def _dense_matrix(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
 
 
 def _group_value(group: list[float]) -> float:
-    # the mean of one float is that float, so singletons skip np.mean
-    return float(group[0]) if len(group) == 1 else float(np.mean(group))
+    # a sorted group of equal floats is its first one (np.mean([0.1] * 3) is an ulp
+    # above 0.1), so snapping snapped values moves none of them
+    return float(group[0]) if group[0] == group[-1] else float(np.mean(group))
 
 
 def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:

@@ -665,6 +665,20 @@ h_values: [2.5, 1.5]
     assert all(cell["nested"] and cell["ok"] for cell in record.cells)
 
 
+def test_restrict_scan_at_an_exact_eigenvalue_keeps_the_correspondence(tmp_path):
+    # 1.9999999999999998 is the middle covariance eigenvalue: e^ln3 rounds below lambda_star
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        'operator: {kms: {matrix: [["ln2", 0, 0], [0, "ln3", 0], [0, 0, "ln4"]], beta: 1}}\n'
+        "vectors: {random: {count: 2, seed: 1}}\n"
+        "h_values: [1.9999999999999998]\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["restrict-scan", "--config", str(path), "--out", str(out)]) == 0
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert cell["subspace_dimension"] == 1 and cell["spectral_correspondence"] is True
+
+
 def test_table_union_of_cell_keys():
     from weylscale.report import render_table
 

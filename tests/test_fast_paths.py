@@ -3,7 +3,7 @@
 - A matrix operator's dense matrix, built on the first read of ``.matrix``,
   equals the eager symmetrized ``V diag V*`` and is read-only.
 - Snapping a gap-separated spectrum as an array gives the atoms and values of
-  the merge loop.
+  the merge loop, and snapping a snapped spectrum moves no value.
 - Rendering an array a row at a time gives the per-entry text.
 - An n = 128 kms-verify job in the benchmark's layout builds three dense
   matrices, so eager rebuilds cannot come back unnoticed.
@@ -128,6 +128,18 @@ def test_snap_at_a_gap_of_exactly_the_merge_tolerance_matches_the_loop():
     assert np.all(np.diff(chain)[:2] == ATOM_MERGE_TOL)
     _assert_snaps_alike(chain)
     assert [a.multiplicity for a in _snap_eigenvalues(chain.copy())[1]] == [2.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("repeat", [2, 3, 5])
+def test_snapping_is_a_fixed_point_on_snapped_spectra(repeat):
+    rng = np.random.default_rng(repeat)
+    rotated = _hermitian(rng, np.repeat(rng.uniform(0.1, 5.0, 30 // repeat), repeat))
+    snapped, _ = _snap_eigenvalues(np.linalg.eigvalsh(rotated))
+    # np.mean([0.1] * 3) is an ulp above 0.1: a group of equal values keeps its value
+    for values in (np.full(3, 0.1), np.repeat([0.1, 0.7, 2.3], repeat), snapped):
+        again, atoms = _snap_eigenvalues(values.copy())
+        assert again.tobytes() == values.tobytes()
+        assert [a.value for a in atoms] == sorted(set(values.tolist()))
 
 
 @settings(max_examples=60, deadline=None)

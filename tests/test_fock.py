@@ -13,16 +13,12 @@ from weylscale import (
     check_universal_invariance,
     commutant_residual,
     evaluate_state,
-    gns_commutant_weyl_operator,
     gns_expectation,
-    gns_number_operator,
-    gns_weyl_operator,
     h_of_c,
     is_quasi_equivalent_to_fock,
     make_operator,
     one_particle_number_expectation,
     quasi_free_functional,
-    truncated_displacement,
     universally_invariant_functional,
     weyl_multiply,
     weyl_relation_residual,
@@ -38,40 +34,45 @@ from weylscale.errors import (
 )
 from weylscale import fock
 from weylscale.cli import main
-from weylscale.fock import _kron_difference_max, _reliable_block, _reliable_slot
+from weylscale.fock import _kron_difference_max, _mode_displacement, _reliable_slot
 from weylscale.spectral import INF
 from weylscale.weyl import sigma
 
 from conftest import random_covariance, random_vector
+from fock_reference import (
+    annihilation,
+    commutant_weyl_operator,
+    creation,
+    field_operator,
+    reliable_block,
+    weyl_operator,
+)
 
 
 class TestTruncatedDisplacement:
     def test_zero_amplitude_is_identity(self):
-        op = truncated_displacement(0.0, 10)
+        op = _mode_displacement(0.0, 10)
         assert np.allclose(op, np.eye(11))
 
     def test_vacuum_element_closed_form(self):
-        op = truncated_displacement(1.0, 30)
+        op = _mode_displacement(1.0, 30)
         assert abs(op[0, 0] - np.exp(-0.5)) <= 1e-8
 
     def test_unitarity_defect(self):
-        op = truncated_displacement(0.3 + 0.9j, 30)
+        op = _mode_displacement(0.3 + 0.9j, 30)
         assert np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= 1e-6
 
     def test_cutoff_floor(self):
         with pytest.raises(CutoffTooSmall):
-            truncated_displacement(1.0, 3)
-
-    def test_warning_below_recommended_cutoff(self):
-        with pytest.warns(UserWarning):
-            truncated_displacement(2.0, 8)  # needs >= 8 * |alpha|^2 = 32
+            GnsModel(make_operator([[2.0]]), cutoff=3)
 
     def test_multimode_tensor(self):
-        op = truncated_displacement([0.5, -0.5j], 8)
+        model = GnsModel(make_operator(np.eye(2)), cutoff=8)
+        op, _ = fock._slot_pair(model, ([0.5, -0.5j], [0.0, 0.0]))
         assert op.shape == (81, 81)  # two modes of 9 levels
         # top-left block of the tensor product is D1[0,0] times the second factor
-        first = truncated_displacement(0.5, 8)
-        second = truncated_displacement(-0.5j, 8)
+        first = _mode_displacement(0.5, 8)
+        second = _mode_displacement(-0.5j, 8)
         assert np.allclose(op[:9, :9], first[0, 0] * second)
 
 
@@ -91,24 +92,24 @@ class TestGnsModel:
 
     def test_fock_case_second_slot_trivial(self):
         model = GnsModel(make_operator(np.eye(1)), cutoff=10)
-        op = gns_weyl_operator(model, [0.7])
-        single = truncated_displacement(1j * 0.7 / np.sqrt(2), 10)
+        op = weyl_operator(model, [0.7])
+        single = _mode_displacement(1j * 0.7 / np.sqrt(2), 10)
         assert np.allclose(op, np.kron(single, np.eye(11)), atol=1e-12)
 
     def test_zero_vector_gives_identity(self):
         model = GnsModel(make_operator([[2.0]]), cutoff=10)
-        assert np.allclose(gns_weyl_operator(model, [0.0]), np.eye(121))
+        assert np.allclose(weyl_operator(model, [0.0]), np.eye(121))
 
     def test_covariance_below_identity_rejected(self):
         with pytest.raises(CovarianceBelowIdentity):
             GnsModel(make_operator(np.diag([0.9, 2.0])), cutoff=8)
 
-    def test_dense_builders_refuse_axes_beyond_the_cap(self):
+    def test_doubled_cap_refuses_axes_beyond_it(self):
         # two modes at cutoff 10: the doubled axis is 11^4 = 14641 > DOUBLED_DIM_CAP
         model = GnsModel(make_operator(np.diag([2.0, 3.0])), cutoff=10)
         assert model.slot_dimension**2 > fock.DOUBLED_DIM_CAP
         with pytest.raises(OutOfRange, match="doubled Fock space axis 14641 exceeds cap 10000"):
-            gns_weyl_operator(model, [0.1, 0.2])
+            fock.check_doubled_cap(model)
         # cutoff 9 gives an axis of exactly 10^4, which the cap allows
         fock.check_doubled_cap(GnsModel(make_operator(np.diag([2.0, 3.0])), cutoff=9))
 
@@ -180,21 +181,21 @@ class TestRepresentationResiduals:
     def test_commutant_operator_is_also_multiplicative(self):
         model = GnsModel(make_operator([[2.0]]), cutoff=16)
         f, g = np.array([0.3]), np.array([0.2j])
-        lhs = gns_commutant_weyl_operator(model, f) @ gns_commutant_weyl_operator(model, g)
-        rhs = np.exp(-0.5j * sigma(f, g)) * gns_commutant_weyl_operator(model, f + g)
-        idx = _reliable_block(model)
+        lhs = commutant_weyl_operator(model, f) @ commutant_weyl_operator(model, g)
+        rhs = np.exp(-0.5j * sigma(f, g)) * commutant_weyl_operator(model, f + g)
+        idx = reliable_block(model)
         diff = (lhs - rhs).ravel()[idx[:, None] * lhs.shape[0] + idx[None, :]]
         assert np.max(np.abs(diff)) <= 1e-8
 
 
 def _dense_residuals(model, f, g):
-    """Relation and commutant residuals from the doubled matrices, on _reliable_block."""
+    """Relation and commutant residuals from the doubled matrices, on reliable_block."""
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
-    idx = _reliable_block(model)
-    a, b = gns_weyl_operator(model, f), gns_weyl_operator(model, g)
-    c = gns_commutant_weyl_operator(model, g)
+    idx = reliable_block(model)
+    a, b = weyl_operator(model, f), weyl_operator(model, g)
+    c = commutant_weyl_operator(model, g)
     phase = np.exp(-0.5j * sigma(f, g))
-    relation = a[idx] @ b[:, idx] - phase * gns_weyl_operator(model, f + g)[np.ix_(idx, idx)]
+    relation = a[idx] @ b[:, idx] - phase * weyl_operator(model, f + g)[np.ix_(idx, idx)]
     commutator = a[idx] @ c[:, idx] - c[idx] @ a[:, idx]
     return float(np.max(np.abs(relation))), float(np.max(np.abs(commutator)))
 
@@ -242,6 +243,26 @@ class TestFactorizedResiduals:
         finally:
             tracemalloc.stop()
         assert peak < doubled_matrix_bytes / 10
+
+    def test_gns_check_at_the_cap_allocates_no_doubled_matrix(self, tmp_path, capsys):
+        # two modes at cutoff 9: the doubled axis is 100^2 = 10^4, the largest the cap admits
+        import scipy.linalg  # noqa: F401  (imported up front, as its import is not the run's)
+
+        config = tmp_path / "gns.yaml"
+        config.write_text(
+            "operator: {matrix: [[2, 0.5], [0.5, 1.5]]}\n"
+            "vectors: {explicit: [[0.3, -0.2], [0.1, 0.25]]}\n"
+            "cutoff: 9\n"
+        )
+        doubled_matrix_bytes = 16 * 100**4
+        tracemalloc.start()
+        try:
+            code = main(["gns-check", "--config", str(config), "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < doubled_matrix_bytes / 100
 
 
 class TestDisplacementCache:
@@ -366,22 +387,12 @@ class TestBlockedKronDifferenceMax:
 
 
 class TestNumberOperator:
-    @pytest.mark.parametrize("modes, cutoff", [(1, 12), (2, 4)])
-    def test_matches_dense_product(self, rng, modes, cutoff):
-        from weylscale.fock import gns_annihilation
-
-        model = GnsModel(random_covariance(rng, modes), cutoff=cutoff)
-        f = random_vector(rng, modes)
-        a = gns_annihilation(model, f)
-        dense = a.conj().T @ a
-        number = gns_number_operator(model, f)
-        assert np.max(np.abs(number - dense)) <= 1e-13 * np.max(np.abs(dense))
-
     def test_truncated_matches_closed_form(self):
         covariance = make_operator([[2.0]])
         model = GnsModel(covariance, cutoff=40)
         f = np.array([0.8])
-        truncated = gns_number_operator(model, f)[0, 0].real
+        a = annihilation(model, f)
+        truncated = (a.conj().T @ a)[0, 0].real
         closed = one_particle_number_expectation(covariance, f)
         assert abs(truncated - closed) <= 1e-4
 
@@ -489,44 +500,34 @@ class TestUniversalInvariance:
 
 class TestLadderOperators:
     def test_vacuum_annihilated_in_fock_case(self):
-        from weylscale.fock import gns_annihilation
-
         model = GnsModel(make_operator(np.eye(1)), cutoff=14)
-        a = gns_annihilation(model, [1.0])
+        a = annihilation(model, [1.0])
         assert np.linalg.norm(a[:, 0]) == 0.0
 
     def test_antilinear_in_the_argument(self):
-        from weylscale.fock import gns_annihilation
-
         model = GnsModel(make_operator(np.eye(1)), cutoff=14)
-        a = gns_annihilation(model, [1.0])
-        scaled = gns_annihilation(model, [2j])
+        a = annihilation(model, [1.0])
+        scaled = annihilation(model, [2j])
         assert np.max(np.abs(scaled - np.conj(2j) * a)) <= 1e-12
 
     def test_creation_is_adjoint(self):
-        from weylscale.fock import gns_annihilation, gns_creation
-
         model = GnsModel(make_operator([[1.5]]), cutoff=14)
-        a = gns_annihilation(model, [0.7])
-        adag = gns_creation(model, [0.7])
+        a = annihilation(model, [0.7])
+        adag = creation(model, [0.7])
         assert np.max(np.abs(adag - a.conj().T)) == 0.0
 
     def test_vacuum_column_norm_matches_occupation(self):
         # || a(f) vacuum ||^2 = <N_f> = (A - 1)/2 for a unit vector
-        from weylscale.fock import gns_annihilation
-
         model = GnsModel(make_operator([[2.0]]), cutoff=20)
-        a = gns_annihilation(model, [1.0])
+        a = annihilation(model, [1.0])
         assert np.linalg.norm(a[:, 0]) ** 2 == pytest.approx(0.5, abs=1e-10)
 
     def test_ccr_on_reliable_block_two_modes(self, rng):
         # [a(f), a*(g)] = <f, g> I where the truncated ladders are faithful
-        from weylscale.fock import gns_annihilation, gns_creation
-
         model = GnsModel(random_covariance(rng, 2), cutoff=4)
         f, g = random_vector(rng, 2), random_vector(rng, 2)
-        a, adag = gns_annihilation(model, f), gns_creation(model, g)
-        idx = _reliable_block(model)
+        a, adag = annihilation(model, f), creation(model, g)
+        idx = reliable_block(model)
         commutator = a[idx] @ adag[:, idx] - adag[idx] @ a[:, idx]
         assert np.max(np.abs(commutator - np.vdot(f, g) * np.eye(idx.size))) <= 1e-12
 
@@ -534,24 +535,20 @@ class TestLadderOperators:
         # pi(W_{tf}) = expm(i t Phi(f)) on the doubled space
         from scipy.linalg import expm
 
-        from weylscale.fock import gns_field_operator
-
         model = GnsModel(make_operator([[2.0]]), cutoff=12)
         f = np.array([0.4 + 0.2j])
-        phi_matrix = gns_field_operator(model, f)
+        phi_matrix = field_operator(model, f)
         assert np.max(np.abs(phi_matrix - phi_matrix.conj().T)) <= 1e-12
-        direct = gns_weyl_operator(model, 0.7 * f)
+        direct = weyl_operator(model, 0.7 * f)
         assert np.max(np.abs(expm(0.7j * phi_matrix) - direct)) <= 1e-10
 
     def test_field_generates_displacement_two_modes(self):
         # the Kronecker sum runs over the first slot's modes, then the second's
         from scipy.linalg import expm
 
-        from weylscale.fock import gns_field_operator
-
         model = GnsModel(make_operator([[2.0, 0.5], [0.5, 1.5]]), cutoff=4)
         f = np.array([0.3 + 0.1j, -0.2j])
-        phi_matrix = gns_field_operator(model, f)
+        phi_matrix = field_operator(model, f)
         assert np.max(np.abs(phi_matrix - phi_matrix.conj().T)) <= 1e-12
-        direct = gns_weyl_operator(model, 0.7 * f)
+        direct = weyl_operator(model, 0.7 * f)
         assert np.max(np.abs(expm(0.7j * phi_matrix) - direct)) <= 1e-10

@@ -174,6 +174,34 @@ class TestSpectralCorrespondence:
         with pytest.raises(ModelMismatch):
             spectral_correspondence_check(make_operator([[2.5]]), hamiltonian, 1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "beta, energies",
+        [
+            (1.0, [LOG2, math.log(3.0), math.log(4.0)]),
+            (0.2, [0.1, 0.9, 4.0, 17.0]),
+            (3.7, [0.05, 0.3, 0.8, 1.6]),
+        ],
+    )
+    def test_scales_within_two_ulps_of_an_eigenvalue(self, beta, energies):
+        # at a boundary atom the two selections may round apart; both are right
+        hamiltonian = make_operator(np.diag(energies))
+        covariance = covariance_from_hamiltonian(hamiltonian, beta)
+        for value in covariance.eigenvalues:
+            below, above = np.nextafter(value, 0.0), np.nextafter(value, np.inf)
+            scales = (np.nextafter(below, 0.0), below, value, above, np.nextafter(above, np.inf))
+            for h in scales:
+                assert spectral_correspondence_check(covariance, hamiltonian, beta, float(h)) is True
+
+    def test_mismatch_beyond_rounding_fails(self, monkeypatch):
+        from weylscale import restriction
+
+        hamiltonian = make_operator(np.diag([LOG2, math.log(3.0), math.log(4.0)]))
+        covariance = covariance_from_hamiltonian(hamiltonian, 1.0)
+        h = float(covariance.eigenvalues[1])
+        exact = restriction.lambda_star
+        monkeypatch.setattr(restriction, "lambda_star", lambda h, beta: exact(h, beta) * (1 + 1e-9))
+        assert spectral_correspondence_check(covariance, hamiltonian, 1.0, h) is False
+
 
 class TestRestrictedResiduals:
     def test_two_level_kms(self, rng):
