@@ -8,27 +8,16 @@ by spectral restriction, and every closed form can be cross-validated against
 a truncated Fock-space simulator of the doubled (GNS) representation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigInvalid,
-    CovarianceBelowIdentity,
-    CutoffTooSmall,
     DimensionMismatch,
     DomainViolation,
-    InvalidMeasure,
+    InvalidMatrix,
     ModelMismatch,
-    NonFiniteEntries,
-    NonHermitian,
-    NonPositiveAtom,
-    NonPositiveBeta,
-    NonPositiveHamiltonian,
-    NonPositiveScale,
-    NonUnitary,
     OutOfRange,
-    OutsideStrip,
-    ScaleOutOfRange,
-    SpectralVariantHasNoVectors,
     SpectrumBelowOne,
-    VectorOutsideSubspace,
     WeylscaleError,
 )
 from .spectral import (
@@ -116,6 +105,7 @@ from .restriction import (
     trace_state,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules here, and those are not API
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))
 
 __version__ = "0.1.0"

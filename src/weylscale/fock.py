@@ -42,13 +42,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    CutoffTooSmall,
-    DimensionMismatch,
-    InvalidMeasure,
-    NonUnitary,
-    OutOfRange,
-)
+from .errors import DimensionMismatch, InvalidMatrix, OutOfRange
 from .spectral import (
     OperatorSpec,
     is_trace_class_minus_identity,
@@ -95,7 +89,7 @@ class GnsModel:
     def __init__(self, covariance: OperatorSpec, cutoff: int = 40):
         covariance.require_matrix()
         if cutoff < CUTOFF_FLOOR:
-            raise CutoffTooSmall(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
+            raise OutOfRange(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
         require_dominates_identity(covariance)
         self.covariance = covariance
         self.cutoff = int(cutoff)
@@ -277,16 +271,16 @@ class MixtureMeasure:
 
     def __post_init__(self):
         if not self.points:
-            raise InvalidMeasure("measure needs at least one support point")
+            raise OutOfRange("measure needs at least one support point")
         total = 0.0
         for c, w in self.points:
             if not 0 <= c < 1:
-                raise InvalidMeasure(f"support point {c} outside [0, 1)")
+                raise OutOfRange(f"support point {c} outside [0, 1)")
             if not w > 0:
-                raise InvalidMeasure(f"weight {w} is not positive")
+                raise OutOfRange(f"weight {w} is not positive")
             total += w
         if not abs(total - 1.0) <= 1e-12:
-            raise InvalidMeasure(f"weights sum to {total}, expected 1")
+            raise OutOfRange(f"weights sum to {total}, expected 1")
 
 
 class MixtureState(StateFunctional):
@@ -322,10 +316,10 @@ class UnitaryMap:
     def __post_init__(self):
         u = np.asarray(self.matrix, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise NonUnitary(f"expected a square matrix, got shape {u.shape}")
+            raise InvalidMatrix(f"expected a square matrix, got shape {u.shape}")
         defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
         if defect > 1e-10:
-            raise NonUnitary(f"U*U - I residual {defect:.3e} exceeds 1e-10")
+            raise InvalidMatrix(f"U*U - I residual {defect:.3e} exceeds 1e-10")
         object.__setattr__(self, "matrix", u)
 
     def apply(self, f) -> np.ndarray:

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainViolation,
-    NonPositiveBeta,
-    NonPositiveHamiltonian,
-    OutOfRange,
-    OutsideStrip,
-)
+from .errors import DimensionMismatch, DomainViolation, OutOfRange, require_positive
 from .spectral import (
     ATOM_MERGE_TOL,
     INF,
@@ -62,26 +55,23 @@ def default_time_grid() -> np.ndarray:
     return np.linspace(-5.0, 5.0, 21)
 
 
+def _bose(lam: float, beta: float) -> float:
+    """Equilibrium covariance value (1+e^{-b l})/(1-e^{-b l}) of the energy ``lam``."""
+    w = math.exp(-beta * lam)
+    return (1.0 + w) / (1.0 - w)
+
+
 def covariance_from_hamiltonian(hamiltonian: OperatorSpec, beta: float) -> OperatorSpec:
-    """Equilibrium covariance: functional calculus with (1+e^{-b l})/(1-e^{-b l})."""
+    """Equilibrium covariance: functional calculus with :func:`_bose`."""
     if inf_spectrum(hamiltonian) <= 0:
-        raise NonPositiveHamiltonian(
-            f"hamiltonian spectrum reaches {inf_spectrum(hamiltonian)} <= 0"
-        )
-    if not beta > 0:
-        raise NonPositiveBeta(f"inverse temperature {beta} must be positive")
-
-    def bose_map(lam: float) -> float:
-        w = math.exp(-beta * lam)
-        return (1.0 + w) / (1.0 - w)
-
-    return apply_function(hamiltonian, bose_map)
+        raise OutOfRange(f"hamiltonian spectrum reaches {inf_spectrum(hamiltonian)} <= 0")
+    require_positive(beta, "inverse temperature")
+    return apply_function(hamiltonian, lambda lam: _bose(lam, beta))
 
 
 def modular_operator(covariance: OperatorSpec, beta: float) -> OperatorSpec:
     """Modular operator ((A+I)/(A-I))^{1/beta}; singular where A has spectrum 1."""
-    if not beta > 0:
-        raise NonPositiveBeta(f"inverse temperature {beta} must be positive")
+    require_positive(beta, "inverse temperature")
     for atom in covariance.atoms:
         if abs(atom.value - 1.0) <= ATOM_MERGE_TOL:
             raise DomainViolation("covariance has spectral value 1; modular map is singular there")
@@ -191,7 +181,7 @@ def Phi_function(
     """
     z = complex(z)
     if z.imag < 0 or z.imag > beta:
-        raise OutsideStrip(f"Im z = {z.imag} outside [0, {beta}]")
+        raise OutOfRange(f"Im z = {z.imag} outside [0, {beta}]")
     coords = _modular_coordinates(covariance, modular, f, g)
     return complex(_two_sided(_log_spectrum(modular), _Phi_terms(*coords), z))
 
@@ -302,10 +292,8 @@ def j_h_function(lam: float, h: float, beta: float) -> float:
     h > 1 (the restriction regime) it stays admissible only below the pole at
     l^beta = (h+1)/(h-1); beyond it the argument is out of range.
     """
-    if not beta > 0:
-        raise OutOfRange(f"inverse temperature {beta} must be positive")
-    if not h > 0:
-        raise OutOfRange(f"scale parameter {h} must be positive")
+    require_positive(beta, "inverse temperature")
+    require_positive(h, "scale parameter")
     if lam < 1 - ATOM_MERGE_TOL:
         raise OutOfRange(f"spectral argument {lam} below 1")
     power = lam ** beta

@@ -24,14 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ModelMismatch,
-    OutOfRange,
-    ScaleOutOfRange,
-    VectorOutsideSubspace,
-)
+from .errors import DimensionMismatch, ModelMismatch, OutOfRange, require_positive
 from .kms import (
     KmsWitnessReport,
+    _bose,
     _boundary_report,
     _two_route,
     covariance_from_hamiltonian,
@@ -51,11 +47,14 @@ from .weyl import weyl_multiply
 #: Distance from the projected subspace below which a vector counts as a member.
 SUBSPACE_TOL = 1e-12
 
+#: Largest energy whose modular value e^lambda is a finite float; a larger one is
+#: clamped to the largest float, which is above every finite lambda_star too.
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+
 
 def lambda_star(h: float, beta: float) -> float:
     """Top of the restricted modular spectrum: ((h+1)/(h-1))^{1/beta}."""
-    if not beta > 0:
-        raise OutOfRange(f"inverse temperature {beta} must be positive")
+    require_positive(beta, "inverse temperature")
     if not h >= 1 + 1e-9:
         raise OutOfRange(f"scale parameter {h} too close to the pole at 1")
     return ((h + 1.0) / (h - 1.0)) ** (1.0 / beta)
@@ -117,7 +116,7 @@ def restricted_model(
     """
     h_star = op_norm(covariance)
     if not 1 < h < h_star:
-        raise ScaleOutOfRange(f"scale parameter {h} outside (1, {h_star})")
+        raise OutOfRange(f"scale parameter {h} outside (1, {h_star})")
     if covariance.is_matrix:
         eigs = covariance.eigenvalues
         selected = tuple(np.flatnonzero((eigs > h) & (eigs <= h_star)).tolist())
@@ -137,7 +136,7 @@ def restricted_model(
     lam_star = restricted_mod = rescaled_mod = residual = None
     if beta is not None:
         if inf_spectrum(rescaled) - 1.0 <= ATOM_MERGE_TOL:
-            raise ScaleOutOfRange(
+            raise OutOfRange(
                 f"scale parameter {h} too close below the covariance eigenvalue "
                 f"{inf_spectrum(restricted)}: the rescaled modular map is singular there"
             )
@@ -173,15 +172,20 @@ def spectral_correspondence_check(
 
     The covariance must come from the given Hamiltonian at the given beta
     (checked spectrally); the two selections are then compared exactly on the
-    shared spectral atoms.  They may differ only on a boundary atom, one whose
-    covariance value is within rounding of ``h`` and whose modular value is
-    within rounding of ``lambda_star``.  Above h_star both selections are empty
-    and the check holds vacuously.
+    Hamiltonian's atoms, each mapped on its own to its covariance and its
+    modular value: the covariance map can bring two atoms within the merge
+    tolerance where the exponential keeps them apart.  They may differ only on
+    a boundary atom, one whose covariance value is within rounding of ``h`` and
+    whose modular value is within rounding of ``lambda_star``.  Above h_star
+    both selections are empty and the check holds vacuously.
     """
-    rebuilt = covariance_from_hamiltonian(hamiltonian, beta)
-    if spectral_distance(rebuilt, covariance) > 1e-10:
+    if spectral_distance(covariance_from_hamiltonian(hamiltonian, beta), covariance) > 1e-10:
         raise ModelMismatch("covariance does not match the hamiltonian at this beta")
-    h_star = op_norm(rebuilt)
+    pairs = [
+        (_bose(atom.value, beta), math.exp(min(atom.value, _LOG_MAX_FLOAT)))
+        for atom in hamiltonian.atoms
+    ]
+    h_star = max(a_value for a_value, _ in pairs)
     e_eps = math.exp(inf_spectrum(hamiltonian))
     lam_upper = lambda_star(h, beta) if h > 1 else math.inf
     a_tol = d_tol = 0.0
@@ -198,14 +202,7 @@ def spectral_correspondence_check(
         a_rel = unit * (1.0 + condition * (1.0 + x))
         d_rel = unit * (1.0 + (1.0 + x) / beta) + a_rel / (beta * condition)
         a_tol, d_tol = a_rel * h, d_rel * lam_upper
-    delta = apply_function(hamiltonian, math.exp)
-    cov_atoms = [a.value for a in rebuilt.atoms]
-    delta_atoms = sorted((a.value for a in delta.atoms), reverse=True)
-    # covariance atoms ascend while modular atoms descend under the shared
-    # ordering of hamiltonian atoms, so pair them in opposite orientations
-    if len(cov_atoms) != len(delta_atoms):
-        raise ModelMismatch("covariance and hamiltonian have different atom counts")
-    for a_value, d_value in zip(cov_atoms, delta_atoms):
+    for a_value, d_value in pairs:
         if (h < a_value <= h_star) != (e_eps <= d_value < lam_upper) and not (
             abs(a_value - h) <= a_tol and abs(d_value - lam_upper) <= d_tol
         ):
@@ -230,7 +227,7 @@ def restricted_kms_residuals(
     for name, vec in (("f", f), ("g", g)):
         residual = model.residual(vec)
         if residual > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(vec))):
-            raise VectorOutsideSubspace(
+            raise DimensionMismatch(
                 f"vector {name} has projection residual {residual:.3e}"
             )
     if rescaled:

@@ -182,11 +182,26 @@ def _overflow(bound: float, vectors) -> str | None:
     return f"overflow: vector entries up to {peak:.3g} against a norm bound of {bound:.3g}"
 
 
+def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:
+    """Whether the boundary residuals of ``report`` meet ``tol`` scaled by the size
+    of the values they compare.
+
+    A boundary value is a sum of products of ``V* f``, ``V* g``, ``V* A f`` and
+    ``V* A g``; with ``V`` unitary, Cauchy-Schwarz bounds the moduli of its terms by
+    ``(||A|| + 1) ||f|| ||g|| <= 2 ||A|| ||f|| ||g||`` (``||A|| >= 1``), and the rounding
+    of a residual between two values equal in exact arithmetic is a multiple of
+    that sum.  So the bound is ``tol`` for inputs of unit size and grows with them.
+    """
+    size = op_norm(covariance) * float(np.linalg.norm(f)) * float(np.linalg.norm(g))
+    return report.max_residual <= tol * max(1.0, size)
+
+
 def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) -> bool:
     """Write the restricted model's KMS residual fields into ``cell``.
 
     ``f`` and ``g`` are projected onto the restricted subspace first.  Returns
-    whether the unrescaled and the rescaled residuals both meet ``tol``.
+    whether the unrescaled and the rescaled residuals both meet ``tol``, each
+    scaled as in :func:`_kms_within` by its own path's covariance.
     """
     f, g = rmodel.project(f), rmodel.project(g)
     base = restricted_kms_residuals(rmodel, f, g, t_grid)
@@ -195,7 +210,9 @@ def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) ->
     cell["max_rbeta"] = float(np.max(base.r_beta))
     cell["rescaled_max_r0"] = float(np.max(rescaled.r0))
     cell["rescaled_max_rbeta"] = float(np.max(rescaled.r_beta))
-    return base.max_residual <= tol and rescaled.max_residual <= tol
+    return _kms_within(base, rmodel.restricted_covariance, f, g, tol) and _kms_within(
+        rescaled, rmodel.rescaled_covariance, f, g, tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +354,14 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
             else:
                 if path == "unrescaled":
                     report = kms_boundary_residuals(scaled, f, g, config.t_grid)
+                    covariance = scaled.covariance
                 else:
                     report = rescaled_kms_residuals(scaled, f, g, config.t_grid)
+                    covariance = scaled.covariance_h
                 cell["max_r0"] = float(np.max(report.r0))
                 cell["max_rbeta"] = float(np.max(report.r_beta))
                 cell["strip_sup"] = report.strip_sup
-                ok = report.max_residual <= tol
+                ok = _kms_within(report, covariance, f, g, tol)
                 if path == "rescaled":
                     bottom_exact = inf_spectrum(scaled.generator_h) == scaled.delta_bottom
                     ok = ok and scaled.two_route_residual <= two_route_tol and bottom_exact

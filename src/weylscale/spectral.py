@@ -38,13 +38,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    CovarianceBelowIdentity,
     DimensionMismatch,
     DomainViolation,
-    NonFiniteEntries,
-    NonHermitian,
-    NonPositiveAtom,
-    SpectralVariantHasNoVectors,
+    InvalidMatrix,
+    ModelMismatch,
+    OutOfRange,
+    SpectrumBelowOne,
 )
 
 #: Distinguished infinite multiplicity marker.
@@ -142,10 +141,10 @@ class OperatorSpec:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"matrix input must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
-            raise NonFiniteEntries("matrix has NaN or infinite entries")
+            raise InvalidMatrix("matrix has NaN or infinite entries")
         residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if residual > HERMITICITY_TOL:
-            raise NonHermitian(f"conjugate-symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL}")
+            raise InvalidMatrix(f"conjugate-symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL}")
         m = (m + m.conj().T) / 2
         return cls.from_eigen(*np.linalg.eigh(m), m)
 
@@ -170,10 +169,10 @@ class OperatorSpec:
         for value, mult in pairs:
             value = float(value)
             if not 0 < value < INF:
-                raise NonPositiveAtom(f"atom value {value} is not strictly positive and finite")
+                raise OutOfRange(f"atom value {value} is not strictly positive and finite")
             if mult != INF:
                 if not mult > 0 or mult != int(mult):
-                    raise NonPositiveAtom(f"atom multiplicity {mult} is not a positive integer")
+                    raise OutOfRange(f"atom multiplicity {mult} is not a positive integer")
                 mult = int(mult)
             cleaned.append((value, mult))
         cleaned.sort(key=lambda p: p[0])
@@ -201,9 +200,9 @@ class OperatorSpec:
         return sum(a.multiplicity for a in self.atoms)
 
     def require_matrix(self) -> None:
-        """SpectralVariantHasNoVectors unless this is a matrix operator."""
+        """ModelMismatch unless this is a matrix operator."""
         if not self.is_matrix:
-            raise SpectralVariantHasNoVectors("operation needs concrete eigenvectors")
+            raise ModelMismatch("operation needs concrete eigenvectors")
 
     def with_declared_bounds(
         self, infimum: float | None = None, supremum: float | None = None
@@ -297,9 +296,9 @@ def dominates_identity(op: OperatorSpec) -> bool:
 
 
 def require_dominates_identity(op: OperatorSpec) -> float:
-    """The bottom of the spectrum; CovarianceBelowIdentity unless dominates_identity(op)."""
+    """The bottom of the spectrum; SpectrumBelowOne unless dominates_identity(op)."""
     if not dominates_identity(op):
-        raise CovarianceBelowIdentity(f"spectrum reaches {inf_spectrum(op)} < 1")
+        raise SpectrumBelowOne(f"spectrum reaches {inf_spectrum(op)} < 1")
     return inf_spectrum(op)
 
 
@@ -341,7 +340,7 @@ def scalar_value(op: OperatorSpec) -> float:
     """The single spectral value of an operator acting as a scalar."""
     if len(op.atoms) == 1:
         return op.atoms[0].value
-    raise SpectralVariantHasNoVectors("operator with several spectral points is not a scalar")
+    raise ModelMismatch("operator with several spectral points is not a scalar")
 
 
 def spectral_distance(a: OperatorSpec, b: OperatorSpec) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveScale
+from .errors import DimensionMismatch, require_positive
 from .spectral import OperatorSpec, apply_function, quadratic_form, require_dominates_identity, scalar_value
 from .weyl import KEY_GRID, WeylWord, sigma
 
@@ -109,8 +109,7 @@ class RescaledFockState(StateFunctional):
     tag = "rescaled_fock"
 
     def __init__(self, h: float):
-        if not h > 0:
-            raise NonPositiveScale(f"scale parameter {h} must be positive")
+        require_positive(h, "scale parameter")
         self.h = float(h)
 
     def value(self, f) -> complex:
@@ -165,8 +164,7 @@ def rescale_functional(phi: StateFunctional, h: float) -> StateFunctional:
     becomes the Gaussian with covariance A / h (no positivity check), and a
     rescaled Fock functional composes multiplicatively in h.
     """
-    if not h > 0:
-        raise NonPositiveScale(f"scale parameter {h} must be positive")
+    require_positive(h, "scale parameter")
     if isinstance(phi, QuasiFreeState):
         return QuasiFreeState(apply_function(phi.covariance, lambda lam: lam / h))
     if isinstance(phi, RescaledFockState):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveScale
+from .errors import DimensionMismatch, OutOfRange, require_positive
 
 #: Grid spacing used to canonicalize generator keys.
 KEY_GRID = 1e-12
@@ -120,8 +120,7 @@ def weyl_multiply(u: WeylWord, v: WeylWord, h: float) -> WeylWord:
     """Product of two words in the algebra with symplectic form h * sigma."""
     if u.dim != v.dim:
         raise DimensionMismatch(f"words over C^{u.dim} and C^{v.dim}")
-    if not h > 0:
-        raise NonPositiveScale(f"scale parameter {h} must be positive")
+    require_positive(h, "scale parameter")
     out = WeylWord(u.dim)
     for f, a in u.items():
         for g, b in v.items():
@@ -145,10 +144,9 @@ def gamma_iso(u: WeylWord, h: float, direction: str = "forward") -> WeylWord:
     W_f -> W_{sqrt(h) f}; ``inverse`` is W_f -> W_{f / sqrt(h)}.  The two
     directions are mutually inverse on words.
     """
-    if not h > 0:
-        raise NonPositiveScale(f"scale parameter {h} must be positive")
+    require_positive(h, "scale parameter")
     if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        raise OutOfRange(f"direction must be 'forward' or 'inverse', got {direction!r}")
     factor = np.sqrt(h) if direction == "forward" else 1.0 / np.sqrt(h)
     out = WeylWord(u.dim)
     for f, a in u.items():

@@ -679,6 +679,21 @@ def test_restrict_scan_at_an_exact_eigenvalue_keeps_the_correspondence(tmp_path)
     assert cell["subspace_dimension"] == 1 and cell["spectral_correspondence"] is True
 
 
+def test_restrict_scan_with_an_energy_whose_exponential_overflows(tmp_path):
+    # e^800 is beyond the largest float; that atom's covariance value rounds to 1,
+    # so neither the covariance nor the modular selection holds it
+    path = tmp_path / "config.yaml"
+    path.write_text(
+        "operator: {kms: {matrix: [[0.5, 0], [0, 800.0]], beta: 1}}\n"
+        "vectors: {random: {count: 2, seed: 1}}\n"
+        "h_values: [1.5]\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["restrict-scan", "--config", str(path), "--out", str(out)]) == 0
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert cell["subspace_dimension"] == 1 and cell["spectral_correspondence"] is True
+
+
 def test_table_union_of_cell_keys():
     from weylscale.report import render_table
 
@@ -869,23 +884,47 @@ def test_restricted_scale_without_a_model_is_failed_cell(tmp_path, capsys, suite
         assert [cell["path"] for cell in cells] == ["restricted", "restricted"]
 
 
+_LARGE_ENTRIES = (
+    "operator:\n"
+    "  kms: {beta: 1, matrix: [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]]}\n"
+    "vectors: {explicit: [[%r, 2.0, -3.1], [0.7, %r, 1.3]]}\n"
+    "h_values: %s\n"
+)
+
+
 @pytest.mark.parametrize("entry", [1e4, 1e6])
 def test_restricted_membership_is_relative_to_the_vector(tmp_path, capsys, entry):
     # the projected vectors miss the subspace by round-off that grows with their norm
     path = tmp_path / "config.yaml"
-    path.write_text(
-        "operator:\n"
-        "  kms: {beta: 1, matrix: [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]]}\n"
-        f"vectors: {{explicit: [[{entry!r}, 2.0, -3.1], [0.7, {-entry!r}, 1.3]]}}\n"
-        "h_values: [1.3]\n"
-    )
+    path.write_text(_LARGE_ENTRIES % (entry, -entry, "[1.3]"))
     out = tmp_path / "r.json"
     code = main(["kms-verify", "--config", str(path), "--out", str(out)])
     (cell,) = json.loads(out.read_text())["cells"]
     assert cell["path"] == "restricted" and "error" not in cell
     assert all(math.isfinite(cell[key]) for key in ("max_r0", "rescaled_max_rbeta"))
-    # the residuals still grow with the vectors past the absolute tolerance of 1e-10
-    assert code == 3 and not cell["ok"]
+    # the residuals grow with the vectors past the absolute 1e-10 (to about 6e-8 and
+    # 5e-4), and so does the bound they are held to, 1e-10 * max(1, ||A|| ||f|| ||g||)
+    assert max(cell["max_r0"], cell["max_rbeta"]) > 1e-10
+    assert code == 0 and cell["ok"]
+
+
+@pytest.mark.parametrize("entry", [1.0, 1e4, 1e6])
+def test_kms_bound_scaled_by_the_vectors_still_catches_a_wrong_kernel(
+    tmp_path, capsys, monkeypatch, entry
+):
+    # a sign error in F makes every boundary residual about |2F|, which grows with the
+    # vectors as fast as the scaled bound does, so every path still fails it
+    from weylscale import kms
+
+    terms = kms._F_terms
+    monkeypatch.setattr(kms, "_F_terms", lambda *coords: tuple(-t for t in terms(*coords)))
+    path = tmp_path / "config.yaml"
+    path.write_text(_LARGE_ENTRIES % (entry, -entry, "[0.5, 1.0, 1.3]"))
+    out = tmp_path / "r.json"
+    assert main(["kms-verify", "--config", str(path), "--out", str(out)]) == 3
+    cells = json.loads(out.read_text())["cells"]
+    assert [cell["path"] for cell in cells] == ["rescaled", "unrescaled", "restricted"]
+    assert not any(cell["ok"] or "error" in cell for cell in cells)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,89 @@
+"""One exception class per kind of mistake, and every raise in the package uses one."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from weylscale import errors
+from weylscale.errors import OutOfRange, WeylscaleError, require_positive
+
+PACKAGE = Path(errors.__file__).parent
+
+#: (module file, enclosing function, exception name) of the raises that signal a
+#: programming error rather than a bad input
+EXEMPT = {("report.py", "_render_value", "TypeError")}
+
+
+def _raised_names(path: Path):
+    """(enclosing function, name) of every ``raise Name(...)`` in the file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Raise)
+                and isinstance(child.exc, ast.Call)
+                and isinstance(child.exc.func, ast.Name)
+            ):
+                found.append((function, child.exc.func.id))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_every_raise_names_a_package_error():
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, name in _raised_names(path):
+            if (path.name, function, name) in EXEMPT:
+                continue
+            cls = getattr(errors, name, None)
+            if not (inspect.isclass(cls) and issubclass(cls, WeylscaleError)):
+                strays.append(f"{path.name}:{function}: raise {name}")
+    assert strays == []
+    # the walk does reach the raises it checks
+    assert ("_render_value", "TypeError") in _raised_names(PACKAGE / "report.py")
+
+
+def test_one_class_per_kind_of_mistake():
+    classes = sorted(
+        name
+        for name, value in vars(errors).items()
+        if inspect.isclass(value) and issubclass(value, Exception)
+    )
+    assert classes == [
+        "ConfigInvalid",
+        "DimensionMismatch",
+        "DomainViolation",
+        "InvalidMatrix",
+        "ModelMismatch",
+        "OutOfRange",
+        "SpectrumBelowOne",
+        "WeylscaleError",
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (float("nan"), "scale parameter nan must be positive"),
+        (0, "scale parameter 0 must be positive"),
+        (-1.0, "scale parameter -1.0 must be positive"),
+        (-float("inf"), "scale parameter -inf must be positive"),
+    ],
+)
+def test_require_positive_formats_the_value_it_is_given(value, text):
+    with pytest.raises(OutOfRange) as caught:
+        require_positive(value, "scale parameter")
+    assert str(caught.value) == text
+
+
+def test_require_positive_accepts_positive_values():
+    for value in (5e-324, 1, 2.5, float("inf")):
+        require_positive(value, "inverse temperature")

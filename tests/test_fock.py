@@ -23,15 +23,7 @@ from weylscale import (
     weyl_multiply,
     weyl_relation_residual,
 )
-from weylscale.errors import (
-    CovarianceBelowIdentity,
-    CutoffTooSmall,
-    DimensionMismatch,
-    InvalidMeasure,
-    NonUnitary,
-    OutOfRange,
-    SpectrumBelowOne,
-)
+from weylscale.errors import DimensionMismatch, InvalidMatrix, OutOfRange, SpectrumBelowOne
 from weylscale import fock
 from weylscale.cli import main
 from weylscale.fock import _kron_difference_max, _mode_displacement, _reliable_slot
@@ -63,7 +55,7 @@ class TestTruncatedDisplacement:
         assert np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= 1e-6
 
     def test_cutoff_floor(self):
-        with pytest.raises(CutoffTooSmall):
+        with pytest.raises(OutOfRange, match="^cutoff 3 below hard floor 4$"):
             GnsModel(make_operator([[2.0]]), cutoff=3)
 
     def test_multimode_tensor(self):
@@ -101,7 +93,7 @@ class TestGnsModel:
         assert np.allclose(weyl_operator(model, [0.0]), np.eye(121))
 
     def test_covariance_below_identity_rejected(self):
-        with pytest.raises(CovarianceBelowIdentity):
+        with pytest.raises(SpectrumBelowOne, match="spectrum reaches 0.9 < 1"):
             GnsModel(make_operator(np.diag([0.9, 2.0])), cutoff=8)
 
     def test_doubled_cap_refuses_axes_beyond_it(self):
@@ -484,17 +476,17 @@ class TestUniversalInvariance:
         assert deviation > 0.1
 
     def test_measure_validation(self):
-        with pytest.raises(InvalidMeasure):
-            MixtureMeasure(((0.5, 0.5),))  # weights do not sum to 1
-        with pytest.raises(InvalidMeasure):
-            MixtureMeasure(((1.0, 1.0),))  # support point outside [0, 1)
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(OutOfRange, match="^weights sum to 0.5, expected 1$"):
+            MixtureMeasure(((0.5, 0.5),))
+        with pytest.raises(OutOfRange, match=r"^support point 1.0 outside \[0, 1\)$"):
+            MixtureMeasure(((1.0, 1.0),))
+        with pytest.raises(OutOfRange, match="^measure needs at least one support point$"):
             MixtureMeasure(())
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(OutOfRange, match="^weight nan is not positive$"):
             MixtureMeasure(((0.5, float("nan")),))  # NaN passes both w <= 0 and |sum - 1| > tol
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(NonUnitary):
+        with pytest.raises(InvalidMatrix, match="^U\\*U - I residual 3.000e\\+00 exceeds 1e-10$"):
             UnitaryMap(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 

@@ -24,13 +24,7 @@ from weylscale import (
     two_point_function,
 )
 from weylscale.kms import STRIP_FRACTIONS, _boundary_report
-from weylscale.errors import (
-    DomainViolation,
-    NonPositiveBeta,
-    NonPositiveHamiltonian,
-    OutOfRange,
-    OutsideStrip,
-)
+from weylscale.errors import DomainViolation, OutOfRange
 from weylscale.spectral import INF, OperatorSpec, apply_function, spectral_distance
 
 from conftest import random_covariance, random_vector
@@ -64,9 +58,9 @@ class TestCovariance:
         assert expected == pytest.approx(3.0, abs=1e-14)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(NonPositiveHamiltonian):
+        with pytest.raises(OutOfRange, match="^hamiltonian spectrum reaches -0.5 <= 0$"):
             covariance_from_hamiltonian(make_operator([[-0.5]]), 1.0)
-        with pytest.raises(NonPositiveBeta):
+        with pytest.raises(OutOfRange, match="^inverse temperature 0.0 must be positive$"):
             covariance_from_hamiltonian(make_operator([[1.0]]), 0.0)
 
 
@@ -169,9 +163,9 @@ class TestFAndPhi:
 
     def test_outside_strip_rejected(self, scalar_model):
         f = np.array([1.0])
-        with pytest.raises(OutsideStrip):
+        with pytest.raises(OutOfRange, match=r"^Im z = -0.1 outside \[0, 1.0\]$"):
             Phi_function(scalar_model.covariance, scalar_model.modular, 1.0, f, f, -0.1j)
-        with pytest.raises(OutsideStrip):
+        with pytest.raises(OutOfRange, match=r"^Im z = 1.5 outside \[0, 1.0\]$"):
             Phi_function(scalar_model.covariance, scalar_model.modular, 1.0, f, f, 1.5j)
 
     def test_strip_bound(self, scalar_model):

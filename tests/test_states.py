@@ -24,11 +24,7 @@ from weylscale import (
     sigma,
     two_point_criterion,
 )
-from weylscale.errors import (
-    CovarianceBelowIdentity,
-    DimensionMismatch,
-    SpectrumBelowOne,
-)
+from weylscale.errors import DimensionMismatch, SpectrumBelowOne
 
 from conftest import random_covariance, random_vector, random_word
 
@@ -44,7 +40,7 @@ class TestQuasiFreeFunctional:
 
     def test_sub_vacuum_rejected_unless_unchecked(self):
         below = make_operator(0.9 * np.eye(2))
-        with pytest.raises(CovarianceBelowIdentity):
+        with pytest.raises(SpectrumBelowOne, match="spectrum reaches 0.9 < 1"):
             quasi_free_functional(below)
         phi = QuasiFreeState(below)
         assert phi.value([1.0, 0.0]) == pytest.approx(np.exp(-0.225))

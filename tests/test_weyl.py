@@ -11,7 +11,7 @@ from weylscale import (
     weyl_multiply,
     word_distance,
 )
-from weylscale.errors import DimensionMismatch, NonPositiveScale
+from weylscale.errors import DimensionMismatch, OutOfRange
 
 from conftest import random_word, words_close
 
@@ -57,7 +57,7 @@ class TestMultiply:
             weyl_multiply(WeylWord.generator([1.0]), WeylWord.generator([1.0, 0.0]), 1.0)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(OutOfRange, match="^scale parameter 0.0 must be positive$"):
             weyl_multiply(WeylWord.generator([1.0]), WeylWord.generator([1.0]), 0.0)
 
     def test_associativity_on_random_words(self, rng):
@@ -125,9 +125,9 @@ class TestGammaIso:
         )
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(NonPositiveScale):
+        with pytest.raises(OutOfRange, match="^scale parameter -1.0 must be positive$"):
             gamma_iso(WeylWord.identity(1), -1.0, "forward")
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="direction must be 'forward' or 'inverse', got 'sideways'"):
             gamma_iso(WeylWord.identity(1), 1.0, "sideways")
 
 
