@@ -9,6 +9,11 @@ numeric argument, evaluated once at parse time.  An expression nests at most
 ``MAX_EXPRESSION_DEPTH`` functions and quotients and has balanced
 parentheses; any other is a config error.
 
+The operator is always a matrix, given in one of two ways: ``operator:
+{matrix: rows}`` is the covariance itself, and ``operator: {kms: {beta: b,
+matrix: rows}}`` a Hamiltonian whose ``beta``-KMS state has the covariance.
+An entry of the rows is a number, a complex literal or an ``[re, im]`` pair.
+
 ``ExperimentConfig.from_file`` reads a UTF-8 file as YAML 1.1 with PyYAML's
 safe loader, except that PyYAML does not build one node per matrix or vector
 entry.  The reader takes out the numeric rows of two layouts:
@@ -148,17 +153,6 @@ def parse_complex(value, where: str = "value") -> complex:
     return complex(parse_number(value, where))
 
 
-def _parse_multiplicity(value, where: str) -> float:
-    if isinstance(value, str) and value.strip() in ("INF", "inf"):
-        return INF
-    number = parse_number(value, where)
-    if number == INF:
-        return INF
-    if not math.isfinite(number) or number != int(number) or number <= 0:
-        raise ConfigInvalid(f"{where}: multiplicity must be a positive integer or INF")
-    return int(number)
-
-
 def _parse_integer(value, where: str, minimum: int | None = None) -> int:
     """A strictly integral number; a fractional or non-finite value is rejected."""
     number = parse_number(value, where)
@@ -184,43 +178,22 @@ def _real_rows(rows: list) -> np.ndarray | None:
         return None
 
 
-def _parse_operator(section, where: str) -> OperatorSpec:
-    if not isinstance(section, dict):
-        raise ConfigInvalid(f"{where}: expected a mapping with 'matrix' or 'atoms'")
-    if "matrix" in section:
-        rows = section["matrix"]
-        if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
-            raise ConfigInvalid(f"{where}.matrix: expected a nested list")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ConfigInvalid(f"{where}.matrix: rows of unequal length")
-        entries = _real_rows(rows)
-        if entries is None:
-            entries = [
-                [parse_complex(x, f"{where}.matrix[{i}][{j}]") for j, x in enumerate(row)]
-                for i, row in enumerate(rows)
-            ]
-        try:
-            return OperatorSpec.from_matrix(entries)
-        except WeylscaleError as exc:
-            raise ConfigInvalid(f"{where}.matrix: {exc}") from exc
-    if "atoms" in section:
-        if not isinstance(section["atoms"], list):
-            raise ConfigInvalid(f"{where}.atoms: expected a list of [value, multiplicity] pairs")
-        pairs = []
-        for i, item in enumerate(section["atoms"]):
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise ConfigInvalid(f"{where}.atoms[{i}]: expected [value, multiplicity]")
-            pairs.append(
-                (
-                    parse_number(item[0], f"{where}.atoms[{i}].value"),
-                    _parse_multiplicity(item[1], f"{where}.atoms[{i}].multiplicity"),
-                )
-            )
-        try:
-            return OperatorSpec.from_atoms(pairs)
-        except WeylscaleError as exc:
-            raise ConfigInvalid(f"{where}.atoms: {exc}") from exc
-    raise ConfigInvalid(f"{where}: needs 'matrix' or 'atoms'")
+def _parse_operator(rows, where: str) -> OperatorSpec:
+    """The matrix operator of the rows at ``where``, ``operator.matrix`` or ``operator.kms.matrix``."""
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+        raise ConfigInvalid(f"{where}: expected a nested list")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigInvalid(f"{where}: rows of unequal length")
+    entries = _real_rows(rows)
+    if entries is None:
+        entries = [
+            [parse_complex(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    try:
+        return OperatorSpec.from_matrix(entries)
+    except WeylscaleError as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
 def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.ndarray:
@@ -444,21 +417,16 @@ class ExperimentConfig:
 
         operator = raw.get("operator")
         if operator is not None:
-            if not isinstance(operator, dict):
-                raise ConfigInvalid("operator: expected a mapping")
-            if "kms" in operator:
-                kms_section = operator["kms"]
-                if not isinstance(kms_section, dict) or "beta" not in kms_section:
-                    raise ConfigInvalid("operator.kms: needs 'beta' and a hamiltonian")
-                config.beta = parse_number(kms_section["beta"], "operator.kms.beta")
-                ham = {
-                    k: v for k, v in kms_section.items() if k in ("matrix", "atoms")
-                }
-                if not ham:
-                    raise ConfigInvalid("operator.kms: needs 'matrix' or 'atoms' for the hamiltonian")
-                config.hamiltonian = _parse_operator(ham, "operator.kms")
+            if not isinstance(operator, dict) or set(operator) not in ({"matrix"}, {"kms"}):
+                raise ConfigInvalid("operator: expected a mapping with one key, 'matrix' or 'kms'")
+            if "matrix" in operator:
+                config.operator = _parse_operator(operator["matrix"], "operator.matrix")
             else:
-                config.operator = _parse_operator(operator, "operator")
+                kms_section = operator["kms"]
+                if not isinstance(kms_section, dict) or set(kms_section) != {"beta", "matrix"}:
+                    raise ConfigInvalid("operator.kms: expected a mapping with keys 'beta' and 'matrix'")
+                config.beta = parse_number(kms_section["beta"], "operator.kms.beta")
+                config.hamiltonian = _parse_operator(kms_section["matrix"], "operator.kms.matrix")
 
         vectors = raw.get("vectors")
         if vectors is not None:
@@ -545,9 +513,9 @@ class ExperimentConfig:
     def space_dimension(self) -> int:
         if self.dimension is not None:
             return self.dimension
-        if self.operator is not None and self.operator.is_matrix:
+        if self.operator is not None:
             return self.operator.dimension
-        if self.hamiltonian is not None and self.hamiltonian.is_matrix:
+        if self.hamiltonian is not None:
             return self.hamiltonian.dimension
         raise ConfigInvalid("space.dimension: required when no matrix operator fixes it")
 

@@ -98,8 +98,8 @@ class GnsModel:
         eigs = covariance.eigenvalues
         self._t1 = np.sqrt((eigs + 1.0) / 2.0)
         self._t2 = np.sqrt(np.maximum(eigs - 1.0, 0.0) / 2.0)
-        self.T1 = self._basis @ np.diag(self._t1).astype(complex) @ self._basis.conj().T
-        self.T2 = self._basis @ np.diag(self._t2).astype(complex) @ self._basis.conj().T
+        self.T1 = (self._basis * self._t1) @ self._basis.conj().T
+        self.T2 = (self._basis * self._t2) @ self._basis.conj().T
         self._displacements: dict[bytes, np.ndarray] = {}
 
     @property
@@ -288,8 +288,6 @@ class MixtureState(StateFunctional):
 
     phi(f) = sum_i w_i exp(-||f||^2 (1 + c_i) / (4 (1 - c_i))).
     """
-
-    tag = "mixture"
 
     def __init__(self, measure: MixtureMeasure):
         self.measure = measure

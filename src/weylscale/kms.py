@@ -46,7 +46,8 @@ from .weyl import WeylWord, weyl_multiply
 #: Agreement tolerance between the two constructions of the rescaled modular operator.
 TWO_ROUTE_TOL = 1e-12
 
-#: Imaginary-part fractions of beta sampled for the strip boundedness report.
+#: Imaginary-part fractions of beta sampled for the KMS boundary report, from
+#: the lower boundary (0) to the upper (1).
 STRIP_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -126,7 +127,7 @@ def time_evolution(modular: OperatorSpec, t: float) -> np.ndarray:
     """The unitary Delta^{it} as a matrix."""
     phases = np.exp(1j * float(t) * _log_spectrum(modular))
     v = modular.eigenvectors
-    return v @ np.diag(phases) @ v.conj().T
+    return (v * phases) @ v.conj().T
 
 
 def evolve_word(u: WeylWord, modular: OperatorSpec, t: float) -> WeylWord:
@@ -261,13 +262,13 @@ def _boundary_report(
     fc, gc, afc, agc = _modular_coordinates(covariance, modular, f, g)
     F_vals = _two_sided(log_delta, _F_terms(fc, gc, afc, agc), grid)
     F_rev = _two_sided(log_delta, _F_terms(gc, fc, agc, afc), -grid)
-    # rows: the lower and upper boundary, then the strip samples
-    fractions = np.array([0.0, 1.0, *STRIP_FRACTIONS])
+    # the strip samples run from the lower boundary (fraction 0) to the upper (1)
+    fractions = np.array(STRIP_FRACTIONS)
     strip = _two_sided(
         log_delta, _Phi_terms(fc, gc, afc, agc), grid + 1j * beta * fractions[:, None]
     )
-    lower, upper = strip[0], strip[1]
-    strip_sup = float(np.max(np.abs(strip[2:]), initial=0.0))
+    lower, upper = strip[0], strip[-1]
+    strip_sup = float(np.max(np.abs(strip), initial=0.0))
     return KmsWitnessReport(
         t_grid=grid,
         F_values=F_vals,

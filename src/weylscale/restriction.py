@@ -247,8 +247,6 @@ class NonRegularFunctional(StateFunctional):
     subspace is exactly zero, which is what makes the extension non-regular.
     """
 
-    tag = "restricted"
-
     def __init__(self, model: RestrictedModel):
         self.model = model
         model.covariance.require_matrix()

@@ -69,16 +69,14 @@ from .weyl import WeylWord
 def _operator_echo(op: OperatorSpec | None) -> dict | None:
     if op is None:
         return None
-    echo = {
+    return {
         "variant": op.variant,
         "spectrum": [
             [a.value, "INF" if a.infinite else int(a.multiplicity)] for a in op.atoms
         ],
+        "dimension": op.dimension,
+        "entries": op.matrix,
     }
-    if op.is_matrix:
-        echo["dimension"] = op.dimension
-        echo["entries"] = op.matrix
-    return echo
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -139,19 +137,19 @@ def _require(condition: bool, message: str):
         raise ConfigInvalid(message)
 
 
+def _built(where: str, build, *args):
+    """``build(*args)``, with a model error re-raised as a config error at ``where``."""
+    try:
+        return build(*args)
+    except WeylscaleError as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
+
+
 def _matrix_covariance(config: ExperimentConfig) -> OperatorSpec:
     if config.operator is not None:
-        op = config.operator
-    elif config.hamiltonian is not None:
-        _require(config.beta is not None, "operator.kms.beta: required")
-        try:
-            op = covariance_from_hamiltonian(config.hamiltonian, config.beta)
-        except WeylscaleError as exc:
-            raise ConfigInvalid(f"operator.kms: {exc}") from exc
-    else:
-        raise ConfigInvalid("operator: required")
-    _require(op.is_matrix, "operator: this suite needs the matrix variant")
-    return op
+        return config.operator
+    _require(config.hamiltonian is not None, "operator: required")
+    return _built("operator.kms", covariance_from_hamiltonian, config.hamiltonian, config.beta)
 
 
 def _vectors(config: ExperimentConfig, dim: int, count: int) -> list[np.ndarray]:
@@ -226,10 +224,7 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     _require(len(config.h_values) > 0, "h_values: required")
     for h in config.h_values:
         _require(0 < h < INF, f"h_values: scale {h} must be positive and finite")
-    try:
-        admissible_bound = h_max(covariance)
-    except WeylscaleError as exc:
-        raise ConfigInvalid(f"operator: {exc}") from exc
+    admissible_bound = _built("operator", h_max, covariance)
     dim = covariance.dimension
     vectors = _vectors(config, dim, config.random_sets)
     # random draws form random.sets sets of random.count; explicit vectors one set
@@ -317,11 +312,7 @@ def _kms_scale_model(model, h: float):
 def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     """Boundary residuals of the KMS condition across scales (and regimes)."""
     _require(config.hamiltonian is not None, "operator.kms: required for kms-verify")
-    _require(config.hamiltonian.is_matrix, "operator.kms: matrix hamiltonian required")
-    try:
-        model = kms_model(config.hamiltonian, config.beta)
-    except WeylscaleError as exc:
-        raise ConfigInvalid(f"operator.kms: {exc}") from exc
+    model = _built("operator.kms", kms_model, config.hamiltonian, config.beta)
     _require(len(config.h_values) > 0, "h_values: required")
     dim = config.hamiltonian.dimension
     vectors = _vectors(config, dim, 2)
@@ -396,14 +387,8 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
 def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     """Truncated GNS simulator against the Gaussian closed form."""
     covariance = _matrix_covariance(config)
-    try:
-        model = GnsModel(covariance, config.cutoff)
-    except WeylscaleError as exc:
-        raise ConfigInvalid(f"operator/cutoff: {exc}") from exc
-    try:
-        check_doubled_cap(model)
-    except WeylscaleError as exc:
-        raise ConfigInvalid(f"cutoff: {exc}") from exc
+    model = _built("operator/cutoff", GnsModel, covariance, config.cutoff)
+    _built("cutoff", check_doubled_cap, model)
     phi = quasi_free_functional(covariance)
     tol = config.tolerances["gns"]
     vectors = _vectors(config, covariance.dimension, 1)

@@ -86,7 +86,7 @@ def _merge_sorted_values(values: Sequence[float], counts: Sequence[float]) -> tu
 
 def _dense_matrix(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
     """Symmetrized ``V diag(eigvals) V*``, read-only."""
-    matrix = eigvecs @ np.diag(eigvals).astype(complex) @ eigvecs.conj().T
+    matrix = (eigvecs * eigvals) @ eigvecs.conj().T
     matrix = (matrix + matrix.conj().T) / 2
     matrix.flags.writeable = False
     return matrix

@@ -44,7 +44,6 @@ class StateFunctional:
     ``value(0) == 1`` and ``value(-f) == conj(value(f))``.
     """
 
-    tag = "abstract"
     #: space dimension the functional is tied to, or None when it only
     #: depends on rotation-invariant data such as the norm of f.
     dimension: int | None = None
@@ -78,8 +77,6 @@ def _difference_forms(gram: np.ndarray) -> np.ndarray:
 class QuasiFreeState(StateFunctional):
     """Gaussian functional phi(f) = exp(-<f, A f> / 4) for a covariance A."""
 
-    tag = "quasi_free"
-
     def __init__(self, covariance: OperatorSpec):
         self.covariance = covariance
         self.dimension = covariance.dimension if covariance.is_matrix else None
@@ -106,8 +103,6 @@ class QuasiFreeState(StateFunctional):
 class RescaledFockState(StateFunctional):
     """The Fock functional pushed to scale h: phi(f) = exp(-||f||^2 / (4h))."""
 
-    tag = "rescaled_fock"
-
     def __init__(self, h: float):
         require_positive(h, "scale parameter")
         self.h = float(h)
@@ -124,8 +119,6 @@ class RescaledFockState(StateFunctional):
 class TraceState(StateFunctional):
     """Indicator of the identity generator: 1 at f = 0, else 0."""
 
-    tag = "trace"
-
     def value(self, f) -> complex:
         f = np.asarray(f, dtype=complex)
         # zero test on the same grid that canonicalizes word keys
@@ -136,8 +129,6 @@ class TraceState(StateFunctional):
 
 class _RescaledFunctional(StateFunctional):
     """Generic rescaling wrapper: phi_h(f) = phi(f / sqrt(h))."""
-
-    tag = "rescaled"
 
     def __init__(self, base: StateFunctional, h: float):
         self.base = base
@@ -255,9 +246,7 @@ class GramViolationWitness:
     min_eigenvalue: float
 
 
-def scan_for_gram_violation(
-    covariance: OperatorSpec, h: float, threshold: float = WITNESS_EIG_THRESHOLD
-) -> GramViolationWitness | None:
+def scan_for_gram_violation(covariance: OperatorSpec, h: float) -> GramViolationWitness | None:
     """Deterministic search for a Gram kernel with a clearly negative eigenvalue.
 
     Sweeps the coherent family {0, s e, s ie, s (e + ie)/sqrt(2), 2s e, 2s ie}
@@ -281,6 +270,6 @@ def scan_for_gram_violation(
             2 * s * 1j * e,
         )
         report = check_sigma_h_positivity(phi, family, h)
-        if report.min_eigenvalue < threshold:
+        if report.min_eigenvalue < WITNESS_EIG_THRESHOLD:
             return GramViolationWitness(scale=s, min_eigenvalue=report.min_eigenvalue)
     return None

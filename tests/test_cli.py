@@ -116,13 +116,6 @@ class TestConfigValidation:
         assert config.beta == 1.0
         assert config.hamiltonian.matrix[0, 0] == pytest.approx(math.log(2))
 
-    def test_atoms_with_infinite_multiplicity(self):
-        config = ExperimentConfig.from_dict(
-            {"operator": {"atoms": [[2.0, "INF"], [1.0, 3]]}}
-        )
-        assert config.operator.atoms[0].value == 1.0
-        assert config.operator.atoms[1].infinite
-
     def test_h_grid_expansion(self):
         config = ExperimentConfig.from_dict(
             {"operator": {"matrix": [[2]]}, "h_grid": {"start": 0.5, "stop": 2.5, "count": 9}}
@@ -726,23 +719,44 @@ def test_positivity_scan_nan_matrix_is_config_error(tmp_path, capsys):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
-#: key named in the error -> (suite, config whose value at that key has the wrong shape)
+#: case -> (suite, config whose value at a key has the wrong shape); the case
+#: is that key, then after a space what is wrong when the key repeats
 _SHAPE_ERRORS = {
     "h_values": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_values: 5\n"),
     "vectors.explicit[0]": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [1, 2]}\nh_values: [1]\n"),
     "vectors.explicit[1]": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1, 2], 3]}\nh_values: [1]\n"),
-    "operator.atoms": ("positivity-scan", "operator: {atoms: 5}\nh_values: [1]\n"),
+    "operator with atoms": ("positivity-scan", "operator: {atoms: 5}\nh_values: [1]\n"),
+    "operator with an unknown key": ("positivity-scan", "operator: {foo: 1}\nh_values: [1]\n"),
+    "operator.kms without beta": ("kms-verify", "operator: {kms: {matrix: [[1]]}}\nh_values: [1]\n"),
+    "operator.kms without matrix": ("kms-verify", "operator: {kms: {beta: 1}}\nh_values: [1]\n"),
+    "operator.matrix[0][1]": ("positivity-scan", "operator: {matrix: [[2, [0, 1, 2]]]}\nh_values: [1]\n"),
+    "vectors as a number": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: 5\nh_values: [1]\n"),
+    "vectors.random": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {random: 5}\nh_values: [1]\n"),
+    "h_grid null": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_grid: null\n"),
+    "h_grid as a number": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_grid: 5\n"),
+    "h_grid.count": ("positivity-scan", "operator: {matrix: [[2]]}\nvectors: {explicit: [[1]]}\nh_grid: {start: 1, stop: 2}\n"),
     "space": ("rescale-fock", "space: 5\nh_values: [0.5]\n"),
 }
 
 
-@pytest.mark.parametrize("key", list(_SHAPE_ERRORS))
-def test_config_shape_error_names_its_key(tmp_path, capsys, key):
-    suite, text = _SHAPE_ERRORS[key]
+@pytest.mark.parametrize("case", list(_SHAPE_ERRORS))
+def test_config_shape_error_names_its_key(tmp_path, capsys, case):
+    suite, text = _SHAPE_ERRORS[case]
     path = tmp_path / "config.yaml"
     path.write_text(text)
     assert main([suite, "--config", str(path)]) == 2
-    assert f"config error: {key}:" in capsys.readouterr().err
+    assert f"config error: {case.split(' ')[0]}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+@pytest.mark.parametrize(
+    "operator", ["{atoms: [[2, 1]]}", "{kms: {beta: 1, atoms: [[1, 1]]}}"], ids=["atoms", "kms.atoms"]
+)
+def test_atoms_operator_is_a_config_error_in_every_suite(tmp_path, capsys, suite, operator):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"operator: {operator}\nvectors: {{random: {{count: 2, seed: 1}}}}\nh_values: [0.5]\n")
+    assert main([suite, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert "config error: operator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("space", "0"), ("tolerances", "[]"), ("output", "0"), ("output", '""')])

@@ -1,4 +1,5 @@
-"""The README's quick tour runs as written, so a deleted or renamed public name fails here."""
+"""The README's quick tour and example config run as written, so a deleted or renamed
+public name, or a config key the parser no longer reads, fails here."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import weylscale
+from weylscale.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,10 @@ def test_quick_tour_runs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_example_config_runs(tmp_path):
+    (config,) = re.findall(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    path = tmp_path / "kms.yaml"
+    path.write_text(config, encoding="utf-8")
+    assert main(["kms-verify", "--config", str(path), "--out", str(tmp_path / "report.json")]) == 0
