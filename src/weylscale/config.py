@@ -12,7 +12,11 @@ parentheses; any other is a config error.
 The operator is always a matrix, given in one of two ways: ``operator:
 {matrix: rows}`` is the covariance itself, and ``operator: {kms: {beta: b,
 matrix: rows}}`` a Hamiltonian whose ``beta``-KMS state has the covariance.
-An entry of the rows is a number, a complex literal or an ``[re, im]`` pair.
+An entry of the rows is a number, a complex literal or an ``[re, im]`` pair,
+and so is an entry of the ``vectors.explicit`` block.  That block is cast to
+one complex array in one pass when every entry is an exact number or a string
+holding ``j``, and read entry by entry otherwise, with the same values and
+messages either way.
 
 ``ExperimentConfig.from_file`` reads a UTF-8 file as YAML 1.1 with PyYAML's
 safe loader, except that PyYAML does not build one node per matrix or vector
@@ -178,6 +182,46 @@ def _real_rows(rows: list) -> np.ndarray | None:
         return None
 
 
+def _complex_rows(vectors: list) -> np.ndarray | None:
+    """The vectors as one complex array when every entry casts as :func:`parse_complex` reads it.
+
+    That is an exact ``int`` or ``float``, or a ``str`` holding ``j``, which
+    ``parse_complex`` passes to ``complex()`` with its spaces stripped; the only
+    spaces ``complex()`` accepts, at the ends and inside enclosing parentheses,
+    do not change the number.  Any other entry, one that ``complex()`` rejects,
+    or vectors of unequal length return None, so the per-entry parser reads
+    and reports them.
+    """
+    entries = list(chain.from_iterable(vectors))
+    kinds = set(map(type, entries))
+    if len(set(map(len, vectors))) != 1 or not kinds <= {str, int, float}:
+        return None
+    if str in kinds and not all("j" in x for x in entries if type(x) is str):
+        return None
+    try:
+        values = np.array(list(map(complex, entries)), dtype=complex)
+    except (ValueError, OverflowError):
+        return None
+    return values.reshape(len(vectors), -1)
+
+
+def _explicit_vectors(explicit: list) -> tuple:
+    """The ``vectors.explicit`` block, every entry a finite complex number."""
+    values = _complex_rows(explicit)
+    if values is not None:
+        vectors = tuple(values)
+        finite = np.isfinite(values).all(axis=1)
+    else:
+        vectors = tuple(
+            np.array([parse_complex(x, f"vectors.explicit[{i}][{j}]") for j, x in enumerate(vec)], dtype=complex)
+            for i, vec in enumerate(explicit)
+        )
+        finite = [np.isfinite(vec).all() for vec in vectors]
+    if not np.all(finite):
+        raise ConfigInvalid(f"vectors.explicit[{int(np.argmin(finite))}]: NaN or infinite entries")
+    return vectors
+
+
 def _parse_operator(rows, where: str) -> OperatorSpec:
     """The matrix operator of the rows at ``where``, ``operator.matrix`` or ``operator.kms.matrix``."""
     if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
@@ -273,6 +317,8 @@ def _cast_row(tokens: str) -> list | None:
         return None
     if '"' not in tokens and tokens.count(".") == tokens.count(", ") + 1:
         return list(map(float, tokens.split(", ")))  # a plain float has one dot, an int none
+    if tokens.count('"') == 2 * tokens.count(", ") + 2:
+        return tokens[1:-1].split('", "')  # every token quoted
     try:
         return [t[1:-1] if t[0] == '"' else float(t) if "." in t else int(t) for t in tokens.split(", ")]
     except ValueError:  # an int beyond Python's digit limit
@@ -439,15 +485,7 @@ class ExperimentConfig:
                 for i, vec in enumerate(explicit):
                     if not isinstance(vec, list):
                         raise ConfigInvalid(f"vectors.explicit[{i}]: expected a list of numbers")
-                config.vectors_explicit = tuple(
-                    np.asarray(
-                        [parse_complex(x, f"vectors.explicit[{i}][{j}]") for j, x in enumerate(vec)]
-                    )
-                    for i, vec in enumerate(explicit)
-                )
-                for i, vec in enumerate(config.vectors_explicit):
-                    if not np.all(np.isfinite(vec)):
-                        raise ConfigInvalid(f"vectors.explicit[{i}]: NaN or infinite entries")
+                config.vectors_explicit = _explicit_vectors(explicit)
             elif "random" in vectors:
                 random_section = vectors["random"]
                 if not isinstance(random_section, dict):

@@ -37,9 +37,14 @@ class ConfigInvalid(WeylscaleError):
 
 
 def require_positive(value, what: str) -> None:
-    """Raise ``OutOfRange`` unless ``value > 0``; NaN fails too.
+    """Raise ``OutOfRange`` unless ``value > 0``; NaN fails too, and so does a
+    value that cannot be ordered against 0 (``None``, a string, a complex).
 
     The message formats ``value`` itself, so ``nan``, ``0`` and ``-1.0`` read as given.
     """
-    if not value > 0:
+    try:
+        positive = value > 0
+    except TypeError:
+        positive = False
+    if not positive:
         raise OutOfRange(f"{what} {value} must be positive")

@@ -167,14 +167,18 @@ def _vectors(config: ExperimentConfig, dim: int, count: int) -> list[np.ndarray]
     return random_complex_vectors(config.rng(), count * config.random_count, dim)
 
 
-def _overflow(bound: float, vectors) -> str | None:
+def _peak(vectors) -> float:
+    """The largest real or imaginary part of an entry of the vectors, at least 1."""
+    return max(1.0, float(np.max(np.abs(np.asarray(vectors, dtype=complex).view(float)))))
+
+
+def _overflow(bound: float, peak: float) -> str | None:
     """The error of a cell whose array products could overflow, else None.
 
-    ``bound`` is a norm ``||A||`` times the dimension; with ``p >= 1`` the largest
-    real or imaginary part of an entry, ``2 * bound * p^2`` bounds ``||A|| ||f|| ||g||``.
+    ``bound`` is a norm ``||A||`` times the dimension; with ``peak`` the
+    :func:`_peak` ``p`` of the vectors, ``2 * bound * p^2`` bounds ``||A|| ||f|| ||g||``.
     It is a Python float product, so an overflow is ``inf``, never a numpy warning.
     """
-    peak = max(1.0, float(np.max(np.abs(np.asarray(vectors, dtype=complex).view(float)))))
     if math.isfinite(2.0 * bound * peak * peak):
         return None
     return f"overflow: vector entries up to {peak:.3g} against a norm bound of {bound:.3g}"
@@ -226,10 +230,11 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
         _require(0 < h < INF, f"h_values: scale {h} must be positive and finite")
     admissible_bound = _built("operator", h_max, covariance)
     dim = covariance.dimension
-    vectors = _vectors(config, dim, config.random_sets)
+    rows = np.asarray(_vectors(config, dim, config.random_sets), dtype=complex)
     # random draws form random.sets sets of random.count; explicit vectors one set
-    size = config.random_count or len(vectors)
-    sets = [vectors[i : i + size] for i in range(0, len(vectors), size)]
+    size = config.random_count or len(rows)
+    sets = [rows[i : i + size] for i in range(0, len(rows), size)]
+    peak = _peak(rows)
     phi = quasi_free_functional(covariance)
     lowest = covariance.eigenvectors[:, 0]
     gram_tol = config.tolerances["gram"]
@@ -240,7 +245,7 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     witness_summary = None
     for h in config.h_values:
         # the kernel's phases scale with h, its differences of forms reach 4 G_jk
-        error = _overflow(4 * dim * max(norm, h), vectors)
+        error = _overflow(4 * dim * max(norm, h), peak)
         if error is not None:
             record.cells.append({"h": float(h), "error": error, "ok": False})
             continue
@@ -327,7 +332,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
         for index, (f, g) in enumerate(pairs):
             cell = {"h": float(h), "pair": index, "path": path}
             # every path's covariance has norm at most h_star / min(h, 1)
-            pair_error = error or _overflow(dim * h_star / min(h, 1.0), (f, g))
+            pair_error = error or _overflow(dim * h_star / min(h, 1.0), _peak((f, g)))
             if pair_error is not None:
                 cell.update({"error": pair_error, "ok": False})
             elif path == "restricted":

@@ -2,9 +2,12 @@
 
 A state is represented by its generating functional ``phi(f)``; positivity of
 the state at scale ``h`` is positive semidefiniteness of every finite kernel
-``M_jk = exp(-i/2 * h * sigma(f_j, f_k)) * phi(f_j - f_k)``.  The kernel is
-stored exactly in that index order; it is Hermitian for every functional here
-because ``phi(-f) = conj(phi(f))``.
+``M_jk = exp(-i/2 * h * sigma(f_j, f_k)) * phi(f_j - f_k)``.  Every functional
+here has ``phi(-f) = conj(phi(f))``, so the kernel is Hermitian: only its
+entries ``j >= k`` are computed, the strict upper triangle is their conjugate
+mirror, and the diagonal is real (``sigma(f, f) = 0``, ``phi(0) = 1``), so the
+stored kernel is exactly Hermitian.  The lower triangle is all that
+``numpy.linalg.eigvalsh`` reads.
 
 Kernels are built as array work on the vectors stacked into rows ``F``: the
 phases from ``Im(conj(F) F^T)``, and for Gaussian functionals every
@@ -19,6 +22,7 @@ The checked Gaussian functional and :func:`h_max` decide ``A >= I`` by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +41,17 @@ WITNESS_EIG_THRESHOLD = -1e-8
 WITNESS_SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
+@lru_cache(maxsize=8)
+def _lower(n: int) -> np.ndarray:
+    """Read-only mask of the entries j >= k of an n x n array.
+
+    Indexing with it takes them row by row, in the order of ``np.tril_indices``.
+    """
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 class StateFunctional:
     """Base class: a generating functional with a tagged closed form.
 
@@ -52,26 +67,29 @@ class StateFunctional:
         raise NotImplementedError
 
     def difference_values(self, rows: np.ndarray) -> np.ndarray:
-        """The n x n array phi(f_j - f_k) for the rows f_j of ``rows``.
+        """phi(f_j - f_k) for the rows f_j of ``rows``, at the entries j >= k only.
 
-        The default evaluates :meth:`value` entry by entry; functionals with
-        a closed form override it with array work.
+        A 1-d array in row-by-row order (that of ``np.tril_indices``), real
+        for the Gaussian functionals; the entries j < k are the conjugates, by
+        ``phi(-f) = conj(phi(f))``.  The default evaluates :meth:`value` entry
+        by entry; functionals with a closed form override it with array work,
+        in place where they can: at n = 160 a fresh temporary costs about as
+        much as the arithmetic on it.
         """
-        n = rows.shape[0]
-        values = np.empty((n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                values[j, k] = self.value(rows[j] - rows[k])
-        return values
+        pairs = zip(*np.tril_indices(rows.shape[0]))
+        return np.array([self.value(rows[j] - rows[k]) for j, k in pairs], dtype=complex)
 
 
 def _difference_forms(gram: np.ndarray) -> np.ndarray:
-    """<f_j - f_k, X (f_j - f_k)> from gram[j, k] = <f_j, X f_k>, X Hermitian.
+    """<f_j - f_k, X (f_j - f_k)> for j >= k from gram[j, k] = <f_j, X f_k>, X Hermitian.
 
     The diagonal is exactly zero: it is 2 G_jj - 2 G_jj in floating point.
     """
+    lower = _lower(gram.shape[0])
     diagonal = gram.diagonal().real
-    return diagonal[:, None] + diagonal[None, :] - 2.0 * gram.real
+    forms = np.add.outer(diagonal, diagonal)[lower]
+    forms -= 2.0 * gram.real[lower]
+    return forms
 
 
 class QuasiFreeState(StateFunctional):
@@ -97,7 +115,9 @@ class QuasiFreeState(StateFunctional):
             gram = rows.conj() @ self.covariance.matrix @ rows.T
         else:
             gram = scalar_value(self.covariance) * (rows.conj() @ rows.T)
-        return np.exp(-0.25 * _difference_forms(gram)).astype(complex)
+        forms = _difference_forms(gram)
+        forms *= -0.25
+        return np.exp(forms, out=forms)
 
 
 class RescaledFockState(StateFunctional):
@@ -113,7 +133,9 @@ class RescaledFockState(StateFunctional):
 
     def difference_values(self, rows: np.ndarray) -> np.ndarray:
         forms = _difference_forms(rows.conj() @ rows.T)
-        return np.exp(-forms / (4.0 * self.h)).astype(complex)
+        np.negative(forms, out=forms)
+        forms /= 4.0 * self.h
+        return np.exp(forms, out=forms)
 
 
 class TraceState(StateFunctional):
@@ -175,21 +197,40 @@ def evaluate_state(phi: StateFunctional, u: WeylWord) -> complex:
     return complex(total)
 
 
-def gram_matrix(phi: StateFunctional, vectors: Sequence, h: float) -> np.ndarray:
-    """Positivity kernel M_jk = exp(-i/2 h sigma(f_j, f_k)) phi(f_j - f_k)."""
-    vecs = [np.asarray(v, dtype=complex) for v in vectors]
-    if phi.dimension is not None:
+def _stacked(vectors, dimension: int | None) -> np.ndarray:
+    """The vectors as the rows of one complex array; an (m, n) array is taken as it is."""
+    is_rows = isinstance(vectors, np.ndarray) and vectors.ndim == 2
+    vecs = vectors[:1] if is_rows else [np.asarray(v, dtype=complex) for v in vectors]
+    if dimension is not None:
         for v in vecs:
-            if v.shape != (phi.dimension,):
-                raise DimensionMismatch(
-                    f"vector of shape {v.shape} against functional over C^{phi.dimension}"
-                )
-    if not vecs:
+            if v.shape != (dimension,):
+                raise DimensionMismatch(f"vector of shape {v.shape} against functional over C^{dimension}")
+    if is_rows:
+        return vectors.astype(complex, copy=False)
+    return np.stack(vecs) if vecs else np.empty((0, 0), dtype=complex)
+
+
+def gram_matrix(phi: StateFunctional, vectors: Sequence, h: float) -> np.ndarray:
+    """Positivity kernel M_jk = exp(-i/2 h sigma(f_j, f_k)) phi(f_j - f_k).
+
+    ``vectors`` is a sequence of vectors or an (m, n) array of them as rows.
+    The entries j >= k are computed and the others are their conjugates.
+    """
+    rows = _stacked(vectors, phi.dimension)
+    n = rows.shape[0]
+    if n == 0:
         return np.empty((0, 0), dtype=complex)
-    rows = np.stack(vecs)
-    # sigma(f_j, f_k) = Im<f_j, f_k>
-    phases = np.exp(-0.5j * h * (rows.conj() @ rows.T).imag)
-    return phases * phi.difference_values(rows)
+    lower = _lower(n)
+    # sigma(f_j, f_k) = Im<f_j, f_k>, and sigma(f, f) = 0 exactly where the product rounds
+    products = rows.conj() @ rows.T
+    np.fill_diagonal(products.imag, 0.0)
+    values = -0.5j * h * products.imag[lower]
+    np.exp(values, out=values)
+    values *= phi.difference_values(rows)
+    kernel = np.empty((n, n), dtype=complex)
+    kernel.T[lower] = values.conj()  # M_kj = conj(M_jk)
+    kernel[lower] = values  # after the mirror: the diagonal is its own mirror
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -210,7 +251,8 @@ def check_sigma_h_positivity(
     magnitude: pass iff ``min eig >= -tol * n * max |M_jk|``.
     """
     kernel = gram_matrix(phi, vectors, h)
-    eigenvalues = np.linalg.eigvalsh(kernel)
+    # the lower triangle, the one gram_matrix computes, is all eigvalsh reads
+    eigenvalues = np.linalg.eigvalsh(kernel, UPLO="L")
     min_eig = float(eigenvalues[0])
     floor = -tol * kernel.shape[0] * float(np.max(np.abs(kernel)))
     return GramReport(kernel=kernel, min_eigenvalue=min_eig, verdict=min_eig >= floor)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylscale import config as config_module
-from weylscale.config import ExperimentConfig, _load_yaml, _take_rows
+from weylscale.config import ExperimentConfig, _complex_rows, _load_yaml, _take_rows, parse_complex
 from weylscale.errors import ConfigInvalid
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -217,6 +217,95 @@ def test_mixed_documents_read_like_pyyaml(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mixed") / "config.yaml"
     path.write_text(text, encoding="utf-8")
     assert_reads_like_pyyaml(path)
+
+
+# ---------------------------------------------------------------------------
+# explicit vectors: one array when every entry casts directly, else entry by entry
+
+
+def _per_entry_vectors(explicit):
+    """The vectors as the per-entry parser reads them: parse_complex on every
+    entry, then each vector checked finite."""
+    vectors = tuple(
+        np.array([parse_complex(x, f"vectors.explicit[{i}][{j}]") for j, x in enumerate(vec)], dtype=complex)
+        for i, vec in enumerate(explicit)
+    )
+    for i, vec in enumerate(vectors):
+        if not np.all(np.isfinite(vec)):
+            raise ConfigInvalid(f"vectors.explicit[{i}]: NaN or infinite entries")
+    return vectors
+
+
+def _vectors_outcome(read, explicit):
+    try:
+        return "vectors", [(v.tobytes(), v.dtype.str, v.shape) for v in read(explicit)]
+    except ConfigInvalid as exc:
+        return "error", str(exc)
+
+
+def _from_dict_vectors(explicit):
+    return ExperimentConfig.from_dict({"vectors": {"explicit": explicit}}).vectors_explicit
+
+
+#: name: (vectors.explicit, read in one pass, "vectors" or the error it gives)
+EXPLICIT_LAYOUTS = {
+    "quoted-complex": ([["0.5+0.5j", "1.0-0.25j"], ["-3e-05+2j", "7j"]], True, "vectors"),
+    "int": ([[1, -2], [0, 10**20 + 1]], True, "vectors"),
+    "float": ([[1.5, -0.0], [2.5e-300, 1e300]], True, "vectors"),
+    "mixed": ([["1+2j", 3], [4.5, "-0.0-0.0j"]], True, "vectors"),
+    "spaces-at-the-ends": ([[" 1+2j", "(1-2j) ", "( 3j )", "\t4j\n"]], True, "vectors"),
+    "underscores": ([["1_0.5j", 1.0]], True, "vectors"),
+    "bool": ([[1.0, True]], False, "vectors.explicit[0][1]: expected a number, got a boolean"),
+    "upper-J": ([["1+2J", 1.0]], False, "vectors.explicit[0][0]: cannot parse number '1+2J'"),
+    "inner-spaces": ([["1 + 2j", 1.0]], False, "vectors"),
+    "expression": ([["ln(2)", 1.0]], False, "vectors"),
+    "string-without-j": ([["1.5", "2.5j"]], False, "vectors"),
+    "inf": ([[1.0, 1.0], [float("inf"), 1.0]], True, "vectors.explicit[1]: NaN or infinite entries"),
+    "nan": ([[1.0], [float("nan")]], True, "vectors.explicit[1]: NaN or infinite entries"),
+    "nanj": ([["nanj", 1.0]], True, "vectors.explicit[0]: NaN or infinite entries"),
+    "overflowing-literal": ([["1e400j"]], True, "vectors.explicit[0]: NaN or infinite entries"),
+    "pairs": ([[[1.0, 2.0], [0.5, "ln(2)"]]], False, "vectors"),
+    "pair-of-three": ([[[1.0, 2.0, 3.0]]], False, "vectors.explicit[0][0]: complex pair needs exactly two entries"),
+    "ragged": ([[1.0, 2.0], [3.0]], False, "vectors"),
+    "ragged-as-many-entries": ([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]], False, "vectors"),
+    "int-beyond-float": ([[10**400, 1.0]], False, "vectors.explicit[0][0]: 1" + "0" * 400 + " is too large for a float"),
+    "two-js": ([["1jj", 1.0]], False, "vectors.explicit[0][0]: cannot parse complex '1jj'"),
+    "null": ([[None]], False, "vectors.explicit[0][0]: cannot parse number None"),
+    "parse-error-before-nan": ([[float("nan")], ["x"]], False, "vectors.explicit[1][0]: cannot parse number 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLICIT_LAYOUTS))
+def test_explicit_vectors_read_as_entry_by_entry(name):
+    explicit, one_pass, outcome = EXPLICIT_LAYOUTS[name]
+    assert (_complex_rows(explicit) is not None) == one_pass
+    expected = _vectors_outcome(_per_entry_vectors, explicit)
+    if outcome == "vectors":
+        assert expected[0] == "vectors"
+    else:
+        assert expected == ("error", outcome)
+    assert _vectors_outcome(_from_dict_vectors, explicit) == expected
+
+
+_ENTRIES = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.tuples(st.floats(), st.floats()).map(lambda z: repr(complex(*z)).strip("()")),
+    st.sampled_from([True, None, "1+2J", "1 + 2j", " 2j", "ln(2)", "1.5", "pi", "jj", "infj", "-nanj", "1e400j"]),
+    st.lists(st.floats(-2, 2), min_size=1, max_size=3),
+)
+
+
+#: one to four vectors of n or n + 1 entries, so some blocks are ragged
+_EXPLICIT = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n + 1), min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=200)
+@given(_EXPLICIT)
+def test_explicit_vectors_of_mixed_entries(explicit):
+    assert _vectors_outcome(_from_dict_vectors, explicit) == _vectors_outcome(_per_entry_vectors, explicit)
 
 
 # ---------------------------------------------------------------------------

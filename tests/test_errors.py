@@ -4,10 +4,15 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weylscale import errors
-from weylscale.errors import OutOfRange, WeylscaleError, require_positive
+from weylscale.config import ExperimentConfig
+from weylscale.errors import ConfigInvalid, OutOfRange, WeylscaleError, require_positive
+from weylscale.kms import covariance_from_hamiltonian
+from weylscale.runner import run_gns_check
+from weylscale.spectral import make_operator
 
 PACKAGE = Path(errors.__file__).parent
 
@@ -82,6 +87,30 @@ def test_require_positive_formats_the_value_it_is_given(value, text):
     with pytest.raises(OutOfRange) as caught:
         require_positive(value, "scale parameter")
     assert str(caught.value) == text
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, "inverse temperature None must be positive"),
+        ("2.0", "inverse temperature 2.0 must be positive"),
+        (1 + 0j, "inverse temperature (1+0j) must be positive"),
+    ],
+)
+def test_require_positive_rejects_what_cannot_be_ordered(value, text):
+    with pytest.raises(OutOfRange) as caught:
+        require_positive(value, "inverse temperature")
+    assert str(caught.value) == text
+
+
+def test_a_missing_inverse_temperature_is_out_of_range():
+    hamiltonian = make_operator(np.diag([1.0, 2.0]))
+    with pytest.raises(OutOfRange, match="inverse temperature None must be positive"):
+        covariance_from_hamiltonian(hamiltonian, None)
+    # a config built by hand, not read by from_dict, which always gives beta
+    config = ExperimentConfig(hamiltonian=hamiltonian, beta=None, vectors_explicit=(np.array([0.1, 0.2j]),), cutoff=4)
+    with pytest.raises(ConfigInvalid, match=r"^operator\.kms: inverse temperature None must be positive$"):
+        run_gns_check(config)
 
 
 def test_require_positive_accepts_positive_values():

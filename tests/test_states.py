@@ -25,6 +25,7 @@ from weylscale import (
     two_point_criterion,
 )
 from weylscale.errors import DimensionMismatch, SpectrumBelowOne
+from weylscale.spectral import scalar_value
 
 from conftest import random_covariance, random_vector, random_word
 
@@ -172,6 +173,91 @@ class TestBatchedKernel:
         reference = per_entry_kernel(phi, vectors, 2.0)
         assert np.max(np.abs(kernel - reference)) <= 1e-12
         assert np.count_nonzero(kernel) > len(vectors)
+
+
+def full_kernel(phi, vectors, h):
+    """Reference kernel: the full formula, phases and phi differences on all n^2 entries."""
+    rows = np.stack([np.asarray(v, dtype=complex) for v in vectors])
+    phases = np.exp(-0.5j * h * (rows.conj() @ rows.T).imag)
+    if isinstance(phi, (QuasiFreeState, RescaledFockState)):
+        if isinstance(phi, RescaledFockState):
+            gram = rows.conj() @ rows.T
+        elif phi.covariance.is_matrix:
+            gram = rows.conj() @ phi.covariance.matrix @ rows.T
+        else:
+            gram = scalar_value(phi.covariance) * (rows.conj() @ rows.T)
+        diagonal = gram.diagonal().real
+        forms = diagonal[:, None] + diagonal[None, :] - 2.0 * gram.real
+        if isinstance(phi, RescaledFockState):
+            values = np.exp(-forms / (4.0 * phi.h)).astype(complex)
+        else:
+            values = np.exp(-0.25 * forms).astype(complex)
+    else:
+        n = rows.shape[0]
+        values = np.empty((n, n), dtype=complex)
+        for j in range(n):
+            for k in range(n):
+                values[j, k] = phi.value(rows[j] - rows[k])
+    return phases * values
+
+
+_MIXTURE = MixtureMeasure(((0.0, 0.25), (0.5, 0.75)))
+
+#: a functional for vectors in C^n, and the most vectors it is tried on: the
+#: functionals evaluated entry by entry stop short of the closed forms' 160
+_FUNCTIONALS = {
+    "quasi-free-matrix": (lambda rng, n: QuasiFreeState(random_covariance(rng, n)), 160),
+    "quasi-free-scalar": (lambda rng, n: QuasiFreeState(make_operator([(2.5, INF)])), 160),
+    "rescaled-fock": (lambda rng, n: RescaledFockState(0.6), 160),
+    "mixture": (lambda rng, n: MixtureState(_MIXTURE), 48),
+    "trace": (lambda rng, n: TraceState(), 48),
+    "rescaled-wrapper": (lambda rng, n: rescale_functional(MixtureState(_MIXTURE), 0.4), 48),
+}
+
+
+class TestLowerTriangleKernel:
+    """The kernel built from its lower triangle against the full formula."""
+
+    @pytest.mark.parametrize(
+        "name, dim, count",
+        [
+            (name, dim, count)
+            for name, (_, most) in _FUNCTIONALS.items()
+            for dim in (1, 4, 12)
+            for count in (1, 13, most)
+        ],
+    )
+    def test_kernel_is_the_full_formula_mirrored(self, rng, name, dim, count):
+        phi = _FUNCTIONALS[name][0](rng, dim)
+        vectors = [random_vector(rng, dim) for _ in range(count)]
+        vectors[count // 2] = vectors[0].copy()  # a repeat: the trace kernel is not the identity
+        for h in (0.7, 2.3):
+            kernel = gram_matrix(phi, vectors, h)
+            reference = full_kernel(phi, vectors, h)
+            lower = np.tril_indices(count, -1)
+            assert kernel[lower].tobytes() == reference[lower].tobytes()
+            # the reference's diagonal phase carries the rounding of Im<f, f> = 0 in
+            # its imaginary part, which eigvalsh never reads; gram_matrix's is exact
+            assert kernel.diagonal().real.tobytes() == reference.diagonal().real.tobytes()
+            assert np.all(kernel.diagonal().imag == 0.0)
+            assert np.array_equal(kernel, kernel.conj().T)
+            report = check_sigma_h_positivity(phi, vectors, h)
+            assert report.min_eigenvalue.hex() == float(np.linalg.eigvalsh(reference)[0]).hex()
+            # an (m, n) array of rows is read as it is, with the same kernel
+            assert gram_matrix(phi, np.stack(vectors), h).tobytes() == kernel.tobytes()
+        if name == "trace" and count > 1:
+            assert kernel[count // 2, 0] == 1.0
+
+    def test_rows_of_the_wrong_dimension(self, rng):
+        phi = QuasiFreeState(random_covariance(rng, 3))
+        with pytest.raises(DimensionMismatch, match=r"vector of shape \(2,\) against functional over C\^3"):
+            gram_matrix(phi, np.zeros((4, 2)), 1.0)
+        with pytest.raises(DimensionMismatch, match=r"vector of shape \(2,\)"):
+            gram_matrix(phi, [np.zeros(3), np.zeros(2)], 1.0)
+
+    def test_no_vectors_give_an_empty_kernel(self):
+        assert gram_matrix(RescaledFockState(0.5), [], 1.0).shape == (0, 0)
+        assert gram_matrix(RescaledFockState(0.5), np.zeros((0, 3)), 1.0).shape == (0, 0)
 
 
 class TestGramMatrix:
