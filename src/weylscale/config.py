@@ -13,10 +13,12 @@ The operator is always a matrix, given in one of two ways: ``operator:
 {matrix: rows}`` is the covariance itself, and ``operator: {kms: {beta: b,
 matrix: rows}}`` a Hamiltonian whose ``beta``-KMS state has the covariance.
 An entry of the rows is a number, a complex literal or an ``[re, im]`` pair,
-and so is an entry of the ``vectors.explicit`` block.  That block is cast to
-one complex array in one pass when every entry is an exact number or a string
-holding ``j``, and read entry by entry otherwise, with the same values and
-messages either way.
+and so is an entry of the ``vectors.explicit`` block.  Every such numeric
+block, rows of equal length, becomes one complex array: it is cast once, as
+one float array when every entry is an exact int or float and through
+``complex()`` when the others are strings holding ``j``, or else read entry
+by entry, with the same values and messages either way.  The explicit
+vectors stay that one array, its rows, up to the suites.
 
 ``ExperimentConfig.from_file`` reads a UTF-8 file as YAML 1.1 with PyYAML's
 safe loader, except that PyYAML does not build one node per matrix or vector
@@ -167,57 +169,47 @@ def _parse_integer(value, where: str, minimum: int | None = None) -> int:
     return int(number)
 
 
-def _real_rows(rows: list) -> np.ndarray | None:
-    """The matrix as one float array when every entry is a plain int or float.
-
-    ``type(x)`` rather than ``isinstance`` keeps booleans out; any other entry,
-    or an int too large for a float, returns None so the per-entry parser
-    reports it.
-    """
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        return None
+def _built(where: str, build, *args):
+    """``build(*args)``, with a model error re-raised as a config error at ``where``."""
     try:
-        return np.array(rows, dtype=float)
-    except OverflowError:
-        return None
+        return build(*args)
+    except WeylscaleError as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
-def _complex_rows(vectors: list) -> np.ndarray | None:
-    """The vectors as one complex array when every entry casts as :func:`parse_complex` reads it.
+def _cast_block(rows: list, where: str) -> np.ndarray:
+    """The rows at ``where`` as one complex array, every entry read as :func:`parse_complex` reads it.
 
-    That is an exact ``int`` or ``float``, or a ``str`` holding ``j``, which
-    ``parse_complex`` passes to ``complex()`` with its spaces stripped; the only
-    spaces ``complex()`` accepts, at the ends and inside enclosing parentheses,
-    do not change the number.  Any other entry, one that ``complex()`` rejects,
-    or vectors of unequal length return None, so the per-entry parser reads
-    and reports them.
+    A block of exact ints and floats (``type`` rather than ``isinstance`` keeps
+    booleans out) is cast as one float array, and one that also holds strings
+    with ``j`` through ``complex()``, the call ``parse_complex`` makes after
+    stripping spaces; the only spaces ``complex()`` accepts, at the ends and
+    inside enclosing parentheses, do not change the number.  Any other block,
+    or one the cast rejects (an int too large for a float, a string that
+    ``complex()`` refuses), is read entry by entry, so every value and every
+    message naming ``where[i][j]`` is the same either way.
     """
-    entries = list(chain.from_iterable(vectors))
-    kinds = set(map(type, entries))
-    if len(set(map(len, vectors))) != 1 or not kinds <= {str, int, float}:
-        return None
-    if str in kinds and not all("j" in x for x in entries if type(x) is str):
-        return None
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigInvalid(f"{where}: rows of unequal length")
+    kinds = set(map(type, chain.from_iterable(rows)))
     try:
-        values = np.array(list(map(complex, entries)), dtype=complex)
+        if kinds <= {int, float}:
+            return np.array(rows, dtype=float).astype(complex)
+        if kinds <= {str, int, float} and all("j" in x for x in chain.from_iterable(rows) if type(x) is str):
+            return np.array(list(map(complex, chain.from_iterable(rows))), dtype=complex).reshape(len(rows), -1)
     except (ValueError, OverflowError):
-        return None
-    return values.reshape(len(vectors), -1)
+        pass
+    return np.array(
+        [[parse_complex(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)],
+        dtype=complex,
+    )
 
 
-def _explicit_vectors(explicit: list) -> tuple:
-    """The ``vectors.explicit`` block, every entry a finite complex number."""
-    values = _complex_rows(explicit)
-    if values is not None:
-        vectors = tuple(values)
-        finite = np.isfinite(values).all(axis=1)
-    else:
-        vectors = tuple(
-            np.array([parse_complex(x, f"vectors.explicit[{i}][{j}]") for j, x in enumerate(vec)], dtype=complex)
-            for i, vec in enumerate(explicit)
-        )
-        finite = [np.isfinite(vec).all() for vec in vectors]
-    if not np.all(finite):
+def _explicit_vectors(explicit: list) -> np.ndarray:
+    """The ``vectors.explicit`` block as the rows of one array, every entry a finite complex number."""
+    vectors = _cast_block(explicit, "vectors.explicit")
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
         raise ConfigInvalid(f"vectors.explicit[{int(np.argmin(finite))}]: NaN or infinite entries")
     return vectors
 
@@ -226,18 +218,8 @@ def _parse_operator(rows, where: str) -> OperatorSpec:
     """The matrix operator of the rows at ``where``, ``operator.matrix`` or ``operator.kms.matrix``."""
     if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
         raise ConfigInvalid(f"{where}: expected a nested list")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ConfigInvalid(f"{where}: rows of unequal length")
-    entries = _real_rows(rows)
-    if entries is None:
-        entries = [
-            [parse_complex(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    try:
-        return OperatorSpec.from_matrix(entries)
-    except WeylscaleError as exc:
-        raise ConfigInvalid(f"{where}: {exc}") from exc
+    # cast outside _built: an entry's message already names where it is
+    return _built(where, OperatorSpec.from_matrix, _cast_block(rows, where))
 
 
 def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.ndarray:
@@ -424,7 +406,7 @@ class ExperimentConfig:
     hamiltonian: OperatorSpec | None = None
     beta: float | None = None
     dimension: int | None = None
-    vectors_explicit: tuple | None = None
+    vectors_explicit: np.ndarray | None = None
     random_count: int | None = None
     random_sets: int = 1
     seed: int | None = None
@@ -563,9 +545,13 @@ class ExperimentConfig:
         return np.random.default_rng(self.seed)
 
 
-def random_complex_vectors(rng: np.random.Generator, count: int, dim: int) -> list[np.ndarray]:
-    """Standard complex Gaussian sample, deterministic given the generator state."""
-    return [
-        (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2)
-        for _ in range(count)
-    ]
+def random_complex_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """Standard complex Gaussian sample as the rows of a ``(count, dim)`` array,
+    deterministic given the generator state.
+
+    One draw of ``count * 2 * dim`` normals fills the rows in order, each
+    row's ``dim`` real parts before its ``dim`` imaginary parts, so a row is
+    the vector that drawing its real and then its imaginary part would give.
+    """
+    parts = rng.standard_normal((count, 2, dim))
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2)

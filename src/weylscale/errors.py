@@ -1,5 +1,7 @@
 """Exception types shared across the workbench: one class per kind of mistake."""
 
+import math
+
 
 class WeylscaleError(Exception):
     """Base class for every error raised by this package."""
@@ -23,8 +25,8 @@ class DomainViolation(WeylscaleError):
 
 
 class DimensionMismatch(WeylscaleError):
-    """Vectors, operators or words over incompatible spaces, or a vector outside
-    the restricted subspace."""
+    """Vectors, operators or words over incompatible spaces, a vector outside
+    the restricted subspace, or an empty vector set."""
 
 
 class ModelMismatch(WeylscaleError):
@@ -36,15 +38,22 @@ class ConfigInvalid(WeylscaleError):
     """Experiment configuration failed validation; message names the field."""
 
 
+def _orderable(value):
+    """``value`` when it can be ordered against a number, else NaN (``None``, a
+    string, a complex).  NaN fails every comparison, so a range check written
+    ``not <in range>`` on the result rejects both."""
+    try:
+        value < 0  # a TypeError when value cannot be ordered
+    except TypeError:
+        return math.nan
+    return value
+
+
 def require_positive(value, what: str) -> None:
     """Raise ``OutOfRange`` unless ``value > 0``; NaN fails too, and so does a
     value that cannot be ordered against 0 (``None``, a string, a complex).
 
     The message formats ``value`` itself, so ``nan``, ``0`` and ``-1.0`` read as given.
     """
-    try:
-        positive = value > 0
-    except TypeError:
-        positive = False
-    if not positive:
+    if not _orderable(value) > 0:
         raise OutOfRange(f"{what} {value} must be positive")

@@ -42,7 +42,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMatrix, OutOfRange
+from .errors import DimensionMismatch, InvalidMatrix, OutOfRange, _orderable
 from .spectral import (
     OperatorSpec,
     is_trace_class_minus_identity,
@@ -88,7 +88,7 @@ class GnsModel:
 
     def __init__(self, covariance: OperatorSpec, cutoff: int = 40):
         covariance.require_matrix()
-        if cutoff < CUTOFF_FLOOR:
+        if not _orderable(cutoff) >= CUTOFF_FLOOR:
             raise OutOfRange(f"cutoff {cutoff} below hard floor {CUTOFF_FLOOR}")
         require_dominates_identity(covariance)
         self.covariance = covariance
@@ -251,14 +251,14 @@ def is_quasi_equivalent_to_fock(covariance: OperatorSpec) -> bool:
 
 def c_parameter(h: float) -> float:
     """Mixture coordinate of the rescaled Fock state: c = (1 - h) / (1 + h)."""
-    if not 0 < h <= 1:
+    if not 0 < _orderable(h) <= 1:
         raise OutOfRange(f"scale parameter {h} outside (0, 1]")
     return (1.0 - h) / (1.0 + h)
 
 
 def h_of_c(c: float) -> float:
     """Inverse of c_parameter: h = (1 - c) / (1 + c)."""
-    if not 0 <= c < 1:
+    if not 0 <= _orderable(c) < 1:
         raise OutOfRange(f"mixture coordinate {c} outside [0, 1)")
     return (1.0 - c) / (1.0 + c)
 
@@ -274,9 +274,9 @@ class MixtureMeasure:
             raise OutOfRange("measure needs at least one support point")
         total = 0.0
         for c, w in self.points:
-            if not 0 <= c < 1:
+            if not 0 <= _orderable(c) < 1:
                 raise OutOfRange(f"support point {c} outside [0, 1)")
-            if not w > 0:
+            if not _orderable(w) > 0:
                 raise OutOfRange(f"weight {w} is not positive")
             total += w
         if not abs(total - 1.0) <= 1e-12:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation, OutOfRange, require_positive
+from .errors import DimensionMismatch, DomainViolation, OutOfRange, _orderable, require_positive
 from .spectral import (
     ATOM_MERGE_TOL,
     INF,
@@ -295,7 +295,7 @@ def j_h_function(lam: float, h: float, beta: float) -> float:
     """
     require_positive(beta, "inverse temperature")
     require_positive(h, "scale parameter")
-    if lam < 1 - ATOM_MERGE_TOL:
+    if not _orderable(lam) >= 1 - ATOM_MERGE_TOL:
         raise OutOfRange(f"spectral argument {lam} below 1")
     power = lam ** beta
     denominator = 1.0 + h + (1.0 - h) * power
@@ -338,7 +338,7 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
     within a factor 4 of the largest float is out of range: the matrix of
     ``A/h`` and its symmetrization would overflow.
     """
-    if not 0 < h <= 1:
+    if not 0 < _orderable(h) <= 1:
         raise OutOfRange(f"scale parameter {h} outside (0, 1]")
     if not 4.0 * model.covariance.atoms[-1].value / h < INF:
         raise OutOfRange(f"scale parameter {h} too small: the covariance over h overflows")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ModelMismatch, OutOfRange, require_positive
+from .errors import DimensionMismatch, ModelMismatch, OutOfRange, _orderable, require_positive
 from .kms import (
     KmsWitnessReport,
     _bose,
@@ -55,7 +55,7 @@ _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 def lambda_star(h: float, beta: float) -> float:
     """Top of the restricted modular spectrum: ((h+1)/(h-1))^{1/beta}."""
     require_positive(beta, "inverse temperature")
-    if not h >= 1 + 1e-9:
+    if not _orderable(h) >= 1 + 1e-9:
         raise OutOfRange(f"scale parameter {h} too close to the pole at 1")
     return ((h + 1.0) / (h - 1.0)) ** (1.0 / beta)
 
@@ -115,7 +115,7 @@ def restricted_model(
     that map is singular, is then out of range.
     """
     h_star = op_norm(covariance)
-    if not 1 < h < h_star:
+    if not 1 < _orderable(h) < h_star:
         raise OutOfRange(f"scale parameter {h} outside (1, {h_star})")
     if covariance.is_matrix:
         eigs = covariance.eigenvalues

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import ExperimentConfig, random_complex_vectors
+from .config import ExperimentConfig, _built, random_complex_vectors
 from .errors import ConfigInvalid, WeylscaleError
 from .fock import (
     GnsModel,
@@ -137,14 +137,6 @@ def _require(condition: bool, message: str):
         raise ConfigInvalid(message)
 
 
-def _built(where: str, build, *args):
-    """``build(*args)``, with a model error re-raised as a config error at ``where``."""
-    try:
-        return build(*args)
-    except WeylscaleError as exc:
-        raise ConfigInvalid(f"{where}: {exc}") from exc
-
-
 def _matrix_covariance(config: ExperimentConfig) -> OperatorSpec:
     if config.operator is not None:
         return config.operator
@@ -152,24 +144,24 @@ def _matrix_covariance(config: ExperimentConfig) -> OperatorSpec:
     return _built("operator.kms", covariance_from_hamiltonian, config.hamiltonian, config.beta)
 
 
-def _vectors(config: ExperimentConfig, dim: int, count: int) -> list[np.ndarray]:
-    """The explicit vectors, or ``count`` times ``random.count`` seeded draws.
+def _vectors(config: ExperimentConfig, dim: int, count: int) -> np.ndarray:
+    """The explicit vectors, or ``count`` times ``random.count`` seeded draws,
+    as the rows of one complex array.
 
-    Suites cut the one list into consecutive sets or pairs; the draws are
-    made vector by vector, so those slices hold the vectors that separate
-    draws from the same generator would give.
+    Suites cut the rows into consecutive sets or pairs; the draws fill the
+    rows in order, so those slices hold the vectors that separate draws from
+    the same generator would give.
     """
     if config.vectors_explicit is not None:
-        for vec in config.vectors_explicit:
-            _require(vec.shape == (dim,), f"vectors.explicit: expected dimension {dim}")
-        return list(config.vectors_explicit)
+        _require(config.vectors_explicit.shape[1] == dim, f"vectors.explicit: expected dimension {dim}")
+        return config.vectors_explicit
     _require(config.random_count is not None, "vectors: required for this suite")
     return random_complex_vectors(config.rng(), count * config.random_count, dim)
 
 
-def _peak(vectors) -> float:
+def _peak(vectors: np.ndarray) -> float:
     """The largest real or imaginary part of an entry of the vectors, at least 1."""
-    return max(1.0, float(np.max(np.abs(np.asarray(vectors, dtype=complex).view(float)))))
+    return max(1.0, float(np.max(np.abs(vectors.view(float)))))
 
 
 def _overflow(bound: float, peak: float) -> str | None:
@@ -230,7 +222,7 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
         _require(0 < h < INF, f"h_values: scale {h} must be positive and finite")
     admissible_bound = _built("operator", h_max, covariance)
     dim = covariance.dimension
-    rows = np.asarray(_vectors(config, dim, config.random_sets), dtype=complex)
+    rows = _vectors(config, dim, config.random_sets)
     # random draws form random.sets sets of random.count; explicit vectors one set
     size = config.random_count or len(rows)
     sets = [rows[i : i + size] for i in range(0, len(rows), size)]
@@ -322,7 +314,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     dim = config.hamiltonian.dimension
     vectors = _vectors(config, dim, 2)
     _require(len(vectors) % 2 == 0, "vectors.explicit: need an even count to form pairs")
-    pairs = list(zip(vectors[0::2], vectors[1::2]))
+    pairs = vectors.reshape(-1, 2, dim)
     tol = config.tolerances["residual"]
     two_route_tol = config.tolerances["two_route"]
     h_star = op_norm(model.covariance)
@@ -332,7 +324,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
         for index, (f, g) in enumerate(pairs):
             cell = {"h": float(h), "pair": index, "path": path}
             # every path's covariance has norm at most h_star / min(h, 1)
-            pair_error = error or _overflow(dim * h_star / min(h, 1.0), _peak((f, g)))
+            pair_error = error or _overflow(dim * h_star / min(h, 1.0), _peak(pairs[index]))
             if pair_error is not None:
                 cell.update({"error": pair_error, "ok": False})
             elif path == "restricted":
@@ -455,7 +447,7 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
     _require(len(config.h_values) > 0, "h_values: required")
     arithmetic_tol = config.tolerances["arithmetic"]
     pointwise_tol = config.tolerances["pointwise"]
-    if config.random_count or config.vectors_explicit:
+    if config.random_count or config.vectors_explicit is not None:
         dim = config.space_dimension()
         vectors = _vectors(config, dim, 1)
     else:

@@ -44,6 +44,7 @@ from .errors import (
     ModelMismatch,
     OutOfRange,
     SpectrumBelowOne,
+    _orderable,
 )
 
 #: Distinguished infinite multiplicity marker.
@@ -167,11 +168,11 @@ class OperatorSpec:
         multiplicities; declare an unbounded spectrum by :meth:`with_declared_bounds`."""
         cleaned: list[tuple[float, float]] = []
         for value, mult in pairs:
-            value = float(value)
-            if not 0 < value < INF:
+            if not 0 < _orderable(value) < INF:
                 raise OutOfRange(f"atom value {value} is not strictly positive and finite")
+            value = float(value)
             if mult != INF:
-                if not mult > 0 or mult != int(mult):
+                if not _orderable(mult) > 0 or mult != int(mult):
                     raise OutOfRange(f"atom multiplicity {mult} is not a positive integer")
                 mult = int(mult)
             cleaned.append((value, mult))

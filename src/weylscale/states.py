@@ -248,9 +248,12 @@ def check_sigma_h_positivity(
     """PSD verdict for the positivity kernel of phi at scale h.
 
     The verdict allows eigensolver noise scaling with the kernel size and
-    magnitude: pass iff ``min eig >= -tol * n * max |M_jk|``.
+    magnitude: pass iff ``min eig >= -tol * n * max |M_jk|``.  An empty
+    vector set has no verdict and raises ``DimensionMismatch``.
     """
     kernel = gram_matrix(phi, vectors, h)
+    if kernel.shape[0] == 0:
+        raise DimensionMismatch("positivity check of an empty vector set: no kernel eigenvalue to test")
     # the lower triangle, the one gram_matrix computes, is all eigvalsh reads
     eigenvalues = np.linalg.eigvalsh(kernel, UPLO="L")
     min_eig = float(eigenvalues[0])

@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylscale import config as config_module
-from weylscale.config import ExperimentConfig, _complex_rows, _load_yaml, _take_rows, parse_complex
-from weylscale.errors import ConfigInvalid
+from weylscale.config import ExperimentConfig, _load_yaml, _take_rows, parse_complex
+from weylscale.errors import ConfigInvalid, WeylscaleError
+from weylscale.spectral import OperatorSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -220,20 +221,36 @@ def test_mixed_documents_read_like_pyyaml(tmp_path_factory, text):
 
 
 # ---------------------------------------------------------------------------
-# explicit vectors: one array when every entry casts directly, else entry by entry
+# numeric blocks: one array when every entry casts directly, else entry by entry
+
+
+def _per_entry_rows(block, where):
+    """The rows of equal length, each as parse_complex reads its entries."""
+    if any(len(row) != len(block[0]) for row in block):
+        raise ConfigInvalid(f"{where}: rows of unequal length")
+    return tuple(
+        np.array([parse_complex(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)], dtype=complex)
+        for i, row in enumerate(block)
+    )
 
 
 def _per_entry_vectors(explicit):
-    """The vectors as the per-entry parser reads them: parse_complex on every
-    entry, then each vector checked finite."""
-    vectors = tuple(
-        np.array([parse_complex(x, f"vectors.explicit[{i}][{j}]") for j, x in enumerate(vec)], dtype=complex)
-        for i, vec in enumerate(explicit)
-    )
+    """The vectors as the per-entry parser reads them: rows of equal length,
+    parse_complex on every entry, then each vector checked finite."""
+    vectors = _per_entry_rows(explicit, "vectors.explicit")
     for i, vec in enumerate(vectors):
         if not np.all(np.isfinite(vec)):
             raise ConfigInvalid(f"vectors.explicit[{i}]: NaN or infinite entries")
     return vectors
+
+
+def _per_entry_operator(rows):
+    """The operator the per-entry parser gives: its rows, then a model error as a config error."""
+    entries = _per_entry_rows(rows, "operator.matrix")
+    try:
+        return OperatorSpec.from_matrix(entries)
+    except WeylscaleError as exc:
+        raise ConfigInvalid(f"operator.matrix: {exc}") from exc
 
 
 def _vectors_outcome(read, explicit):
@@ -243,11 +260,31 @@ def _vectors_outcome(read, explicit):
         return "error", str(exc)
 
 
+def _operator_outcome(read, rows):
+    try:
+        return "operator", _operator_bytes(read(rows))
+    except ConfigInvalid as exc:
+        return "error", str(exc)
+
+
 def _from_dict_vectors(explicit):
-    return ExperimentConfig.from_dict({"vectors": {"explicit": explicit}}).vectors_explicit
+    vectors = ExperimentConfig.from_dict({"vectors": {"explicit": explicit}}).vectors_explicit
+    assert isinstance(vectors, np.ndarray) and vectors.ndim == 2
+    return vectors
 
 
-#: name: (vectors.explicit, read in one pass, "vectors" or the error it gives)
+def _from_dict_operator(rows):
+    return ExperimentConfig.from_dict({"operator": {"matrix": rows}}).operator
+
+
+#: key -> (reading from_dict, per-entry reference, outcome of a block)
+READERS = {
+    "vectors.explicit": (_from_dict_vectors, _per_entry_vectors, _vectors_outcome),
+    "operator.matrix": (_from_dict_operator, _per_entry_operator, _operator_outcome),
+}
+
+#: name: (vectors.explicit, read with no per-entry call, "vectors" or the error it gives);
+#: a ragged block is refused before any entry is read
 EXPLICIT_LAYOUTS = {
     "quoted-complex": ([["0.5+0.5j", "1.0-0.25j"], ["-3e-05+2j", "7j"]], True, "vectors"),
     "int": ([[1, -2], [0, 10**20 + 1]], True, "vectors"),
@@ -266,25 +303,46 @@ EXPLICIT_LAYOUTS = {
     "overflowing-literal": ([["1e400j"]], True, "vectors.explicit[0]: NaN or infinite entries"),
     "pairs": ([[[1.0, 2.0], [0.5, "ln(2)"]]], False, "vectors"),
     "pair-of-three": ([[[1.0, 2.0, 3.0]]], False, "vectors.explicit[0][0]: complex pair needs exactly two entries"),
-    "ragged": ([[1.0, 2.0], [3.0]], False, "vectors"),
-    "ragged-as-many-entries": ([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]], False, "vectors"),
+    "ragged": ([[1.0, 2.0], [3.0]], True, "vectors.explicit: rows of unequal length"),
+    "ragged-as-many-entries": ([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]], True, "vectors.explicit: rows of unequal length"),
     "int-beyond-float": ([[10**400, 1.0]], False, "vectors.explicit[0][0]: 1" + "0" * 400 + " is too large for a float"),
     "two-js": ([["1jj", 1.0]], False, "vectors.explicit[0][0]: cannot parse complex '1jj'"),
     "null": ([[None]], False, "vectors.explicit[0][0]: cannot parse number None"),
     "parse-error-before-nan": ([[float("nan")], ["x"]], False, "vectors.explicit[1][0]: cannot parse number 'x'"),
 }
 
+#: name: (operator.matrix, read with no per-entry call, "operator" or the error it gives)
+MATRIX_LAYOUTS = {
+    "matrix-numbers": ([[2, -0.0], [-0.0, 10**20 + 1]], True, "operator"),
+    "matrix-quoted-complex": ([[2.0, "0.5+0.5j"], ["0.5-0.5j", 3]], True, "operator"),
+    "matrix-expression": ([["ln(2)", 0], [0, "sqrt(2)"]], False, "operator"),
+    "matrix-pairs": ([[2, [0.5, 1]], [[0.5, -1], 3]], False, "operator"),
+    "matrix-bool": ([[2, True], [True, 2]], False, "operator.matrix[0][1]: expected a number, got a boolean"),
+    "matrix-int-beyond-float": ([[10**400]], False, "operator.matrix[0][0]: 1" + "0" * 400 + " is too large for a float"),
+    "matrix-inf": ([[float("inf")]], True, "operator.matrix: matrix has NaN or infinite entries"),
+    "matrix-not-hermitian": ([[1, "1j"], ["1j", 1]], True, "operator.matrix: conjugate-symmetry residual 2.000e+00 exceeds 1e-12"),
+    "matrix-not-square": ([[1, 2]], True, "operator.matrix: matrix input must be square, got shape (1, 2)"),
+    "matrix-ragged": ([[1, "2"], [3]], True, "operator.matrix: rows of unequal length"),
+}
 
-@pytest.mark.parametrize("name", list(EXPLICIT_LAYOUTS))
-def test_explicit_vectors_read_as_entry_by_entry(name):
-    explicit, one_pass, outcome = EXPLICIT_LAYOUTS[name]
-    assert (_complex_rows(explicit) is not None) == one_pass
-    expected = _vectors_outcome(_per_entry_vectors, explicit)
-    if outcome == "vectors":
-        assert expected[0] == "vectors"
+BLOCK_LAYOUTS = [("vectors.explicit", name) for name in EXPLICIT_LAYOUTS] + [
+    ("operator.matrix", name) for name in MATRIX_LAYOUTS
+]
+
+
+@pytest.mark.parametrize("where, name", BLOCK_LAYOUTS, ids=[name for _, name in BLOCK_LAYOUTS])
+def test_explicit_vectors_read_as_entry_by_entry(monkeypatch, where, name):
+    block, one_pass, outcome = {**EXPLICIT_LAYOUTS, **MATRIX_LAYOUTS}[name]
+    read, reference, outcome_of = READERS[where]
+    expected = outcome_of(reference, block)
+    if outcome in ("vectors", "operator"):
+        assert expected[0] == outcome
     else:
         assert expected == ("error", outcome)
-    assert _vectors_outcome(_from_dict_vectors, explicit) == expected
+    entries_read = []
+    monkeypatch.setattr(config_module, "parse_complex", lambda x, at: entries_read.append(at) or parse_complex(x, at))
+    assert outcome_of(read, block) == expected
+    assert (entries_read == []) == one_pass
 
 
 _ENTRIES = st.one_of(

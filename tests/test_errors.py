@@ -10,9 +10,11 @@ import pytest
 from weylscale import errors
 from weylscale.config import ExperimentConfig
 from weylscale.errors import ConfigInvalid, OutOfRange, WeylscaleError, require_positive
-from weylscale.kms import covariance_from_hamiltonian
+from weylscale.fock import GnsModel, MixtureMeasure, c_parameter, h_of_c
+from weylscale.kms import covariance_from_hamiltonian, j_h_function, kms_model, rescaled_modular
+from weylscale.restriction import lambda_star, restricted_model
 from weylscale.runner import run_gns_check
-from weylscale.spectral import make_operator
+from weylscale.spectral import OperatorSpec, make_operator
 
 PACKAGE = Path(errors.__file__).parent
 
@@ -116,3 +118,34 @@ def test_a_missing_inverse_temperature_is_out_of_range():
 def test_require_positive_accepts_positive_values():
     for value in (5e-324, 1, 2.5, float("inf")):
         require_positive(value, "inverse temperature")
+
+
+def _kms():
+    return kms_model(make_operator(np.diag([0.5, 1.0])), 1.0)
+
+
+def _covariance():
+    return make_operator(np.diag([1.5, 3.0]))
+
+
+#: name -> (call, the OutOfRange message); each call compares a value it cannot order
+UNORDERABLE_CALLS = {
+    "mixture-weight": (lambda: MixtureMeasure(((0.0, None),)), "weight None is not positive"),
+    "mixture-point": (lambda: MixtureMeasure(((None, 1.0),)), r"support point None outside \[0, 1\)"),
+    "atom-value": (lambda: OperatorSpec.from_atoms([(None, 1)]), "atom value None is not strictly positive and finite"),
+    "atom-multiplicity": (lambda: OperatorSpec.from_atoms([(2.0, None)]), "atom multiplicity None is not a positive integer"),
+    "c_parameter": (lambda: c_parameter(None), r"scale parameter None outside \(0, 1\]"),
+    "h_of_c": (lambda: h_of_c(None), r"mixture coordinate None outside \[0, 1\)"),
+    "rescaled_modular": (lambda: rescaled_modular(_kms(), None), r"scale parameter None outside \(0, 1\]"),
+    "restricted_model": (lambda: restricted_model(_covariance(), None), r"scale parameter None outside \(1, 3.0\)"),
+    "lambda_star": (lambda: lambda_star(None, 1.0), "scale parameter None too close to the pole at 1"),
+    "j_h_function": (lambda: j_h_function(None, 0.5, 1.0), "spectral argument None below 1"),
+    "GnsModel": (lambda: GnsModel(_covariance(), None), "cutoff None below hard floor 4"),
+}
+
+
+@pytest.mark.parametrize("name", list(UNORDERABLE_CALLS))
+def test_values_that_cannot_be_ordered_are_out_of_range(name):
+    call, message = UNORDERABLE_CALLS[name]
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        call()

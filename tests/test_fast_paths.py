@@ -7,6 +7,9 @@
 - Rendering an array a row at a time gives the per-entry text.
 - An n = 128 kms-verify job in the benchmark's layout builds three dense
   matrices, so eager rebuilds cannot come back unnoticed.
+- One draw of a ``(count, dim)`` array of random vectors gives the vectors
+  of per-vector draws and leaves the generator where they leave it, and the
+  explicit vectors reach the suites as the config's own array.
 """
 
 import math
@@ -16,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylscale import spectral
+from weylscale import runner, spectral
 from weylscale.cli import main
+from weylscale.config import ExperimentConfig, random_complex_vectors
 from weylscale.report import _render_value, _row_text
 from weylscale.spectral import (
     ATOM_MERGE_TOL,
@@ -239,3 +243,24 @@ def test_benchmark_known_fault_job_builds_one_dense_matrix(tmp_path, dense_build
     job = _workloads().known_fault_job(str(tmp_path))
     assert main(job.argv()) == 3
     assert len(dense_builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# vector sets as one array
+
+
+@pytest.mark.parametrize("count, dim", [(1, 1), (3, 4), (160, 12), (2, 128)])
+def test_one_draw_gives_the_vectors_of_per_vector_draws(count, dim):
+    for seed in range(5):
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = random_complex_vectors(one, count, dim)
+        vectors = [(each.standard_normal(dim) + 1j * each.standard_normal(dim)) / np.sqrt(2) for _ in range(count)]
+        assert rows.shape == (count, dim)
+        assert rows.tobytes() == np.stack(vectors).tobytes()
+        assert one.bit_generator.state == each.bit_generator.state
+
+
+def test_explicit_vectors_reach_the_suites_as_the_config_array():
+    config = ExperimentConfig.from_dict({"operator": {"matrix": [[2]]}, "vectors": {"explicit": [[1], ["0.5j"]]}})
+    assert config.vectors_explicit.shape == (2, 1)
+    assert runner._vectors(config, 1, 1) is config.vectors_explicit

@@ -336,6 +336,12 @@ class TestPositivityVerdicts:
                 report = check_sigma_h_positivity(phi, vectors, h)
                 assert report.min_eigenvalue >= -1e-10
 
+    @pytest.mark.parametrize("vectors", [[], np.zeros((0, 2))], ids=["list", "array"])
+    def test_an_empty_vector_set_has_no_verdict(self, vectors):
+        phi = quasi_free_functional(make_operator(np.eye(2)))
+        with pytest.raises(DimensionMismatch, match="^positivity check of an empty vector set"):
+            check_sigma_h_positivity(phi, vectors, 1.0)
+
     def test_beyond_the_bottom_scan_finds_violation(self):
         covariance = make_operator(np.diag([1.5, 2.0, 4.0]))
         for h in (1.6, 2.0):
