@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the experiment suites; each run reads one
 config file, executes the suite, and writes one self-contained report to the
 output path (standard output by default).  Exit codes: 0 when every cell
 meets its contract, 2 on configuration errors, 3 when cells fail (the
-failing cells are listed on standard error).
+failing cells are listed on standard error, each with its failing checks).
 
 The argument parser is built once per process and shared by every ``main``
 call; each call parses into a fresh namespace, so nothing carries over.
@@ -70,8 +70,8 @@ def main(argv=None) -> int:
     if record.timing_seconds is not None:
         print(f"{args.command}: {record.timing_seconds:.3f}s", file=sys.stderr)
     if not record_passes(record):
-        for cell in failing_cells(record):
-            print(f"contract violation: {cell}", file=sys.stderr)
+        for cell, checks in failing_cells(record):
+            print(f"contract violation: {cell} failed: {', '.join(checks)}", file=sys.stderr)
         for key, value in record.summary.items():
             if key.endswith("_ok") and not value:
                 print(f"contract violation: summary.{key}", file=sys.stderr)

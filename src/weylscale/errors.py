@@ -9,7 +9,8 @@ class WeylscaleError(Exception):
 
 class OutOfRange(WeylscaleError):
     """Scalar parameter outside its domain: a scale, inverse temperature, atom,
-    Hamiltonian bottom, Fock cutoff, strip point or mixture weight."""
+    Hamiltonian bottom, Fock cutoff, strip point or mixture weight, or vector
+    entries so large that a cell's array products could overflow."""
 
 
 class InvalidMatrix(WeylscaleError):

@@ -25,6 +25,8 @@ class ReportRecord:
     summary: dict = field(default_factory=dict)
     #: wall-clock seconds; deliberately excluded from the serialized report
     timing_seconds: float | None = None
+    #: cell index -> names of the cell's failing checks; not serialized either
+    failed_checks: dict = field(default_factory=dict)
 
     def to_object(self) -> dict:
         return {
@@ -147,7 +149,12 @@ def render(record: ReportRecord, output_format: str) -> str:
 
 
 def failing_cells(record: ReportRecord) -> list:
-    return [cell for cell in record.cells if not cell.get("ok", True)]
+    """(cell, names of its failing checks) for every cell whose ``ok`` is false."""
+    return [
+        (cell, record.failed_checks.get(index, []))
+        for index, cell in enumerate(record.cells)
+        if not cell.get("ok", True)
+    ]
 
 
 def record_passes(record: ReportRecord) -> bool:

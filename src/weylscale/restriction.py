@@ -181,6 +181,12 @@ def spectral_correspondence_check(
     """
     if spectral_distance(covariance_from_hamiltonian(hamiltonian, beta), covariance) > 1e-10:
         raise ModelMismatch("covariance does not match the hamiltonian at this beta")
+    return _spectral_correspondence(hamiltonian, beta, h)
+
+
+def _spectral_correspondence(hamiltonian: OperatorSpec, beta: float, h: float) -> bool:
+    """The atom-by-atom comparison of :func:`spectral_correspondence_check`, for a
+    caller whose covariance is built from ``hamiltonian`` at ``beta``."""
     pairs = [
         (_bose(atom.value, beta), math.exp(min(atom.value, _LOG_MAX_FLOAT)))
         for atom in hamiltonian.atoms

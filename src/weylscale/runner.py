@@ -1,9 +1,9 @@
 """Experiment suites: named scans over parameter grids, one report each.
 
 Every suite resolves its inputs from an ExperimentConfig, walks the grid in
-deterministic order, marks each cell with an ``ok`` verdict against the
-module contracts, and returns a ReportRecord.  Random draws always come from
-the configured seed, so repeated runs are byte-identical.
+deterministic order, builds each cell in one frame (:func:`_cell`) from named
+checks against the module contracts, and returns a ReportRecord.  Random draws
+always come from the configured seed, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,53 +15,27 @@ import time
 import numpy as np
 
 from .config import ExperimentConfig, _built, random_complex_vectors
-from .errors import ConfigInvalid, WeylscaleError
+from .errors import ConfigInvalid, OutOfRange, WeylscaleError
 from .fock import (
-    GnsModel,
-    MixtureMeasure,
-    c_parameter,
-    check_doubled_cap,
-    commutant_residual,
-    gns_expectation,
-    h_of_c,
-    is_quasi_equivalent_to_fock,
-    one_particle_number_expectation,
-    universally_invariant_functional,
+    GnsModel, MixtureMeasure, c_parameter, check_doubled_cap, commutant_residual, gns_expectation, h_of_c,
+    is_quasi_equivalent_to_fock, one_particle_number_expectation, universally_invariant_functional,
     weyl_relation_residual,
 )
 from .kms import (
-    covariance_from_hamiltonian,
-    kms_boundary_residuals,
-    kms_model,
-    rescaled_kms_residuals,
-    rescaled_modular,
+    covariance_from_hamiltonian, kms_boundary_residuals, kms_model, rescaled_kms_residuals, rescaled_modular,
 )
 from .report import ReportRecord
 from .restriction import (
-    NonRegularFunctional,
-    check_trace_property,
-    restricted_kms_residuals,
-    restricted_model,
-    spectral_correspondence_check,
-    trace_state,
+    NonRegularFunctional, _spectral_correspondence, check_trace_property, restricted_kms_residuals,
+    restricted_model, trace_state,
 )
 from .spectral import (
-    INF,
-    OperatorSpec,
-    apply_function,
-    dominates_identity,
-    inf_spectrum,
-    op_norm,
+    ATOM_MERGE_TOL, INF, OperatorSpec, apply_function, dominates_identity, inf_spectrum, op_norm,
     spectral_distance,
 )
 from .states import (
-    RescaledFockState,
-    check_sigma_h_positivity,
-    evaluate_state,
-    h_max,
-    quasi_free_functional,
-    scan_for_gram_violation,
-    two_point_criterion,
+    RescaledFockState, check_sigma_h_positivity, evaluate_state, h_max, quasi_free_functional,
+    scan_for_gram_violation, two_point_criterion,
 )
 from .weyl import WeylWord
 
@@ -71,9 +45,7 @@ def _operator_echo(op: OperatorSpec | None) -> dict | None:
         return None
     return {
         "variant": op.variant,
-        "spectrum": [
-            [a.value, "INF" if a.infinite else int(a.multiplicity)] for a in op.atoms
-        ],
+        "spectrum": [[a.value, "INF" if a.infinite else int(a.multiplicity)] for a in op.atoms],
         "dimension": op.dimension,
         "entries": op.matrix,
     }
@@ -84,11 +56,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
     if config.vectors_explicit is not None:
         vectors = {"explicit_count": len(config.vectors_explicit)}
     elif config.random_count is not None:
-        vectors = {
-            "random_count": config.random_count,
-            "random_sets": config.random_sets,
-            "seed": config.seed,
-        }
+        vectors = {"random_count": config.random_count, "random_sets": config.random_sets, "seed": config.seed}
     return {
         "operator": _operator_echo(config.operator),
         "hamiltonian": _operator_echo(config.hamiltonian),
@@ -159,21 +127,36 @@ def _vectors(config: ExperimentConfig, dim: int, count: int) -> np.ndarray:
     return random_complex_vectors(config.rng(), count * config.random_count, dim)
 
 
-def _peak(vectors: np.ndarray) -> float:
-    """The largest real or imaginary part of an entry of the vectors, at least 1."""
-    return max(1.0, float(np.max(np.abs(vectors.view(float)))))
+def _guard_overflow(bound: float, vectors: np.ndarray):
+    """Raise OutOfRange when a cell's array products over ``vectors`` could overflow.
 
-
-def _overflow(bound: float, peak: float) -> str | None:
-    """The error of a cell whose array products could overflow, else None.
-
-    ``bound`` is a norm ``||A||`` times the dimension; with ``peak`` the
-    :func:`_peak` ``p`` of the vectors, ``2 * bound * p^2`` bounds ``||A|| ||f|| ||g||``.
-    It is a Python float product, so an overflow is ``inf``, never a numpy warning.
+    ``bound`` is a norm ``||A||`` times the dimension; with ``p`` the largest real
+    or imaginary part of an entry of the vectors, at least 1, ``2 * bound * p^2``
+    bounds ``||A|| ||f|| ||g||``.  It is a Python float product, so an overflow is
+    ``inf``, never a numpy warning.
     """
-    if math.isfinite(2.0 * bound * peak * peak):
-        return None
-    return f"overflow: vector entries up to {peak:.3g} against a norm bound of {bound:.3g}"
+    peak = max(1.0, float(np.max(np.abs(vectors.view(float)))))
+    if not math.isfinite(2.0 * bound * peak * peak):
+        raise OutOfRange(f"overflow: vector entries up to {peak:.3g} against a norm bound of {bound:.3g}")
+
+
+def _cell(record: ReportRecord, keys: dict, body, *args):
+    """Append one grid cell to ``record``, in the frame every suite's cells share.
+
+    ``body(*args)`` returns the cell's fields and an ordered mapping of named
+    checks; the cell is ``keys``, the fields, then ``ok``: whether every check
+    holds.  A ``WeylscaleError`` raised by the body makes the cell ``keys``, its
+    ``error`` and ``ok: false``, failing the check named ``error``.  The names of
+    a cell's failing checks go to ``record.failed_checks`` under its index.
+    """
+    try:
+        fields, checks = body(*args)
+    except WeylscaleError as exc:
+        fields, checks = {"error": str(exc)}, {"error": False}
+    failed = [name for name, passed in checks.items() if not passed]
+    if failed:
+        record.failed_checks[len(record.cells)] = failed
+    record.cells.append({**keys, **fields, "ok": not failed})
 
 
 def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:
@@ -190,23 +173,27 @@ def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:
     return report.max_residual <= tol * max(1.0, size)
 
 
-def _restricted_kms(cell: dict, rmodel, f, g, t_grid: np.ndarray, tol: float) -> bool:
-    """Write the restricted model's KMS residual fields into ``cell``.
+def _restricted_kms(rmodel, f, g, t_grid: np.ndarray, tol: float):
+    """The restricted model's KMS residual fields and checks, for a cell body.
 
-    ``f`` and ``g`` are projected onto the restricted subspace first.  Returns
-    whether the unrescaled and the rescaled residuals both meet ``tol``, each
-    scaled as in :func:`_kms_within` by its own path's covariance.
+    ``f`` and ``g`` are projected onto the restricted subspace first.  The
+    unrescaled and the rescaled residuals must each meet ``tol``, scaled as in
+    :func:`_kms_within` by its own path's covariance.
     """
     f, g = rmodel.project(f), rmodel.project(g)
     base = restricted_kms_residuals(rmodel, f, g, t_grid)
     rescaled = restricted_kms_residuals(rmodel, f, g, t_grid, rescaled=True)
-    cell["max_r0"] = float(np.max(base.r0))
-    cell["max_rbeta"] = float(np.max(base.r_beta))
-    cell["rescaled_max_r0"] = float(np.max(rescaled.r0))
-    cell["rescaled_max_rbeta"] = float(np.max(rescaled.r_beta))
-    return _kms_within(base, rmodel.restricted_covariance, f, g, tol) and _kms_within(
-        rescaled, rmodel.rescaled_covariance, f, g, tol
-    )
+    fields = {
+        "max_r0": float(np.max(base.r0)),
+        "max_rbeta": float(np.max(base.r_beta)),
+        "rescaled_max_r0": float(np.max(rescaled.r0)),
+        "rescaled_max_rbeta": float(np.max(rescaled.r_beta)),
+    }
+    checks = {
+        "kms_within": _kms_within(base, rmodel.restricted_covariance, f, g, tol),
+        "rescaled_kms_within": _kms_within(rescaled, rmodel.rescaled_covariance, f, g, tol),
+    }
+    return fields, checks
 
 
 # ---------------------------------------------------------------------------
@@ -226,61 +213,47 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     # random draws form random.sets sets of random.count; explicit vectors one set
     size = config.random_count or len(rows)
     sets = [rows[i : i + size] for i in range(0, len(rows), size)]
-    peak = _peak(rows)
     phi = quasi_free_functional(covariance)
     lowest = covariance.eigenvectors[:, 0]
     gram_tol = config.tolerances["gram"]
     norm = op_norm(covariance)
 
-    threshold = None
-    first_failing = None
-    witness_summary = None
-    for h in config.h_values:
+    def body(h):
         # the kernel's phases scale with h, its differences of forms reach 4 G_jk
-        error = _overflow(4 * dim * max(norm, h), peak)
-        if error is not None:
-            record.cells.append({"h": float(h), "error": error, "ok": False})
-            continue
+        _guard_overflow(4 * dim * max(norm, h), rows)
         reports = [check_sigma_h_positivity(phi, vecs, h, gram_tol) for vecs in sets]
         all_psd = all(r.verdict for r in reports)
-        min_eig = min(r.min_eigenvalue for r in reports)
         check = two_point_criterion(covariance, lowest, 1j * lowest, h)
         admissible = h <= admissible_bound + 1e-12
-        witness = None
-        if not admissible:
-            witness = scan_for_gram_violation(covariance, h)
-        if admissible:
-            ok = all_psd and check.verdict
-        else:
-            ok = (not check.verdict) and witness is not None
-        cell = {
-            "h": float(h),
+        witness = None if admissible else scan_for_gram_violation(covariance, h)
+        fields = {
             "regime": "admissible" if admissible else "beyond",
             "gram_all_psd": all_psd,
-            "gram_min_eigenvalue": min_eig,
+            "gram_min_eigenvalue": min(r.min_eigenvalue for r in reports),
             "two_point_lhs": check.lhs,
             "two_point_rhs": check.rhs,
             "two_point_pass": check.verdict,
             "witness_scale": None if witness is None else witness.scale,
             "witness_min_eigenvalue": None if witness is None else witness.min_eigenvalue,
-            "ok": ok,
         }
-        record.cells.append(cell)
-        if all_psd and check.verdict:
-            threshold = float(h) if threshold is None else max(threshold, float(h))
-        elif first_failing is None:
-            first_failing = float(h)
-            if witness is not None:
-                witness_summary = {
-                    "h": float(h),
-                    "scale": witness.scale,
-                    "min_eigenvalue": witness.min_eigenvalue,
-                }
+        if admissible:
+            return fields, {"gram_all_psd": all_psd, "two_point_pass": check.verdict}
+        return fields, {"two_point_fails": not check.verdict, "witness_found": witness is not None}
+
+    for h in config.h_values:
+        _cell(record, {"h": float(h)}, body, h)
+
+    # error cells hold no verdicts; a scale passes when its kernels and its two-point check do
+    verdicts = [(c, c["gram_all_psd"] and c["two_point_pass"]) for c in record.cells if "regime" in c]
+    first = next((cell for cell, passed in verdicts if not passed), None)
+    witness = None
+    if first is not None and first["witness_scale"] is not None:
+        witness = {"h": first["h"], "scale": first["witness_scale"], "min_eigenvalue": first["witness_min_eigenvalue"]}
     record.summary = {
         "h_max": admissible_bound,
-        "empirical_threshold": threshold,
-        "first_failing_h": first_failing,
-        "witness": witness_summary,
+        "empirical_threshold": max((cell["h"] for cell, passed in verdicts if passed), default=None),
+        "first_failing_h": None if first is None else first["h"],
+        "witness": witness,
     }
 
 
@@ -289,20 +262,27 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
 
 
 def _kms_scale_model(model, h: float):
-    """(path, model, error) of one kms-verify scale, shared by all its pairs: the
-    restricted model above 1, the base model at 1, the rescaled model below, or
-    the message of the error that kept the scale's model from being built."""
+    """(path, model) of one kms-verify scale, shared by all its pairs: the
+    restricted model above 1, the base model at 1, the rescaled model below.
+
+    A model that cannot be built is replaced by the error its build raised, and
+    each pair's cell raises it again, so every scale is built once.
+    """
     if not h > 0:
-        return "invalid", None, "scale must be positive"
+        return "invalid", OutOfRange("scale must be positive")
     if h == 1:
-        return "unrescaled", model, None
+        return "unrescaled", model
     path = "restricted" if h > 1 else "rescaled"
     try:
         if h > 1:
-            return path, restricted_model(model.covariance, h, beta=model.beta), None
-        return path, rescaled_modular(model, h), None
+            return path, restricted_model(model.covariance, h, beta=model.beta)
+        return path, rescaled_modular(model, h)
     except WeylscaleError as exc:
-        return path, None, str(exc)
+        return path, exc
+
+
+#: The boundary residual fields of kms-verify cells; error cells have none.
+_RESIDUAL_KEYS = ("max_r0", "max_rbeta", "rescaled_max_r0", "rescaled_max_rbeta")
 
 
 @_suite("kms-verify", "residual")
@@ -319,45 +299,42 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     two_route_tol = config.tolerances["two_route"]
     h_star = op_norm(model.covariance)
 
+    def body(h, path, scaled, pair):
+        if isinstance(scaled, WeylscaleError):
+            raise scaled
+        # every path's covariance has norm at most h_star / min(h, 1)
+        _guard_overflow(dim * h_star / min(h, 1.0), pair)
+        f, g = pair
+        if path == "restricted":
+            fields, checks = _restricted_kms(scaled, f, g, config.t_grid, tol)
+            bounded = op_norm(scaled.restricted_modular) <= scaled.lam_star + 1e-12
+            residual = scaled.two_route_residual
+            fields.update(lambda_star=scaled.lam_star, modular_bounded=bounded, two_route_residual=residual)
+            checks.update(two_route=residual <= two_route_tol, modular_bounded=bounded)
+            return fields, checks
+        if path == "unrescaled":
+            report = kms_boundary_residuals(scaled, f, g, config.t_grid)
+            covariance = scaled.covariance
+        else:
+            report = rescaled_kms_residuals(scaled, f, g, config.t_grid)
+            covariance = scaled.covariance_h
+        fields = {
+            "max_r0": float(np.max(report.r0)),
+            "max_rbeta": float(np.max(report.r_beta)),
+            "strip_sup": report.strip_sup,
+        }
+        checks = {"kms_within": _kms_within(report, covariance, f, g, tol)}
+        if path == "rescaled":
+            residual, bottom = scaled.two_route_residual, scaled.delta_bottom
+            exact = inf_spectrum(scaled.generator_h) == bottom
+            fields.update(two_route_residual=residual, delta_bottom=bottom, delta_bottom_exact=exact)
+            checks.update(two_route=residual <= two_route_tol, delta_bottom_exact=exact)
+        return fields, checks
+
     for h in config.h_values:
-        path, scaled, error = _kms_scale_model(model, h)
-        for index, (f, g) in enumerate(pairs):
-            cell = {"h": float(h), "pair": index, "path": path}
-            # every path's covariance has norm at most h_star / min(h, 1)
-            pair_error = error or _overflow(dim * h_star / min(h, 1.0), _peak(pairs[index]))
-            if pair_error is not None:
-                cell.update({"error": pair_error, "ok": False})
-            elif path == "restricted":
-                within = _restricted_kms(cell, scaled, f, g, config.t_grid, tol)
-                bounded = op_norm(scaled.restricted_modular) <= scaled.lam_star + 1e-12
-                ok = within and scaled.two_route_residual <= two_route_tol and bounded
-                cell.update(
-                    {
-                        "lambda_star": scaled.lam_star,
-                        "modular_bounded": bounded,
-                        "two_route_residual": scaled.two_route_residual,
-                        "ok": ok,
-                    }
-                )
-            else:
-                if path == "unrescaled":
-                    report = kms_boundary_residuals(scaled, f, g, config.t_grid)
-                    covariance = scaled.covariance
-                else:
-                    report = rescaled_kms_residuals(scaled, f, g, config.t_grid)
-                    covariance = scaled.covariance_h
-                cell["max_r0"] = float(np.max(report.r0))
-                cell["max_rbeta"] = float(np.max(report.r_beta))
-                cell["strip_sup"] = report.strip_sup
-                ok = _kms_within(report, covariance, f, g, tol)
-                if path == "rescaled":
-                    bottom_exact = inf_spectrum(scaled.generator_h) == scaled.delta_bottom
-                    ok = ok and scaled.two_route_residual <= two_route_tol and bottom_exact
-                    cell["two_route_residual"] = scaled.two_route_residual
-                    cell["delta_bottom"] = scaled.delta_bottom
-                    cell["delta_bottom_exact"] = bottom_exact
-                cell["ok"] = ok
-            record.cells.append(cell)
+        path, scaled = _kms_scale_model(model, h)
+        for index, pair in enumerate(pairs):
+            _cell(record, {"h": float(h), "pair": index, "path": path}, body, h, path, scaled, pair)
 
     exp_residual = spectral_distance(model.modular, apply_function(model.hamiltonian, math.exp))
     record.summary = {
@@ -366,12 +343,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
         "modular_exponential_residual": exp_residual,
         "modular_exponential_ok": exp_residual <= tol,
         "max_residual": max(
-            (
-                cell.get(key, 0.0)
-                for cell in record.cells
-                for key in ("max_r0", "max_rbeta", "rescaled_max_r0", "rescaled_max_rbeta")
-            ),
-            default=0.0,
+            (cell.get(key, 0.0) for cell in record.cells for key in _RESIDUAL_KEYS), default=0.0
         ),
     }
 
@@ -389,50 +361,32 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     phi = quasi_free_functional(covariance)
     tol = config.tolerances["gns"]
     vectors = _vectors(config, covariance.dimension, 1)
-    clipped = []
-    for vec in vectors:
-        norm = float(np.linalg.norm(vec))
-        clipped.append(vec / norm if norm > 1 else vec)
+    # vectors longer than 1 are scaled to unit length
+    clipped = [vec / max(1.0, float(np.linalg.norm(vec))) for vec in vectors]
 
-    for index, f in enumerate(clipped):
+    def expectation(f):
         word = WeylWord.generator(f)
         deviation = abs(gns_expectation(model, word) - evaluate_state(phi, word))
-        record.cells.append(
-            {
-                "kind": "expectation",
-                "index": index,
-                "closed_form_deviation": deviation,
-                "ok": deviation <= tol,
-            }
-        )
-    pair_list = (
-        [(i, (i + 1) % len(clipped)) for i in range(len(clipped))]
-        if len(clipped) > 1
-        else [(0, 0)]
-    )
-    for i, j in pair_list:
-        f = clipped[i]
-        g = clipped[j] if i != j else 1j * clipped[i]
+        return {"closed_form_deviation": deviation}, {"closed_form": deviation <= tol}
+
+    def relation(f, g):
         relation = weyl_relation_residual(model, f, g)
         commutant = commutant_residual(model, f, g)
-        record.cells.append(
-            {
-                "kind": "relation",
-                "index": i,
-                "weyl_relation_residual": relation,
-                "commutant_residual": commutant,
-                "ok": relation <= tol and commutant <= tol,
-            }
-        )
-    doubling = float(
-        np.max(np.abs(model.T1 @ model.T1 - model.T2 @ model.T2 - np.eye(model.modes)))
-    )
+        fields = {"weyl_relation_residual": relation, "commutant_residual": commutant}
+        return fields, {"weyl_relation": relation <= tol, "commutant": commutant <= tol}
+
+    for index, f in enumerate(clipped):
+        _cell(record, {"kind": "expectation", "index": index}, expectation, f)
+    for index, f in enumerate(clipped):
+        # each vector against the next, a single vector against i times itself
+        g = clipped[(index + 1) % len(clipped)] if len(clipped) > 1 else 1j * f
+        _cell(record, {"kind": "relation", "index": index}, relation, f, g)
+    doubling = float(np.max(np.abs(model.T1 @ model.T1 - model.T2 @ model.T2 - np.eye(model.modes))))
     record.summary = {
         "doubling_identity_residual": doubling,
         "doubling_identity_ok": doubling <= 1e-10,
         "max_closed_form_deviation": max(
-            (c["closed_form_deviation"] for c in record.cells if c["kind"] == "expectation"),
-            default=0.0,
+            (c.get("closed_form_deviation", 0.0) for c in record.cells), default=0.0
         ),
     }
 
@@ -452,61 +406,52 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
         vectors = _vectors(config, dim, 1)
     else:
         dim, vectors = 1, []
-    unit = np.zeros(dim, dtype=complex)
-    unit[0] = 1.0
+    unit = np.eye(dim, dtype=complex)[0]
 
-    for h in config.h_values:
+    def body(h):
         if not 0 < h <= 1:
-            record.cells.append(
-                {"h": float(h), "error": "scale outside (0, 1]", "ok": False}
-            )
-            continue
+            raise OutOfRange("scale outside (0, 1]")
         c = c_parameter(h)
         if c == 1.0:
             # below about 5.6e-17, (1 - h) / (1 + h) rounds to 1, outside h_of_c's [0, 1)
-            record.cells.append(
-                {"h": float(h), "error": "scale below float resolution: c rounds to 1", "ok": False}
-            )
-            continue
+            raise OutOfRange("scale below float resolution: c rounds to 1")
+        if h < 1 and 1.0 / h <= 1 + ATOM_MERGE_TOL:
+            # a spectral atom that close to 1 counts as 1, so (1/h) I would read as I
+            raise OutOfRange("scale just below 1: 1/h is not resolved from 1 at ATOM_MERGE_TOL")
         spectral_cov = OperatorSpec.from_atoms([(1.0 / h, INF)])
         occupation = one_particle_number_expectation(spectral_cov, unit)
         occupation_dev = abs(occupation - (1.0 - h) / (2.0 * h))
         quasi = is_quasi_equivalent_to_fock(spectral_cov)
-        quasi_expected = h == 1
         roundtrip_dev = abs(h_of_c(c) - h)
         exponent_dev = abs((1.0 + c) / (1.0 - c) - 1.0 / h)
         functional = RescaledFockState(h)
         mixture = universally_invariant_functional(MixtureMeasure(((c, 1.0),)))
         pointwise_dev = 0.0
         for vec in vectors:
-            pointwise_dev = max(
-                pointwise_dev, abs(functional.value(vec) - mixture.value(vec))
-            )
-        ok = (
-            occupation_dev <= arithmetic_tol
-            and quasi == quasi_expected
-            and roundtrip_dev <= 1e-14
+            pointwise_dev = max(pointwise_dev, abs(functional.value(vec) - mixture.value(vec)))
+        fields = {
+            "occupation_expectation": occupation,
+            "occupation_deviation": occupation_dev,
+            "quasi_equivalent_to_fock": quasi,
+            "c": c,
+            "roundtrip_deviation": roundtrip_dev,
+            "exponent_deviation": exponent_dev,
+            "mixture_pointwise_deviation": pointwise_dev,
+        }
+        checks = {
+            "occupation": occupation_dev <= arithmetic_tol,
+            "quasi_equivalence": quasi == (h == 1),
+            "roundtrip": roundtrip_dev <= 1e-14,
             # 1 - c cancels, so the round-off of (1+c)/(1-c) grows like eps/h^2
-            and exponent_dev <= 1e-14 * h**-2
-            and pointwise_dev <= pointwise_tol
-        )
-        record.cells.append(
-            {
-                "h": float(h),
-                "occupation_expectation": occupation,
-                "occupation_deviation": occupation_dev,
-                "quasi_equivalent_to_fock": quasi,
-                "c": c,
-                "roundtrip_deviation": roundtrip_dev,
-                "exponent_deviation": exponent_dev,
-                "mixture_pointwise_deviation": pointwise_dev,
-                "ok": ok,
-            }
-        )
+            "exponent": exponent_dev <= 1e-14 * h**-2,
+            "mixture_pointwise": pointwise_dev <= pointwise_tol,
+        }
+        return fields, checks
+
+    for h in config.h_values:
+        _cell(record, {"h": float(h)}, body, h)
     identity_flag = is_quasi_equivalent_to_fock(OperatorSpec.from_atoms([(1.0, INF)]))
-    finite_rank_flag = is_quasi_equivalent_to_fock(
-        OperatorSpec.from_atoms([(1.0, INF), (5.0, 3)])
-    )
+    finite_rank_flag = is_quasi_equivalent_to_fock(OperatorSpec.from_atoms([(1.0, INF), (5.0, 3)]))
     record.summary = {
         "identity_quasi_equivalent": identity_flag,
         "identity_quasi_equivalent_ok": identity_flag is True,
@@ -522,9 +467,7 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
 def _random_word(rng: np.random.Generator, dim: int) -> WeylWord:
     count = int(rng.integers(1, 4))
     word = WeylWord(dim)
-    for vec, coeff in zip(
-        random_complex_vectors(rng, count, dim), random_complex_vectors(rng, count, 1)
-    ):
+    for vec, coeff in zip(random_complex_vectors(rng, count, dim), random_complex_vectors(rng, count, 1)):
         word = word + WeylWord.generator(vec, complex(coeff[0]))
     return word
 
@@ -540,61 +483,53 @@ def run_restrict_scan(config: ExperimentConfig, record: ReportRecord):
     tol = config.tolerances["residual"]
     h_star = op_norm(covariance)
     has_kms = config.hamiltonian is not None
-
+    # the scale and selection of the last scale whose model was built
     previous: tuple[float, tuple[int, ...]] | None = None
-    for h in config.h_values:
-        try:
-            rmodel = restricted_model(
-                covariance, h, beta=config.beta if has_kms else None
-            )
-        except WeylscaleError as exc:
-            record.cells.append({"h": float(h), "error": str(exc), "ok": False})
-            continue
+
+    def body(h):
+        nonlocal previous
+        rmodel = restricted_model(covariance, h, beta=config.beta if has_kms else None)
         selection = rmodel.selected_indices
+        # subspaces shrink as the scale grows, whichever way the grid runs
         if previous is None:
             nested = True
         else:
-            # subspaces shrink as the scale grows, whichever way the grid runs
-            prev_h, prev_selection = previous
-            if h >= prev_h:
-                nested = set(selection) <= set(prev_selection)
-            else:
-                nested = set(prev_selection) <= set(selection)
+            larger, smaller = (previous[1], selection) if h >= previous[0] else (selection, previous[1])
+            nested = set(smaller) <= set(larger)
         previous = (float(h), selection)
-        cell = {
-            "h": float(h),
+        fields = {
             "subspace_dimension": int(rmodel.subspace_dimension),
             "rescaled_bottom": inf_spectrum(rmodel.rescaled_covariance),
             "rescaled_dominates_identity": dominates_identity(rmodel.rescaled_covariance),
             "nested": nested,
+            "dichotomy_exact": None,
         }
-        checks = [cell["rescaled_dominates_identity"], nested]
+        checks = {"rescaled_dominates_identity": fields["rescaled_dominates_identity"], "nested": nested}
         if len(selection) < dim:
             # the selection is a suffix of the eigenbasis, so column 0 is excluded
             functional = NonRegularFunctional(rmodel)
             direction = covariance.eigenvectors[:, 0]
             values = [functional.value(t * direction) for t in (0.0, 0.5, 1.0)]
             dichotomy = values[0] == 1.0 and values[1] == 0.0 and values[2] == 0.0
-            cell["dichotomy_exact"] = dichotomy
-            checks.append(dichotomy)
-        else:
-            cell["dichotomy_exact"] = None
+            fields["dichotomy_exact"] = dichotomy
+            checks["dichotomy_exact"] = dichotomy
         if has_kms:
-            cell["lambda_star"] = rmodel.lam_star
-            correspondence = spectral_correspondence_check(
-                covariance, config.hamiltonian, config.beta, h
-            )
-            cell["spectral_correspondence"] = correspondence
-            checks.append(correspondence)
+            # the covariance is built from this Hamiltonian and beta, so only the
+            # atom-by-atom comparison of spectral_correspondence_check is left
+            correspondence = _spectral_correspondence(config.hamiltonian, config.beta, h)
+            fields["lambda_star"] = rmodel.lam_star
+            fields["spectral_correspondence"] = correspondence
+            checks["spectral_correspondence"] = correspondence
             f, g = random_complex_vectors(rng, 2, dim)
-            checks.append(_restricted_kms(cell, rmodel, f, g, config.t_grid, tol))
-        cell["ok"] = all(checks)
-        record.cells.append(cell)
+            kms_fields, kms_checks = _restricted_kms(rmodel, f, g, config.t_grid, tol)
+            fields.update(kms_fields)
+            checks.update(kms_checks)
+        return fields, checks
 
-    pairs = [
-        (_random_word(rng, dim), _random_word(rng, dim))
-        for _ in range(config.random_count)
-    ]
+    for h in config.h_values:
+        _cell(record, {"h": float(h)}, body, h)
+
+    pairs = [(_random_word(rng, dim), _random_word(rng, dim)) for _ in range(config.random_count)]
     deviation = check_trace_property(trace_state(), pairs)
     record.summary = {
         "h_star": h_star,

@@ -1,0 +1,163 @@
+"""Each suite's named checks, one at a time: a config, or a patched internal, on
+which a single check decides the cell, asserted by the name the CLI prints.
+
+Every ``contract violation:`` line on standard error ends with ``failed:`` and
+the names of the cell's failing checks; an error cell fails the check ``error``.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+
+import weylscale.runner
+from weylscale.cli import main
+from weylscale.restriction import NonRegularFunctional
+from weylscale.states import RescaledFockState, TwoPointCheck
+
+POSITIVITY = """
+operator:
+  matrix: [[%s, 0, 0], [0, 2, 0], [0, 0, 4]]
+vectors:
+  random: {count: 6, sets: 5, seed: 11}
+h_values: %s
+"""
+
+KMS = """
+operator:
+  kms: {matrix: [["ln2"]], beta: 1}
+vectors:
+  %s
+h_values: %s
+"""
+
+GNS = """
+operator:
+  matrix: [[2.0]]
+vectors:
+  random: {count: 3, seed: 9}
+cutoff: 30
+"""
+
+RESTRICT = """
+operator:
+  matrix: [[1, 0], [0, 3]]
+vectors:
+  random: {count: 10, seed: 29}
+h_values: [1.5, 2.0, 2.5]
+"""
+
+
+def _run(tmp_path, capsys, suite, text):
+    """Exit code, report cells and, per failing cell, the check names its stderr line ends with."""
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    out = tmp_path / "r.json"
+    code = main([suite, "--config", str(path), "--out", str(out)])
+    lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("contract violation: {")]
+    assert all(" failed: " in line for line in lines)
+    return code, json.loads(out.read_text())["cells"], [line.rsplit(" failed: ", 1)[1] for line in lines]
+
+
+def test_scale_past_h_max_by_more_than_rounding_is_beyond(tmp_path, capsys):
+    # 9e-7 past h_max = 1: the two-point check fails there, and the scan finds a witness
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", POSITIVITY % (1.0, "[1.0000009]"))
+    assert code == 0 and failed == []
+    (cell,) = cells
+    assert cell["regime"] == "beyond" and cell["two_point_pass"] is False
+    assert cell["witness_scale"] is not None
+
+
+def test_beyond_cell_whose_two_point_check_passes_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        weylscale.runner, "two_point_criterion", lambda *args: TwoPointCheck(lhs=1.0, rhs=1.0, verdict=True)
+    )
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", POSITIVITY % (1.5, "[1.0, 2.0]"))
+    assert code == 3
+    assert [cell["regime"] for cell in cells] == ["admissible", "beyond"]
+    assert [cell["ok"] for cell in cells] == [True, False]
+    assert failed == ["two_point_fails"]
+
+
+def test_positivity_error_cell_names_its_error(tmp_path, capsys):
+    text = "operator: {matrix: [[2, 0], [0, 3]]}\nvectors: {explicit: [[1e200, 0], [0, 1e200]]}\nh_values: [1]\n"
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", text)
+    assert code == 3 and failed == ["error"]
+    assert cells[0]["error"].startswith("overflow:")
+
+
+def test_kms_residual_just_over_its_bound_fails(tmp_path, capsys, monkeypatch):
+    # vectors of norm 0.1 keep ||A|| ||f|| ||g|| below 1, so the bound is tol = 1e-10
+    # itself, which a residual of 1e-9 exceeds tenfold
+    original = weylscale.runner.kms_boundary_residuals
+
+    def residuals(*args):
+        report = original(*args)
+        return dataclasses.replace(report, r0=np.full_like(report.r0, 1e-9))
+
+    monkeypatch.setattr(weylscale.runner, "kms_boundary_residuals", residuals)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ('explicit: [[0.1], ["0.1j"]]', "[1.0]"))
+    assert code == 3
+    (cell,) = cells
+    assert cell["path"] == "unrescaled" and cell["max_r0"] == 1e-9
+    assert failed == ["kms_within"]
+
+
+def test_rescaled_two_route_residual_over_tolerance_fails(tmp_path, capsys, monkeypatch):
+    original = weylscale.runner.rescaled_modular
+    monkeypatch.setattr(
+        weylscale.runner,
+        "rescaled_modular",
+        lambda *args: dataclasses.replace(original(*args), two_route_residual=1e-6),
+    )
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[0.5]"))
+    assert code == 3
+    assert [cell["path"] for cell in cells] == ["rescaled", "rescaled"]
+    assert all(cell["two_route_residual"] == 1e-6 for cell in cells)
+    assert failed == ["two_route", "two_route"]
+
+
+def test_kms_scale_without_a_model_fails_every_pair_with_its_error(tmp_path, capsys):
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[.nan]"))
+    assert code == 3
+    assert [cell["pair"] for cell in cells] == [0, 1]
+    assert all(cell["error"] == "scale must be positive" for cell in cells)
+    assert failed == ["error", "error"]
+
+
+def test_gns_commutant_over_tolerance_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weylscale.runner, "commutant_residual", lambda *args: 1.0)
+    code, cells, failed = _run(tmp_path, capsys, "gns-check", GNS)
+    assert code == 3
+    relations = [cell for cell in cells if cell["kind"] == "relation"]
+    assert len(relations) == 3 and not any(cell["ok"] for cell in relations)
+    assert all(cell["ok"] for cell in cells if cell["kind"] == "expectation")
+    assert failed == ["commutant"] * 3
+
+
+def test_extension_nonzero_off_the_subspace_breaks_the_dichotomy(tmp_path, capsys, monkeypatch):
+    class Leaky(NonRegularFunctional):
+        """Exact at 0, but nonzero off the restricted subspace."""
+
+        def value(self, f):
+            return super().value(f) or 0.5
+
+    monkeypatch.setattr(weylscale.runner, "NonRegularFunctional", Leaky)
+    code, cells, failed = _run(tmp_path, capsys, "restrict-scan", RESTRICT)
+    assert code == 3
+    assert [cell["dichotomy_exact"] for cell in cells] == [False] * 3
+    assert failed == ["dichotomy_exact"] * 3
+
+
+def test_rescale_fock_mixture_off_the_functional_fails(tmp_path, capsys, monkeypatch):
+    class Shifted(RescaledFockState):
+        def value(self, f):
+            return super().value(f) + 1e-9
+
+    monkeypatch.setattr(weylscale.runner, "RescaledFockState", Shifted)
+    text = "space: {dimension: 1}\nvectors: {explicit: [[0.5]]}\nh_values: [0.5, 1.5]\n"
+    code, cells, failed = _run(tmp_path, capsys, "rescale-fock", text)
+    assert code == 3
+    assert cells[0]["mixture_pointwise_deviation"] > 1e-14 and cells[1]["error"] == "scale outside (0, 1]"
+    assert failed == ["mixture_pointwise", "error"]

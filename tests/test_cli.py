@@ -826,6 +826,28 @@ def test_rescale_fock_scale_below_float_resolution_is_failed_cell(tmp_path, caps
     assert cell == {"h": h, "error": "scale below float resolution: c rounds to 1", "ok": False}
 
 
+@pytest.mark.parametrize("h", [1 - 1e-13, math.nextafter(1.0, 0.0)])
+def test_rescale_fock_scale_unresolved_from_one_is_failed_cell(tmp_path, capsys, h):
+    # 1/h is within ATOM_MERGE_TOL of 1, where the spectral calculus reads (1/h) I as I
+    path = tmp_path / "config.yaml"
+    path.write_text(f"space: {{dimension: 1}}\nh_values: [{h!r}]\n")
+    out = tmp_path / "r.json"
+    assert main(["rescale-fock", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.rstrip().endswith("failed: error")
+    (cell,) = json.loads(out.read_text())["cells"]
+    message = "scale just below 1: 1/h is not resolved from 1 at ATOM_MERGE_TOL"
+    assert cell == {"h": h, "error": message, "ok": False}
+
+
+def test_rescale_fock_scale_resolved_from_one_is_not_quasi_equivalent(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"space: {{dimension: 1}}\nh_values: [{1 - 1e-11!r}]\n")
+    out = tmp_path / "r.json"
+    assert main(["rescale-fock", "--config", str(path), "--out", str(out)]) == 0
+    (cell,) = json.loads(out.read_text())["cells"]
+    assert cell["quasi_equivalent_to_fock"] is False and cell["ok"] is True
+
+
 def _count_builds(monkeypatch):
     """Count every call of the two scale-model builders, under each name they are bound to."""
     import weylscale.restriction
@@ -863,6 +885,25 @@ def test_restrict_scan_reuses_its_model_for_the_extension(monkeypatch):
     record = run_restrict_scan(_config(RESTRICT_CONFIG))
     assert [cell["dichotomy_exact"] for cell in record.cells] == [True] * 3
     assert calls["restricted_model"] == 3
+
+
+def test_restrict_scan_builds_its_covariance_once(monkeypatch):
+    """One covariance_from_hamiltonian call per run, under each name it is bound to."""
+    import weylscale.restriction
+    import weylscale.runner
+
+    calls = []
+    original = weylscale.runner.covariance_from_hamiltonian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (weylscale.runner, weylscale.restriction):
+        monkeypatch.setattr(module, "covariance_from_hamiltonian", counted)
+    record = run_restrict_scan(_config(RESTRICT_CONFIG))
+    assert len(record.cells) == 3 and all(cell["spectral_correspondence"] for cell in record.cells)
+    assert len(calls) == 1
 
 
 # a matrix Hamiltonian whose covariance has the eigenvalue 1.3130352854993315

@@ -1,0 +1,128 @@
+"""Run tier-1 against one-line mutants of the package and print the survivors.
+
+Usage: python3 tools/mutants.py [ROOT]
+
+Each entry of ``MUTANTS`` is one edit ``(file, old, new)`` to a file under
+``src/weylscale``: a check, a bound or a formula broken in one place.  For each
+edit, ROOT (default: the checkout this file is in) is copied to a temporary
+directory, the edit is made there (its old text must occur exactly once) and
+tier-1 runs on the copy with ``-x``.  A mutant that passes tier-1 survives.
+Tier-1 first runs once on an unedited copy, which must pass.  One line per
+mutant goes to standard output, with the test that failed first, then the
+survivors; the exit code is 0 when none survive and 1 otherwise.  Nothing is
+written under ROOT.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+#: (file under src/weylscale, old text, new text)
+MUTANTS = (
+    # the sign of the Gram kernel's phase
+    ("states.py", "values = -0.5j * h * products.imag[lower]", "values = 0.5j * h * products.imag[lower]"),
+    # the -1/4 of the Gaussian functional's exponent, in the kernel's difference values
+    ("states.py", "forms *= -0.25", "forms *= -0.26"),
+    # the direction of restrict-scan's nesting test
+    ("runner.py", "if h >= previous[0] else", "if h <= previous[0] else"),
+    # the exponent of lambda_star
+    ("restriction.py", "** (1.0 / beta)", "** (2.0 / beta)"),
+    # a sign in the real-time KMS kernel F
+    ("kms.py", "0.5 * y.conj() * (ax - x)", "0.5 * y.conj() * (ax + x)"),
+    # the conjugation of the second GNS slot
+    ("fock.py", "second = 1j * np.conj(self._t2 * coords)", "second = 1j * (self._t2 * coords)"),
+    # rescale-fock's exponent bound without its growth as h shrinks
+    ("runner.py", '"exponent": exponent_dev <= 1e-14 * h**-2,', '"exponent": exponent_dev <= 1e-14,'),
+    # the size of the reliable GNS block
+    ("fock.py", "occupations <= model.cutoff // 2", "occupations <= model.cutoff"),
+    # positivity-scan's admissibility margin
+    ("runner.py", "admissible = h <= admissible_bound + 1e-12", "admissible = h <= admissible_bound + 1e-6"),
+    # a "beyond" cell without its two-point check
+    ("runner.py", '{"two_point_fails": not check.verdict, "witness_found"', '{"witness_found"'),
+    # the KMS residual bound a hundred times too loose
+    ("runner.py", "report.max_residual <= tol * max(1.0, size)", "report.max_residual <= tol * 100 * max(1.0, size)"),
+    # restrict-scan's dichotomy read at 0 only
+    (
+        "runner.py",
+        "dichotomy = values[0] == 1.0 and values[1] == 0.0 and values[2] == 0.0",
+        "dichotomy = values[0] == 1.0",
+    ),
+    # kms-verify's rescaled path without its two-route check
+    (
+        "runner.py",
+        "checks.update(two_route=residual <= two_route_tol, delta_bottom_exact=exact)",
+        "checks.update(delta_bottom_exact=exact)",
+    ),
+    # gns-check's relation cell without its commutant check
+    (
+        "runner.py",
+        '{"weyl_relation": relation <= tol, "commutant": commutant <= tol}',
+        '{"weyl_relation": relation <= tol}',
+    ),
+)
+
+#: tier-1 without tests/test_mutants.py, which fails on every mutant: it checks that
+#: each old text is still in its file
+TIER1 = [
+    sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+    "--ignore=tests/test_mutants.py",
+]
+
+_SKIP = shutil.ignore_patterns(".git", "_work", "__pycache__", ".pytest_cache", ".hypothesis")
+
+
+def mutate(root: str, mutant: tuple[str, str, str] | None) -> None:
+    """Make the edit of ``mutant`` in the checkout at ``root``; None makes none."""
+    if mutant is None:
+        return
+    name, old, new = mutant
+    path = os.path.join(root, "src", "weylscale", name)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    if text.count(old) != 1:
+        raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times, not once")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text.replace(old, new))
+
+
+def tier1(root: str, mutant: tuple[str, str, str] | None) -> str | None:
+    """None when tier-1 passes on a copy of ``root`` with ``mutant`` made, else
+    the first failing test as pytest names it."""
+    with tempfile.TemporaryDirectory() as workdir:
+        copy = os.path.join(workdir, "checkout")
+        shutil.copytree(root, copy, ignore=_SKIP)
+        mutate(copy, mutant)
+        env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+        result = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
+    if result.returncode == 0:
+        return None
+    failed = [line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return failed[0] if failed else f"exit {result.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    root = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), os.pardir))
+    baseline = tier1(root, None)
+    if baseline is not None:
+        raise SystemExit(f"tier-1 fails on the unedited checkout: {baseline}")
+    survivors = []
+    for index, mutant in enumerate(MUTANTS):
+        started = time.perf_counter()
+        failure = tier1(root, mutant)
+        seconds = time.perf_counter() - started
+        name, old, new = mutant
+        print(f"{index:2d} {seconds:5.1f}s {name}: {old!r} -> {new!r}", flush=True)
+        print(f"   {'SURVIVED' if failure is None else 'killed by ' + failure}", flush=True)
+        if failure is None:
+            survivors.append(index)
+    print(f"survivors: {len(survivors)} of {len(MUTANTS)} {survivors}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
