@@ -42,6 +42,7 @@ from .weyl import (
     word_distance,
 )
 from .states import (
+    GramFactors,
     GramReport,
     GramViolationWitness,
     QuasiFreeState,
@@ -50,6 +51,7 @@ from .states import (
     TraceState,
     check_sigma_h_positivity,
     evaluate_state,
+    gram_factors,
     gram_matrix,
     h_max,
     quasi_free_functional,

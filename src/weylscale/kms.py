@@ -158,11 +158,19 @@ def _Phi_terms(x, y, ax, ay):
     return 0.5 * (ax + x).conj() * y, 0.5 * (ay - y).conj() * x
 
 
+def _power_tables(log_delta: np.ndarray, z) -> tuple:
+    """(delta_k^{iz}, delta_k^{-iz}) for every entry of the array z, k on the last axis.
+
+    Swapped, they are the tables at ``-z``.
+    """
+    exponent = 1j * np.multiply.outer(z, log_delta)
+    return np.exp(exponent), np.exp(-exponent)
+
+
 def _two_sided(log_delta: np.ndarray, terms, z) -> np.ndarray:
     """sum_k p_k delta_k^{iz} + m_k delta_k^{-iz} for every entry of the array z."""
-    plus, minus = terms
-    exponent = 1j * np.multiply.outer(z, log_delta)
-    return np.exp(exponent) @ plus + np.exp(-exponent) @ minus
+    (plus, minus), (up, down) = terms, _power_tables(log_delta, z)
+    return up @ plus + down @ minus
 
 
 def F_function(covariance: OperatorSpec, modular: OperatorSpec, f, g, t: float) -> complex:
@@ -260,8 +268,12 @@ def _boundary_report(
         raise OutOfRange("time grid must be one-dimensional and strictly increasing")
     log_delta = _log_spectrum(modular)
     fc, gc, afc, agc = _modular_coordinates(covariance, modular, f, g)
-    F_vals = _two_sided(log_delta, _F_terms(fc, gc, afc, agc), grid)
-    F_rev = _two_sided(log_delta, _F_terms(gc, fc, agc, afc), -grid)
+    # F(f, g; t) and F(g, f; -t), the second from the tables of t swapped
+    up, down = _power_tables(log_delta, grid)
+    plus, minus = _F_terms(fc, gc, afc, agc)
+    F_vals = up @ plus + down @ minus
+    plus, minus = _F_terms(gc, fc, agc, afc)
+    F_rev = down @ plus + up @ minus
     # the strip samples run from the lower boundary (fraction 0) to the upper (1)
     fractions = np.array(STRIP_FRACTIONS)
     strip = _two_sided(

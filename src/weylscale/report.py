@@ -52,12 +52,16 @@ def _format_complex(z: complex) -> str:
 #: One entry of an array row, as format_float and _format_complex write a finite one.
 _ROW_ENTRY = {np.dtype(np.float64): "%.17g", np.dtype(np.complex128): '{"re": %.17g, "im": %.17g}'}
 
+#: A complex entry whose imaginary part is +0.0, which ``%.17g`` writes as ``0``.
+_REAL_COMPLEX_ENTRY = '{"re": %.17g, "im": 0}'
+
 
 def _row_text(value: np.ndarray) -> str | None:
     """A finite 1-d or 2-d float64 or complex128 array of two or more entries formatted
     with one ``%`` per row (over the real and imaginary parts of a complex row); None
     otherwise, for the per-entry path of ``_render_value``, which is as quick on a
-    single entry.
+    single entry.  A complex array whose imaginary parts are all +0.0 (all bits
+    zero: not -0.0, nor NaN) is formatted over its real parts alone.
 
     ``%.17g`` writes a non-finite float as ``nan`` or ``inf``, and nothing else it
     writes holds an ``n``, so such a text falls back to the per-entry path.
@@ -65,6 +69,8 @@ def _row_text(value: np.ndarray) -> str | None:
     entry = _ROW_ENTRY.get(value.dtype)
     if entry is None or value.ndim > 2 or value.size < 2:
         return None
+    if value.dtype == np.complex128 and not value.imag.view(np.uint64).any():
+        entry, value = _REAL_COMPLEX_ENTRY, value.real
     rows = np.ascontiguousarray(value).view(np.float64)
     row_format = "[" + ", ".join([entry] * value.shape[-1]) + "]"
     if value.ndim == 1:

@@ -34,8 +34,8 @@ from .spectral import (
     spectral_distance,
 )
 from .states import (
-    RescaledFockState, check_sigma_h_positivity, evaluate_state, h_max, quasi_free_functional,
-    scan_for_gram_violation, two_point_criterion,
+    RescaledFockState, check_sigma_h_positivity, evaluate_state, gram_factors, h_max,
+    quasi_free_functional, scan_for_gram_violation, two_point_criterion,
 )
 from .weyl import WeylWord
 
@@ -217,11 +217,18 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     lowest = covariance.eigenvectors[:, 0]
     gram_tol = config.tolerances["gram"]
     norm = op_norm(covariance)
+    # each set's scale-free kernel factors, built at the first scale past the
+    # overflow guard (which bounds them at every scale that passes it); every
+    # kernel of the run is assembled in one buffer, read before the next
+    factors: list = []
+    kernel = np.empty((size, size), dtype=complex)
 
     def body(h):
         # the kernel's phases scale with h, its differences of forms reach 4 G_jk
         _guard_overflow(4 * dim * max(norm, h), rows)
-        reports = [check_sigma_h_positivity(phi, vecs, h, gram_tol) for vecs in sets]
+        if not factors:
+            factors[:] = [gram_factors(phi, vecs) for vecs in sets]
+        reports = [check_sigma_h_positivity(phi, f, h, gram_tol, kernel) for f in factors]
         all_psd = all(r.verdict for r in reports)
         check = two_point_criterion(covariance, lowest, 1j * lowest, h)
         admissible = h <= admissible_bound + 1e-12

@@ -268,6 +268,9 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
     if op.is_matrix:
         mapped = np.array([evaluate(v) for v in op.eigenvalues.tolist()])
         order = np.argsort(mapped, kind="stable")
+        if np.array_equal(order, np.arange(len(order))):
+            # an order-keeping map shares the read-only eigenvectors
+            return OperatorSpec.from_eigen(mapped, op.eigenvectors)
         return OperatorSpec.from_eigen(mapped[order], op.eigenvectors[:, order])
 
     mapped_pairs = sorted(

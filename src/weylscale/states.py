@@ -13,7 +13,10 @@ Kernels are built as array work on the vectors stacked into rows ``F``: the
 phases from ``Im(conj(F) F^T)``, and for Gaussian functionals every
 ``phi(f_j - f_k)`` from one Gram matrix ``G = conj(F) A F^T`` through
 ``<f_j - f_k, A (f_j - f_k)> = G_jj + G_kk - 2 Re G_jk``.  Functionals without
-such a closed form are evaluated entry by entry.
+such a closed form are evaluated entry by entry.  Only the phases depend on
+``h``: a scan over scales builds a vector set's scale-free factors once
+(:func:`gram_factors`) and assembles each scale's kernel from them
+(:func:`assemble_kernel`), into one buffer it reuses.
 
 The checked Gaussian functional and :func:`h_max` decide ``A >= I`` by
 :func:`weylscale.spectral.require_dominates_identity`.
@@ -210,27 +213,59 @@ def _stacked(vectors, dimension: int | None) -> np.ndarray:
     return np.stack(vecs) if vecs else np.empty((0, 0), dtype=complex)
 
 
+class GramFactors(NamedTuple):
+    """The scale-free factors of a vector set's positivity kernels, at the entries
+    j >= k in row-by-row order: ``sigma(f_j, f_k) = Im<f_j, f_k>`` (exactly 0 on
+    the diagonal) and ``phi(f_j - f_k)``.  Only the phase of a kernel entry
+    depends on the scale."""
+
+    size: int
+    symplectic: np.ndarray
+    differences: np.ndarray
+
+
+def gram_factors(phi: StateFunctional, vectors: Sequence) -> GramFactors:
+    """The factors of phi's positivity kernels on ``vectors``, at every scale.
+
+    ``vectors`` is a sequence of vectors or an (m, n) array of them as rows.
+    """
+    rows = _stacked(vectors, phi.dimension)
+    n = rows.shape[0]
+    if n == 0:
+        return GramFactors(0, np.empty(0), np.empty(0, dtype=complex))
+    # sigma(f_j, f_k) = Im<f_j, f_k>, and sigma(f, f) = 0 exactly where the product rounds
+    products = rows.conj() @ rows.T
+    np.fill_diagonal(products.imag, 0.0)
+    return GramFactors(n, products.imag[_lower(n)], phi.difference_values(rows))
+
+
+def assemble_kernel(factors: GramFactors, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Positivity kernel M_jk = exp(-i/2 h sigma(f_j, f_k)) phi(f_j - f_k) from its factors.
+
+    The entries j >= k are computed and the others are their conjugates.  The
+    kernel is written into ``out``, a complex (n, n) array, when one is given.
+    """
+    n = factors.size
+    if out is None:
+        out = np.empty((n, n), dtype=complex)
+    elif out.shape != (n, n) or out.dtype != complex:
+        raise DimensionMismatch(f"kernel buffer of shape {out.shape} and type {out.dtype} for {n} vectors")
+    lower = _lower(n)
+    values = -0.5j * h * factors.symplectic
+    np.exp(values, out=values)
+    values *= factors.differences
+    out.T[lower] = values.conj()  # M_kj = conj(M_jk)
+    out[lower] = values  # after the mirror: the diagonal is its own mirror
+    return out
+
+
 def gram_matrix(phi: StateFunctional, vectors: Sequence, h: float) -> np.ndarray:
     """Positivity kernel M_jk = exp(-i/2 h sigma(f_j, f_k)) phi(f_j - f_k).
 
     ``vectors`` is a sequence of vectors or an (m, n) array of them as rows.
     The entries j >= k are computed and the others are their conjugates.
     """
-    rows = _stacked(vectors, phi.dimension)
-    n = rows.shape[0]
-    if n == 0:
-        return np.empty((0, 0), dtype=complex)
-    lower = _lower(n)
-    # sigma(f_j, f_k) = Im<f_j, f_k>, and sigma(f, f) = 0 exactly where the product rounds
-    products = rows.conj() @ rows.T
-    np.fill_diagonal(products.imag, 0.0)
-    values = -0.5j * h * products.imag[lower]
-    np.exp(values, out=values)
-    values *= phi.difference_values(rows)
-    kernel = np.empty((n, n), dtype=complex)
-    kernel.T[lower] = values.conj()  # M_kj = conj(M_jk)
-    kernel[lower] = values  # after the mirror: the diagonal is its own mirror
-    return kernel
+    return assemble_kernel(gram_factors(phi, vectors), h)
 
 
 @dataclass(frozen=True)
@@ -243,18 +278,28 @@ class GramReport:
 
 
 def check_sigma_h_positivity(
-    phi: StateFunctional, vectors: Sequence, h: float, tol: float = GRAM_PSD_TOL
+    phi: StateFunctional,
+    vectors: Sequence | GramFactors,
+    h: float,
+    tol: float = GRAM_PSD_TOL,
+    out: np.ndarray | None = None,
 ) -> GramReport:
     """PSD verdict for the positivity kernel of phi at scale h.
+
+    ``vectors`` are the kernel's vectors, or their :func:`gram_factors` under
+    phi, which a scan over scales builds once.  The kernel is assembled into
+    ``out`` when it is given (see :func:`assemble_kernel`), and the report's
+    ``kernel`` is then that buffer: it holds the next kernel assembled there.
 
     The verdict allows eigensolver noise scaling with the kernel size and
     magnitude: pass iff ``min eig >= -tol * n * max |M_jk|``.  An empty
     vector set has no verdict and raises ``DimensionMismatch``.
     """
-    kernel = gram_matrix(phi, vectors, h)
-    if kernel.shape[0] == 0:
+    factors = vectors if isinstance(vectors, GramFactors) else gram_factors(phi, vectors)
+    if factors.size == 0:
         raise DimensionMismatch("positivity check of an empty vector set: no kernel eigenvalue to test")
-    # the lower triangle, the one gram_matrix computes, is all eigvalsh reads
+    kernel = assemble_kernel(factors, h, out)
+    # the lower triangle, the one assemble_kernel computes, is all eigvalsh reads
     eigenvalues = np.linalg.eigvalsh(kernel, UPLO="L")
     min_eig = float(eigenvalues[0])
     floor = -tol * kernel.shape[0] * float(np.max(np.abs(kernel)))

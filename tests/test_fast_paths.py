@@ -4,7 +4,9 @@
   equals the eager symmetrized ``V diag V*`` and is read-only.
 - Snapping a gap-separated spectrum as an array gives the atoms and values of
   the merge loop, and snapping a snapped spectrum moves no value.
-- Rendering an array a row at a time gives the per-entry text.
+- Rendering an array a row at a time gives the per-entry text, and so does
+  rendering a complex array whose imaginary parts are all +0.0 over its real
+  parts alone.
 - An n = 128 kms-verify job in the benchmark's layout builds three dense
   matrices, so eager rebuilds cannot come back unnoticed.
 - One draw of a ``(count, dim)`` array of random vectors gives the vectors
@@ -199,6 +201,39 @@ def test_row_rendering_falls_back_on_non_finite_entries(dtype, bad):
         array = _edge_array(dtype, (5,))
         array[3] = complex(1.0, bad)
         assert _row_text(array) is None
+
+
+def _rendered(array: np.ndarray) -> str:
+    pieces: list = []
+    _render_value(array, pieces)
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("shape", [(2,), (9,), (1, 9), (9, 1), (4, 5), (128, 128)])
+def test_complex_rows_with_zero_imaginary_parts_render_over_their_real_parts(shape):
+    array = _edge_array(np.float64, shape).astype(np.complex128)
+    assert not np.signbit(array.imag).any()
+    for view in (array, array.T, array[..., ::2]):
+        if view.size > 1:
+            assert _row_text(view) is not None
+            assert _rendered(view) == _per_entry(view)
+
+
+@pytest.mark.parametrize("imag", [-0.0, math.nan, math.inf, -math.inf], ids=["-0.0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_complex_rows_with_one_other_imaginary_part_render_per_entry(shape, imag):
+    array = _edge_array(np.float64, shape).astype(np.complex128)
+    array.flat[3] = complex(array.flat[3].real, imag)
+    assert _rendered(array) == _per_entry(array)
+    assert ('"im": -0' in _rendered(array)) == (imag == 0.0)
+
+
+@pytest.mark.parametrize("real", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_complex_rows_with_a_non_finite_real_part_render_per_entry(real):
+    array = _edge_array(np.float64, (3, 4)).astype(np.complex128)
+    array[2, 1] = real
+    assert _row_text(array) is None
+    assert _rendered(array) == _per_entry(array)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.dtype(">f8")])

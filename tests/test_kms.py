@@ -23,7 +23,9 @@ from weylscale import (
     time_evolution,
     two_point_function,
 )
-from weylscale.kms import STRIP_FRACTIONS, _boundary_report
+from weylscale.kms import (
+    STRIP_FRACTIONS, _boundary_report, _F_terms, _log_spectrum, _modular_coordinates, _two_sided,
+)
 from weylscale.errors import DomainViolation, OutOfRange
 from weylscale.spectral import INF, OperatorSpec, apply_function, spectral_distance
 
@@ -228,6 +230,17 @@ def dense_boundary_rows(covariance, modular, beta, f, g, grid):
         np.array([Phi(t + 1j * beta) for t in grid]),
         max(abs(Phi(t + 1j * frac * beta)) for frac in STRIP_FRACTIONS for t in grid),
     )
+
+
+def test_the_reversed_kernel_reads_the_swapped_tables(rng):
+    # F(g, f; -t) from the tables of t swapped is F(g, f; z) at z = -t, bit for bit
+    model = kms_model(random_covariance(rng, 12, 0.3, 2.5), beta=1.2)
+    f, g = random_vector(rng, 12), random_vector(rng, 12)
+    grid = default_time_grid()
+    report = _boundary_report(model.covariance, model.modular, model.beta, f, g, grid)
+    fc, gc, afc, agc = _modular_coordinates(model.covariance, model.modular, f, g)
+    F_rev = _two_sided(_log_spectrum(model.modular), _F_terms(gc, fc, agc, afc), -grid)
+    assert report.r_beta.tobytes() == np.abs(report.Phi_upper - F_rev).tobytes()
 
 
 class TestEigenbasisBoundary:

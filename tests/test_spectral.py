@@ -126,6 +126,15 @@ class TestApplyFunction:
         squared = apply_function(op, lambda x: x**2)
         assert np.allclose(squared.matrix, op.matrix @ op.matrix, atol=1e-10)
 
+    def test_an_order_keeping_map_shares_the_eigenvectors(self, rng):
+        op = make_operator(random_covariance(rng, 5).matrix)
+        increasing = apply_function(op, lambda x: x / 2)
+        assert increasing.eigenvectors is op.eigenvectors
+        decreasing = apply_function(op, lambda x: 1 / x)
+        assert not np.shares_memory(decreasing.eigenvectors, op.eigenvectors)
+        assert np.array_equal(decreasing.eigenvectors, op.eigenvectors[:, ::-1])
+        assert not decreasing.eigenvectors.flags.writeable
+
     def test_monotone_map_commutes_with_infimum(self):
         op = make_operator([(1.0, INF), (3.0, 2)])
         mapped = apply_function(op, math.exp)

@@ -14,6 +14,7 @@ from weylscale import (
     check_sigma_h_positivity,
     evaluate_state,
     gamma_iso,
+    gram_factors,
     gram_matrix,
     h_max,
     make_operator,
@@ -258,6 +259,62 @@ class TestLowerTriangleKernel:
     def test_no_vectors_give_an_empty_kernel(self):
         assert gram_matrix(RescaledFockState(0.5), [], 1.0).shape == (0, 0)
         assert gram_matrix(RescaledFockState(0.5), np.zeros((0, 3)), 1.0).shape == (0, 0)
+
+
+#: the functionals a scan runs through one kernel buffer: a closed form of each kind,
+#: and two evaluated entry by entry
+_SCANNED = {
+    "quasi-free-matrix": lambda rng: QuasiFreeState(random_covariance(rng, 3)),
+    "rescaled-fock": lambda rng: RescaledFockState(0.6),
+    "mixture": lambda rng: MixtureState(_MIXTURE),
+    "trace": lambda rng: TraceState(),
+}
+
+
+class TestKernelBuffer:
+    """Kernels assembled from a set's factors into one buffer, scale after scale."""
+
+    @pytest.mark.parametrize("name", sorted(_SCANNED))
+    def test_a_shuffled_grid_through_one_buffer_gives_the_fresh_kernels(self, rng, name):
+        phi = _SCANNED[name](rng)
+        vectors = np.stack([random_vector(rng, 3) for _ in range(24)])
+        vectors[7] = vectors[2]  # a repeat: the trace kernel is not the identity
+        factors = gram_factors(phi, vectors)
+        buffer = gram_matrix(phi, vectors, 9.0)  # another scale's kernel to start from
+        for h in rng.permutation([0.3, 0.7, 1.0, 1.5, 2.3, 4.0]):
+            report = check_sigma_h_positivity(phi, factors, h, out=buffer)
+            assert report.kernel is buffer
+            assert buffer.tobytes() == gram_matrix(phi, vectors, h).tobytes()
+            fresh = check_sigma_h_positivity(phi, vectors, h)
+            assert report.min_eigenvalue.hex() == fresh.min_eigenvalue.hex()
+            assert report.verdict == fresh.verdict
+
+    def test_a_psd_scale_after_a_violating_one_passes_its_verdict(self):
+        # the scale read after a violating one is judged on its own kernel: were
+        # the buffer read as it stands, the verdict (positivity-scan's
+        # gram_all_psd) would be the violating kernel's
+        covariance = make_operator(np.diag([1.5, 2.0, 4.0]))
+        phi = QuasiFreeState(covariance)
+        s = scan_for_gram_violation(covariance, 2.0).scale
+        e = covariance.eigenvectors[:, 0]
+        family = [0.0 * e, s * e, s * 1j * e, s * (e + 1j * e) / np.sqrt(2), 2 * s * e, 2 * s * 1j * e]
+        factors = gram_factors(phi, family)
+        violating = check_sigma_h_positivity(phi, factors, 2.0)
+        assert not violating.verdict
+        assert check_sigma_h_positivity(phi, factors, 1.0, out=violating.kernel).verdict
+
+    def test_a_buffer_of_another_shape_or_type_is_refused(self, rng):
+        phi = RescaledFockState(0.6)
+        factors = gram_factors(phi, [random_vector(rng, 2) for _ in range(4)])
+        for buffer in (np.empty((3, 3), dtype=complex), np.empty((4, 4))):
+            with pytest.raises(DimensionMismatch, match="^kernel buffer of shape"):
+                check_sigma_h_positivity(phi, factors, 1.0, out=buffer)
+
+    def test_the_factors_of_no_vectors_have_no_verdict(self):
+        factors = gram_factors(RescaledFockState(0.6), [])
+        assert factors.size == 0
+        with pytest.raises(DimensionMismatch, match="^positivity check of an empty vector set"):
+            check_sigma_h_positivity(RescaledFockState(0.6), factors, 1.0)
 
 
 class TestGramMatrix:

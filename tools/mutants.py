@@ -25,7 +25,14 @@ import time
 #: (file under src/weylscale, old text, new text)
 MUTANTS = (
     # the sign of the Gram kernel's phase
-    ("states.py", "values = -0.5j * h * products.imag[lower]", "values = 0.5j * h * products.imag[lower]"),
+    ("states.py", "values = -0.5j * h * factors.symplectic", "values = 0.5j * h * factors.symplectic"),
+    # a kernel buffer read as it stands, the scale's kernel assembled only into a fresh
+    # one: every scale of a scan reads the kernel the buffer held before it
+    (
+        "states.py",
+        "kernel = assemble_kernel(factors, h, out)",
+        "kernel = assemble_kernel(factors, h) if out is None else out",
+    ),
     # the -1/4 of the Gaussian functional's exponent, in the kernel's difference values
     ("states.py", "forms *= -0.25", "forms *= -0.26"),
     # the direction of restrict-scan's nesting test
