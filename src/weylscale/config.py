@@ -22,23 +22,29 @@ vectors stay that one array, its rows, up to the suites.
 
 ``ExperimentConfig.from_file`` reads a UTF-8 file as YAML 1.1 with PyYAML's
 safe loader, except that PyYAML does not build one node per matrix or vector
-entry.  The reader takes out the numeric rows of two layouts:
+entry.  The block reader takes out the numeric rows of two layouts:
 
 - the ``<indent>- [tok, tok, ...]`` lines directly under a ``matrix:`` key line;
 - a one-line ``<indent>explicit: [[tok, ...], [tok, ...], ...]``;
 
-where every token is a plain float (``1.5``, ``-2.``, ``3.0e-05``), a plain int
-without a leading zero, or a double-quoted complex literal (``"0.5-1.25j"``).
-It casts those tokens to the objects PyYAML builds from them (``float``,
-``int``, the quoted text), loads the rest of the text with PyYAML, and puts
-the rows back at their keys.  Any ``matrix:`` or ``explicit:`` line in
+and joins each block's rows into one text.  A block of equal-width rows whose
+tokens are all plain floats (``1.5``, ``-2.``, ``3.0e-05``) or all
+double-quoted complex literals with one ``j`` (``"0.5-1.25j"``) is checked by
+a few whole-text passes (``bytes.translate`` against its characters, counts of
+``", "`` separators, dots with a digit before them, signed exponents and
+quotes) and cast by numpy, eight rows a call, to the complex array that
+``from_dict`` takes as it stands.  A block that mixes those tokens with plain ints without a
+leading zero, or quoted with plain ones, is matched once against the token
+grammar and becomes the lists PyYAML builds, which ``from_dict`` casts as it
+casts PyYAML's.  The rest of the text is loaded with PyYAML and the blocks
+are put back at their keys.  Any ``matrix:`` or ``explicit:`` line in
 another layout, or with another token, sends the whole file through PyYAML,
-so the YAML 1.1 readings stay PyYAML's: ``1e-05`` is a string, ``012`` octal
-10, ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``, ``1_000`` and
-``[re, im]`` pairs on those lines do the same.  So does a row block that
-PyYAML would read as something other than the value of its key (text in a
-block scalar, say), and a rest that is not valid YAML, so errors keep
-PyYAML's message, line and column.
+so the YAML 1.1 readings stay PyYAML's: ``1e-05`` and ``-.5`` are strings,
+``012`` octal 10, ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``,
+``1_000`` and ``[re, im]`` pairs on those lines do the same.  So does a row
+block that PyYAML would read as something other than the value of its key
+(text in a block scalar, say), and a rest that is not valid YAML, so errors
+keep PyYAML's message, line and column.
 """
 
 from __future__ import annotations
@@ -205,21 +211,34 @@ def _cast_block(rows: list, where: str) -> np.ndarray:
     )
 
 
-def _explicit_vectors(explicit: list) -> np.ndarray:
+def _is_cast(block) -> bool:
+    """Whether ``block`` is one the file reader cast already: a non-empty 2-D complex array."""
+    return isinstance(block, np.ndarray) and block.dtype == complex and block.ndim == 2 and block.size > 0
+
+
+def _explicit_vectors(explicit) -> np.ndarray:
     """The ``vectors.explicit`` block as the rows of one array, every entry a finite complex number."""
-    vectors = _cast_block(explicit, "vectors.explicit")
-    finite = np.isfinite(vectors).all(axis=1)
+    if not _is_cast(explicit):
+        if not isinstance(explicit, list) or not explicit:
+            raise ConfigInvalid("vectors.explicit: expected a non-empty list of vectors")
+        for i, vec in enumerate(explicit):
+            if not isinstance(vec, list):
+                raise ConfigInvalid(f"vectors.explicit[{i}]: expected a list of numbers")
+        explicit = _cast_block(explicit, "vectors.explicit")
+    finite = np.isfinite(explicit).all(axis=1)
     if not finite.all():
         raise ConfigInvalid(f"vectors.explicit[{int(np.argmin(finite))}]: NaN or infinite entries")
-    return vectors
+    return explicit
 
 
 def _parse_operator(rows, where: str) -> OperatorSpec:
     """The matrix operator of the rows at ``where``, ``operator.matrix`` or ``operator.kms.matrix``."""
-    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
-        raise ConfigInvalid(f"{where}: expected a nested list")
-    # cast outside _built: an entry's message already names where it is
-    return _built(where, OperatorSpec.from_matrix, _cast_block(rows, where))
+    if not _is_cast(rows):
+        if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+            raise ConfigInvalid(f"{where}: expected a nested list")
+        # cast outside _built: an entry's message already names where it is
+        rows = _cast_block(rows, where)
+    return _built(where, OperatorSpec.from_matrix, rows)
 
 
 def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.ndarray:
@@ -281,42 +300,116 @@ def check_tolerance(value: float, where: str) -> float:
     return value
 
 
-# -- reading a file: numeric rows cast directly, the rest by PyYAML ------------
+# -- reading a file: numeric blocks cast directly, the rest by PyYAML ----------
 
-#: One row's tokens: plain floats and ints as YAML 1.1 resolves them, and
-#: double-quoted complex literals, comma-and-space separated.
+#: One token of the grammar: a plain float or int as YAML 1.1 resolves it, or
+#: a double-quoted complex literal; a block's tokens are comma-and-space separated.
 _TOKEN = r'(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|[-+]?(?:0|[1-9][0-9]*)|"[0-9.eE+\-j]+")'
 _ROW_RE = re.compile(f"{_TOKEN}(?:, {_TOKEN})*")
+
+#: The bytes a block of plain floats, or of quoted literals, may hold: what
+#: ``bytes.translate`` leaves after deleting them is outside the block's grammar.
+_FLOAT_BYTES = b"0123456789.eE+-, "
+_QUOTED_BYTES = b'0123456789.eE+-j", '
+
+#: A float block's shape: every digit read as 0, ``E`` as ``e`` and ``+`` as ``-``.
+_SHAPE = bytes.maketrans(b"123456789E+", b"000000000e-")
 
 #: Stands in for a block of rows in the text PyYAML reads; a file holding it
 #: is read by PyYAML whole.
 _PLACEHOLDER = "weylscale-rows-"
 
 
-def _cast_row(tokens: str) -> list | None:
-    """The list PyYAML builds from the flow row ``[tokens]``, or None outside the grammar."""
+def _one_pass_dtype(tokens: str, count: int) -> type | None:
+    """``float`` or ``complex``: the dtype numpy casts the ``count`` tokens of a
+    block to, when every token is a plain float or every token a quoted literal
+    holding one ``j``; otherwise None.
+
+    Each check below is one C-speed pass over the whole block.  Over the float
+    bytes, ``float()`` takes ``[-+]?([0-9]+\\.?[0-9]*|\\.[0-9]+)([eE][-+]?[0-9]+)?``
+    and refuses the rest; YAML 1.1 reads such a text as the same float when it
+    has one dot, a digit before it and a signed exponent, and as an int or a
+    string otherwise.  ``complex()`` refuses a quote, a comma or a second
+    ``j`` in a literal, so a quoted block it takes is split at every separator
+    and is the one ``_cast_block`` would read through ``complex()`` too.
+    """
+    raw = tokens.encode()
+    if raw.count(b",") != count - 1 or raw.count(b" ") != count - 1:
+        return None  # a separator other than ", "
+    if b'"' not in raw:
+        if raw.translate(None, _FLOAT_BYTES) or raw.count(b".") != count:
+            return None  # a byte no plain float holds, or a token without its one dot
+        shape = raw.translate(_SHAPE)
+        if shape.count(b"0.") != count:
+            return None  # a dot with no digit before it: ".5" is a float to YAML 1.1, "-.5" a string
+        exponents = shape.count(b"e")
+        if exponents and shape.count(b"e-") != exponents:
+            return None  # an exponent without its sign: "1.0e5" is a string to YAML 1.1
+        return float
+    if raw.translate(None, _QUOTED_BYTES) or raw.count(b'"') != 2 * count or raw.count(b"j") != count:
+        return None  # an unquoted token, or a literal without its one j
+    return complex
+
+
+#: Rows per numpy call of the one-pass cast: the 16384 token objects of a whole
+#: 128 x 128 block, held at once, raised a spectral-scan run's peak RSS by 0.8 MB.
+_CAST_ROWS = 8
+
+
+def _cast_rows(rows: list[str], dtype: type) -> np.ndarray:
+    """The equal-width rows of a block as one complex ``(rows, cols)`` array.
+
+    numpy builds each entry of an array of ``float`` or ``complex`` dtype from
+    a ``bytes`` or ``str`` token by ``float()`` or ``complex()``, so the values
+    are those calls' bits, and a token either refuses raises ``ValueError``.
+    """
+    block = np.empty((len(rows), rows[0].count(", ") + 1), complex)
+    for start in range(0, len(rows), _CAST_ROWS):
+        chunk = ", ".join(rows[start : start + _CAST_ROWS])
+        texts = chunk.encode().split(b", ") if dtype is float else chunk[1:-1].split('", "')
+        block[start : start + _CAST_ROWS] = np.array(texts, dtype=dtype).reshape(-1, block.shape[1])
+    return block
+
+
+def _read_block(rows: list[str]) -> np.ndarray | list | None:
+    """The value PyYAML builds from the flow rows ``[row]``, ``[row]``, ..., or
+    None when a token is outside the grammar.
+
+    The rows are joined and checked as one text.  A block of equal-width rows
+    whose tokens take the one-pass cast (:func:`_one_pass_dtype`) becomes the
+    complex array that ``_cast_block`` makes of PyYAML's rows; any other block
+    in the grammar (ints among floats, quoted among plain, rows of unequal
+    width) becomes PyYAML's lists, for ``from_dict`` to read as it reads
+    PyYAML's.
+    """
+    tokens = ", ".join(rows)
+    separators = rows[0].count(", ")
+    if all(row.count(", ") == separators for row in rows):  # rows of equal width
+        dtype = _one_pass_dtype(tokens, len(rows) * (separators + 1))
+        if dtype is not None:
+            try:
+                return _cast_rows(rows, dtype)
+            except ValueError:  # a token float() or complex() refuses
+                pass
     if not _ROW_RE.fullmatch(tokens):
         return None
-    if '"' not in tokens and tokens.count(".") == tokens.count(", ") + 1:
-        return list(map(float, tokens.split(", ")))  # a plain float has one dot, an int none
-    if tokens.count('"') == 2 * tokens.count(", ") + 2:
-        return tokens[1:-1].split('", "')  # every token quoted
     try:
-        return [t[1:-1] if t[0] == '"' else float(t) if "." in t else int(t) for t in tokens.split(", ")]
+        return [[t[1:-1] if t[0] == '"' else float(t) if "." in t else int(t) for t in row.split(", ")] for row in rows]
     except ValueError:  # an int beyond Python's digit limit
         return None
 
 
 def _take_rows(text: str) -> tuple[str, dict] | None:
-    """``text`` with its row blocks replaced by placeholders, and each placeholder's rows.
+    """``text`` with its row blocks replaced by placeholders, and each placeholder's block.
 
     The rows under a ``matrix:`` key line become the one row ``- "<placeholder>"``
     and an ``explicit: [[...]]`` line becomes ``explicit: ["<placeholder>"]``.
     Both keep the place of the block in the YAML structure, so wherever
     PyYAML reads the stand-in as the whole value of a key, it reads the block
-    there too.  None when there is no block, or when a line that starts
-    with ``matrix:`` or ``explicit:`` (after its indent) is not in this layout
-    or holds a token outside the grammar.
+    there too.  A block is what :func:`_read_block` makes of its rows.  None
+    when there is no block, or when a line that starts with ``matrix:`` or
+    ``explicit:`` (after its indent) is not in this layout or holds a token
+    outside the grammar.
     """
     if _PLACEHOLDER in text:
         return None
@@ -333,23 +426,25 @@ def _take_rows(text: str) -> tuple[str, dict] | None:
             if body != "matrix:" or not first.lstrip(" ").startswith("- ["):
                 return None
             prefix = first[: first.index("-")] + "- ["
-            rows = []
+            start = i
             while i < len(lines) and lines[i].startswith(prefix):
-                row = lines[i]
-                rows.append(_cast_row(row[len(prefix) : -1]) if row.endswith("]") else None)
                 i += 1
-            if None in rows:
+            rows = lines[start:i]
+            if not all(row.endswith("]") for row in rows):
                 return None
-            blocks[placeholder] = rows
+            block = _read_block([row[len(prefix) : -1] for row in rows])
             kept += [line, f'{prefix[:-1]}"{placeholder}"']
         elif body.startswith("explicit:"):
-            rows = [_cast_row(tokens) for tokens in body[12:-2].split("], [")]
-            if not (body.startswith("explicit: [[") and body.endswith("]]")) or None in rows:
+            if not (body.startswith("explicit: [[") and body.endswith("]]")):
                 return None
-            blocks[placeholder] = rows
+            block = _read_block(body[12:-2].split("], ["))
             kept.append(f'{line[: len(line) - len(body)]}explicit: ["{placeholder}"]')
         else:
             kept.append(line)
+            continue
+        if block is None:
+            return None
+        blocks[placeholder] = block
     return ("\n".join(kept), blocks) if blocks else None
 
 
@@ -461,13 +556,7 @@ class ExperimentConfig:
             if not isinstance(vectors, dict):
                 raise ConfigInvalid("vectors: expected a mapping")
             if "explicit" in vectors:
-                explicit = vectors["explicit"]
-                if not isinstance(explicit, list) or not explicit:
-                    raise ConfigInvalid("vectors.explicit: expected a non-empty list of vectors")
-                for i, vec in enumerate(explicit):
-                    if not isinstance(vec, list):
-                        raise ConfigInvalid(f"vectors.explicit[{i}]: expected a list of numbers")
-                config.vectors_explicit = _explicit_vectors(explicit)
+                config.vectors_explicit = _explicit_vectors(vectors["explicit"])
             elif "random" in vectors:
                 random_section = vectors["random"]
                 if not isinstance(random_section, dict):

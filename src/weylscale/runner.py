@@ -359,6 +359,21 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
 # gns-check
 
 
+def _clipped(vec: np.ndarray) -> np.ndarray:
+    """``vec`` scaled to unit length if it is longer than 1.
+
+    A norm whose square overflows is taken again on ``vec`` divided by its
+    largest real or imaginary part, so such a vector is scaled to unit
+    length too; every vector of finite norm keeps the bits of ``vec / norm``.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if math.isfinite(norm):
+        return vec / max(1.0, norm)
+    scaled = vec / max(np.max(np.abs(vec.real)), np.max(np.abs(vec.imag)))
+    return scaled / np.linalg.norm(scaled)
+
+
 @_suite("gns-check", "gns")
 def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     """Truncated GNS simulator against the Gaussian closed form."""
@@ -367,9 +382,7 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
     _built("cutoff", check_doubled_cap, model)
     phi = quasi_free_functional(covariance)
     tol = config.tolerances["gns"]
-    vectors = _vectors(config, covariance.dimension, 1)
-    # vectors longer than 1 are scaled to unit length
-    clipped = [vec / max(1.0, float(np.linalg.norm(vec))) for vec in vectors]
+    clipped = [_clipped(vec) for vec in _vectors(config, covariance.dimension, 1)]
 
     def expectation(f):
         word = WeylWord.generator(f)

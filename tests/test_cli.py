@@ -1051,6 +1051,27 @@ def test_gns_check_doubled_axis_beyond_cap_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gns_check_scales_a_vector_of_overflowing_norm_to_unit_length(tmp_path):
+    """A vector whose squared norm overflows is scaled to unit length, not to zero,
+    and the run prints no warning: its report is the report of the unit vector."""
+    env = {**os.environ, "PYTHONPATH": str(Path(weylscale.__file__).parents[1])}
+    reports = {}
+    for entry in ("1.0", "1.0e+155", "1.0e+200"):
+        path = tmp_path / f"{entry}.yaml"
+        path.write_text(f"operator: {{matrix: [[2.0]]}}\nvectors: {{explicit: [[{entry}]]}}\ncutoff: 24\n")
+        out = tmp_path / f"{entry}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "weylscale", "gns-check", "--config", str(path), "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0 and "Warning" not in result.stderr, result.stderr
+        reports[entry] = out.read_bytes()
+    assert reports["1.0e+155"] == reports["1.0e+200"] == reports["1.0"]
+
+
 _SUITE_CONFIGS = {
     "positivity-scan": POSITIVITY_CONFIG,
     "kms-verify": KMS_CONFIG,

@@ -1,9 +1,11 @@
-"""The config reader: numeric rows cast directly give PyYAML's document, or PyYAML reads the file.
+"""The config reader: numeric blocks cast directly give PyYAML's document, or PyYAML reads the file.
 
 Every case compares ``ExperimentConfig.from_file`` (and the document it
 reads) with plain ``yaml.load`` of the same file followed by ``from_dict``:
 the same document, the same config bit for bit, or the same ``ConfigInvalid``
-message.
+message.  A block the reader casts to one array stands where PyYAML builds
+rows of floats only, or of ``j`` literals only, and holds the bits
+``_cast_block`` makes of those rows.
 """
 
 import importlib.util
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylscale import config as config_module
-from weylscale.config import ExperimentConfig, _load_yaml, _take_rows, parse_complex
+from weylscale.config import ExperimentConfig, _cast_block, _load_yaml, _take_rows, parse_complex
 from weylscale.errors import ConfigInvalid, WeylscaleError
 from weylscale.spectral import OperatorSpec
 
@@ -65,11 +67,32 @@ def _fingerprint(config):
     )
 
 
+def assert_same_document(read, reference):
+    """``read`` is PyYAML's ``reference``, but that a block the reader cast is an
+    array where PyYAML builds rows of floats only or of ``j`` literals only,
+    with the bits ``_cast_block`` makes of those rows."""
+    if isinstance(read, np.ndarray):
+        assert type(reference) is list and reference and all(type(row) is list for row in reference)
+        entries = [x for row in reference for x in row]
+        assert all(type(x) is float for x in entries) or all(type(x) is str and "j" in x for x in entries)
+        expected = _cast_block(reference, "block")
+        assert (read.dtype, read.shape, read.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+    elif isinstance(read, (dict, list)):
+        assert type(read) is type(reference) and len(read) == len(reference)
+        if isinstance(read, dict):
+            assert list(read) == list(reference)
+            read, reference = list(read.values()), list(reference.values())
+        for item, expected in zip(read, reference):
+            assert_same_document(item, expected)
+    else:
+        assert repr(read) == repr(reference)
+
+
 def assert_reads_like_pyyaml(path):
     text = Path(path).read_text(encoding="utf-8")
     kind, reference = _reference(path)
     if kind == "document":
-        assert repr(_load_yaml(text, str(path))) == repr(reference)
+        assert_same_document(_load_yaml(text, str(path)), reference)
         expected = _outcome(lambda: ExperimentConfig.from_dict(reference or {}))
     else:
         with pytest.raises(yaml.YAMLError) as info:
@@ -177,6 +200,57 @@ def test_other_layouts_send_the_whole_text_to_pyyaml(name):
 
 
 # ---------------------------------------------------------------------------
+# the block reader's guards: each keeps one kind of block out of the one-pass cast
+
+
+def _blocks_with(tmp_path, old, new):
+    """The blocks the reader takes from BASE with ``old`` replaced by ``new``,
+    or None; the file reads as PyYAML reads it either way."""
+    text = BASE.replace(old, new)
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_pyyaml(path)
+    taken = _take_rows(text)
+    return None if taken is None else list(taken[1].values())
+
+
+def test_guard_exponent_sign(tmp_path):
+    # YAML 1.1 reads an exponent without its sign as a string
+    for token in ("1.0e5", "1.e5", "1.5E10"):
+        assert _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]") is None
+    matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", "[1.5e+0, 2.5E-1]")
+    assert isinstance(matrix, np.ndarray)
+
+
+def test_guard_digit_before_the_dot(tmp_path):
+    # ".5" is a YAML 1.1 float and "-.5", "+.5" are strings: none is in the grammar
+    for token in (".5", "-.5", "+.5"):
+        assert _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]") is None
+
+
+def test_guard_comma_and_space_separators(tmp_path):
+    for row in ("[1.5,  0.25]", "[1.5 , 0.25]", "[1.5,0.25]", '["1.5+1j",  "0.25j"]'):
+        assert _blocks_with(tmp_path, "[1.5, 0.25]", row) is None
+
+
+def test_guard_quote_count(tmp_path):
+    # without the outer quotes, stripping the ends would cast "j" and "2": PyYAML fails on the row
+    rows = "[1.5, 0.25]\n      - [0.25, 2.0]"
+    assert _blocks_with(tmp_path, rows, '[1j", "2j]') is None
+    matrix, _ = _blocks_with(tmp_path, rows, '["1.5+0j", "0.25+1j"]\n      - ["0.25-1j", "2.0+0j"]')
+    assert isinstance(matrix, np.ndarray)
+
+
+def test_guard_equal_row_width(tmp_path):
+    # three ragged rows of six entries would fill a 3 x 2 array
+    explicit = '[["0.5+0.5j", "1.0-0.25j"], [1.0, 0.0]]'
+    matrix, vectors = _blocks_with(tmp_path, explicit, "[[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]")
+    assert isinstance(matrix, np.ndarray) and vectors == [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
+    with pytest.raises(ConfigInvalid, match=r"^vectors\.explicit: rows of unequal length$"):
+        ExperimentConfig.from_dict({"vectors": {"explicit": vectors}})
+
+
+# ---------------------------------------------------------------------------
 # property test: documents mixing accepted and fallback tokens
 
 
@@ -218,6 +292,92 @@ def test_mixed_documents_read_like_pyyaml(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mixed") / "config.yaml"
     path.write_text(text, encoding="utf-8")
     assert_reads_like_pyyaml(path)
+
+
+# ---------------------------------------------------------------------------
+# large blocks: the one-pass cast, with a YAML 1.1 quirk token drawn into it
+
+#: tokens where float() and YAML 1.1 disagree: ".5" is a float to both, the others text to YAML
+BLOCK_QUIRKS = [".5", "-.5", "+.5", "1.0e5", "1.e5", "1.5E10"]
+
+
+def _literal(z):
+    return f'"{z.real!r}{"" if repr(z.imag).startswith("-") else "+"}{z.imag!r}j"'
+
+
+@st.composite
+def quirk_blocks(draw):
+    """A 40 x 40 Hermitian matrix and 40 vectors of 40 entries, all plain floats or
+    all quoted literals, with one quirk token, bare or quoted, in one of the two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    quoted = draw(st.booleans())
+    size = 40
+    entries = rng.standard_normal((size, size)) * 10.0 ** rng.integers(-3, 4, (size, size))
+    if quoted:
+        entries = entries + 1j * rng.standard_normal((size, size))
+    matrix = (entries + entries.conj().T) / 2
+    vectors = rng.standard_normal((size, size)) + (1j * rng.standard_normal((size, size)) if quoted else 0)
+    texts = {
+        name: [[_literal(complex(z)) if quoted else repr(float(z.real)) for z in row] for row in block]
+        for name, block in (("matrix", matrix), ("explicit", vectors))
+    }
+    block = draw(st.sampled_from(["matrix", "explicit"]))
+    token = draw(st.sampled_from(BLOCK_QUIRKS))
+    texts[block][draw(st.integers(0, size - 1))][draw(st.integers(0, size - 1))] = (
+        f'"{token}"' if draw(st.booleans()) else token
+    )
+    rows = "".join(f"      - [{', '.join(row)}]\n" for row in texts["matrix"])
+    explicit = ", ".join(f"[{', '.join(row)}]" for row in texts["explicit"])
+    return f"operator:\n  kms:\n    beta: 1.0\n    matrix:\n{rows}vectors:\n  explicit: [{explicit}]\n"
+
+
+@settings(max_examples=40)
+@given(quirk_blocks())
+def test_quirk_tokens_in_large_blocks_read_like_pyyaml(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("quirk") / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_pyyaml(path)
+
+
+#: float texts as repr, %.17g and %.17e write them
+_FLOAT_TEXTS = st.lists(
+    st.floats(allow_nan=False).flatmap(lambda x: st.sampled_from([repr(x), "%.17g" % x, "%.17e" % x])),
+    min_size=1,
+    max_size=20,
+)
+
+
+def _bits(values, dtype):
+    return np.array(values, dtype=dtype).view(np.uint64).tolist()
+
+
+@settings(max_examples=200)
+@given(_FLOAT_TEXTS)
+def test_numpy_casts_float_texts_as_float_does(texts):
+    expected = _bits([float(t) for t in texts], float)
+    assert _bits(texts, float) == expected
+    assert _bits([t.encode() for t in texts], float) == expected
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=20))
+def test_numpy_casts_complex_literals_as_complex_does(pairs):
+    texts = [_literal(complex(*pair)).strip('"') for pair in pairs]
+    assert _bits(texts, complex) == _bits([complex(t) for t in texts], complex)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789.eE+-j", max_size=8))
+def test_numpy_refuses_the_texts_float_and_complex_refuse(text):
+    # the float cast reads bytes tokens, the complex cast str ones
+    for dtype, token in ((float, text.encode()), (complex, text)):
+        try:
+            expected = _bits([dtype(text)], dtype)
+        except ValueError:
+            with pytest.raises(ValueError):
+                np.array([token], dtype=dtype)
+        else:
+            assert _bits([token], dtype) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -422,3 +582,21 @@ def test_benchmark_layout_sends_only_the_other_lines_to_pyyaml(tmp_path, yaml_in
         assert len(seen) < 300 < len(text) / 100
         yaml_inputs.clear()
         assert _fingerprint(config) == _fingerprint(ExperimentConfig.from_dict(yaml.load(text, Loader=yaml.SafeLoader)))
+    for workload in workloads.WORKLOADS:
+        for seed in (7, 11):
+            for job in workloads.build(workload, seed, str(tmp_path / f"{workload}-{seed}")):
+                text = Path(job.config).read_text(encoding="utf-8")
+                count = text.count("matrix:") + text.count("explicit:")
+                yaml_inputs.clear()
+                config = ExperimentConfig.from_file(job.config)
+                (seen,) = yaml_inputs
+                if count:
+                    # every block cast in one pass: none as lists, no whole-file read
+                    stripped, blocks = _take_rows(text)
+                    assert seen == stripped and len(blocks) == count, job.name
+                    assert all(isinstance(block, np.ndarray) for block in blocks.values()), job.name
+                else:
+                    assert seen == text, job.name
+                yaml_inputs.clear()
+                reference = ExperimentConfig.from_dict(yaml.load(text, Loader=config_module._YAML_LOADER))
+                assert _fingerprint(config) == _fingerprint(reference), job.name

@@ -427,6 +427,24 @@ class TestTwoPoint:
         direct = phase * np.exp(-0.25 * quadratic_form(covariance, f + moved, f + moved).real)
         assert abs(report.oracle_value - direct) <= 1e-5
 
+    def test_derived_value_at_equal_vectors(self):
+        covariance = make_operator([[3.0]])
+        f = np.array([1.0])
+        report = two_point_function(covariance, modular_operator(covariance, 1.0), f, f, 0.0)
+        # exp(-3/4 - 3/4 - 3/2) = exp(-3), the oracle's phi(2f), where the literal value is exp(-3/2)
+        assert report.derived_value == pytest.approx(np.exp(-3.0), rel=1e-14)
+        assert report.derived_matches_oracle and not report.formula_matches_oracle
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_derived_value_matches_the_oracle(self, rng, dim):
+        for _ in range(6):
+            covariance = random_covariance(rng, dim)
+            modular = modular_operator(covariance, float(rng.uniform(0.5, 2.0)))
+            f, g = random_vector(rng, dim) * 0.6, random_vector(rng, dim) * 0.6
+            report = two_point_function(covariance, modular, f, g, float(rng.uniform(-3.0, 3.0)))
+            assert abs(report.derived_value - report.oracle_value) <= 1e-12
+            assert report.derived_matches_oracle
+
 
 def test_unbounded_declaration_propagates_through_rescaling():
     model = kms_model(

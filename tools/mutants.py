@@ -71,6 +71,24 @@ MUTANTS = (
         '{"weyl_relation": relation <= tol, "commutant": commutant <= tol}',
         '{"weyl_relation": relation <= tol}',
     ),
+    # the config block reader's guards, each dropped: an exponent without its sign,
+    ("config.py", 'if exponents and shape.count(b"e-") != exponents:', 'if exponents and shape.count(b"e-") < 0:'),
+    # a dot without a digit before it,
+    ("config.py", 'if shape.count(b"0.") != count:', 'if shape.count(b"0.") < 0:'),
+    # a separator other than ", ",
+    (
+        "config.py",
+        'if raw.count(b",") != count - 1 or raw.count(b" ") != count - 1:',
+        'if raw.count(b",") != count - 1:',
+    ),
+    # quotes other than two a literal,
+    ("config.py", "raw.count(b'\"') != 2 * count", "raw.count(b'\"') < 0"),
+    # and rows of unequal width
+    (
+        "config.py",
+        'if all(row.count(", ") == separators for row in rows):',
+        'if all(row.count(", ") >= 0 for row in rows):',
+    ),
 )
 
 #: tier-1 without tests/test_mutants.py, which fails on every mutant: it checks that
