@@ -28,10 +28,12 @@ entry.  The block reader takes out the numeric rows of two layouts:
 - a one-line ``<indent>explicit: [[tok, ...], [tok, ...], ...]``;
 
 and joins each block's rows into one text.  A block of equal-width rows whose
-tokens are all plain floats (``1.5``, ``-2.``, ``3.0e-05``) or all
-double-quoted complex literals with one ``j`` (``"0.5-1.25j"``) is checked by
-a few whole-text passes (``bytes.translate`` against its characters, counts of
-``", "`` separators, dots with a digit before them, signed exponents and
+tokens are all plain floats (``1.5``, ``-2.``, ``3.0e-05``, or ``1e-05`` with
+an exponent but no dot, a string to YAML 1.1 that the number parser reads as
+``float()`` does) or all double-quoted complex literals with one ``j``
+(``"0.5-1.25j"``) is checked by a few whole-text passes (``bytes.translate``
+against its characters, counts of ``", "`` separators, dots with a digit
+before them, signed exponents after a dot, no token of digits alone, and
 quotes) and cast by numpy, eight rows a call, to the complex array that
 ``from_dict`` takes as it stands.  A block that mixes those tokens with plain ints without a
 leading zero, or quoted with plain ones, is matched once against the token
@@ -39,7 +41,7 @@ grammar and becomes the lists PyYAML builds, which ``from_dict`` casts as it
 casts PyYAML's.  The rest of the text is loaded with PyYAML and the blocks
 are put back at their keys.  Any ``matrix:`` or ``explicit:`` line in
 another layout, or with another token, sends the whole file through PyYAML,
-so the YAML 1.1 readings stay PyYAML's: ``1e-05`` and ``-.5`` are strings,
+so the YAML 1.1 readings stay PyYAML's: ``1.0e5`` and ``-.5`` are strings,
 ``012`` octal 10, ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``,
 ``1_000`` and ``[re, im]`` pairs on those lines do the same.  So does a row
 block that PyYAML would read as something other than the value of its key
@@ -302,9 +304,14 @@ def check_tolerance(value: float, where: str) -> float:
 
 # -- reading a file: numeric blocks cast directly, the rest by PyYAML ----------
 
-#: One token of the grammar: a plain float or int as YAML 1.1 resolves it, or
-#: a double-quoted complex literal; a block's tokens are comma-and-space separated.
-_TOKEN = r'(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|[-+]?(?:0|[1-9][0-9]*)|"[0-9.eE+\-j]+")'
+#: One token of the grammar: a plain float or int as YAML 1.1 resolves it, a
+#: float written without a dot but with an exponent (``repr`` writes ``1e-05``),
+#: which YAML 1.1 reads as a string, or a double-quoted complex literal; a
+#: block's tokens are comma-and-space separated.
+_TOKEN = (
+    r'(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|[-+]?(?:0|[1-9][0-9]*)'
+    r'|[-+]?[0-9]+[eE][-+]?[0-9]+|"[0-9.eE+\-j]+")'
+)
 _ROW_RE = re.compile(f"{_TOKEN}(?:, {_TOKEN})*")
 
 #: The bytes a block of plain floats, or of quoted literals, may hold: what
@@ -327,24 +334,35 @@ def _one_pass_dtype(tokens: str, count: int) -> type | None:
 
     Each check below is one C-speed pass over the whole block.  Over the float
     bytes, ``float()`` takes ``[-+]?([0-9]+\\.?[0-9]*|\\.[0-9]+)([eE][-+]?[0-9]+)?``
-    and refuses the rest; YAML 1.1 reads such a text as the same float when it
-    has one dot, a digit before it and a signed exponent, and as an int or a
-    string otherwise.  ``complex()`` refuses a quote, a comma or a second
-    ``j`` in a literal, so a quoted block it takes is split at every separator
-    and is the one ``_cast_block`` would read through ``complex()`` too.
+    and refuses the rest.  YAML 1.1 reads such a text as the same float when it
+    has one dot, a digit before it and a signed exponent, as a string that
+    :func:`parse_number` reads as ``float()`` does when it has no dot but an
+    exponent (``1e-05``), and as an int (``010`` is 8) or a string otherwise.
+    ``complex()`` refuses a quote, a comma or a second ``j`` in a literal, so a
+    quoted block it takes is split at every separator and is the one
+    ``_cast_block`` would read through ``complex()`` too.
     """
     raw = tokens.encode()
     if raw.count(b",") != count - 1 or raw.count(b" ") != count - 1:
         return None  # a separator other than ", "
     if b'"' not in raw:
-        if raw.translate(None, _FLOAT_BYTES) or raw.count(b".") != count:
-            return None  # a byte no plain float holds, or a token without its one dot
+        if raw.translate(None, _FLOAT_BYTES):
+            return None  # a byte no plain float holds
         shape = raw.translate(_SHAPE)
-        if shape.count(b"0.") != count:
+        dots = shape.count(b".")
+        if shape.count(b"0.") != dots:
             return None  # a dot with no digit before it: ".5" is a float to YAML 1.1, "-.5" a string
-        exponents = shape.count(b"e")
-        if exponents and shape.count(b"e-") != exponents:
-            return None  # an exponent without its sign: "1.0e5" is a string to YAML 1.1
+        if dots == count:
+            exponents = shape.count(b"e")
+            if exponents and shape.count(b"e-") != exponents:
+                return None  # an exponent without its sign: "1.0e5" is a string to YAML 1.1
+            return float
+        # some token has no dot: each token's shape without its digits, between separators
+        skeleton = b", " + shape.translate(None, b"0") + b", "
+        if b", , " in skeleton or b", -, " in skeleton:
+            return None  # a token of digits alone: "010" is the int 8 to YAML 1.1
+        if skeleton.count(b".e") != skeleton.count(b".e-"):
+            return None  # a dot and an exponent without its sign
         return float
     if raw.translate(None, _QUOTED_BYTES) or raw.count(b'"') != 2 * count or raw.count(b"j") != count:
         return None  # an unquoted token, or a literal without its one j
@@ -371,6 +389,15 @@ def _cast_rows(rows: list[str], dtype: type) -> np.ndarray:
     return block
 
 
+def _token_value(token: str):
+    """The value PyYAML builds from one token of the grammar."""
+    if token[0] == '"':
+        return token[1:-1]
+    if "." in token:
+        return float(token)
+    return token if "e" in token or "E" in token else int(token)
+
+
 def _read_block(rows: list[str]) -> np.ndarray | list | None:
     """The value PyYAML builds from the flow rows ``[row]``, ``[row]``, ..., or
     None when a token is outside the grammar.
@@ -394,7 +421,7 @@ def _read_block(rows: list[str]) -> np.ndarray | list | None:
     if not _ROW_RE.fullmatch(tokens):
         return None
     try:
-        return [[t[1:-1] if t[0] == '"' else float(t) if "." in t else int(t) for t in row.split(", ")] for row in rows]
+        return [[_token_value(t) for t in row.split(", ")] for row in rows]
     except ValueError:  # an int beyond Python's digit limit
         return None
 

@@ -19,6 +19,17 @@ Two-point values are computed in the eigenbasis ``Delta = V diag(delta) V*``:
 evaluated for a whole grid of ``z`` as one array product.  ``A`` only acts on
 the vectors, so this is exact for any Hermitian pair, commuting or not.
 
+The boundary report samples the strip ``z = t + i beta s`` on a grid of times
+t and the heights s of ``STRIP_FRACTIONS``.  Its tables ``delta^{+-iz}`` are
+separable: the exponent ``i z log delta = x + iy`` has ``x = -beta s log delta``
+and ``y = t log delta``, and the complex exp of ``x + iy`` rounds as the float
+products ``e^x cos y`` and ``e^x sin y``.  So the tables take one complex exp
+per (t, k) and one real exp per (s, k) and sign, and equal the complex exp of
+every sample bit for bit; ``e^x`` is libm's (the real part of the complex exp
+of ``x + 0i``), as in the complex exp.  Past ``|x| = 709``, where the complex
+exp rescales so as not to overflow, the tables are the complex exp of every
+sample.  The real-time rows of ``F`` are the strip's row at height 0.
+
 :func:`F_function` and :func:`Phi_function` serve the rescaled state too: pass
 a RescaledKmsModel's ``covariance_h`` and ``modular_h``.
 """
@@ -158,19 +169,10 @@ def _Phi_terms(x, y, ax, ay):
     return 0.5 * (ax + x).conj() * y, 0.5 * (ay - y).conj() * x
 
 
-def _power_tables(log_delta: np.ndarray, z) -> tuple:
-    """(delta_k^{iz}, delta_k^{-iz}) for every entry of the array z, k on the last axis.
-
-    Swapped, they are the tables at ``-z``.
-    """
-    exponent = 1j * np.multiply.outer(z, log_delta)
-    return np.exp(exponent), np.exp(-exponent)
-
-
 def _two_sided(log_delta: np.ndarray, terms, z) -> np.ndarray:
     """sum_k p_k delta_k^{iz} + m_k delta_k^{-iz} for every entry of the array z."""
-    (plus, minus), (up, down) = terms, _power_tables(log_delta, z)
-    return up @ plus + down @ minus
+    (plus, minus), exponent = terms, 1j * np.multiply.outer(z, log_delta)
+    return np.exp(exponent) @ plus + np.exp(-exponent) @ minus
 
 
 def F_function(covariance: OperatorSpec, modular: OperatorSpec, f, g, t: float) -> complex:
@@ -247,6 +249,53 @@ def two_point_function(
     )
 
 
+#: Largest |x| at which the complex exp of x + iy is e^x cos y + i e^x sin y bit for
+#: bit: above x = 709 glibc's cexp rescales, so as not to overflow.
+_SEPARABLE_EXP_LIMIT = 709.0
+
+#: STRIP_FRACTIONS for the table delta^{iz}, and negated for delta^{-iz}.
+_SIGNED_FRACTIONS = np.array([STRIP_FRACTIONS, [-s for s in STRIP_FRACTIONS]])
+
+#: The signs of (cos y, sin y) in the tables delta^{iz} and delta^{-iz}.
+_CIS_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]]).reshape(2, 1, 1, 2)
+
+
+def _strip_tables(log_delta: np.ndarray, grid: np.ndarray, beta: float) -> np.ndarray:
+    """The tables delta_k^{iz} and delta_k^{-iz} on the strip ``z = t + i beta s``, one
+    array of shape (2, S, T, k): the ``STRIP_FRACTIONS`` s, the times t of ``grid``
+    and the log-spectrum.
+
+    They are ``exp(+-i z log delta)``, bit for bit, but built from one complex exp
+    per (t, k) and one real exp per (s, k) and sign.  For a modular spectrum at or
+    above 1 (a real log-spectrum ``>= 0``) the exponent ``i z log delta = x + iy``
+    has ``x = -beta s log delta`` on every column t and ``y = t log delta`` on every
+    row s, and the complex exp of ``x + iy`` is the float products ``e^x cos y`` and
+    ``e^x sin y``; so each table is ``e^{+-x}`` times ``(cos y, +-sin y)``, the
+    complex exp of the real-time row.  ``x`` is that complex product at ``t = 0``
+    and ``y`` at ``s = 0``, so both keep its bits (a zero ``x`` may differ in
+    sign, which no exp sees).  ``e^{+-x}`` is the real part of the complex exp of
+    ``+-x + 0i``: libm's ``exp``, as in the complex exp, not numpy's vectorized
+    float ``exp``.
+    Past ``|x| = _SEPARABLE_EXP_LIMIT`` the complex exp rescales and stops being
+    separable; there, and for a spectrum reaching below 1, the tables are the
+    complex exp of the whole exponent.
+    """
+    x = (1j * np.multiply.outer(1j * beta * _SIGNED_FRACTIONS, log_delta)).real
+    if not (
+        np.max(np.abs(x), initial=0.0) <= _SEPARABLE_EXP_LIMIT
+        and np.min(log_delta.real, initial=0.0) >= 0
+        and not log_delta.imag.any()
+    ):
+        exponent = 1j * np.multiply.outer(grid + 1j * beta * _SIGNED_FRACTIONS[0][:, None], log_delta)
+        return np.stack([np.exp(exponent), np.exp(-exponent)])
+    cis = np.exp(1j * np.multiply.outer(grid, log_delta))  # (cos y, sin y)
+    # e^{+-x} beside the sign of each part, against cis's interleaved (cos y, sin y)
+    scale = (np.exp(x + 0j).real[..., None] * _CIS_SIGNS).reshape(x.shape[:2] + (1, -1))
+    tables = np.empty(x.shape[:2] + cis.shape, dtype=complex)
+    np.multiply(scale, cis.view(float), out=tables.view(float))
+    return tables
+
+
 @dataclass(frozen=True)
 class KmsWitnessReport:
     """Sampled F and Phi values with the two boundary residuals of the KMS condition."""
@@ -274,17 +323,15 @@ def _boundary_report(
         raise OutOfRange("time grid must be one-dimensional and strictly increasing")
     log_delta = _log_spectrum(modular)
     fc, gc, afc, agc = _modular_coordinates(covariance, modular, f, g)
-    # F(f, g; t) and F(g, f; -t), the second from the tables of t swapped
-    up, down = _power_tables(log_delta, grid)
+    up, down = _strip_tables(log_delta, grid, beta)
+    # the real-time row of the strip (fraction 0) gives F(f, g; t), and its tables
+    # swapped give F(g, f; -t)
     plus, minus = _F_terms(fc, gc, afc, agc)
-    F_vals = up @ plus + down @ minus
+    F_vals = up[0] @ plus + down[0] @ minus
     plus, minus = _F_terms(gc, fc, agc, afc)
-    F_rev = down @ plus + up @ minus
-    # the strip samples run from the lower boundary (fraction 0) to the upper (1)
-    fractions = np.array(STRIP_FRACTIONS)
-    strip = _two_sided(
-        log_delta, _Phi_terms(fc, gc, afc, agc), grid + 1j * beta * fractions[:, None]
-    )
+    F_rev = down[0] @ plus + up[0] @ minus
+    plus, minus = _Phi_terms(fc, gc, afc, agc)
+    strip = up @ plus + down @ minus
     lower, upper = strip[0], strip[-1]
     strip_sup = float(np.max(np.abs(strip), initial=0.0))
     return KmsWitnessReport(

@@ -20,7 +20,7 @@ from the same two-route construction as the rescaled model of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,15 +76,21 @@ class RestrictedModel:
     restricted_modular: OperatorSpec | None = None  # Delta^(h)
     rescaled_restricted_modular: OperatorSpec | None = None  # Delta_h^(h)
     two_route_residual: float | None = None
+    _basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def subspace_dimension(self) -> float:
         return self.restricted_covariance.dimension
 
     def basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the subspace (matrix covariance only)."""
-        self.covariance.require_matrix()
-        return self.covariance.eigenvectors[:, list(self.selected_indices)]
+        """Orthonormal columns spanning the subspace (matrix covariance only): one
+        read-only copy, selected on the first call and kept."""
+        if self._basis is None:
+            self.covariance.require_matrix()
+            basis = self.covariance.eigenvectors[:, list(self.selected_indices)]
+            basis.flags.writeable = False
+            object.__setattr__(self, "_basis", basis)
+        return self._basis
 
     def project(self, f) -> np.ndarray:
         """Orthogonal projection of f onto the subspace."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +57,7 @@ ATOM_MERGE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One spectral point: a real eigenvalue with its multiplicity."""
 
     value: float
@@ -266,7 +265,15 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
         return y
 
     if op.is_matrix:
-        mapped = np.array([evaluate(v) for v in op.eigenvalues.tolist()])
+        values = op.eigenvalues.tolist()
+        try:
+            mapped = np.array([fn(v) for v in values])
+        except Exception:  # replayed below by evaluate, which raises what it raises
+            mapped = None
+        if mapped is None or mapped.dtype != np.float64 or mapped.ndim != 1 or not np.all(np.isfinite(mapped)):
+            # a failure, or a value that is not a finite float: evaluate gives its error
+            # or the real part of a complex value
+            mapped = np.array([evaluate(v) for v in values])
         order = np.argsort(mapped, kind="stable")
         if np.array_equal(order, np.arange(len(order))):
             # an order-keeping map shares the read-only eigenvectors

@@ -4,11 +4,13 @@ Every case compares ``ExperimentConfig.from_file`` (and the document it
 reads) with plain ``yaml.load`` of the same file followed by ``from_dict``:
 the same document, the same config bit for bit, or the same ``ConfigInvalid``
 message.  A block the reader casts to one array stands where PyYAML builds
-rows of floats only, or of ``j`` literals only, and holds the bits
+rows of floats only (with, maybe, the strings of floats written with an
+exponent but no dot), or of ``j`` literals only, and holds the bits
 ``_cast_block`` makes of those rows.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -24,6 +26,9 @@ from weylscale.errors import ConfigInvalid, WeylscaleError
 from weylscale.spectral import OperatorSpec
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: A float written with an exponent but no dot, a string to YAML 1.1.
+DOTLESS_EXPONENT = re.compile(r"[-+]?[0-9]+[eE][-+]?[0-9]+")
 
 
 def _reference(path):
@@ -69,12 +74,15 @@ def _fingerprint(config):
 
 def assert_same_document(read, reference):
     """``read`` is PyYAML's ``reference``, but that a block the reader cast is an
-    array where PyYAML builds rows of floats only or of ``j`` literals only,
-    with the bits ``_cast_block`` makes of those rows."""
+    array where PyYAML builds rows of floats only (or the strings of floats with
+    an exponent and no dot) or of ``j`` literals only, with the bits
+    ``_cast_block`` makes of those rows."""
     if isinstance(read, np.ndarray):
         assert type(reference) is list and reference and all(type(row) is list for row in reference)
         entries = [x for row in reference for x in row]
-        assert all(type(x) is float for x in entries) or all(type(x) is str and "j" in x for x in entries)
+        assert all(
+            type(x) is float or (type(x) is str and DOTLESS_EXPONENT.fullmatch(x)) for x in entries
+        ) or all(type(x) is str and "j" in x for x in entries)
         expected = _cast_block(reference, "block")
         assert (read.dtype, read.shape, read.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
     elif isinstance(read, (dict, list)):
@@ -170,9 +178,11 @@ def test_reader_agrees_with_pyyaml(tmp_path, name):
 
 @pytest.mark.parametrize(
     "token, taken",
-    [(token, False) for token in QUIRK_TOKENS if token != "+1"]
+    [(token, False) for token in QUIRK_TOKENS if token not in ("+1", "1e-05")]
     + [("1.0e5", False), ("00", False), ("1.0 # c", False), ("'1.0'", False), ("~", False), ("true", False)]
-    + [("+1", True), ("-0", True), ("1.e+5", True), ("-2.5E-3", True), ('"1e-05-2.0j"', True)],
+    + [("010", False), ("1_0", False), ("e5", False), ("1e", False)]
+    + [("+1", True), ("-0", True), ("1.e+5", True), ("-2.5E-3", True), ('"1e-05-2.0j"', True)]
+    + [("1e-05", True), ("5e-324", True), ("1e+16", True), ("-2E5", True), ("+7e0", True)],
 )
 def test_only_the_strict_grammar_is_taken_out(token, taken):
     assert (_take_rows(BASE.replace("[1.5, 0.25]", f"[1.5, {token}]")) is not None) == taken
@@ -226,6 +236,18 @@ def test_guard_digit_before_the_dot(tmp_path):
     # ".5" is a YAML 1.1 float and "-.5", "+.5" are strings: none is in the grammar
     for token in (".5", "-.5", "+.5"):
         assert _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]") is None
+
+
+def test_guard_dotless_exponent(tmp_path):
+    # a float that repr writes without a dot is a string to YAML 1.1, read as float() reads it
+    for token in ("1e-05", "5e-324", "1e+16", "-2E5"):
+        matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]")
+        assert isinstance(matrix, np.ndarray)
+    # digits alone are a YAML 1.1 int, "010" the octal 8, so they stay off the cast
+    matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", "[1.5, 1e-05, 10]")
+    assert matrix == [[1.5, "1e-05", 10], [0.25, 2.0]]
+    for row in ("[1e-05, 010]", "[1e-05, 1_0]", "[1.0e5, 1e5]", "[1e5, 1.5E5]"):
+        assert _blocks_with(tmp_path, "[1.5, 0.25]", row) is None
 
 
 def test_guard_comma_and_space_separators(tmp_path):
@@ -337,6 +359,48 @@ def test_quirk_tokens_in_large_blocks_read_like_pyyaml(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("quirk") / "config.yaml"
     path.write_text(text, encoding="utf-8")
     assert_reads_like_pyyaml(path)
+
+
+#: floats written without a dot, which the one-pass cast takes, and YAML 1.1 ints it leaves
+DOTLESS_TOKENS = ["1e-05", "5e-324", "1e+16", "-2E5", "+7e0", "1e300", "1e400"]
+DOTLESS_INTS = ["010", "1_0"]
+
+
+@st.composite
+def dotless_blocks(draw):
+    """A 40 x 40 Hermitian float matrix and 40 float vectors of 40 entries, written
+    by repr, with one drawn token in place of one entry (and of its mirror, in
+    the matrix); and the token."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 40
+    entries = rng.standard_normal((size, size)) * 10.0 ** rng.integers(-3, 4, (size, size))
+    texts = {
+        "matrix": [[repr(float(x)) for x in row] for row in (entries + entries.T) / 2],
+        "explicit": [[repr(float(x)) for x in row] for row in rng.standard_normal((size, size))],
+    }
+    block = draw(st.sampled_from(["matrix", "explicit"]))
+    token = draw(st.sampled_from(DOTLESS_TOKENS + DOTLESS_INTS))
+    i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+    texts[block][i][j] = token
+    if block == "matrix":
+        texts[block][j][i] = token
+    rows = "".join(f"      - [{', '.join(row)}]\n" for row in texts["matrix"])
+    explicit = ", ".join(f"[{', '.join(row)}]" for row in texts["explicit"])
+    return f"operator:\n  kms:\n    beta: 1.0\n    matrix:\n{rows}vectors:\n  explicit: [{explicit}]\n", token
+
+
+@settings(max_examples=40)
+@given(dotless_blocks())
+def test_dotless_tokens_in_large_blocks_take_the_cast_and_read_like_pyyaml(tmp_path_factory, drawn):
+    text, token = drawn
+    path = tmp_path_factory.mktemp("dotless") / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert_reads_like_pyyaml(path)
+    taken = _take_rows(text)
+    if token in DOTLESS_INTS:
+        assert taken is None
+    else:
+        assert all(isinstance(block, np.ndarray) for block in taken[1].values())
 
 
 #: float texts as repr, %.17g and %.17e write them

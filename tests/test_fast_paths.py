@@ -9,24 +9,39 @@
   parts alone.
 - An n = 128 kms-verify job in the benchmark's layout builds three dense
   matrices, so eager rebuilds cannot come back unnoticed.
+- The KMS strip tables built from one complex exp per time and one real exp
+  per height are the complex exp of every sample, and one n = 128 boundary
+  report evaluates no more complex exps than that, so per-sample tables
+  cannot come back unnoticed.
+- Mapping a matrix operator's eigenvalues as one list gives the values, the
+  errors and the complex-value handling of mapping them one by one, and a
+  restricted model selects its basis once.
 - One draw of a ``(count, dim)`` array of random vectors gives the vectors
   of per-vector draws and leaves the generator where they leave it, and the
   explicit vectors reach the suites as the config's own array.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylscale import runner, spectral
+from weylscale import kms, runner, spectral
 from weylscale.cli import main
 from weylscale.config import ExperimentConfig, random_complex_vectors
+from weylscale.errors import DomainViolation
+from weylscale.kms import STRIP_FRACTIONS, _SEPARABLE_EXP_LIMIT, _strip_tables
+from weylscale.restriction import restricted_model
 from weylscale.report import _render_value, _row_text
 from weylscale.spectral import (
     ATOM_MERGE_TOL,
+    INF,
+    Atom,
     OperatorSpec,
     _merge_sorted_values,
     _snap_eigenvalues,
@@ -281,6 +296,103 @@ def test_benchmark_known_fault_job_builds_one_dense_matrix(tmp_path, dense_build
 
 
 # ---------------------------------------------------------------------------
+# functional calculus: one list of mapped eigenvalues
+
+
+def _evaluate_one_by_one(fn, values):
+    """The eigenvalue map one value at a time: each value a finite float, the real
+    part of a (nearly) real complex value, or the error of the first that is not."""
+    out = []
+    for x in values:
+        try:
+            y = fn(float(x))
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise DomainViolation(f"map undefined at spectral point {x}: {exc}") from exc
+        if type(y) is float and math.isfinite(y):
+            out.append(y)
+            continue
+        y = complex(y)
+        if abs(y.imag) > 1e-12 * max(1.0, abs(y.real)):
+            raise DomainViolation(f"map is not real at spectral point {x}: {y}")
+        if not math.isfinite(y.real):
+            raise DomainViolation(f"map is singular at spectral point {x}")
+        out.append(y.real)
+    return np.array(out)
+
+
+def _outcome(call):
+    try:
+        return "values", call().tobytes()
+    except Exception as exc:  # the type and text of the error are the outcome
+        return type(exc).__name__, str(exc)
+
+
+_MAPS = {
+    "float": lambda x: x / 3.0 + 0.1,
+    "exp": math.exp,
+    "int": lambda x: 7 if x > 2 else x,
+    "bool": lambda x: x > 2 or x,
+    "numpy float": lambda x: np.float64(x) * 2,
+    "numpy float32": lambda x: np.float32(x),
+    "all ints": lambda x: int(x),
+    "nearly real": lambda x: complex(x, 1e-14),
+    "complex": lambda x: complex(x, 1.0),
+    "power of a negative": lambda x: (2.0 - x) ** 0.5,
+    "zero division": lambda x: 1.0 / (x - 2.0),
+    "log domain": lambda x: math.log(x - 2.0),
+    "overflow": lambda x: math.exp(1000.0 * x),
+    "inf": lambda x: math.inf if x > 2 else x,
+    "nan": lambda x: math.nan,
+    "inf before a type error": lambda x: math.inf if x < 2 else None + x,
+    "type error": lambda x: None + x,
+    "array of one": lambda x: np.array([x]),
+    "ragged": lambda x: [x] * int(x),
+    "huge int": lambda x: 10**400 if x > 2 else x,
+}
+
+
+@pytest.mark.parametrize("name", list(_MAPS))
+def test_mapped_eigenvalues_match_mapping_one_by_one(name):
+    fn = _MAPS[name]
+    op = OperatorSpec.from_matrix(np.diag([1.0, 2.0, 3.0, 5.0]))
+    expected = _outcome(lambda: np.sort(_evaluate_one_by_one(fn, op.eigenvalues.tolist())))
+    got = _outcome(lambda: spectral.apply_function(op, fn).eigenvalues)
+    assert got == expected
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(0.01, 1e6), min_size=1, max_size=12), st.sampled_from(["float", "int", "nearly real", "numpy float"]))
+def test_mapped_random_spectra_match_mapping_one_by_one(values, name):
+    fn = _MAPS[name]
+    op = OperatorSpec.from_matrix(np.diag(values))
+    mapped = spectral.apply_function(op, fn)
+    expected = _evaluate_one_by_one(fn, op.eigenvalues.tolist())
+    order = np.argsort(expected, kind="stable")
+    assert mapped.eigenvalues.tobytes() == _snap_eigenvalues(expected[order])[0].tobytes()
+
+
+def test_atom_is_a_named_tuple_with_the_dataclass_repr():
+    atom = Atom(2.5, INF)
+    assert isinstance(atom, tuple) and atom._fields == ("value", "multiplicity")
+    assert repr(atom) == "Atom(value=2.5, multiplicity=inf)"
+    assert atom.infinite and not Atom(2.5, 3.0).infinite
+    assert atom == Atom(value=2.5, multiplicity=INF) and hash(atom) == hash(Atom(2.5, INF))
+
+
+def test_restricted_basis_is_selected_once_and_read_only():
+    rng = np.random.default_rng(4)
+    covariance = OperatorSpec.from_matrix(_hermitian(rng, [1.5, 2.0, 3.0, 4.0, 6.0]))
+    model = restricted_model(covariance, 2.5)
+    basis = model.basis()
+    assert model.basis() is basis
+    assert not basis.flags.writeable
+    fresh = covariance.eigenvectors[:, list(model.selected_indices)]
+    assert basis.tobytes() == fresh.tobytes() and basis.strides == fresh.strides
+    f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    assert model.compress(f).tobytes() == (fresh.conj().T @ f).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # vector sets as one array
 
 
@@ -299,3 +411,133 @@ def test_explicit_vectors_reach_the_suites_as_the_config_array():
     config = ExperimentConfig.from_dict({"operator": {"matrix": [[2]]}, "vectors": {"explicit": [[1], ["0.5j"]]}})
     assert config.vectors_explicit.shape == (2, 1)
     assert runner._vectors(config, 1, 1) is config.vectors_explicit
+
+
+# ---------------------------------------------------------------------------
+# KMS strip tables from one exp per time and per height
+
+
+@st.composite
+def strip_inputs(draw):
+    """A log-spectrum, a strictly increasing grid (some holding 0.0 or -0.0) and a
+    beta, with ``beta max|log delta|`` at times within a few ulps of the limit.
+    Most spectra are at or above 1, as every modular spectrum is; some reach below
+    1 or below 0."""
+    deltas = draw(st.one_of(
+        st.lists(st.floats(1.0, 1e6), min_size=1, max_size=6),
+        st.lists(st.floats(-1e3, 1e3).filter(bool), min_size=1, max_size=3),
+    ))
+    times = draw(st.lists(st.floats(-60.0, 60.0).filter(bool), min_size=0, max_size=7, unique=True))
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))
+    grid = np.array(sorted(times + ([] if zero is None else [zero])) or [0.5])
+    log_delta = np.log(np.array(deltas).astype(complex))
+    top = float(np.max(np.abs(log_delta.real)))
+    if top > 0 and draw(st.booleans()):
+        # the largest |x| = beta |log delta| on either side of the limit
+        target = draw(st.sampled_from([
+            _SEPARABLE_EXP_LIMIT, np.nextafter(_SEPARABLE_EXP_LIMIT, 0), np.nextafter(_SEPARABLE_EXP_LIMIT, 800),
+            _SEPARABLE_EXP_LIMIT - 0.5, _SEPARABLE_EXP_LIMIT + 0.5, 709.78, 720.0,
+        ]))
+        beta = target / top
+    else:
+        beta = draw(st.floats(1e-3, 50.0))
+    return log_delta, grid, beta
+
+
+@settings(max_examples=400)
+@given(strip_inputs())
+def test_separable_strip_tables_are_the_complex_exp_of_every_sample(inputs):
+    log_delta, grid, beta = inputs
+    z = grid + 1j * beta * np.array(STRIP_FRACTIONS)[:, None]
+    exponent = 1j * np.multiply.outer(z, log_delta)
+    if np.all(log_delta.real >= 0) and not log_delta.imag.any():
+        # the exponent's real part is the same on every column t, up to the sign of a
+        # zero, and its imaginary part the same on every row s, bit for bit
+        assert np.all(exponent.real == exponent.real[:, :1])
+        assert exponent.imag.tobytes() == np.broadcast_to(exponent.imag[:1], exponent.shape).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _strip_tables(log_delta, grid, beta)
+        expected = np.stack([np.exp(exponent), np.exp(-exponent)])
+        real_time = 1j * np.multiply.outer(grid, log_delta)
+        real_time = np.stack([np.exp(real_time), np.exp(-real_time)])
+    assert tables.shape == (2, len(STRIP_FRACTIONS), len(grid), len(log_delta))
+    assert tables.dtype == expected.dtype and tables.tobytes() == expected.tobytes()
+    # the real-time tables of F are the strip's row at fraction 0
+    assert tables[:, 0].tobytes() == real_time.tobytes()
+
+
+@pytest.mark.parametrize("beta, separable", [(709.0 / math.log(4.0), True), (710.0 / math.log(4.0), False)])
+def test_strip_tables_are_separable_up_to_the_limit(complex_exps, beta, separable):
+    log_delta = np.log(np.array([1.0, 2.0, 4.0]).astype(complex))
+    grid = np.array([-1.0, -0.0, 2.0])
+    z = grid + 1j * beta * np.array(STRIP_FRACTIONS)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _strip_tables(log_delta, grid, beta)
+        counted = complex_exps[0]
+        exponent = 1j * np.multiply.outer(z, log_delta)
+        expected = np.stack([np.exp(exponent), np.exp(-exponent)])
+    assert tables.tobytes() == expected.tobytes()
+    # one exp per (t, k) and per (s, sign, k) up to the limit, one per sample past it
+    assert counted == (len(grid) + 2 * len(STRIP_FRACTIONS)) * 3 if separable else 2 * z.size * 3
+
+
+@pytest.fixture
+def complex_exps(monkeypatch):
+    """The number of complex exps evaluated while the fixture is active."""
+    counted = [0]
+    exp = np.exp
+
+    def counting(a, *args, **kwargs):
+        out = exp(a, *args, **kwargs)
+        if np.iscomplexobj(out):
+            counted[0] += np.size(out)
+        return out
+
+    monkeypatch.setattr(kms.np, "exp", counting)
+    return counted
+
+
+def test_one_n128_boundary_report_evaluates_one_exp_per_time_and_per_height(complex_exps):
+    n = 128
+    model = _boundary_times().chain_model(n)
+    rng = np.random.default_rng(3)
+    f, g = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    complex_exps[0] = 0  # the chain's Fourier modes are not the report's
+    report = kms.kms_boundary_residuals(model, f, g)
+    times, heights = len(report.t_grid), len(STRIP_FRACTIONS)
+    assert 0 < complex_exps[0] <= (times + 2 * heights) * n
+
+
+# ---------------------------------------------------------------------------
+# the boundary report timing harness
+
+
+def _boundary_times():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_boundary_times", root / "tools" / "boundary_times.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_boundary_times_chain_is_the_periodic_chain():
+    tool, n = _boundary_times(), 8
+    shift = np.roll(np.eye(n), 1, axis=1)
+    expected = (tool.MASS_SQUARED + 2.0) * np.eye(n) - shift - shift.T
+    model = tool.chain_model(n)
+    assert model.beta == tool.BETA
+    assert np.allclose(model.hamiltonian.matrix, expected, atol=1e-12)
+
+
+def test_boundary_times_smoke(monkeypatch, capsys):
+    tool = _boundary_times()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # main sets them; restored after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the checkout's src/ first
+    assert tool.main(["8"], repeats=1) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "ms"]
+    n, ms = row.split()
+    assert n == "8" and 0 < float(ms) < 1e3
+    with pytest.raises(SystemExit, match="^Usage: python3 tools/boundary_times.py N"):
+        tool.main([])

@@ -41,6 +41,10 @@ MUTANTS = (
     ("restriction.py", "** (1.0 / beta)", "** (2.0 / beta)"),
     # a sign in the real-time KMS kernel F
     ("kms.py", "0.5 * y.conj() * (ax - x)", "0.5 * y.conj() * (ax + x)"),
+    # the KMS strip tables' products past the point where the complex exp rescales,
+    ("kms.py", "_SEPARABLE_EXP_LIMIT = 709.0", "_SEPARABLE_EXP_LIMIT = 710.0"),
+    # and on a modular spectrum reaching below 1
+    ("kms.py", "and np.min(log_delta.real, initial=0.0) >= 0", "and np.min(log_delta.real, initial=0.0) >= -INF"),
     # the conjugation of the second GNS slot
     ("fock.py", "second = 1j * np.conj(self._t2 * coords)", "second = 1j * (self._t2 * coords)"),
     # rescale-fock's exponent bound without its growth as h shrinks
@@ -74,7 +78,11 @@ MUTANTS = (
     # the config block reader's guards, each dropped: an exponent without its sign,
     ("config.py", 'if exponents and shape.count(b"e-") != exponents:', 'if exponents and shape.count(b"e-") < 0:'),
     # a dot without a digit before it,
-    ("config.py", 'if shape.count(b"0.") != count:', 'if shape.count(b"0.") < 0:'),
+    ("config.py", 'if shape.count(b"0.") != dots:', 'if shape.count(b"0.") < 0:'),
+    # a token of digits alone, with no sign, among floats written without a dot,
+    ("config.py", 'if b", , " in skeleton or b", -, " in skeleton:', 'if b", -, " in skeleton:'),
+    # a dot and an exponent without its sign among floats written without a dot,
+    ("config.py", 'if skeleton.count(b".e") != skeleton.count(b".e-"):', 'if skeleton.count(b".e") < 0:'),
     # a separator other than ", ",
     (
         "config.py",
