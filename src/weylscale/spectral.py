@@ -56,6 +56,10 @@ ATOM_MERGE_TOL = 1e-12
 #: Allowed conjugate-symmetry residual of matrix input.
 HERMITICITY_TOL = 1e-12
 
+#: Largest entry magnitude of matrix input, half the largest float: the sums
+#: of ``m`` and ``m^H`` in the symmetrization and its residual stay finite.
+MATRIX_ENTRY_MAX = np.finfo(float).max / 2
+
 
 class Atom(NamedTuple):
     """One spectral point: a real eigenvalue with its multiplicity."""
@@ -142,6 +146,12 @@ class OperatorSpec:
             raise DimensionMismatch(f"matrix input must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InvalidMatrix("matrix has NaN or infinite entries")
+        with np.errstate(over="ignore"):  # a modulus past the largest float is inf, above the bound too
+            largest = float(np.abs(m).max(initial=0.0))
+        if largest > MATRIX_ENTRY_MAX:
+            raise InvalidMatrix(
+                f"matrix entry magnitude {largest:.3e} exceeds {MATRIX_ENTRY_MAX:.3e}, half the largest float"
+            )
         residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
         if residual > HERMITICITY_TOL:
             raise InvalidMatrix(f"conjugate-symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL}")

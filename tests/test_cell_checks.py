@@ -136,6 +136,29 @@ def test_gns_commutant_over_tolerance_fails(tmp_path, capsys, monkeypatch):
     assert failed == ["commutant"] * 3
 
 
+def test_gns_relation_over_tolerance_fails(tmp_path, capsys, monkeypatch):
+    # twice the 1e-5 tolerance: the check fails it unless loosened by 2 or more
+    monkeypatch.setattr(weylscale.runner, "weyl_relation_residual", lambda *args: 2e-5)
+    code, cells, failed = _run(tmp_path, capsys, "gns-check", GNS)
+    assert code == 3
+    relations = [cell for cell in cells if cell["kind"] == "relation"]
+    assert len(relations) == 3 and not any(cell["ok"] for cell in relations)
+    assert all(cell["ok"] for cell in cells if cell["kind"] == "expectation")
+    assert failed == ["weyl_relation"] * 3
+
+
+def test_gns_expectation_off_the_closed_form_fails(tmp_path, capsys, monkeypatch):
+    # each vacuum value moved by twice the 1e-5 tolerance
+    expectation = weylscale.runner.gns_expectation
+    monkeypatch.setattr(weylscale.runner, "gns_expectation", lambda *args: expectation(*args) + 2e-5)
+    code, cells, failed = _run(tmp_path, capsys, "gns-check", GNS)
+    assert code == 3
+    expectations = [cell for cell in cells if cell["kind"] == "expectation"]
+    assert len(expectations) == 3 and not any(cell["ok"] for cell in expectations)
+    assert all(cell["ok"] for cell in cells if cell["kind"] == "relation")
+    assert failed == ["closed_form"] * 3
+
+
 def test_extension_nonzero_off_the_subspace_breaks_the_dichotomy(tmp_path, capsys, monkeypatch):
     class Leaky(NonRegularFunctional):
         """Exact at 0, but nonzero off the restricted subspace."""

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -757,6 +758,23 @@ def test_atoms_operator_is_a_config_error_in_every_suite(tmp_path, capsys, suite
     path.write_text(f"operator: {operator}\nvectors: {{random: {{count: 2, seed: 1}}}}\nh_values: [0.5]\n")
     assert main([suite, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
     assert "config error: operator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_matrix_entry_above_half_the_largest_float_is_a_config_error(tmp_path, capsys, suite):
+    # (m + m^H) / 2 would overflow to inf, and the spectrum be NaN
+    matrix = "[[1.0e+308, 0.0], [0.0, 2.0]]"
+    where, operator = "operator.matrix", f"{{matrix: {matrix}}}"
+    if suite in ("kms-verify", "restrict-scan"):
+        where, operator = "operator.kms.matrix", f"{{kms: {{beta: 1, matrix: {matrix}}}}}"
+    path = tmp_path / "config.yaml"
+    path.write_text(f"operator: {operator}\nvectors: {{random: {{count: 2, seed: 1}}}}\nh_values: [1.5]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([suite, "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {where}: matrix entry magnitude 1.000e+308 exceeds 8.988e+307, half the largest float\n"
+    )
 
 
 @pytest.mark.parametrize("key, value", [("space", "0"), ("tolerances", "[]"), ("output", "0"), ("output", '""')])

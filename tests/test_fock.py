@@ -1,7 +1,11 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylscale import (
     GnsModel,
@@ -376,6 +380,120 @@ class TestBlockedKronDifferenceMax:
         finally:
             tracemalloc.stop()
         assert peak < 0.5e6
+
+
+def _recorded_operands(model, f, g):
+    """The (P, Q, R, S) that the relation and the commutant residual of ``f, g`` take the max-norm of."""
+    calls = []
+    with mock.patch.object(fock, "_kron_difference_max", side_effect=lambda *args: calls.append(args) or 0.0):
+        weyl_relation_residual(model, f, g)
+        commutant_residual(model, f, g)
+    return calls
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unit(rng, side):
+    return np.exp(2j * np.pi * rng.uniform(size=(side, side)))
+
+
+class TestBoundedKronDifferenceMax:
+    """Rows skipped by their bound leave the full evaluation's float, bit for bit."""
+
+    @staticmethod
+    def _assert_exact(p, q, r, s):
+        with warnings.catch_warnings(record=True) as bounded_warnings:
+            warnings.simplefilter("always")
+            bounded = _kron_difference_max(p, q, r, s)
+        with warnings.catch_warnings(record=True) as full_warnings:
+            warnings.simplefilter("always")
+            full = fock._full_kron_difference_max(p, q, r, s)
+        expected = _one_shot_kron_difference_max(p, q, r, s)
+        assert bounded == expected or np.isnan(bounded) and np.isnan(expected)
+        assert full == expected or np.isnan(full) and np.isnan(expected)
+        assert [str(w.message) for w in bounded_warnings] == [str(w.message) for w in full_warnings]
+        bound = fock._row_bounds(p.ravel(), q, r.ravel(), s)
+        if bound is not None:
+            rows = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None])
+            assert np.all(rows.reshape(p.size, -1).max(axis=1) <= bound)
+
+    @settings(max_examples=25)
+    @given(
+        cutoff=st.integers(4, 40),
+        covariance=st.floats(1.0, 3.0),
+        radii=st.tuples(st.floats(0.0, 0.7), st.floats(0.0, 0.7)),
+        phases=st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)),
+    )
+    def test_gns_slot_products(self, cutoff, covariance, radii, phases):
+        # amplitudes |alpha| = T1 |f| / sqrt(2) <= 1 for f, g and f + g
+        model = GnsModel(make_operator([[covariance]]), cutoff=cutoff)
+        f, g = (np.array([radius / model._t1[0] * np.exp(1j * phase)]) for radius, phase in zip(radii, phases))
+        for operands in _recorded_operands(model, f, g):
+            self._assert_exact(*operands)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), sides=st.tuples(st.integers(6, 13), st.integers(9, 21)))
+    def test_rotated_operands_with_one_ulp_perturbations(self, seed, sides):
+        # R = e^{i theta} P and S = e^{-i theta} Q, then some real and imaginary parts moved by one ulp
+        rng = np.random.default_rng(seed)
+        p, q = _complex(rng, (sides[0],) * 2), _complex(rng, (sides[1],) * 2)
+        phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+        r, s = phase * p, q / phase
+        for operand in (r.view(float), s.view(float)):
+            moved = rng.random(operand.shape) < 0.3
+            operand[moved] = np.nextafter(operand[moved], np.where(rng.random(moved.sum()) < 0.5, -np.inf, np.inf))
+        self._assert_exact(p, q, r, s)
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edge=st.sampled_from(["zero rows", "orthogonal", "subnormal", "huge", "nan", "inf"]),
+        exponent=st.integers(150, 300),
+    )
+    def test_edge_operands(self, seed, edge, exponent):
+        rng = np.random.default_rng(seed)
+        p, q = _complex(rng, (9, 9)), _complex(rng, (13, 13))
+        r, s = p * np.exp(0.3j) + 1e-9 * _complex(rng, (9, 9)), q * np.exp(-0.3j)
+        operands = [p, q, r, s]
+        if edge == "zero rows":
+            rows = rng.random(81) < 0.5
+            p.flat[rows] = r.flat[rows] = 0.0
+        elif edge == "orthogonal":
+            # disjoint supports: <p, r> = 0
+            p.flat[:40] = 0.0
+            r.flat[40:] = 0.0
+        elif edge == "subnormal":
+            p *= 2.0**-1060
+            r *= 2.0**-1060
+        elif edge == "huge":
+            scaled = rng.integers(4)
+            operands[scaled] = operands[scaled] * 10.0**exponent
+        else:
+            infinities = [complex(np.inf, 0), complex(-np.inf, 0), complex(0, np.inf), complex(0, -np.inf)]
+            value = np.nan if edge == "nan" else infinities[rng.integers(4)]
+            target = operands[rng.integers(4)]
+            target.flat[rng.integers(target.size)] = value
+        self._assert_exact(*operands)
+
+    def test_maximum_in_a_row_the_unrounded_bound_would_skip(self):
+        # Unit-modulus operands rotated by a phase: every entry is rounding, and in
+        # some cases the largest computed entry exceeds |p - mu r| max|q| + |r| max|mu q - s|,
+        # its row's bound in exact arithmetic, so only the rounding term keeps that row.
+        beyond = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p, q = _unit(rng, 9), _unit(rng, 20)
+            phase = np.exp(2j * np.pi * rng.uniform())
+            r, s = phase * p, q / phase
+            z = np.vdot(r, p)
+            mu = z / abs(z)
+            unrounded = np.abs(p - mu * r).ravel() * np.abs(q).max() + np.abs(r).ravel() * np.abs(mu * q - s).max()
+            rows = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None]).reshape(81, -1).max(axis=1)
+            beyond += rows.max() > unrounded[np.argmax(rows)]
+            assert _kron_difference_max(p, q, r, s) == _one_shot_kron_difference_max(p, q, r, s)
+        assert beyond > 0
 
 
 class TestNumberOperator:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ class TestMakeOperator:
         # checked once here, so no consumer (GnsModel, Gram kernels) sees them
         with np.errstate(invalid="ignore"), pytest.raises(InvalidMatrix, match="matrix has NaN or infinite entries"):
             make_operator([[entry]])
+
+    def test_entries_up_to_half_the_largest_float(self):
+        # (m + m^H) / 2 and its residual stay finite up to the bound, and no entry past it is summed
+        bound = np.finfo(float).max / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_operator([[bound, 0], [0, 1]]).eigenvalues == pytest.approx([1.0, bound], rel=1e-15)
+            for matrix, magnitude in [
+                ([[np.nextafter(bound, np.inf), 0], [0, 1]], "8.988e\\+307"),
+                ([[1, 1e308], [-1e308, 1]], "1.000e\\+308"),
+                ([[1, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 1]], "inf"),
+            ]:
+                with pytest.raises(InvalidMatrix, match=f"entry magnitude {magnitude} exceeds 8.988e\\+307, half"):
+                    make_operator(matrix)
 
     def test_non_positive_atom_rejected(self):
         with pytest.raises(OutOfRange, match="atom value 0.0 is not strictly positive and finite"):

@@ -75,6 +75,13 @@ MUTANTS = (
         '{"weyl_relation": relation <= tol, "commutant": commutant <= tol}',
         '{"weyl_relation": relation <= tol}',
     ),
+    # gns-check's relation and expectation checks ten times too loose
+    ("runner.py", '"weyl_relation": relation <= tol,', '"weyl_relation": relation <= 10 * tol,'),
+    ("runner.py", '{"closed_form": deviation <= tol}', '{"closed_form": deviation <= 10 * tol}'),
+    # the GNS max-norm's row bound without its rounding term,
+    ("fock.py", "kappa_u = _KAPPA * _U", "kappa_u = 0.0"),
+    # and its skipping, stopped after the first block of each tier
+    ("fock.py", "for start in range(0, rows.size, step):", "for start in range(0, min(rows.size, step), step):"),
     # the config block reader's guards, each dropped: an exponent without its sign,
     ("config.py", 'if exponents and shape.count(b"e-") != exponents:', 'if exponents and shape.count(b"e-") < 0:'),
     # a dot without a digit before it,
