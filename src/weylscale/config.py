@@ -35,18 +35,17 @@ an exponent but no dot, a string to YAML 1.1 that the number parser reads as
 against its characters, counts of ``", "`` separators, dots with a digit
 before them, signed exponents after a dot, no token of digits alone, and
 quotes) and cast by numpy, eight rows a call, to the complex array that
-``from_dict`` takes as it stands.  A block that mixes those tokens with plain ints without a
-leading zero, or quoted with plain ones, is matched once against the token
-grammar and becomes the lists PyYAML builds, which ``from_dict`` casts as it
-casts PyYAML's.  The rest of the text is loaded with PyYAML and the blocks
-are put back at their keys.  Any ``matrix:`` or ``explicit:`` line in
-another layout, or with another token, sends the whole file through PyYAML,
-so the YAML 1.1 readings stay PyYAML's: ``1.0e5`` and ``-.5`` are strings,
-``012`` octal 10, ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``,
-``1_000`` and ``[re, im]`` pairs on those lines do the same.  So does a row
-block that PyYAML would read as something other than the value of its key
-(text in a block scalar, say), and a rest that is not valid YAML, so errors
-keep PyYAML's message, line and column.
+``from_dict`` takes as it stands.  Every block taken out of the text is such
+an array.  The rest of the text is loaded with PyYAML and the blocks are put
+back at their keys.  Any other block (one mixing ints or quoted literals
+with plain floats, say), and any ``matrix:`` or ``explicit:`` line in another
+layout, sends the whole file through PyYAML, so the YAML 1.1 readings stay
+PyYAML's: ``1.0e5`` and ``-.5`` are strings, ``012`` octal 10, ``190:20``
+sexagesimal.  Comments, anchors, tags, ``.inf``, ``1_000`` and ``[re, im]``
+pairs on those lines do the same.  So does a row block that PyYAML would read
+as something other than the value of its key (text in a block scalar, say),
+and a rest that is not valid YAML, so errors keep PyYAML's message, line and
+column.
 """
 
 from __future__ import annotations
@@ -185,6 +184,20 @@ def _built(where: str, build, *args):
         raise ConfigInvalid(f"{where}: {exc}") from exc
 
 
+def _allocated(where: str, build, *args):
+    """``build(*args)``, with numpy's refusal of an array size (``MemoryError``,
+    or ``ValueError`` past its largest array) re-raised as a config error at ``where``."""
+    try:
+        return build(*args)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigInvalid(f"{where}: {exc}") from exc
+
+
+#: Most points of a grid: numpy allocates no float64 array of more bytes than
+#: the largest ``intp``, and ``linspace`` fails on an ``IndexError`` near 2**63 points.
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
+
+
 def _cast_block(rows: list, where: str) -> np.ndarray:
     """The rows at ``where`` as one complex array, every entry read as :func:`parse_complex` reads it.
 
@@ -255,11 +268,13 @@ def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.nd
             if key not in section:
                 raise ConfigInvalid(f"{where}.{key}: missing")
         count = _parse_integer(section["count"], f"{where}.count", minimum=1)
+        if count > _MAX_GRID_POINTS:
+            raise ConfigInvalid(f"{where}.count: {count} points exceed the largest array numpy allocates")
         start = parse_number(section["start"], f"{where}.start")
         stop = parse_number(section["stop"], f"{where}.stop")
         if not math.isfinite(stop - start):
             raise ConfigInvalid(f"{where}: start and stop must be finite, with a finite difference")
-        return np.linspace(start, stop, count)
+        return _allocated(f"{where}.count", np.linspace, start, stop, count)
     raise ConfigInvalid(f"{where}: expected a list or start/stop/count mapping")
 
 
@@ -303,16 +318,6 @@ def check_tolerance(value: float, where: str) -> float:
 
 
 # -- reading a file: numeric blocks cast directly, the rest by PyYAML ----------
-
-#: One token of the grammar: a plain float or int as YAML 1.1 resolves it, a
-#: float written without a dot but with an exponent (``repr`` writes ``1e-05``),
-#: which YAML 1.1 reads as a string, or a double-quoted complex literal; a
-#: block's tokens are comma-and-space separated.
-_TOKEN = (
-    r'(?:[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|[-+]?(?:0|[1-9][0-9]*)'
-    r'|[-+]?[0-9]+[eE][-+]?[0-9]+|"[0-9.eE+\-j]+")'
-)
-_ROW_RE = re.compile(f"{_TOKEN}(?:, {_TOKEN})*")
 
 #: The bytes a block of plain floats, or of quoted literals, may hold: what
 #: ``bytes.translate`` leaves after deleting them is outside the block's grammar.
@@ -389,41 +394,24 @@ def _cast_rows(rows: list[str], dtype: type) -> np.ndarray:
     return block
 
 
-def _token_value(token: str):
-    """The value PyYAML builds from one token of the grammar."""
-    if token[0] == '"':
-        return token[1:-1]
-    if "." in token:
-        return float(token)
-    return token if "e" in token or "E" in token else int(token)
-
-
-def _read_block(rows: list[str]) -> np.ndarray | list | None:
-    """The value PyYAML builds from the flow rows ``[row]``, ``[row]``, ..., or
-    None when a token is outside the grammar.
+def _read_block(rows: list[str]) -> np.ndarray | None:
+    """The complex array ``_cast_block`` makes of the flow rows ``[row]``,
+    ``[row]``, ..., or None when they do not take the one-pass cast.
 
     The rows are joined and checked as one text.  A block of equal-width rows
-    whose tokens take the one-pass cast (:func:`_one_pass_dtype`) becomes the
-    complex array that ``_cast_block`` makes of PyYAML's rows; any other block
-    in the grammar (ints among floats, quoted among plain, rows of unequal
-    width) becomes PyYAML's lists, for ``from_dict`` to read as it reads
-    PyYAML's.
+    whose tokens are all plain floats or all quoted literals
+    (:func:`_one_pass_dtype`) is cast; any other block is None, and the file
+    goes through PyYAML whole.
     """
-    tokens = ", ".join(rows)
     separators = rows[0].count(", ")
     if all(row.count(", ") == separators for row in rows):  # rows of equal width
-        dtype = _one_pass_dtype(tokens, len(rows) * (separators + 1))
+        dtype = _one_pass_dtype(", ".join(rows), len(rows) * (separators + 1))
         if dtype is not None:
             try:
                 return _cast_rows(rows, dtype)
             except ValueError:  # a token float() or complex() refuses
                 pass
-    if not _ROW_RE.fullmatch(tokens):
-        return None
-    try:
-        return [[_token_value(t) for t in row.split(", ")] for row in rows]
-    except ValueError:  # an int beyond Python's digit limit
-        return None
+    return None
 
 
 def _take_rows(text: str) -> tuple[str, dict] | None:
@@ -433,10 +421,10 @@ def _take_rows(text: str) -> tuple[str, dict] | None:
     and an ``explicit: [[...]]`` line becomes ``explicit: ["<placeholder>"]``.
     Both keep the place of the block in the YAML structure, so wherever
     PyYAML reads the stand-in as the whole value of a key, it reads the block
-    there too.  A block is what :func:`_read_block` makes of its rows.  None
-    when there is no block, or when a line that starts with ``matrix:`` or
-    ``explicit:`` (after its indent) is not in this layout or holds a token
-    outside the grammar.
+    there too.  A block is the complex array :func:`_read_block` makes of its
+    rows.  None when there is no block, or when a line that starts with
+    ``matrix:`` or ``explicit:`` (after its indent) is not in this layout or
+    its rows do not take the one-pass cast.
     """
     if _PLACEHOLDER in text:
         return None

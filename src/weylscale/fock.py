@@ -58,6 +58,11 @@ from .spectral import (
 from .states import StateFunctional
 from .weyl import WeylWord, sigma
 
+#: Largest deviation from 1 of the mean squared column norm of a per-mode
+#: displacement, a unitary.  Rounding leaves about 1e-16 at the amplitudes
+#: below 1 that unit vectors give, and 3e-8 at amplitude 1e8 on cutoffs 4 to 40.
+_UNITARY_TOL = 1e-6
+
 #: Hard floor on the per-mode occupation cutoff.
 CUTOFF_FLOOR = 4
 
@@ -137,11 +142,23 @@ class GnsModel:
 
     def _mode_displacement(self, alpha) -> np.ndarray:
         """Read-only _mode_displacement(alpha, cutoff), built once per exact
-        bit pattern of ``alpha`` (so ``-0.0`` and ``0.0`` stay apart)."""
+        bit pattern of ``alpha`` (so ``-0.0`` and ``0.0`` stay apart).
+
+        OutOfRange when the mean squared norm of its columns (1 for a unitary)
+        is off 1 by more than ``_UNITARY_TOL``: at a huge amplitude ``expm``
+        returns NaN, overflowing or vanishing entries instead of a unitary.
+        """
         key = np.complex128(alpha).tobytes()
         matrix = self._displacements.get(key)
         if matrix is None:
-            matrix = _mode_displacement(alpha, self.cutoff)
+            with np.errstate(over="ignore", invalid="ignore"):  # a lost matrix is refused below
+                matrix = _mode_displacement(alpha, self.cutoff)
+                defect = abs(np.vdot(matrix, matrix).real / len(matrix) - 1.0)
+            if not defect <= _UNITARY_TOL:
+                raise OutOfRange(
+                    f"displacement of amplitude {abs(complex(alpha)):.3g} is not unitary "
+                    f"(mean squared column norm off 1 by {defect:.3g}): beyond expm's range"
+                )
             matrix.flags.writeable = False
             self._displacements[key] = matrix
         return matrix

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import ExperimentConfig, _built, random_complex_vectors
+from .config import ExperimentConfig, _allocated, _built, random_complex_vectors
 from .errors import ConfigInvalid, OutOfRange, WeylscaleError
 from .fock import (
     GnsModel, MixtureMeasure, c_parameter, check_doubled_cap, commutant_residual, gns_expectation, h_of_c,
@@ -124,7 +124,7 @@ def _vectors(config: ExperimentConfig, dim: int, count: int) -> np.ndarray:
         _require(config.vectors_explicit.shape[1] == dim, f"vectors.explicit: expected dimension {dim}")
         return config.vectors_explicit
     _require(config.random_count is not None, "vectors: required for this suite")
-    return random_complex_vectors(config.rng(), count * config.random_count, dim)
+    return _allocated("vectors.random.count", random_complex_vectors, config.rng(), count * config.random_count, dim)
 
 
 def _guard_overflow(bound: float, vectors: np.ndarray):

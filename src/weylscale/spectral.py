@@ -105,7 +105,9 @@ def _group_value(group: list[float]) -> float:
 def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:
     """Merge sorted matrix eigenvalues into atoms and snap each eigenvalue to
     its atom representative, so comparisons on either are exact."""
-    if np.all(np.diff(eigvals) > ATOM_MERGE_TOL):
+    with np.errstate(over="ignore"):  # a gap past the largest float is inf, above the tolerance too
+        gaps = np.diff(eigvals)
+    if np.all(gaps > ATOM_MERGE_TOL):
         # the merge loop's own test: every value starts a group of one, kept as it is
         return eigvals, tuple(Atom(value, 1.0) for value in eigvals.tolist())
     atoms = _merge_sorted_values(eigvals.tolist(), [1.0] * len(eigvals))
@@ -275,15 +277,9 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
         return y
 
     if op.is_matrix:
-        values = op.eigenvalues.tolist()
-        try:
-            mapped = np.array([fn(v) for v in values])
-        except Exception:  # replayed below by evaluate, which raises what it raises
-            mapped = None
-        if mapped is None or mapped.dtype != np.float64 or mapped.ndim != 1 or not np.all(np.isfinite(mapped)):
-            # a failure, or a value that is not a finite float: evaluate gives its error
-            # or the real part of a complex value
-            mapped = np.array([evaluate(v) for v in values])
+        # each value mapped once: a finite float as fn gives it, anything else
+        # as the real float or the error evaluate makes of it
+        mapped = np.array([evaluate(v) for v in op.eigenvalues.tolist()])
         order = np.argsort(mapped, kind="stable")
         if np.array_equal(order, np.arange(len(order))):
             # an order-keeping map shares the read-only eigenvectors

@@ -184,3 +184,35 @@ def test_rescale_fock_mixture_off_the_functional_fails(tmp_path, capsys, monkeyp
     assert code == 3
     assert cells[0]["mixture_pointwise_deviation"] > 1e-14 and cells[1]["error"] == "scale outside (0, 1]"
     assert failed == ["mixture_pointwise", "error"]
+
+
+RESCALE = "h_values: [0.5, 1.0]\n"
+
+
+def test_rescale_fock_occupation_off_its_closed_form_fails(tmp_path, capsys, monkeypatch):
+    # each occupation moved by twice the 1e-12 arithmetic tolerance
+    occupation = weylscale.runner.one_particle_number_expectation
+    monkeypatch.setattr(weylscale.runner, "one_particle_number_expectation", lambda *args: occupation(*args) + 2e-12)
+    code, cells, failed = _run(tmp_path, capsys, "rescale-fock", RESCALE)
+    assert code == 3
+    assert [cell["ok"] for cell in cells] == [False, False]
+    assert failed == ["occupation"] * 2
+
+
+def test_rescale_fock_quasi_equivalent_below_one_fails(tmp_path, capsys, monkeypatch):
+    # every scale read as quasi-equivalent to Fock: right at h = 1 only
+    monkeypatch.setattr(weylscale.runner, "is_quasi_equivalent_to_fock", lambda op: True)
+    code, cells, failed = _run(tmp_path, capsys, "rescale-fock", RESCALE)
+    assert code == 3
+    assert [cell["ok"] for cell in cells] == [False, True]
+    assert failed == ["quasi_equivalence"]
+
+
+def test_rescale_fock_roundtrip_off_by_more_than_its_bound_fails(tmp_path, capsys, monkeypatch):
+    # h recovered from c twice the 1e-14 bound away
+    h_of_c = weylscale.runner.h_of_c
+    monkeypatch.setattr(weylscale.runner, "h_of_c", lambda c: h_of_c(c) + 2e-14)
+    code, cells, failed = _run(tmp_path, capsys, "rescale-fock", RESCALE)
+    assert code == 3
+    assert [cell["ok"] for cell in cells] == [False, False]
+    assert failed == ["roundtrip"] * 2
