@@ -28,9 +28,10 @@ max-norm of ``P (x) Q - R (x) S`` is taken in blocks of
 all of ``Q`` and ``S``.  Each row has a rounding-aware bound on its computed
 entries, from ``pq - rs = (p - mu r) q + r (mu q - s)``; the rows above half
 the largest bound go first, and a row whose bound cannot beat the running
-maximum is skipped, so the result is the full evaluation's float.  Products
-of at most two blocks, and operands that are not finite or exceed
-``_KRON_BOUND_LIMIT``, are evaluated in full (see _kron_difference_max).
+maximum is skipped, so the result is the full evaluation's float.  Operands
+that are not finite or exceed ``_KRON_BOUND_LIMIT`` have no bound and raise
+OutOfRange, which no suite reaches: every operand is a product of
+displacements that passed GnsModel._mode_displacement's unitarity check.
 
 A model builds each per-mode displacement once: the matrices are kept, keyed
 on the exact bits of the amplitude, for as long as the model lives, and are
@@ -75,8 +76,8 @@ DOUBLED_DIM_CAP = 10_000
 #: 16 bytes an entry each, so a call peaks near 384 KB at any size.
 _KRON_BLOCK_ENTRIES = 6144
 
-#: Largest ``|P - mu R|``, ``|R|``, ``|Q|`` and ``|mu Q - S|`` at which
-#: _kron_difference_max skips rows by their bound (see _row_bounds).
+#: Largest ``|P - mu R|``, ``|R|``, ``|Q|`` and ``|mu Q - S|`` that
+#: _kron_difference_max bounds (see _row_bounds); larger operands raise.
 _KRON_BOUND_LIMIT = 1e150
 
 #: Unit roundoff and smallest subnormal of float64.
@@ -224,18 +225,6 @@ def _block_max(p, q, r, s) -> np.float64:
     return np.max(np.abs(diff))
 
 
-def _full_kron_difference_max(p, q, r, s) -> float:
-    """Max-norm of ``P (x) Q - R (x) S``, every block in row order."""
-    p, r = p.reshape(-1, 1, 1), r.reshape(-1, 1, 1)
-    q, s = q[None], s[None]
-    step = max(1, _KRON_BLOCK_ENTRIES // q.size)
-    peaks = []
-    for start in range(0, p.shape[0], step):
-        block = slice(start, start + step)
-        peaks.append(_block_max(p[block], q, r[block], s))
-    return float(np.max(peaks))
-
-
 def _row_bounds(p, q, r, s) -> np.ndarray | None:
     """An upper bound ``U[ik]`` on every computed ``|P[ik] Q[jl] - R[ik] S[jl]|``,
     for flat ``p, r``; None when an operand is not finite or too large.
@@ -275,7 +264,7 @@ def _row_bounds(p, q, r, s) -> np.ndarray | None:
     z = complex(np.vdot(r, p))
     h = abs(z)
     mu = complex(z.real / h, z.imag / h) if 0 < h < math.inf else 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # such operands take the full path
+    with np.errstate(over="ignore", invalid="ignore"):  # such operands get no bound
         a, ra = np.abs(p - mu * r), np.abs(r)
         am, rm = float(a.max()), float(ra.max())
         qm, b = float(np.abs(q).max()), float(np.abs(mu * q - s).max())
@@ -291,7 +280,7 @@ def _row_bounds(p, q, r, s) -> np.ndarray | None:
 
 def _kron_difference_max(p, q, r, s) -> float:
     """Max-norm of ``P (x) Q - R (x) S``: the float of one broadcast over all
-    entries ``P[i,k] Q[j,l] - R[i,k] S[j,l]``, NaN included.
+    entries ``P[i,k] Q[j,l] - R[i,k] S[j,l]``.
 
     Entries are evaluated by _block_max, _KRON_BLOCK_ENTRIES at a time: rows
     ``ik`` of ``P`` and ``R`` against all of ``Q`` and ``S``.  Each row has a
@@ -301,16 +290,17 @@ def _kron_difference_max(p, q, r, s) -> float:
     go first, so the running maximum is near its end value before the rest
     are filtered; within each of the two tiers rows go in order, as sorting
     them touched about 200 KB more of numpy's code and the worker's peak RSS
-    showed it.  Every block is evaluated, in row order
-    (_full_kron_difference_max), when the product spans at most two blocks
-    (the bound would cost about what it can skip of the second) and when an
-    operand is not finite or exceeds _KRON_BOUND_LIMIT, so NaN propagation
-    and overflow stay those of the full evaluation.
+    showed it.
+
+    OutOfRange when _row_bounds gives no bound: an operand is not finite or
+    exceeds _KRON_BOUND_LIMIT.  The residuals pass no such operand, as each is
+    a product of displacements that passed GnsModel._mode_displacement's
+    unitarity check, times a unit phase.
     """
-    step = max(1, _KRON_BLOCK_ENTRIES // q.size)
-    bound = _row_bounds(p.ravel(), q, r.ravel(), s) if p.size > 2 * step else None
+    bound = _row_bounds(p.ravel(), q, r.ravel(), s)
     if bound is None:
-        return _full_kron_difference_max(p, q, r, s)
+        raise OutOfRange(f"GNS max-norm operands not finite or above {_KRON_BOUND_LIMIT:g}: no row bound")
+    step = max(1, _KRON_BLOCK_ENTRIES // q.size)
     p, r = p.reshape(-1, 1, 1), r.reshape(-1, 1, 1)
     q, s = q[None], s[None]
     peak, half = 0.0, float(bound.max()) / 2

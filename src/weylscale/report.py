@@ -57,17 +57,17 @@ _REAL_COMPLEX_ENTRY = '{"re": %.17g, "im": 0}'
 
 
 def _row_text(value: np.ndarray) -> str | None:
-    """A finite 1-d or 2-d float64 or complex128 array of two or more entries formatted
-    with one ``%`` per row (over the real and imaginary parts of a complex row); None
-    otherwise, for the per-entry path of ``_render_value``, which is as quick on a
-    single entry.  A complex array whose imaginary parts are all +0.0 (all bits
-    zero: not -0.0, nor NaN) is formatted over its real parts alone.
+    """A finite 1-d or 2-d float64 or complex128 array formatted with one ``%`` per
+    row (over the real and imaginary parts of a complex row), empty and single-entry
+    arrays included; None otherwise, for the per-entry path of ``_render_value``.
+    A complex array whose imaginary parts are all +0.0 (all bits zero: not -0.0,
+    nor NaN) is formatted over its real parts alone.
 
     ``%.17g`` writes a non-finite float as ``nan`` or ``inf``, and nothing else it
     writes holds an ``n``, so such a text falls back to the per-entry path.
     """
     entry = _ROW_ENTRY.get(value.dtype)
-    if entry is None or value.ndim > 2 or value.size < 2:
+    if entry is None or value.ndim not in (1, 2):
         return None
     if value.dtype == np.complex128 and not value.imag.view(np.uint64).any():
         entry, value = _REAL_COMPLEX_ENTRY, value.real

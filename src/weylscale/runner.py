@@ -124,6 +124,8 @@ def _vectors(config: ExperimentConfig, dim: int, count: int) -> np.ndarray:
         _require(config.vectors_explicit.shape[1] == dim, f"vectors.explicit: expected dimension {dim}")
         return config.vectors_explicit
     _require(config.random_count is not None, "vectors: required for this suite")
+    # one vector too large to allocate is the dimension's fault, whatever the count
+    _allocated("space.dimension", np.empty, (2, dim))
     return _allocated("vectors.random.count", random_complex_vectors, config.rng(), count * config.random_count, dim)
 
 
@@ -145,13 +147,14 @@ def _cell(record: ReportRecord, keys: dict, body, *args):
 
     ``body(*args)`` returns the cell's fields and an ordered mapping of named
     checks; the cell is ``keys``, the fields, then ``ok``: whether every check
-    holds.  A ``WeylscaleError`` raised by the body makes the cell ``keys``, its
+    holds.  A ``WeylscaleError`` raised by the body, or a ``MemoryError`` (numpy
+    refusing an array the cell's sizes ask for), makes the cell ``keys``, its
     ``error`` and ``ok: false``, failing the check named ``error``.  The names of
     a cell's failing checks go to ``record.failed_checks`` under its index.
     """
     try:
         fields, checks = body(*args)
-    except WeylscaleError as exc:
+    except (WeylscaleError, MemoryError) as exc:
         fields, checks = {"error": str(exc)}, {"error": False}
     failed = [name for name, passed in checks.items() if not passed]
     if failed:
@@ -221,7 +224,8 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
     # overflow guard (which bounds them at every scale that passes it); every
     # kernel of the run is assembled in one buffer, read before the next
     factors: list = []
-    kernel = np.empty((size, size), dtype=complex)
+    where = "vectors.random.count" if config.vectors_explicit is None else "vectors.explicit"
+    kernel = _allocated(where, np.empty, (size, size), complex)
 
     def body(h):
         # the kernel's phases scale with h, its differences of forms reach 4 G_jk
@@ -422,11 +426,11 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
     arithmetic_tol = config.tolerances["arithmetic"]
     pointwise_tol = config.tolerances["pointwise"]
     if config.random_count or config.vectors_explicit is not None:
-        dim = config.space_dimension()
-        vectors = _vectors(config, dim, 1)
+        vectors = _vectors(config, config.space_dimension(), 1)
     else:
-        dim, vectors = 1, []
-    unit = np.eye(dim, dtype=complex)[0]
+        vectors = []
+    # the occupation of (1/h) I reads only ||unit||^2 = 1, so one entry stands for any dimension
+    unit = np.ones(1, dtype=complex)
 
     def body(h):
         if not 0 < h <= 1:

@@ -80,6 +80,40 @@ def test_beyond_cell_whose_two_point_check_passes_fails(tmp_path, capsys, monkey
     assert failed == ["two_point_fails"]
 
 
+def test_admissible_cell_whose_kernel_is_not_psd_fails(tmp_path, capsys, monkeypatch):
+    original = weylscale.runner.check_sigma_h_positivity
+    monkeypatch.setattr(
+        weylscale.runner,
+        "check_sigma_h_positivity",
+        lambda *args: dataclasses.replace(original(*args), verdict=False),
+    )
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", POSITIVITY % (1.5, "[1.0]"))
+    assert code == 3
+    (cell,) = cells
+    assert cell["regime"] == "admissible" and cell["gram_all_psd"] is False
+    assert failed == ["gram_all_psd"]
+
+
+def test_admissible_cell_whose_two_point_check_fails_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        weylscale.runner, "two_point_criterion", lambda *args: TwoPointCheck(lhs=2.0, rhs=1.0, verdict=False)
+    )
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", POSITIVITY % (1.5, "[1.0]"))
+    assert code == 3
+    (cell,) = cells
+    assert cell["regime"] == "admissible" and cell["gram_all_psd"] is True
+    assert failed == ["two_point_pass"]
+
+
+def test_beyond_cell_without_a_witness_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weylscale.runner, "scan_for_gram_violation", lambda *args: None)
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", POSITIVITY % (1.5, "[2.0]"))
+    assert code == 3
+    (cell,) = cells
+    assert cell["regime"] == "beyond" and cell["witness_scale"] is None
+    assert failed == ["witness_found"]
+
+
 def test_positivity_error_cell_names_its_error(tmp_path, capsys):
     text = "operator: {matrix: [[2, 0], [0, 3]]}\nvectors: {explicit: [[1e200, 0], [0, 1e200]]}\nh_values: [1]\n"
     code, cells, failed = _run(tmp_path, capsys, "positivity-scan", text)
@@ -118,12 +152,74 @@ def test_rescaled_two_route_residual_over_tolerance_fails(tmp_path, capsys, monk
     assert failed == ["two_route", "two_route"]
 
 
+def test_rescaled_delta_bottom_off_the_generator_fails(tmp_path, capsys, monkeypatch):
+    # inf_spectrum is read by kms-verify's rescaled path alone
+    monkeypatch.setattr(weylscale.runner, "inf_spectrum", lambda op: -1.0)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[0.5]"))
+    assert code == 3
+    assert [cell["delta_bottom_exact"] for cell in cells] == [False, False]
+    assert failed == ["delta_bottom_exact"] * 2
+
+
+def _patch_restricted_model(monkeypatch, **changes):
+    original = weylscale.runner.restricted_model
+    monkeypatch.setattr(
+        weylscale.runner, "restricted_model", lambda *args, **kw: dataclasses.replace(original(*args, **kw), **changes)
+    )
+
+
+def test_restricted_modular_above_lambda_star_fails(tmp_path, capsys, monkeypatch):
+    # at h = 2 the restricted modular operator has norm 2, above 1.5 (lambda_star is 3)
+    _patch_restricted_model(monkeypatch, lam_star=1.5)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[2.0]"))
+    assert code == 3
+    assert [cell["path"] for cell in cells] == ["restricted", "restricted"]
+    assert [cell["modular_bounded"] for cell in cells] == [False, False]
+    assert failed == ["modular_bounded"] * 2
+
+
+def test_restricted_two_route_residual_over_tolerance_fails(tmp_path, capsys, monkeypatch):
+    _patch_restricted_model(monkeypatch, two_route_residual=1e-6)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[2.0]"))
+    assert code == 3
+    assert [cell["path"] for cell in cells] == ["restricted", "restricted"]
+    assert failed == ["two_route"] * 2
+
+
+def test_restricted_rescaled_residual_over_its_bound_fails(tmp_path, capsys, monkeypatch):
+    original = weylscale.runner.restricted_kms_residuals
+
+    def residuals(*args, rescaled=False):
+        report = original(*args, rescaled=rescaled)
+        return dataclasses.replace(report, r0=np.full_like(report.r0, 1.0)) if rescaled else report
+
+    monkeypatch.setattr(weylscale.runner, "restricted_kms_residuals", residuals)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[2.0]"))
+    assert code == 3
+    assert [cell["rescaled_max_r0"] for cell in cells] == [1.0, 1.0]
+    assert failed == ["rescaled_kms_within"] * 2
+
+
 def test_kms_scale_without_a_model_fails_every_pair_with_its_error(tmp_path, capsys):
     code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[.nan]"))
     assert code == 3
     assert [cell["pair"] for cell in cells] == [0, 1]
     assert all(cell["error"] == "scale must be positive" for cell in cells)
     assert failed == ["error", "error"]
+
+
+def test_cell_whose_arrays_cannot_be_allocated_is_an_error_cell(tmp_path, capsys, monkeypatch):
+    # as the KMS strip tables of a long t_grid fail; nothing is allocated for real
+    def refused(*args):
+        raise MemoryError("Unable to allocate 5.96 GiB for an array with shape (2, 5, 20000000, 2)")
+
+    monkeypatch.setattr(weylscale.runner, "kms_boundary_residuals", refused)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", KMS % ("random: {count: 2, seed: 3}", "[1.0]"))
+    assert code == 3
+    assert [cell["error"] for cell in cells] == [
+        "Unable to allocate 5.96 GiB for an array with shape (2, 5, 20000000, 2)"
+    ] * 2
+    assert failed == ["error"] * 2
 
 
 def test_gns_commutant_over_tolerance_fails(tmp_path, capsys, monkeypatch):
@@ -171,6 +267,31 @@ def test_extension_nonzero_off_the_subspace_breaks_the_dichotomy(tmp_path, capsy
     assert code == 3
     assert [cell["dichotomy_exact"] for cell in cells] == [False] * 3
     assert failed == ["dichotomy_exact"] * 3
+
+
+def test_rescaled_covariance_below_identity_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weylscale.runner, "dominates_identity", lambda op: False)
+    code, cells, failed = _run(tmp_path, capsys, "restrict-scan", RESTRICT)
+    assert code == 3
+    assert [cell["rescaled_dominates_identity"] for cell in cells] == [False] * 3
+    assert failed == ["rescaled_dominates_identity"] * 3
+
+
+RESTRICT_KMS = """
+operator:
+  kms: {matrix: [[0.5, 0], [0, 1.5]], beta: 1}
+vectors:
+  random: {count: 4, seed: 29}
+h_values: [1.5, 2.0]
+"""
+
+
+def test_spectral_correspondence_off_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weylscale.runner, "_spectral_correspondence", lambda *args: False)
+    code, cells, failed = _run(tmp_path, capsys, "restrict-scan", RESTRICT_KMS)
+    assert code == 3
+    assert [cell["spectral_correspondence"] for cell in cells] == [False, False]
+    assert failed == ["spectral_correspondence"] * 2
 
 
 def test_rescale_fock_mixture_off_the_functional_fails(tmp_path, capsys, monkeypatch):

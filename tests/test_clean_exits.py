@@ -3,8 +3,9 @@
 Each row is a suite, a config text, the exit code and the start of one line
 the run prints on standard error.  The run goes through ``cli.main`` with
 every warning turned into an error, so a warning fails the row as a traceback
-does.  Sizes are at least 1e17 points, more than any address space holds, so
-no row takes real memory.
+does.  The sizes refused are beyond any address space (1e17 points, or a
+3e6 x 3e6 kernel of 131 TiB), so no row takes more real memory than its
+drawn vectors: about 100 MB for a moment, for the 3e6 vectors of the kernel row.
 """
 
 import warnings
@@ -49,6 +50,27 @@ ROWS = {
         "space: {dimension: 2}\nvectors: {random: {count: 1e17, seed: 1}}\nh_values: [0.5]\n",
         2,
         "config error: vectors.random.count: ",
+    ),
+    # one vector of that dimension cannot be allocated, whatever the count
+    "space-dimension-1e17": (
+        "rescale-fock",
+        "space: {dimension: 1e17}\nvectors: {random: {count: 1, seed: 1}}\nh_values: [0.5]\n",
+        2,
+        "config error: space.dimension: ",
+    ),
+    # positivity-scan's kernel buffer, count x count, before any cell
+    "positivity-kernel-3e6": (
+        "positivity-scan",
+        "operator: {matrix: [[1.5]]}\nvectors: {random: {count: 3000000, seed: 3}}\nh_values: [1.2]\n",
+        2,
+        "config error: vectors.random.count: Unable to allocate",
+    ),
+    # rescale-fock's unit vector takes one entry, not a row of a dim x dim identity
+    "rescale-fock-dimension-1e6": (
+        "rescale-fock",
+        "space: {dimension: 1e6}\nvectors: {random: {count: 1, seed: 1}}\nh_values: [0.5]\n",
+        0,
+        "rescale-fock: ",
     ),
 }
 

@@ -202,8 +202,7 @@ def test_row_rendering_equals_per_entry_rendering(dtype, shape):
     array = _edge_array(dtype, shape)
     # the array, its transpose and a strided slice (neither C-contiguous)
     for view in (array, array.T, array[..., ::2]):
-        if view.size > 1:
-            assert _row_text(view) == _per_entry(view)
+        assert _row_text(view) == _per_entry(view)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -224,14 +223,13 @@ def _rendered(array: np.ndarray) -> str:
     return "".join(pieces)
 
 
-@pytest.mark.parametrize("shape", [(2,), (9,), (1, 9), (9, 1), (4, 5), (128, 128)])
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (2,), (9,), (1, 9), (9, 1), (4, 5), (128, 128)])
 def test_complex_rows_with_zero_imaginary_parts_render_over_their_real_parts(shape):
     array = _edge_array(np.float64, shape).astype(np.complex128)
     assert not np.signbit(array.imag).any()
     for view in (array, array.T, array[..., ::2]):
-        if view.size > 1:
-            assert _row_text(view) is not None
-            assert _rendered(view) == _per_entry(view)
+        assert _row_text(view) is not None
+        assert _rendered(view) == _per_entry(view)
 
 
 @pytest.mark.parametrize("imag", [-0.0, math.nan, math.inf, -math.inf], ids=["-0.0", "nan", "inf", "-inf"])
@@ -256,8 +254,15 @@ def test_row_rendering_falls_back_on_other_dtypes(dtype):
     assert _row_text(np.ones((3, 3), dtype=dtype)) is None
 
 
-@pytest.mark.parametrize("shape", [(0,), (3, 0), (1,), (1, 1), (2, 2, 2)])
-def test_row_rendering_falls_back_on_empty_single_and_3d_arrays(shape):
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (1,), (1, 1)])
+def test_row_rendering_of_empty_and_single_entry_arrays_equals_per_entry_rendering(dtype, shape):
+    array = _edge_array(dtype, shape)
+    assert _row_text(array) == _per_entry(array)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+def test_row_rendering_falls_back_on_0d_and_3d_arrays(shape):
     assert _row_text(np.ones(shape)) is None
 
 

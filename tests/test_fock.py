@@ -369,7 +369,8 @@ class TestBlockedKronDifferenceMax:
             assert _kron_difference_max(p, q, r, q) == _one_shot_kron_difference_max(p, q, r, q)
         r = p.copy()
         r.flat[-1] = np.nan
-        assert np.isnan(_kron_difference_max(p, q, r, q))
+        with pytest.raises(OutOfRange, match="^GNS max-norm operands not finite or above 1e\\+150: no row bound$"):
+            _kron_difference_max(p, q, r, q)
 
     def test_peak_memory_at_side_21(self, rng):
         p, q, r, s = (self._complex(rng, (21, 21)) for _ in range(4))
@@ -400,24 +401,27 @@ def _unit(rng, side):
 
 
 class TestBoundedKronDifferenceMax:
-    """Rows skipped by their bound leave the full evaluation's float, bit for bit."""
+    """Rows skipped by their bound leave the one-shot evaluation's float, bit for bit;
+    operands that _row_bounds cannot bound raise OutOfRange."""
 
     @staticmethod
     def _assert_exact(p, q, r, s):
+        bound = fock._row_bounds(p.ravel(), q, r.ravel(), s)
         with warnings.catch_warnings(record=True) as bounded_warnings:
             warnings.simplefilter("always")
+            if bound is None:
+                with pytest.raises(OutOfRange, match="^GNS max-norm operands not finite or above"):
+                    _kron_difference_max(p, q, r, s)
+                assert bounded_warnings == []
+                return
             bounded = _kron_difference_max(p, q, r, s)
-        with warnings.catch_warnings(record=True) as full_warnings:
+        with warnings.catch_warnings(record=True) as one_shot_warnings:
             warnings.simplefilter("always")
-            full = fock._full_kron_difference_max(p, q, r, s)
-        expected = _one_shot_kron_difference_max(p, q, r, s)
-        assert bounded == expected or np.isnan(bounded) and np.isnan(expected)
-        assert full == expected or np.isnan(full) and np.isnan(expected)
-        assert [str(w.message) for w in bounded_warnings] == [str(w.message) for w in full_warnings]
-        bound = fock._row_bounds(p.ravel(), q, r.ravel(), s)
-        if bound is not None:
-            rows = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None])
-            assert np.all(rows.reshape(p.size, -1).max(axis=1) <= bound)
+            expected = _one_shot_kron_difference_max(p, q, r, s)
+        assert bounded == expected
+        assert [str(w.message) for w in bounded_warnings] == [str(w.message) for w in one_shot_warnings]
+        rows = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None])
+        assert np.all(rows.reshape(p.size, -1).max(axis=1) <= bound)
 
     @settings(max_examples=25)
     @given(
@@ -475,6 +479,10 @@ class TestBoundedKronDifferenceMax:
             value = np.nan if edge == "nan" else infinities[rng.integers(4)]
             target = operands[rng.integers(4)]
             target.flat[rng.integers(target.size)] = value
+        if edge in ("huge", "nan", "inf"):
+            # beyond _KRON_BOUND_LIMIT or not finite: no bound, so _assert_exact expects the raise
+            p, q, r, s = operands
+            assert fock._row_bounds(p.ravel(), q, r.ravel(), s) is None
         self._assert_exact(*operands)
 
     def test_maximum_in_a_row_the_unrounded_bound_would_skip(self):

@@ -1,4 +1,4 @@
-"""tools/kron_times.py times the GNS max-norm with and without its row bound."""
+"""tools/kron_times.py times the GNS max-norm and reports the share of entries it evaluates."""
 
 import importlib.util
 from pathlib import Path
@@ -19,10 +19,9 @@ def test_one_small_side():
     # side 11: three blocks of rows, so rows are skipped by their bound
     rows = _tool().measure(11, repeats=2)
     assert [row[0] for row in rows] == ["relation", "commutant"]
-    for _, bounded, full, share, equal in rows:
-        assert 0 < bounded < 1 and 0 < full < 1
+    for _, seconds, share in rows:
+        assert 0 < seconds < 1
         assert 0 < share < 1
-        assert equal
 
 
 def test_usage_without_a_side():

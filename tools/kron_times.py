@@ -1,4 +1,4 @@
-"""Median time of the GNS max-norm with and without its row bound, per side.
+"""Median time of the GNS max-norm, and the share of entries it evaluates, per side.
 
 Usage: python3 tools/kron_times.py SIDE [SIDE ...]
 
@@ -8,13 +8,12 @@ reliable block has SIDE occupation numbers, a covariance drawn from
 [1.2, 2.0], a vector ``f`` of norm in [0.4, 0.8] at a random phase, and
 ``g = i f``.  The four operands that ``weyl_relation_residual`` and
 ``commutant_residual`` pass to ``fock._kron_difference_max`` are recorded;
-then, for each residual, one call of ``_kron_difference_max`` (rows skipped by
-their bound) and one of ``_full_kron_difference_max`` (every block) are run as
-a warm-up and ``REPEATS`` more of each are timed, interleaved.  One line per
-residual gives both medians in microseconds, the share of the ``SIDE^4``
-entries that ``_kron_difference_max`` evaluated, and whether the two results
-are the same float.  The program runs from the ``src/`` of the checkout this
-file is in, with single-threaded BLAS.
+then, for each residual, one call of ``_kron_difference_max`` is run as a
+warm-up and ``REPEATS`` more are timed.  One line per residual gives the
+median in microseconds and the share of the ``SIDE^4`` entries that
+``_kron_difference_max`` evaluated; the rows it skips by their bound are the
+rest.  The program runs from the ``src/`` of the checkout this file is in,
+with single-threaded BLAS.
 """
 
 from __future__ import annotations
@@ -64,21 +63,18 @@ def evaluated_share(args) -> float:
 
 
 def measure(side: int, repeats: int = REPEATS) -> list:
-    """(residual, bounded seconds, full seconds, evaluated share, equal) per residual at ``side``."""
+    """(residual, median seconds, evaluated share) per residual at ``side``."""
     from weylscale import fock
 
     rows = []
     for name, args in operands(side).items():
-        times = {fock._kron_difference_max: [], fock._full_kron_difference_max: []}
-        results = {evaluate: evaluate(*args) for evaluate in times}
+        fock._kron_difference_max(*args)
+        samples = []
         for _ in range(repeats):
-            for evaluate, samples in times.items():
-                started = time.perf_counter()
-                evaluate(*args)
-                samples.append(time.perf_counter() - started)
-        bounded, full = (statistics.median(samples) for samples in times.values())
-        equal = len(set(results.values())) == 1
-        rows.append((name, bounded, full, evaluated_share(args), equal))
+            started = time.perf_counter()
+            fock._kron_difference_max(*args)
+            samples.append(time.perf_counter() - started)
+        rows.append((name, statistics.median(samples), evaluated_share(args)))
     return rows
 
 
@@ -89,10 +85,10 @@ def main(argv: list, repeats: int = REPEATS) -> int:
     # before numpy loads: single-threaded BLAS, as the benchmark runs the program
     os.environ.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    print(f"{'side':>4}  {'residual':<9}  {'bound_us':>9}  {'full_us':>9}  {'evaluated':>9}  equal")
+    print(f"{'side':>4}  {'residual':<9}  {'median_us':>9}  {'evaluated':>9}")
     for side in sides:
-        for name, bounded, full, share, equal in measure(side, repeats):
-            print(f"{side:>4}  {name:<9}  {1e6 * bounded:9.1f}  {1e6 * full:9.1f}  {share:9.3f}  {equal}")
+        for name, seconds, share in measure(side, repeats):
+            print(f"{side:>4}  {name:<9}  {1e6 * seconds:9.1f}  {share:9.3f}")
     return 0
 
 

@@ -90,6 +90,31 @@ MUTANTS = (
     ("fock.py", "kappa_u = _KAPPA * _U", "kappa_u = 0.0"),
     # and its skipping, stopped after the first block of each tier
     ("fock.py", "for start in range(0, rows.size, step):", "for start in range(0, min(rows.size, step), step):"),
+    # and its refusal of operands it cannot bound, replaced by the NaN a full evaluation gave
+    ("fock.py", 'raise OutOfRange(f"GNS max-norm', 'return math.nan or (f"GNS max-norm'),
+    # positivity-scan's admissible cell without its kernel check, or without its two-point check,
+    ("runner.py", 'return fields, {"gram_all_psd": all_psd, "two_point_pass"', 'return fields, {"two_point_pass"'),
+    ("runner.py", 'all_psd, "two_point_pass": check.verdict}', "all_psd}"),
+    # and its beyond cell without its witness check
+    ("runner.py", ', "witness_found": witness is not None}', "}"),
+    # kms-verify's rescaled path without its exact bottom check,
+    ("runner.py", "two_route_tol, delta_bottom_exact=exact)", "two_route_tol)"),
+    # its restricted path without its modular bound, or without its two-route check,
+    ("runner.py", "two_route_tol, modular_bounded=bounded)", "two_route_tol)"),
+    (
+        "runner.py",
+        "checks.update(two_route=residual <= two_route_tol, modular_bounded=bounded)",
+        "checks.update(modular_bounded=bounded)",
+    ),
+    # the restricted KMS checks without the rescaled residual's bound
+    ("runner.py", '"rescaled_kms_within": _kms_within(rescaled, rmodel.rescaled_covariance, f, g, tol),', ""),
+    # restrict-scan without its rescaled-covariance check, or without its spectral correspondence
+    (
+        "runner.py",
+        'checks = {"rescaled_dominates_identity": fields["rescaled_dominates_identity"], "nested": nested}',
+        'checks = {"nested": nested}',
+    ),
+    ("runner.py", 'checks["spectral_correspondence"] = correspondence', ""),
     # the config block reader's guards, each dropped: an exponent without its sign,
     ("config.py", 'if exponents and shape.count(b"e-") != exponents:', 'if exponents and shape.count(b"e-") < 0:'),
     # a dot without a digit before it,
