@@ -212,20 +212,22 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
         _require(0 < h < INF, f"h_values: scale {h} must be positive and finite")
     admissible_bound = _built("operator", h_max, covariance)
     dim = covariance.dimension
+    # random draws form random.sets sets of random.count; explicit vectors one set.
+    # Every kernel of the run is assembled in one buffer, allocated before any draw.
+    explicit = config.vectors_explicit
+    size = (config.random_count or 0) if explicit is None else len(explicit)
+    where = "vectors.random.count" if explicit is None else "vectors.explicit"
+    kernel = _allocated(where, np.empty, (size, size), complex)
     rows = _vectors(config, dim, config.random_sets)
-    # random draws form random.sets sets of random.count; explicit vectors one set
-    size = config.random_count or len(rows)
     sets = [rows[i : i + size] for i in range(0, len(rows), size)]
     phi = quasi_free_functional(covariance)
     lowest = covariance.eigenvectors[:, 0]
     gram_tol = config.tolerances["gram"]
     norm = op_norm(covariance)
     # each set's scale-free kernel factors, built at the first scale past the
-    # overflow guard (which bounds them at every scale that passes it); every
-    # kernel of the run is assembled in one buffer, read before the next
+    # overflow guard (which bounds them at every scale that passes it); each
+    # kernel in the buffer is read before the next
     factors: list = []
-    where = "vectors.random.count" if config.vectors_explicit is None else "vectors.explicit"
-    kernel = _allocated(where, np.empty, (size, size), complex)
 
     def body(h):
         # the kernel's phases scale with h, its differences of forms reach 4 G_jk
