@@ -63,7 +63,7 @@ import yaml
 
 from .errors import ConfigInvalid, WeylscaleError
 from .spectral import INF, OperatorSpec
-from .kms import TWO_ROUTE_TOL, default_time_grid
+from .kms import TWO_ROUTE_TOL, _time_grid, default_time_grid
 from .states import GRAM_PSD_TOL
 
 #: PyYAML's libyaml-backed safe loader when it was built with libyaml; the
@@ -264,14 +264,7 @@ def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.nd
 
 def _parse_time_grid(section) -> np.ndarray:
     """The t_grid: finite points in strictly increasing order, at least one."""
-    grid = _parse_grid(section, "t_grid", default_time_grid())
-    if grid.size == 0:
-        raise ConfigInvalid("t_grid: needs at least one point")
-    if not np.all(np.isfinite(grid)):
-        raise ConfigInvalid("t_grid: points must be finite")
-    if np.any(np.diff(grid) <= 0):
-        raise ConfigInvalid("t_grid: points must be strictly increasing")
-    return grid
+    return _built("t_grid", _time_grid, _parse_grid(section, "t_grid", default_time_grid()))
 
 
 def _section(raw: dict, key: str) -> dict:

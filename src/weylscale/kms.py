@@ -15,20 +15,13 @@ restricted model of :mod:`weylscale.restriction` both call it.
 
 Two-point values are computed in the eigenbasis ``Delta = V diag(delta) V*``:
 ``f``, ``g``, ``A f`` and ``A g`` are mapped there once, and every value of
-``F`` and ``Phi`` is a sum ``sum_k p_k delta_k^{iz} + m_k delta_k^{-iz}``,
-evaluated for a whole grid of ``z`` as one array product.  ``A`` only acts on
-the vectors, so this is exact for any Hermitian pair, commuting or not.
-
-The boundary report samples the strip ``z = t + i beta s`` on a grid of times
-t and the heights s of ``STRIP_FRACTIONS``.  Its tables ``delta^{+-iz}`` are
-separable: the exponent ``i z log delta = x + iy`` has ``x = -beta s log delta``
-and ``y = t log delta``, and the complex exp of ``x + iy`` rounds as the float
-products ``e^x cos y`` and ``e^x sin y``.  So the tables take one complex exp
-per (t, k) and one real exp per (s, k) and sign, and equal the complex exp of
-every sample bit for bit; ``e^x`` is libm's (the real part of the complex exp
-of ``x + 0i``), as in the complex exp.  Past ``|x| = 709``, where the complex
-exp rescales so as not to overflow, the tables are the complex exp of every
-sample.  The real-time rows of ``F`` are the strip's row at height 0.
+``F`` and ``Phi`` is a sum ``sum_k p_k delta_k^{iz} + m_k delta_k^{-iz}``.
+``A`` only acts on the vectors, so this is exact for any Hermitian pair,
+commuting or not.  The powers ``delta^{+-iz}`` have one evaluator, the tables of
+:func:`_strip_tables` on ``z = t + i s``, the complex exp of each sample bit for
+bit and ``OutOfRange`` outside that domain: the boundary report samples a grid of
+times at the heights ``beta * STRIP_FRACTIONS``, and :func:`F_function`,
+:func:`time_evolution` and :func:`Phi_function` read the one sample of their z.
 
 :func:`F_function` and :func:`Phi_function` serve the rescaled state too: pass
 a RescaledKmsModel's ``covariance_h`` and ``modular_h``.
@@ -134,9 +127,14 @@ def _log_spectrum(modular: OperatorSpec) -> np.ndarray:
     return np.log(modular.eigenvalues.astype(complex))
 
 
+def _powers_at(modular: OperatorSpec, t: float, s: float = 0.0) -> np.ndarray:
+    """delta_k^{iz} and delta_k^{-iz} at the one point ``z = t + i s``."""
+    return _strip_tables(_log_spectrum(modular), np.array([t]), np.array([s]))[:, 0, 0]
+
+
 def time_evolution(modular: OperatorSpec, t: float) -> np.ndarray:
     """The unitary Delta^{it} as a matrix."""
-    phases = np.exp(1j * float(t) * _log_spectrum(modular))
+    phases = _powers_at(modular, float(t))[0]
     v = modular.eigenvectors
     return (v * phases) @ v.conj().T
 
@@ -169,17 +167,12 @@ def _Phi_terms(x, y, ax, ay):
     return 0.5 * (ax + x).conj() * y, 0.5 * (ay - y).conj() * x
 
 
-def _two_sided(log_delta: np.ndarray, terms, z) -> np.ndarray:
-    """sum_k p_k delta_k^{iz} + m_k delta_k^{-iz} for every entry of the array z."""
-    (plus, minus), exponent = terms, 1j * np.multiply.outer(z, log_delta)
-    return np.exp(exponent) @ plus + np.exp(-exponent) @ minus
-
-
 def F_function(covariance: OperatorSpec, modular: OperatorSpec, f, g, t: float) -> complex:
     """Real-time two-point kernel
     F = (1/2)<f, e^{ith}(A+I) g> + (1/2)<g, e^{-ith}(A-I) f>."""
-    coords = _modular_coordinates(covariance, modular, f, g)
-    return complex(_two_sided(_log_spectrum(modular), _F_terms(*coords), float(t)))
+    plus, minus = _F_terms(*_modular_coordinates(covariance, modular, f, g))
+    up, down = _powers_at(modular, float(t))
+    return complex(up @ plus + down @ minus)
 
 
 def Phi_function(
@@ -193,8 +186,9 @@ def Phi_function(
     z = complex(z)
     if z.imag < 0 or z.imag > beta:
         raise OutOfRange(f"Im z = {z.imag} outside [0, {beta}]")
-    coords = _modular_coordinates(covariance, modular, f, g)
-    return complex(_two_sided(_log_spectrum(modular), _Phi_terms(*coords), z))
+    plus, minus = _Phi_terms(*_modular_coordinates(covariance, modular, f, g))
+    up, down = _powers_at(modular, z.real, z.imag)
+    return complex(up @ plus + down @ minus)
 
 
 @dataclass(frozen=True)
@@ -253,47 +247,60 @@ def two_point_function(
 #: bit: above x = 709 glibc's cexp rescales, so as not to overflow.
 _SEPARABLE_EXP_LIMIT = 709.0
 
-#: STRIP_FRACTIONS for the table delta^{iz}, and negated for delta^{-iz}.
-_SIGNED_FRACTIONS = np.array([STRIP_FRACTIONS, [-s for s in STRIP_FRACTIONS]])
-
 #: The signs of (cos y, sin y) in the tables delta^{iz} and delta^{-iz}.
 _CIS_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]]).reshape(2, 1, 1, 2)
 
 
-def _strip_tables(log_delta: np.ndarray, grid: np.ndarray, beta: float) -> np.ndarray:
-    """The tables delta_k^{iz} and delta_k^{-iz} on the strip ``z = t + i beta s``, one
-    array of shape (2, S, T, k): the ``STRIP_FRACTIONS`` s, the times t of ``grid``
-    and the log-spectrum.
+def _strip_tables(log_delta: np.ndarray, grid: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """The tables delta_k^{iz} and delta_k^{-iz} at ``z = t + i s``, one array of
+    shape (2, S, T, k): the ``heights`` s, the times t of ``grid`` and the log-spectrum.
 
-    They are ``exp(+-i z log delta)``, bit for bit, but built from one complex exp
-    per (t, k) and one real exp per (s, k) and sign.  For a modular spectrum at or
+    They are ``exp(+-i z log delta)`` bit for bit.  For a modular spectrum at or
     above 1 (a real log-spectrum ``>= 0``) the exponent ``i z log delta = x + iy``
-    has ``x = -beta s log delta`` on every column t and ``y = t log delta`` on every
-    row s, and the complex exp of ``x + iy`` is the float products ``e^x cos y`` and
-    ``e^x sin y``; so each table is ``e^{+-x}`` times ``(cos y, +-sin y)``, the
-    complex exp of the real-time row.  ``x`` is that complex product at ``t = 0``
-    and ``y`` at ``s = 0``, so both keep its bits (a zero ``x`` may differ in
-    sign, which no exp sees).  ``e^{+-x}`` is the real part of the complex exp of
-    ``+-x + 0i``: libm's ``exp``, as in the complex exp, not numpy's vectorized
-    float ``exp``.
-    Past ``|x| = _SEPARABLE_EXP_LIMIT`` the complex exp rescales and stops being
-    separable; there, and for a spectrum reaching below 1, the tables are the
-    complex exp of the whole exponent.
+    has ``x = -s log delta`` on every column t and ``y = t log delta`` on every
+    row s, and up to ``|x| = _SEPARABLE_EXP_LIMIT`` the complex exp of ``x + iy``
+    is the float products ``e^x cos y`` and ``e^x sin y``; so each table is
+    ``e^{+-x}`` times ``(cos y, +-sin y)``, the complex exp of the real-time row:
+    one complex exp per (t, k) and one real exp per (s, k) and sign.  ``x`` is
+    that complex product at ``t = 0`` and ``y`` at ``s = 0``, so both keep its bits
+    (a zero ``x`` may differ in sign, which no exp sees).  ``e^{+-x}`` is the real
+    part of the complex exp of ``+-x + 0i``: libm's ``exp``, as in the complex
+    exp, not numpy's vectorized float ``exp``.
+
+    Outside that domain, or for a time or height that is not finite, it raises
+    ``OutOfRange``.  No suite gets there: every modular operator the package
+    builds has spectrum above 1, and ``beta log delta <= log((a+1)/(a-1)) < 29``
+    as :func:`modular_operator` refuses a covariance within ``ATOM_MERGE_TOL``
+    of 1, while every height is at most ``beta``.
     """
-    x = (1j * np.multiply.outer(1j * beta * _SIGNED_FRACTIONS, log_delta)).real
-    if not (
-        np.max(np.abs(x), initial=0.0) <= _SEPARABLE_EXP_LIMIT
-        and np.min(log_delta.real, initial=0.0) >= 0
-        and not log_delta.imag.any()
-    ):
-        exponent = 1j * np.multiply.outer(grid + 1j * beta * _SIGNED_FRACTIONS[0][:, None], log_delta)
-        return np.stack([np.exp(exponent), np.exp(-exponent)])
+    if not (np.isfinite(grid).all() and np.isfinite(heights).all()):
+        raise OutOfRange("strip times and heights must be finite")
+    if not (np.min(log_delta.real, initial=0.0) >= 0 and not log_delta.imag.any()):
+        raise OutOfRange("modular spectrum reaches below 1")
+    x = (1j * np.multiply.outer(1j * np.multiply.outer((1.0, -1.0), heights), log_delta)).real
+    top = np.max(np.abs(x), initial=0.0)
+    if not top <= _SEPARABLE_EXP_LIMIT:
+        raise OutOfRange(f"strip exponent {top} past {_SEPARABLE_EXP_LIMIT}")
     cis = np.exp(1j * np.multiply.outer(grid, log_delta))  # (cos y, sin y)
     # e^{+-x} beside the sign of each part, against cis's interleaved (cos y, sin y)
     scale = (np.exp(x + 0j).real[..., None] * _CIS_SIGNS).reshape(x.shape[:2] + (1, -1))
     tables = np.empty(x.shape[:2] + cis.shape, dtype=complex)
     np.multiply(scale, cis.view(float), out=tables.view(float))
     return tables
+
+
+def _time_grid(grid) -> np.ndarray:
+    """``grid`` as an array of times: one list, non-empty, finite and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise OutOfRange("points must form one list")
+    if grid.size == 0:
+        raise OutOfRange("needs at least one point")
+    if not np.isfinite(grid).all():
+        raise OutOfRange("points must be finite")
+    if (grid[1:] <= grid[:-1]).any():
+        raise OutOfRange("points must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -310,20 +317,16 @@ class KmsWitnessReport:
 
     @property
     def max_residual(self) -> float:
-        if len(self.r0) == 0:
-            return 0.0
         return float(max(np.max(self.r0), np.max(self.r_beta)))
 
 
 def _boundary_report(
     covariance: OperatorSpec, modular: OperatorSpec, beta: float, f, g, t_grid
 ) -> KmsWitnessReport:
-    grid = default_time_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or (len(grid) > 1 and np.any(np.diff(grid) <= 0)):
-        raise OutOfRange("time grid must be one-dimensional and strictly increasing")
-    log_delta = _log_spectrum(modular)
+    grid = default_time_grid() if t_grid is None else _time_grid(t_grid)
+    log_delta = _log_spectrum(modular)  # before the BLAS product: 7x slower after it (n = 128, x86-64)
     fc, gc, afc, agc = _modular_coordinates(covariance, modular, f, g)
-    up, down = _strip_tables(log_delta, grid, beta)
+    up, down = _strip_tables(log_delta, grid, beta * np.array(STRIP_FRACTIONS))
     # the real-time row of the strip (fraction 0) gives F(f, g; t), and its tables
     # swapped give F(g, f; -t)
     plus, minus = _F_terms(fc, gc, afc, agc)

@@ -64,7 +64,9 @@ def _row_text(value: np.ndarray) -> str | None:
     nor NaN) is formatted over its real parts alone.
 
     ``%.17g`` writes a non-finite float as ``nan`` or ``inf``, and nothing else it
-    writes holds an ``n``, so such a text falls back to the per-entry path.
+    writes holds an ``n``, so such a text falls back to the per-entry path.  No
+    config gets there: a report's only arrays are the ``entries`` of matrix
+    operators, which ``OperatorSpec.from_matrix`` keeps finite.
     """
     entry = _ROW_ENTRY.get(value.dtype)
     if entry is None or value.ndim not in (1, 2):

@@ -105,6 +105,22 @@ ROWS = {
         2,
         "config error: t_grid.step: unknown key",
     ),
+    # each time-grid rule, by its message
+    **{
+        f"t-grid-{name}": (
+            "kms-verify",
+            "operator: {kms: {beta: 1, matrix: [[1.0]]}}\nvectors: {random: {count: 1, seed: 3}}\n"
+            f"h_values: [1.0]\nt_grid: {grid}\n",
+            2,
+            f"config error: t_grid: {message}",
+        )
+        for name, grid, message in (
+            ("empty", "[]", "needs at least one point"),
+            ("nan", "[0.0, .nan]", "points must be finite"),
+            ("inf", "[0.0, .inf]", "points must be finite"),
+            ("repeated", "[1.0, 1.0]", "points must be strictly increasing"),
+        )
+    },
     "output-unknown-key": (
         "rescale-fock",
         "h_values: [0.5]\noutput: {fromat: table}\n",

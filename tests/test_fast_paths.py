@@ -10,15 +10,18 @@
 - An n = 128 kms-verify job in the benchmark's layout builds three dense
   matrices, so eager rebuilds cannot come back unnoticed.
 - The KMS strip tables built from one complex exp per time and one real exp
-  per height are the complex exp of every sample, and one n = 128 boundary
-  report evaluates no more complex exps than that, so per-sample tables
-  cannot come back unnoticed.
+  per height are the complex exp of every sample, and raise ``OutOfRange``
+  outside that exact domain; one n = 128 boundary report evaluates no more
+  complex exps than that, so per-sample tables cannot come back unnoticed.
 - Mapping a matrix operator's eigenvalues as one list gives the values, the
   errors and the complex-value handling of mapping them one by one, and a
   restricted model selects its basis once.
 - One draw of a ``(count, dim)`` array of random vectors gives the vectors
   of per-vector draws and leaves the generator where they leave it, and the
   explicit vectors reach the suites as the config's own array.
+- Each fallback beside a fast path that a CLI config reaches runs on such a
+  config: snapping's merge loop, the per-entry block cast and the overflow
+  branch of gns-check's vector clipping.
 """
 
 import importlib.util
@@ -31,10 +34,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylscale import kms, runner, spectral
+from weylscale import config as config_module, kms, runner, spectral
 from weylscale.cli import main
 from weylscale.config import ExperimentConfig, random_complex_vectors
-from weylscale.errors import DomainViolation
+from weylscale.errors import DomainViolation, OutOfRange
 from weylscale.kms import STRIP_FRACTIONS, _SEPARABLE_EXP_LIMIT, _strip_tables
 from weylscale.restriction import restricted_model
 from weylscale.report import _render_value, _row_text
@@ -449,22 +452,34 @@ def strip_inputs(draw):
     return log_delta, grid, beta
 
 
+def _separable(log_delta, x):
+    """Whether the tables are defined: a real log-spectrum >= 0 and every |x| within the limit."""
+    return bool(
+        np.all(log_delta.real >= 0) and not log_delta.imag.any()
+        and np.max(np.abs(x)) <= _SEPARABLE_EXP_LIMIT
+    )
+
+
 @settings(max_examples=400)
 @given(strip_inputs())
 def test_separable_strip_tables_are_the_complex_exp_of_every_sample(inputs):
     log_delta, grid, beta = inputs
-    z = grid + 1j * beta * np.array(STRIP_FRACTIONS)[:, None]
+    heights = beta * np.array(STRIP_FRACTIONS)
+    z = grid + 1j * heights[:, None]
     exponent = 1j * np.multiply.outer(z, log_delta)
-    if np.all(log_delta.real >= 0) and not log_delta.imag.any():
-        # the exponent's real part is the same on every column t, up to the sign of a
-        # zero, and its imaginary part the same on every row s, bit for bit
-        assert np.all(exponent.real == exponent.real[:, :1])
-        assert exponent.imag.tobytes() == np.broadcast_to(exponent.imag[:1], exponent.shape).tobytes()
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = _strip_tables(log_delta, grid, beta)
-        expected = np.stack([np.exp(exponent), np.exp(-exponent)])
-        real_time = 1j * np.multiply.outer(grid, log_delta)
-        real_time = np.stack([np.exp(real_time), np.exp(-real_time)])
+    if not _separable(log_delta, exponent.real):
+        # a spectrum below 1, or past the limit where the complex exp rescales
+        with pytest.raises(OutOfRange):
+            _strip_tables(log_delta, grid, heights)
+        return
+    # the exponent's real part is the same on every column t, up to the sign of a
+    # zero, and its imaginary part the same on every row s, bit for bit
+    assert np.all(exponent.real == exponent.real[:, :1])
+    assert exponent.imag.tobytes() == np.broadcast_to(exponent.imag[:1], exponent.shape).tobytes()
+    tables = _strip_tables(log_delta, grid, heights)
+    expected = np.stack([np.exp(exponent), np.exp(-exponent)])
+    real_time = 1j * np.multiply.outer(grid, log_delta)
+    real_time = np.stack([np.exp(real_time), np.exp(-real_time)])
     assert tables.shape == (2, len(STRIP_FRACTIONS), len(grid), len(log_delta))
     assert tables.dtype == expected.dtype and tables.tobytes() == expected.tobytes()
     # the real-time tables of F are the strip's row at fraction 0
@@ -475,15 +490,18 @@ def test_separable_strip_tables_are_the_complex_exp_of_every_sample(inputs):
 def test_strip_tables_are_separable_up_to_the_limit(complex_exps, beta, separable):
     log_delta = np.log(np.array([1.0, 2.0, 4.0]).astype(complex))
     grid = np.array([-1.0, -0.0, 2.0])
-    z = grid + 1j * beta * np.array(STRIP_FRACTIONS)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = _strip_tables(log_delta, grid, beta)
-        counted = complex_exps[0]
-        exponent = 1j * np.multiply.outer(z, log_delta)
-        expected = np.stack([np.exp(exponent), np.exp(-exponent)])
-    assert tables.tobytes() == expected.tobytes()
-    # one exp per (t, k) and per (s, sign, k) up to the limit, one per sample past it
-    assert counted == (len(grid) + 2 * len(STRIP_FRACTIONS)) * 3 if separable else 2 * z.size * 3
+    heights = beta * np.array(STRIP_FRACTIONS)
+    if not separable:
+        # |x| = 710 on the top row of the largest eigenvalue
+        with pytest.raises(OutOfRange, match="^strip exponent 710.0 past 709.0$"):
+            _strip_tables(log_delta, grid, heights)
+        return
+    tables = _strip_tables(log_delta, grid, heights)
+    counted = complex_exps[0]
+    exponent = 1j * np.multiply.outer(grid + 1j * heights[:, None], log_delta)
+    assert tables.tobytes() == np.stack([np.exp(exponent), np.exp(-exponent)]).tobytes()
+    # one exp per (t, k) and per (s, sign, k)
+    assert counted == (len(grid) + 2 * len(STRIP_FRACTIONS)) * 3
 
 
 @pytest.fixture
@@ -546,3 +564,65 @@ def test_boundary_times_smoke(monkeypatch, capsys):
     assert n == "8" and 0 < float(ms) < 1e3
     with pytest.raises(SystemExit, match="^Usage: python3 tools/boundary_times.py N"):
         tool.main([])
+
+
+# ---------------------------------------------------------------------------
+# the fallbacks a CLI config reaches, each shown to run
+
+
+def _run(tmp_path, suite: str, text: str) -> int:
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    return main([suite, "--config", str(path), "--out", str(tmp_path / "report.json")])
+
+
+def test_snap_merge_loop_runs_on_a_degenerate_spectrum(tmp_path, monkeypatch):
+    callers = []
+    merge = spectral._merge_sorted_values
+
+    def recording(values, counts):
+        callers.append(sys._getframe(1).f_code)
+        return merge(values, counts)
+
+    monkeypatch.setattr(spectral, "_merge_sorted_values", recording)
+    config = "operator: {matrix: [[2, 0], [0, 2]]}\nvectors: {explicit: [[1, 0]]}\nh_values: [1.0]\n"
+    assert _run(tmp_path, "positivity-scan", config) == 0
+    assert spectral._snap_eigenvalues.__code__ in callers
+
+
+def test_cast_block_reads_a_layout_pyyaml_reads_whole(tmp_path, monkeypatch):
+    places = []
+    cast_block = config_module._cast_block
+
+    def recording(rows, where):
+        places.append(where)
+        return cast_block(rows, where)
+
+    monkeypatch.setattr(config_module, "_cast_block", recording)
+    # an exact expression: the one-pass reader leaves the whole file, both blocks, to PyYAML
+    config = "operator:\n  matrix:\n    - [ln(4), 0]\n    - [0, 3]\nvectors: {explicit: [[1, 0]]}\nh_values: [1.0]\n"
+    assert _run(tmp_path, "positivity-scan", config) == 0
+    assert places == ["operator.matrix", "vectors.explicit"]
+
+
+def test_clipped_overflow_branch_runs_on_a_gns_vector_whose_norm_overflows(tmp_path):
+    # whether each call of runner._clipped took the overflow branch, the only one that binds ``scaled``
+    branches, clipped = [], runner._clipped.__code__
+
+    def local(frame, event, arg):
+        if event == "return":
+            branches.append("scaled" in frame.f_locals)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is clipped else None
+
+    config = "operator: {matrix: [[2]]}\nvectors: {explicit: [[1.0e+200], [0.5]]}\ncutoff: 8\n"
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        code = _run(tmp_path, "gns-check", config)
+    finally:
+        sys.settrace(previous)
+    assert code == 0
+    assert branches == [True, False]

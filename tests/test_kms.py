@@ -24,7 +24,7 @@ from weylscale import (
     two_point_function,
 )
 from weylscale.kms import (
-    STRIP_FRACTIONS, _boundary_report, _F_terms, _log_spectrum, _modular_coordinates, _two_sided,
+    STRIP_FRACTIONS, _boundary_report, _F_terms, _log_spectrum, _modular_coordinates, _Phi_terms,
 )
 from weylscale.errors import DomainViolation, OutOfRange
 from weylscale.spectral import INF, OperatorSpec, apply_function, spectral_distance
@@ -170,6 +170,31 @@ class TestFAndPhi:
         with pytest.raises(OutOfRange, match=r"^Im z = 1.5 outside \[0, 1.0\]$"):
             Phi_function(scalar_model.covariance, scalar_model.modular, 1.0, f, f, 1.5j)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_or_height_not_finite_rejected(self, scalar_model, t):
+        f = np.array([1.0])
+        covariance, modular = scalar_model.covariance, scalar_model.modular
+        for evaluate in (
+            lambda: F_function(covariance, modular, f, f, t),
+            lambda: time_evolution(modular, t),
+            lambda: Phi_function(covariance, modular, 1.0, f, f, complex(t, 0.5)),
+            lambda: Phi_function(covariance, modular, 1.0, f, f, complex(0.5, math.nan)),
+        ):
+            with pytest.raises(OutOfRange, match="^strip times and heights must be finite$"):
+                evaluate()
+
+    @pytest.mark.parametrize("delta", [0.5, -2.0])
+    def test_modular_spectrum_below_one_rejected(self, delta):
+        # the powers have one evaluator, exact only for a spectrum at or above 1
+        covariance, modular, f = make_operator([[3.0]]), make_operator([[delta]]), np.array([1.0])
+        for evaluate in (
+            lambda: F_function(covariance, modular, f, f, 0.3),
+            lambda: time_evolution(modular, 0.3),
+            lambda: Phi_function(covariance, modular, 1.0, f, f, 0.3 + 0.5j),
+        ):
+            with pytest.raises(OutOfRange, match="^modular spectrum reaches below 1$"):
+                evaluate()
+
     def test_strip_bound(self, scalar_model):
         f = np.array([1.0])
         report = kms_boundary_residuals(scalar_model, f, f)
@@ -193,9 +218,19 @@ class TestBoundaryResiduals:
         assert report.max_residual <= 1e-10
         assert np.all(report.r0 >= 0) and np.all(report.r_beta >= 0)
 
-    def test_grid_must_increase(self, scalar_model):
-        with pytest.raises(OutOfRange):
-            kms_boundary_residuals(scalar_model, np.ones(1), np.ones(1), [0.0, -1.0])
+    @pytest.mark.parametrize("grid, message", [
+        ([0.0, -1.0], "points must be strictly increasing"),
+        ([0.0, 0.0], "points must be strictly increasing"),
+        ([0.0, math.nan], "points must be finite"),
+        ([math.nan], "points must be finite"),
+        ([-1.0, math.inf], "points must be finite"),
+        ([], "needs at least one point"),
+        ([[0.0, 1.0]], "points must form one list"),
+        (0.5, "points must form one list"),
+    ])
+    def test_grid_must_increase(self, scalar_model, grid, message):
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            kms_boundary_residuals(scalar_model, np.ones(1), np.ones(1), grid)
 
     def test_default_grid(self):
         grid = default_time_grid()
@@ -232,6 +267,13 @@ def dense_boundary_rows(covariance, modular, beta, f, g, grid):
     )
 
 
+def _two_sided(log_delta, terms, z):
+    """sum_k p_k delta_k^{iz} + m_k delta_k^{-iz} for every entry of the array z, one
+    complex exp per sample: the reference for the tables."""
+    (plus, minus), exponent = terms, 1j * np.multiply.outer(z, log_delta)
+    return np.exp(exponent) @ plus + np.exp(-exponent) @ minus
+
+
 def test_the_reversed_kernel_reads_the_swapped_tables(rng):
     # F(g, f; -t) from the tables of t swapped is F(g, f; z) at z = -t, bit for bit
     model = kms_model(random_covariance(rng, 12, 0.3, 2.5), beta=1.2)
@@ -241,6 +283,22 @@ def test_the_reversed_kernel_reads_the_swapped_tables(rng):
     fc, gc, afc, agc = _modular_coordinates(model.covariance, model.modular, f, g)
     F_rev = _two_sided(_log_spectrum(model.modular), _F_terms(gc, fc, agc, afc), -grid)
     assert report.r_beta.tobytes() == np.abs(report.Phi_upper - F_rev).tobytes()
+
+
+def test_single_points_are_the_per_sample_values(rng):
+    # F, Phi and Delta^{it}, read from the tables, keep the bits of one complex exp per sample
+    model = kms_model(random_covariance(rng, 12, 0.3, 2.5), beta=1.2)
+    f, g = random_vector(rng, 12), random_vector(rng, 12)
+    covariance, modular, log_delta = model.covariance, model.modular, _log_spectrum(model.modular)
+    coords = _modular_coordinates(covariance, modular, f, g)
+    for t, s in ((0.7, 0.0), (-3.1, 0.4), (-0.0, 1.2), (12.5, 0.9)):
+        F_ref = _two_sided(log_delta, _F_terms(*coords), t)
+        assert F_function(covariance, modular, f, g, t) == complex(F_ref)
+        Phi_ref = _two_sided(log_delta, _Phi_terms(*coords), complex(t, s))
+        assert Phi_function(covariance, modular, 1.2, f, g, complex(t, s)) == complex(Phi_ref)
+        v = modular.eigenvectors
+        transport = (v * np.exp(1j * t * log_delta)) @ v.conj().T
+        assert time_evolution(modular, t).tobytes() == transport.tobytes()
 
 
 class TestEigenbasisBoundary:

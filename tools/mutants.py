@@ -41,10 +41,14 @@ MUTANTS = (
     ("restriction.py", "** (1.0 / beta)", "** (2.0 / beta)"),
     # a sign in the real-time KMS kernel F
     ("kms.py", "0.5 * y.conj() * (ax - x)", "0.5 * y.conj() * (ax + x)"),
-    # the KMS strip tables' products past the point where the complex exp rescales,
+    # the KMS strip tables' refusal past the point where the complex exp rescales,
     ("kms.py", "_SEPARABLE_EXP_LIMIT = 709.0", "_SEPARABLE_EXP_LIMIT = 710.0"),
-    # and on a modular spectrum reaching below 1
-    ("kms.py", "and np.min(log_delta.real, initial=0.0) >= 0", "and np.min(log_delta.real, initial=0.0) >= -INF"),
+    # and of a modular spectrum reaching below 1
+    ("kms.py", "(np.min(log_delta.real, initial=0.0) >= 0 and", "(np.min(log_delta.real, initial=0.0) >= -INF and"),
+    # the time-grid rule without its finiteness test
+    ("kms.py", '    if not np.isfinite(grid).all():\n        raise OutOfRange("points must be finite")\n', ""),
+    # the sign of Phi's height
+    ("kms.py", "_powers_at(modular, z.real, z.imag)", "_powers_at(modular, z.real, -z.imag)"),
     # the conjugation of the second GNS slot
     ("fock.py", "second = 1j * np.conj(self._t2 * coords)", "second = 1j * (self._t2 * coords)"),
     # rescale-fock's exponent bound without its growth as h shrinks
