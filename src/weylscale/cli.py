@@ -3,8 +3,9 @@
 Subcommands map one-to-one onto the experiment suites; each run reads one
 config file, executes the suite, and writes one self-contained report to the
 output path (standard output by default).  Exit codes: 0 when every cell
-meets its contract, 2 on configuration errors, 3 when cells fail (the
-failing cells are listed on standard error, each with its failing checks).
+meets its contract, 2 on configuration errors, 3 when the runner found
+contract violations: each is listed on standard error, every failing cell
+with its failing checks, then every false ``*_ok`` summary flag.
 
 The argument parser is built once per process and shared by every ``main``
 call; each call parses into a fresh namespace, so nothing carries over.
@@ -18,7 +19,7 @@ import sys
 
 from .config import ExperimentConfig, check_tolerance
 from .errors import ConfigInvalid
-from .report import failing_cells, record_passes, render
+from .report import render
 from .runner import SUITES
 
 
@@ -69,14 +70,9 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
     if record.timing_seconds is not None:
         print(f"{args.command}: {record.timing_seconds:.3f}s", file=sys.stderr)
-    if not record_passes(record):
-        for cell, checks in failing_cells(record):
-            print(f"contract violation: {cell} failed: {', '.join(checks)}", file=sys.stderr)
-        for key, value in record.summary.items():
-            if key.endswith("_ok") and not value:
-                print(f"contract violation: summary.{key}", file=sys.stderr)
-        return 3
-    return 0
+    for line in record.violations:
+        print(f"contract violation: {line}", file=sys.stderr)
+    return 3 if record.violations else 0
 
 
 if __name__ == "__main__":

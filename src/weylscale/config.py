@@ -39,20 +39,22 @@ string (``-.5``, ``1.0e5``, ``1e-05``, ``"0.5-1.25j"``) is read by
 token of digits alone is a YAML 1.1 int, whose value may differ (``010`` is
 8, ``-0`` is +0.0).  A few whole-text passes check the rule
 (``bytes.translate`` against the block's characters, counts of ``", "``
-separators and of quotes, no token of digits alone).  The rest of the text
-is loaded with PyYAML and the blocks are put back at their keys.  Any other
+separators and of quotes, no token of digits alone).  Each block leaves a
+stand-in tagged ``!weylscale-rows`` in its place, and PyYAML, loading the
+rest of the text, builds the block wherever it builds the stand-in.  Any other
 block (one holding an int or a token ``float()`` or ``complex()`` refuses,
 or mixing bare and quoted tokens), and any ``matrix:`` or ``explicit:`` line
 in another layout, sends the whole file through PyYAML, so ``012`` is octal
 10 and ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``, ``1_000``
-and ``[re, im]`` pairs on those lines do the same.  So does a row block that
-PyYAML would read as something other than the value of its key (text in a
-block scalar, say), and a rest that is not valid YAML, so errors keep
-PyYAML's message, line and column.
+and ``[re, im]`` pairs on those lines do the same.  So does a stand-in that
+PyYAML builds as anything but a one-item sequence of its key or not at all
+(text in a block scalar, say), a node of the file's own under that tag, and a rest
+that is not valid YAML, so errors keep PyYAML's message, line and column.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import re
@@ -312,9 +314,8 @@ _QUOTED_BYTES = b'0123456789.eE+-j", '
 #: A bare token's sign, ``+`` read as ``-``.
 _SIGN = bytes.maketrans(b"+", b"-")
 
-#: Stands in for a block of rows in the text PyYAML reads; a file holding it
-#: is read by PyYAML whole.
-_PLACEHOLDER = "weylscale-rows-"
+#: The tag of a block's stand-in in the text PyYAML reads.
+_ROWS_TAG = "!weylscale-rows"
 
 
 def _one_pass_dtype(tokens: str, count: int) -> type | None:
@@ -386,19 +387,18 @@ def _read_block(rows: list[str]) -> np.ndarray | None:
 
 
 def _take_rows(text: str) -> tuple[str, dict] | None:
-    """``text`` with its row blocks replaced by placeholders, and each placeholder's block.
+    """``text`` with its row blocks replaced by tagged stand-ins, and each stand-in's block.
 
-    The rows under a ``matrix:`` key line become the one row ``- "<placeholder>"``
-    and an ``explicit: [[...]]`` line becomes ``explicit: ["<placeholder>"]``.
+    The rows under a ``matrix:`` key line become ``matrix: !weylscale-rows``
+    and the one row ``- "<i>"``, and an ``explicit: [[...]]`` line becomes
+    ``explicit: !weylscale-rows ["<i>"]``, ``i`` counting the blocks from 0.
     Both keep the place of the block in the YAML structure, so wherever
-    PyYAML reads the stand-in as the whole value of a key, it reads the block
-    there too.  A block is the complex array :func:`_read_block` makes of its
-    rows.  None when there is no block, or when a line that starts with
-    ``matrix:`` or ``explicit:`` (after its indent) is not in this layout or
-    its rows do not take the one-pass cast.
+    PyYAML builds the stand-in, :class:`_RowsLoader` puts the block there.  A
+    block is the complex array :func:`_read_block` makes of its rows, under
+    the key ``"<i>"``.  None when there is no block, or when a line that
+    starts with ``matrix:`` or ``explicit:`` (after its indent) is not in this
+    layout or its rows do not take the one-pass cast.
     """
-    if _PLACEHOLDER in text:
-        return None
     lines = text.split("\n")
     kept, blocks = [], {}
     i = 0
@@ -406,7 +406,7 @@ def _take_rows(text: str) -> tuple[str, dict] | None:
         line = lines[i]
         i += 1
         body = line.lstrip(" ")
-        placeholder = f"{_PLACEHOLDER}{len(blocks)}"
+        index = str(len(blocks))
         if body.startswith("matrix:"):
             first = lines[i] if i < len(lines) else ""
             if body != "matrix:" or not first.lstrip(" ").startswith("- ["):
@@ -419,60 +419,61 @@ def _take_rows(text: str) -> tuple[str, dict] | None:
             if not all(row.endswith("]") for row in rows):
                 return None
             block = _read_block([row[len(prefix) : -1] for row in rows])
-            kept += [line, f'{prefix[:-1]}"{placeholder}"']
+            kept += [f"{line} {_ROWS_TAG}", f'{prefix[:-1]}"{index}"']
         elif body.startswith("explicit:"):
             if not (body.startswith("explicit: [[") and body.endswith("]]")):
                 return None
             block = _read_block(body[12:-2].split("], ["))
-            kept.append(f'{line[: len(line) - len(body)]}explicit: ["{placeholder}"]')
+            kept.append(f'{line[: len(line) - len(body)]}explicit: {_ROWS_TAG} ["{index}"]')
         else:
             kept.append(line)
             continue
         if block is None:
             return None
-        blocks[placeholder] = block
+        blocks[index] = block
     return ("\n".join(kept), blocks) if blocks else None
 
 
-def _splice(document, blocks: dict) -> bool:
-    """Put each block's rows in place of its stand-in, in place.
+class _RowsLoader(_YAML_LOADER):
+    """PyYAML's safe loader, building each tagged stand-in as the block it stands for.
 
-    True when every stand-in was met as the whole value of a key in nested
-    mappings; otherwise PyYAML read some block as something else (text in a
-    block scalar, say), or it sits in a list, and the file must be read whole.
+    ``blocks`` maps each stand-in's key to its block; a stand-in built takes
+    its block out of it.  A tagged node that is not a sequence of one key
+    still in ``blocks`` raises ``ConstructorError``.
     """
-    pending = dict(blocks)
-    stack, seen = [document], set()
-    while stack:
-        mapping = stack.pop()
-        if not isinstance(mapping, dict) or id(mapping) in seen:
-            continue
-        seen.add(id(mapping))
-        for key, value in mapping.items():
-            if type(value) is list and len(value) == 1 and type(value[0]) is str and value[0] in pending:
-                mapping[key] = pending.pop(value[0])
-            else:
-                stack.append(value)
-    return not pending
+
+    def __init__(self, stream, blocks: dict):
+        super().__init__(stream)
+        self.blocks = blocks
+
+    def construct_rows(self, node):
+        items = self.construct_sequence(node)
+        if len(items) == 1 and type(items[0]) is str and items[0] in self.blocks:
+            return self.blocks.pop(items[0])
+        raise yaml.constructor.ConstructorError(None, None, "a stand-in holds no block", node.start_mark)
+
+
+_RowsLoader.add_constructor(_ROWS_TAG, _RowsLoader.construct_rows)
 
 
 def _load_yaml(text: str, name: str):
     """The document PyYAML's safe loader builds from ``text``, read as the file ``name``.
 
     The rows ``_take_rows`` finds are cast here and only the rest goes
-    through PyYAML.  If that rest is not valid YAML, or a block did not land
-    as the value of its key, the whole text goes through PyYAML, so the
-    document and any error (line and column included) are PyYAML's.
+    through PyYAML.  If that rest is not valid YAML, or a stand-in did not
+    become its block (text in a block scalar, say, or a node of the file's
+    own under the stand-ins' tag), the whole text goes through PyYAML, so
+    the document and any error (line and column included) are PyYAML's.
     """
     taken = _take_rows(text)
     if taken is not None:
         stripped, blocks = taken
         try:
-            document = yaml.load(stripped, Loader=_YAML_LOADER)
+            document = yaml.load(stripped, Loader=functools.partial(_RowsLoader, blocks=blocks))
         except yaml.YAMLError:
             pass
         else:
-            if _splice(document, blocks):
+            if not blocks:
                 return document
     stream = io.StringIO(text)
     stream.name = name

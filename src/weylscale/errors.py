@@ -27,7 +27,7 @@ class DomainViolation(WeylscaleError):
 
 class DimensionMismatch(WeylscaleError):
     """Vectors, operators or words over incompatible spaces, a vector outside
-    the restricted subspace, or an empty vector set."""
+    the restricted subspace, an empty vector set or an empty spectrum."""
 
 
 class ModelMismatch(WeylscaleError):

@@ -17,7 +17,8 @@ import numpy as np
 
 @dataclass
 class ReportRecord:
-    """One experiment run: resolved inputs, per-cell results, and a summary."""
+    """One experiment run: resolved inputs, per-cell results, a summary, and the
+    contract violations the runner found among them."""
 
     experiment: str
     config_echo: dict
@@ -25,8 +26,9 @@ class ReportRecord:
     summary: dict = field(default_factory=dict)
     #: wall-clock seconds; deliberately excluded from the serialized report
     timing_seconds: float | None = None
-    #: cell index -> names of the cell's failing checks; not serialized either
-    failed_checks: dict = field(default_factory=dict)
+    #: one line per failing cell and per false ``*_ok`` summary flag, in that
+    #: order, as the runner writes them; not serialized either
+    violations: list = field(default_factory=list)
 
     def to_object(self) -> dict:
         return {
@@ -155,19 +157,3 @@ def render(record: ReportRecord, output_format: str) -> str:
         return render_table(record)
     return render_object(record)
 
-
-def failing_cells(record: ReportRecord) -> list:
-    """(cell, names of its failing checks) for every cell whose ``ok`` is false."""
-    return [
-        (cell, record.failed_checks.get(index, []))
-        for index, cell in enumerate(record.cells)
-        if not cell.get("ok", True)
-    ]
-
-
-def record_passes(record: ReportRecord) -> bool:
-    if failing_cells(record):
-        return False
-    return all(
-        bool(value) for key, value in record.summary.items() if key.endswith("_ok")
-    )

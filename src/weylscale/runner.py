@@ -80,7 +80,9 @@ def _suite(name: str, tolerance: str):
     """Register a suite body under its CLI name, inside the frame all suites share.
 
     The frame times the run and opens the ReportRecord with the config echo;
-    the body validates the config, appends cells and sets the summary.
+    the body validates the config, appends cells and sets the summary.  The
+    frame then adds ``summary.<key>`` to the record's violations for each
+    false ``*_ok`` summary flag, after the lines of the failing cells.
     ``tolerance`` is the suite's primary tolerance.
     """
 
@@ -90,6 +92,8 @@ def _suite(name: str, tolerance: str):
             started = time.perf_counter()
             record = ReportRecord(name, _config_echo(config))
             body(config, record)
+            flags = record.summary.items()
+            record.violations += [f"summary.{key}" for key, ok in flags if key.endswith("_ok") and not ok]
             record.timing_seconds = time.perf_counter() - started
             return record
 
@@ -149,17 +153,19 @@ def _cell(record: ReportRecord, keys: dict, body, *args):
     checks; the cell is ``keys``, the fields, then ``ok``: whether every check
     holds.  A ``WeylscaleError`` raised by the body, or a ``MemoryError`` (numpy
     refusing an array the cell's sizes ask for), makes the cell ``keys``, its
-    ``error`` and ``ok: false``, failing the check named ``error``.  The names of
-    a cell's failing checks go to ``record.failed_checks`` under its index.
+    ``error`` and ``ok: false``, failing the check named ``error``.  A failing
+    cell adds the line ``<cell> failed: <names of its failing checks>`` to
+    ``record.violations``.
     """
     try:
         fields, checks = body(*args)
     except (WeylscaleError, MemoryError) as exc:
         fields, checks = {"error": str(exc)}, {"error": False}
     failed = [name for name, passed in checks.items() if not passed]
+    cell = {**keys, **fields, "ok": not failed}
+    record.cells.append(cell)
     if failed:
-        record.failed_checks[len(record.cells)] = failed
-    record.cells.append({**keys, **fields, "ok": not failed})
+        record.violations.append(f"{cell} failed: {', '.join(failed)}")
 
 
 def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:

@@ -166,7 +166,10 @@ class OperatorSpec:
     ) -> "OperatorSpec":
         """Matrix operator of ascending ``eigvals`` on the columns of ``eigvecs``, all frozen:
         the values snapped, and ``matrix`` kept when given; otherwise the symmetrized
-        ``V diag V*`` of the snapped values is built on the first read of ``.matrix``."""
+        ``V diag V*`` of the snapped values is built on the first read of ``.matrix``.
+        An empty spectrum raises DimensionMismatch."""
+        if len(eigvals) == 0:
+            raise DimensionMismatch("operator has an empty spectrum")
         snapped, atoms = _snap_eigenvalues(eigvals)
         for a in (matrix, snapped, eigvecs):
             if a is not None:
@@ -175,7 +178,7 @@ class OperatorSpec:
 
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, float]]) -> "OperatorSpec":
-        """Spectral operator of finite positive values with positive integer or INF
+        """Spectral operator of one or more finite positive values with positive integer or INF
         multiplicities; declare an unbounded spectrum by :meth:`with_declared_bounds`."""
         cleaned: list[tuple[float, float]] = []
         for value, mult in pairs:
@@ -187,6 +190,8 @@ class OperatorSpec:
                     raise OutOfRange(f"atom multiplicity {mult} is not a positive integer")
                 mult = int(mult)
             cleaned.append((value, mult))
+        if not cleaned:
+            raise DimensionMismatch("operator has an empty spectrum")
         cleaned.sort(key=lambda p: p[0])
         atoms = _merge_sorted_values([p[0] for p in cleaned], [p[1] for p in cleaned])
         return cls("spectral", None, None, atoms)
@@ -245,11 +250,8 @@ def make_operator(data) -> OperatorSpec:
     """
     if isinstance(data, OperatorSpec):
         return data
-    if isinstance(data, (list, tuple)) and data and all(
-        isinstance(item, (tuple, Atom)) for item in data
-    ):
-        pairs = [(item.value, item.multiplicity) if isinstance(item, Atom) else item for item in data]
-        return OperatorSpec.from_atoms(pairs)
+    if isinstance(data, (list, tuple)) and data and all(isinstance(item, tuple) for item in data):
+        return OperatorSpec.from_atoms(data)
     return OperatorSpec.from_matrix(data)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, require_positive
 from .spectral import OperatorSpec, apply_function, quadratic_form, require_dominates_identity, scalar_value
-from .weyl import KEY_GRID, WeylWord, sigma
+from .weyl import WeylWord, _canonical_key, sigma
 
 #: Default relative tolerance for the PSD verdict of a Gram kernel.
 GRAM_PSD_TOL = 1e-10
@@ -145,11 +145,8 @@ class TraceState(StateFunctional):
     """Indicator of the identity generator: 1 at f = 0, else 0."""
 
     def value(self, f) -> complex:
-        f = np.asarray(f, dtype=complex)
-        # zero test on the same grid that canonicalizes word keys
-        if np.all(np.round(f.real / KEY_GRID) == 0) and np.all(np.round(f.imag / KEY_GRID) == 0):
-            return 1.0
-        return 0.0
+        # f = 0 on the grid that canonicalizes word keys
+        return 0.0 if any(_canonical_key(np.asarray(f, dtype=complex))) else 1.0
 
 
 class _RescaledFunctional(StateFunctional):

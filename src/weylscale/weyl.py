@@ -29,9 +29,13 @@ def sigma(f, g) -> float:
 
 
 def _canonical_key(vec: np.ndarray) -> tuple:
-    re = np.round(vec.real / KEY_GRID).astype(np.int64)
-    im = np.round(vec.imag / KEY_GRID).astype(np.int64)
-    return tuple(zip(re.tolist(), im.tolist()))
+    """The real, then the imaginary parts of ``vec`` in whole multiples of ``KEY_GRID``,
+    as floats, exact at any size; OutOfRange when one is not finite."""
+    with np.errstate(over="ignore"):  # an overflow is inf, refused below
+        coords = np.round(np.concatenate((vec.real, vec.imag), axis=None) / KEY_GRID)
+    if not np.isfinite(coords).all():
+        raise OutOfRange("generator vector has a coordinate that is not finite on the key grid")
+    return tuple(coords.tolist())
 
 
 class WeylWord:

@@ -1186,6 +1186,34 @@ def test_failing_summary_flag_is_listed(tmp_path, capsys):
     assert "contract violation: summary.modular_exponential_ok" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "h_values, tol, summary_fails",
+    # at tol 0 every cell fails, then the modular exponential flag; at the default
+    # tolerance only the error cells of the negative scale fail, and no flag
+    [("[1.0, -1.0]", ["--tol", "0"], True), ("[1.0, -1.0, 0.5]", [], False)],
+    ids=["every-cell-and-a-flag", "error-cells-only"],
+)
+def test_violations_list_each_failing_cell_in_order_then_the_summary_flags(tmp_path, capsys, h_values, tol, summary_fails):
+    path, out = tmp_path / "config.yaml", tmp_path / "r.json"
+    path.write_text(
+        "operator:\n  kms: {matrix: [[0.6, 0.3, 0.1], [0.3, 0.9, 0.2], [0.1, 0.2, 1.4]], beta: 1}\n"
+        f"vectors:\n  random: {{count: 2, seed: 3}}\nh_values: {h_values}\n"
+    )
+    assert main(["kms-verify", "--config", str(path), "--out", str(out), *tol]) == 3
+    report = json.loads(out.read_text())
+    timing, *lines = capsys.readouterr().err.splitlines()
+    assert timing.startswith("kms-verify: ") and timing.endswith("s")
+    failing = [cell for cell in report["cells"] if not cell["ok"]]
+    flags = [f"summary.{key}" for key, ok in report["summary"].items() if key.endswith("_ok") and not ok]
+    assert bool(flags) == summary_fails and (len(failing) < len(report["cells"])) != summary_fails
+    assert len(lines) == len(failing) + len(flags)
+    for line, cell in zip(lines, failing):
+        keys = repr({"h": float(cell["h"]), "pair": cell["pair"], "path": cell["path"]})[:-1]
+        assert line.startswith(f"contract violation: {keys}, ") and " failed: " in line
+        assert line.endswith(" failed: error") == ("error" in cell)
+    assert lines[len(failing) :] == [f"contract violation: {flag}" for flag in flags]
+
+
 def test_rescale_fock_takes_the_dimension_from_the_operator(tmp_path, capsys):
     path = tmp_path / "config.yaml"
     matrix = "operator: {matrix: [[2, 0], [0, 3]]}\nh_values: [0.5]\n"

@@ -150,7 +150,9 @@ CASES = {
     "single-quoted": BASE.replace("[1.0, 0.0]]", "['1.0', 0.0]]"),
     "flow-mapping": 'operator: {kms: {beta: 1.0,\n  matrix:\n    - [1.5]\n  }}\nh_values: [1.0]\n',
     "flow-explicit": "operator: {matrix: [[2.0]]}\nvectors: {a: 1,\n  explicit: [[1.0]]\n  }\n",
-    "placeholder-text": BASE + "experiment: [weylscale-rows-0]\n",
+    "placeholder-text": BASE + 'experiment: !weylscale-rows ["0"]\n',
+    "tag-directive": "%TAG !w! !weylscale-\n---\n" + BASE + 'experiment: !w!rows ["x"]\n',
+    "tagged-mapping": BASE + "experiment: !weylscale-rows {a: 1}\n",
     "escaped-quote": BASE.replace("[1.0, 0.0]]", '["\\x31.5", 0.0]]'),
     "multi-document": BASE + "---\nh_values: [1.0]\n",
     "top-level-list": "- matrix:\n    - [1.0]\n",
@@ -203,11 +205,31 @@ def test_only_the_strict_grammar_is_taken_out(token, taken):
         "empty-row",
         "empty-explicit-row",
         "escaped-quote",
-        "placeholder-text",
     ],
 )
 def test_other_layouts_send_the_whole_text_to_pyyaml(name):
     assert _take_rows(CASES[name]) is None
+
+
+@pytest.mark.parametrize("name", ["placeholder-text", "tag-directive", "tagged-mapping"])
+def test_a_tagged_node_of_the_file_sends_the_whole_text_to_pyyaml(yaml_inputs, name):
+    # the blocks are taken, but a node of the file's own under the stand-ins' tag
+    # stops the read of the rest; PyYAML then reads the file whole, and refuses the tag
+    text = CASES[name]
+    stripped, _ = _take_rows(text)
+    with pytest.raises(yaml.constructor.ConstructorError, match="could not determine a constructor"):
+        _load_yaml(text, "config.yaml")
+    assert yaml_inputs == [stripped, text]
+
+
+def test_a_block_under_a_list_item_takes_the_cast(yaml_inputs):
+    text = CASES["block-in-list"]
+    stripped, _ = _take_rows(text)
+    document = _load_yaml(text, "config.yaml")
+    assert yaml_inputs == [stripped]
+    rows = document["experiment"][0]["matrix"]
+    assert isinstance(rows, np.ndarray) and rows.tolist() == [[1.0]]
+    assert_same_document(document, yaml.load(text, Loader=config_module._YAML_LOADER))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +660,7 @@ def test_benchmark_layout_sends_only_the_other_lines_to_pyyaml(tmp_path, yaml_in
         config = ExperimentConfig.from_file(path)
         (seen,) = yaml_inputs
         assert len(seen.splitlines()) == len(text.splitlines()) - (128 if name == "kms" else 6) + 1
+        assert seen.count(config_module._ROWS_TAG) == 1 + (name == "positivity")
         assert len(seen) < 300 < len(text) / 100
         yaml_inputs.clear()
         assert _fingerprint(config) == _fingerprint(ExperimentConfig.from_dict(yaml.load(text, Loader=yaml.SafeLoader)))
@@ -653,6 +676,7 @@ def test_benchmark_layout_sends_only_the_other_lines_to_pyyaml(tmp_path, yaml_in
                     # every block cast in one pass: none as lists, no whole-file read
                     stripped, blocks = _take_rows(text)
                     assert seen == stripped and len(blocks) == count, job.name
+                    assert seen.count(config_module._ROWS_TAG) == count, job.name
                     assert all(isinstance(block, np.ndarray) for block in blocks.values()), job.name
                 else:
                     assert seen == text, job.name

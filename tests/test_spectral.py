@@ -83,6 +83,28 @@ class TestMakeOperator:
         with pytest.raises(OutOfRange, match=r"atom (value inf|value nan|multiplicity nan) is not"):
             OperatorSpec.from_atoms([pair])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OperatorSpec.from_atoms([]),
+            lambda: OperatorSpec.from_matrix(np.zeros((0, 0))),
+            lambda: OperatorSpec.from_eigen(np.zeros(0), np.zeros((0, 0), complex)),
+        ],
+        ids=["atoms", "matrix", "eigen"],
+    )
+    def test_empty_spectrum_rejected(self, build):
+        # h_max, inf_spectrum and op_norm all read the atoms at the ends
+        with pytest.raises(DimensionMismatch, match="^operator has an empty spectrum$"):
+            build()
+
+    def test_atoms_rebuild_from_atoms_and_tuples(self):
+        op = make_operator([(3.0, 2), (1.0, INF), (5.0, 1)])
+        mixed = [op.atoms[0], tuple(op.atoms[1]), op.atoms[2]]
+        assert type(mixed[0]) is not tuple and type(mixed[1]) is tuple
+        for data in (op.atoms, mixed):
+            rebuilt = make_operator(data)
+            assert not rebuilt.is_matrix and rebuilt.atoms == op.atoms
+
     def test_atoms_sorted_and_merged(self):
         op = make_operator([(3.0, 2), (1.0, 1), (3.0 + 1e-14, INF)])
         assert [a.value for a in op.atoms] == pytest.approx([1.0, 3.0], abs=1e-12)

@@ -12,6 +12,8 @@ from weylscale import (
     word_distance,
 )
 from weylscale.errors import DimensionMismatch, OutOfRange
+from weylscale.states import TraceState
+from weylscale.weyl import KEY_GRID
 
 from conftest import random_word, words_close
 
@@ -137,6 +139,56 @@ def test_key_canonicalization_merges_nearby_vectors():
     word = WeylWord.generator(f) + WeylWord.generator(shifted)
     assert len(word) == 1
     assert word.coefficient(f) == pytest.approx(2.0)
+
+
+def _int64_key(vec):
+    """The generator key as an int64 cast of the grid coordinates gave it, where that cast is exact."""
+    re = np.round(vec.real / KEY_GRID).astype(np.int64)
+    im = np.round(vec.imag / KEY_GRID).astype(np.int64)
+    return tuple(zip(re.tolist(), im.tolist()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generators_past_the_int64_grid_stay_apart():
+    # 1e7 / KEY_GRID is past the largest int64, about 9.2e18
+    word = WeylWord(1, [([1e7], 1.0), ([-3e7], 1.0)])
+    assert len(word) == 2
+    assert word.coefficient([1e7]) == word.coefficient([-3e7]) == 1.0
+    assert word.coefficient([1e7 + 1e-15j]) == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_scaling_isomorphism_keeps_large_generators_apart():
+    word = WeylWord(1, [([1.0], 1.0), ([2.0], 1.0)])
+    image = gamma_iso(word, 1e16)
+    assert [(vec.tolist(), coeff) for vec, coeff in image.items()] == [([1e8 + 0j], 1.0), ([2e8 + 0j], 1.0)]
+    assert word_distance(gamma_iso(image, 1e16, "inverse"), word) == 0.0
+
+
+@settings(max_examples=200)
+@given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False), min_size=1, max_size=3), st.integers(-3, 3))
+def test_keys_merge_as_the_int64_keys_did_wherever_that_cast_is_exact(entries, ulps):
+    f = np.array(entries, dtype=complex)
+    g = f + np.array([ulps * 1e-13 * (1 + 1j)] * len(entries))
+    merged = len(WeylWord(len(entries), [(f, 1.0), (g, 1.0)])) == 1
+    assert merged == (_int64_key(f) == _int64_key(g))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e300, 1j * np.nan, 1e300j])
+def test_a_coordinate_not_finite_on_the_grid_is_out_of_range(entry):
+    with pytest.raises(OutOfRange, match="^generator vector has a coordinate that is not finite on the key grid$"):
+        WeylWord.generator([0.5, entry])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_trace_state_reads_the_generator_key():
+    omega = TraceState()
+    assert omega.value([1e-13, -4e-13j]) == 1.0
+    assert omega.value([6e-13, 0.0]) == 0.0
+    assert omega.value([1e7, 0.0]) == 0.0
+    with pytest.raises(OutOfRange):
+        omega.value([np.nan, 0.0])
 
 
 def test_zero_coefficients_are_dropped():

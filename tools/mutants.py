@@ -145,6 +145,16 @@ MUTANTS = (
     ("config.py", '_known(_section(raw, "output"), "output", ("format",))', '_section(raw, "output")'),
     # and both vector sources at once
     ("config.py", "if len(vectors) > 1:", "if len(vectors) > 2:"),
+    # a tagged stand-in built as its block whatever follows its key in the sequence
+    (
+        "config.py",
+        "if len(items) == 1 and type(items[0]) is str and items[0] in self.blocks:",
+        "if type(items[0]) is str and items[0] in self.blocks:",
+    ),
+    # the suite frame without the lines of its false summary flags
+    ("runner.py", '            record.violations += [f"summary.{key}" for key', '            flags = [f"summary.{key}" for key'),
+    # generator keys back on the int64 cast of the grid coordinates
+    ("weyl.py", "return tuple(coords.tolist())", "return tuple(coords.astype(np.int64).tolist())"),
 )
 
 #: tier-1 without tests/test_mutants.py, which fails on every mutant: it checks that
