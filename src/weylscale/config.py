@@ -28,27 +28,24 @@ entry.  The block reader takes out the numeric rows of two layouts:
 - the ``<indent>- [tok, tok, ...]`` lines directly under a ``matrix:`` key line;
 - a one-line ``<indent>explicit: [[tok, ...], [tok, ...], ...]``;
 
-and joins each block's rows into one text.  A block of equal-width rows is
-cast by numpy, eight rows a call, to the complex array that ``from_dict``
-takes as it stands, by one value rule: when every token is bare, each is
-``float(token)``, and when every token is double-quoted, each is
-``complex(token)``.  These are the values of PyYAML's document, whatever
-type YAML 1.1 gives the token: a float is ``sign * float(rest)``, and a
-string (``-.5``, ``1.0e5``, ``1e-05``, ``"0.5-1.25j"``) is read by
-:func:`parse_complex` as ``float()`` or ``complex()`` reads it.  A bare
-token of digits alone is a YAML 1.1 int, whose value may differ (``010`` is
-8, ``-0`` is +0.0).  A few whole-text passes check the rule
-(``bytes.translate`` against the block's characters, counts of ``", "``
-separators and of quotes, no token of digits alone).  Each block leaves a
-stand-in tagged ``!weylscale-rows`` in its place, and PyYAML, loading the
-rest of the text, builds the block wherever it builds the stand-in.  Any other
-block (one holding an int or a token ``float()`` or ``complex()`` refuses,
-or mixing bare and quoted tokens), and any ``matrix:`` or ``explicit:`` line
-in another layout, sends the whole file through PyYAML, so ``012`` is octal
-10 and ``190:20`` sexagesimal.  Comments, anchors, tags, ``.inf``, ``1_000``
-and ``[re, im]`` pairs on those lines do the same.  So does a stand-in that
-PyYAML builds as anything but a one-item sequence of its key or not at all
-(text in a block scalar, say), a node of the file's own under that tag, and a rest
+and reads a block whose rows hold only the bytes ``0123456789.eE+-j", `` with
+the JSON parser, eight rows a call, cast by numpy to the complex array that
+``from_dict`` takes as it stands.  The JSON values are the values of PyYAML's
+document: a JSON integer is a YAML 1.1 int; any other JSON number is a YAML
+1.1 float, ``sign * float(rest)``, or a string (``1e-05``, ``1.0e5``) that
+:func:`parse_number` reads as ``float()`` does, as JSON does; and a quoted
+literal is a string that :func:`parse_complex` reads as ``complex()`` does,
+as numpy's cast does.  Each block leaves a stand-in tagged
+``!weylscale-rows`` in its place, and PyYAML, loading the rest of the text,
+builds the block wherever it builds the stand-in.  Any other block (of other
+bytes, such as ``true`` or a comment; one JSON refuses, such as ``.5``,
+``+1`` or ``010``; ragged or empty rows; a literal ``complex()`` refuses; an
+int too large for a float), and any ``matrix:`` or ``explicit:`` line in
+another layout, sends the whole file through PyYAML, so ``012`` is octal 10
+and ``190:20`` sexagesimal.  Anchors, tags, ``.inf``, ``1_000`` and ``[re,
+im]`` pairs on those lines do the same.  So does a stand-in that PyYAML
+builds as anything but a one-item sequence of its key or not at all (text in
+a block scalar, say), a node of the file's own under that tag, and a rest
 that is not valid YAML, so errors keep PyYAML's message, line and column.
 """
 
@@ -56,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -306,84 +304,39 @@ def check_tolerance(value: float, where: str) -> float:
 
 # -- reading a file: numeric blocks cast directly, the rest by PyYAML ----------
 
-#: The bytes a block of plain floats, or of quoted literals, may hold: what
-#: ``bytes.translate`` leaves after deleting them is outside the block's grammar.
-_FLOAT_BYTES = b"0123456789.eE+-, "
-_QUOTED_BYTES = b'0123456789.eE+-j", '
-
-#: A bare token's sign, ``+`` read as ``-``.
-_SIGN = bytes.maketrans(b"+", b"-")
+#: The bytes a block may hold.  They keep brackets, backslash escapes, ``J``
+#: and the letters of ``true``, ``NaN`` and ``Infinity`` out of its JSON text,
+#: so the text's values are numbers and quoted literals without escapes.
+_BLOCK_BYTES = b'0123456789.eE+-j", '
 
 #: The tag of a block's stand-in in the text PyYAML reads.
 _ROWS_TAG = "!weylscale-rows"
 
-
-def _one_pass_dtype(tokens: str, count: int) -> type | None:
-    """``float`` or ``complex``: the dtype numpy casts the ``count`` tokens of a
-    block to, when every token is bare or every token double-quoted; otherwise None.
-
-    Each check below is one C-speed pass over the whole block.  A bare token
-    that ``float()`` takes is the float PyYAML's document gives: YAML 1.1 reads
-    it as a float, ``sign * float(rest)``, or as a string (``-.5``, ``1.0e5``,
-    ``1e-05``) that :func:`parse_number` reads as ``float()`` does; but digits
-    alone are a YAML 1.1 int (``010`` is 8, ``-0`` is +0.0).  A quoted token is
-    a string to PyYAML, which :func:`parse_complex` reads as ``complex()`` does;
-    ``complex()`` refuses a quote or a comma in a literal, so a quoted block it
-    takes is split at every separator.
-    """
-    raw = tokens.encode()
-    if raw.count(b",") != count - 1 or raw.count(b" ") != count - 1:
-        return None  # a separator other than ", "
-    if b'"' not in raw:
-        if raw.translate(None, _FLOAT_BYTES):
-            return None  # a byte no plain float holds
-        # each token without its digits, a sign read as "-", between separators
-        skeleton = b", " + raw.translate(_SIGN, b"0123456789") + b", "
-        if b", , " in skeleton or b", -, " in skeleton:
-            return None  # a token of digits alone: "010" is the int 8 to YAML 1.1
-        return float
-    if raw.translate(None, _QUOTED_BYTES) or raw.count(b'"') != 2 * count:
-        return None  # an unquoted token
-    return complex
-
-
-#: Rows per numpy call of the one-pass cast: the 16384 token objects of a whole
-#: 128 x 128 block, held at once, raised a spectral-scan run's peak RSS by 0.8 MB.
+#: Rows per JSON read: the 16384 entry objects of a whole 128 x 128 block,
+#: held at once, raised a spectral-scan run's peak RSS by 0.8 MB.
 _CAST_ROWS = 8
-
-
-def _cast_rows(rows: list[str], dtype: type) -> np.ndarray:
-    """The equal-width rows of a block as one complex ``(rows, cols)`` array.
-
-    numpy builds each entry of an array of ``float`` or ``complex`` dtype from
-    a ``bytes`` or ``str`` token by ``float()`` or ``complex()``, so the values
-    are those calls' bits, and a token either refuses raises ``ValueError``.
-    """
-    block = np.empty((len(rows), rows[0].count(", ") + 1), complex)
-    for start in range(0, len(rows), _CAST_ROWS):
-        chunk = ", ".join(rows[start : start + _CAST_ROWS])
-        texts = chunk.encode().split(b", ") if dtype is float else chunk[1:-1].split('", "')
-        block[start : start + _CAST_ROWS] = np.array(texts, dtype=dtype).reshape(-1, block.shape[1])
-    return block
 
 
 def _read_block(rows: list[str]) -> np.ndarray | None:
     """The complex array ``_cast_block`` makes of the flow rows ``[row]``,
-    ``[row]``, ..., or None when they do not take the one-pass cast.
+    ``[row]``, ..., or None when they do not take the JSON read.
 
-    The rows are joined and checked as one text.  A block of equal-width rows
-    whose tokens are all bare or all quoted (:func:`_one_pass_dtype`) is cast;
-    any other block is None, and the file goes through PyYAML whole.
+    Every ``_CAST_ROWS`` rows are read as one JSON array of rows and cast to
+    float64, the cheaper cast, or, when they hold a quoted literal, to
+    complex, whose cast of a string is ``complex()``'s.  A block of other
+    bytes, a text JSON refuses, rows of unequal width, an empty block, a
+    literal ``complex()`` refuses and an int past the largest float are None,
+    and the file goes through PyYAML whole.
     """
-    separators = rows[0].count(", ")
-    if all(row.count(", ") == separators for row in rows):  # rows of equal width
-        dtype = _one_pass_dtype(", ".join(rows), len(rows) * (separators + 1))
-        if dtype is not None:
-            try:
-                return _cast_rows(rows, dtype)
-            except ValueError:  # a token float() or complex() refuses
-                pass
-    return None
+    if "".join(rows).encode().translate(None, _BLOCK_BYTES):
+        return None
+    texts = ("],[".join(rows[start : start + _CAST_ROWS]) for start in range(0, len(rows), _CAST_ROWS))
+    try:
+        chunks = [np.array(json.loads(f"[[{text}]]"), complex if '"' in text else float) for text in texts]
+        block = np.concatenate(chunks, dtype=complex)  # refuses chunks of another width
+    except (ValueError, OverflowError):
+        return None
+    return block if block.size else None
 
 
 def _take_rows(text: str) -> tuple[str, dict] | None:
@@ -397,7 +350,7 @@ def _take_rows(text: str) -> tuple[str, dict] | None:
     block is the complex array :func:`_read_block` makes of its rows, under
     the key ``"<i>"``.  None when there is no block, or when a line that
     starts with ``matrix:`` or ``explicit:`` (after its indent) is not in this
-    layout or its rows do not take the one-pass cast.
+    layout or its rows do not take the JSON read.
     """
     lines = text.split("\n")
     kept, blocks = [], {}

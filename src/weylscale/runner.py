@@ -182,6 +182,21 @@ def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:
     return report.max_residual <= tol * max(1.0, size)
 
 
+def _modular_exponential_within(model, residual: float, tol: float) -> bool:
+    """Whether ``residual``, the spectral distance between Delta and e^H, meets
+    ``tol`` scaled by the size of Delta and the conditioning of the map A -> Delta.
+
+    An eigenvalue ``delta = ((a + 1) / (a - 1))^{1/beta}`` of Delta changes, relative
+    to itself, by ``2a / (beta (a^2 - 1)) <= 2 / (beta (a - 1))`` times a relative
+    change of ``a > 1``, and ``delta / (beta (a - 1))`` falls as ``a`` grows.  So the
+    rounding of A moves the spectrum of Delta by a multiple of ``||Delta|| / (beta
+    (a_min - 1))``, and the rounding of delta and of e^H by a multiple of ``||Delta||``.
+    The bound is ``tol`` for a well-conditioned Delta of unit size and grows with both.
+    """
+    a_min, norm = model.covariance.atoms[0].value, model.modular.atoms[-1].value
+    return residual <= tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))
+
+
 def _restricted_kms(rmodel, f, g, t_grid: np.ndarray, tol: float):
     """The restricted model's KMS residual fields and checks, for a cell body.
 
@@ -360,7 +375,7 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
         "epsilon": model.epsilon,
         "h_star": h_star,
         "modular_exponential_residual": exp_residual,
-        "modular_exponential_ok": exp_residual <= tol,
+        "modular_exponential_ok": _modular_exponential_within(model, exp_residual, tol),
         "max_residual": max(
             (cell.get(key, 0.0) for cell in record.cells for key in _RESIDUAL_KEYS), default=0.0
         ),
@@ -413,10 +428,11 @@ def run_gns_check(config: ExperimentConfig, record: ReportRecord):
         # each vector against the next, a single vector against i times itself
         g = clipped[(index + 1) % len(clipped)] if len(clipped) > 1 else 1j * f
         _cell(record, {"kind": "relation", "index": index}, relation, f, g)
+    # T1^2 and T2^2 hold entries of size about ||A|| / 2, so their difference rounds at a multiple of ||A||
     doubling = float(np.max(np.abs(model.T1 @ model.T1 - model.T2 @ model.T2 - np.eye(model.modes))))
     record.summary = {
         "doubling_identity_residual": doubling,
-        "doubling_identity_ok": doubling <= 1e-10,
+        "doubling_identity_ok": doubling <= 1e-10 * max(1.0, op_norm(covariance)),
         "max_closed_form_deviation": max(
             (c.get("closed_form_deviation", 0.0) for c in record.cells), default=0.0
         ),

@@ -1186,6 +1186,53 @@ def test_failing_summary_flag_is_listed(tmp_path, capsys):
     assert "contract violation: summary.modular_exponential_ok" in capsys.readouterr().err
 
 
+def _run(tmp_path, suite: str, text: str) -> int:
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    return main([suite, "--config", str(path), "--out", str(tmp_path / "report.json")])
+
+
+@pytest.mark.parametrize(
+    "beta, matrix",
+    # the residual grows like e^(2 beta lambda) eps: 8.1e-10 at [[8]], 1.2e-8 at [[10]], and at
+    # beta 0.05 about 24 times tol * ||Delta||, so the bound must scale with A -> Delta's conditioning
+    [("1", "[[8]]"), ("1", "[[10]]"), ("0.05", "[[290]]")],
+)
+def test_an_ill_conditioned_modular_exponential_passes(tmp_path, capsys, beta, matrix):
+    config = (
+        f"operator: {{kms: {{beta: {beta}, matrix: {matrix}}}}}\n"
+        "vectors: {random: {count: 2, seed: 3}}\nh_values: [1]\n"
+    )
+    assert _run(tmp_path, "kms-verify", config) == 0
+    summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+    assert summary["modular_exponential_ok"] and summary["modular_exponential_residual"] > 1e-10
+    assert "contract violation" not in capsys.readouterr().err
+
+
+def test_a_large_covariance_passes_the_doubling_identity(tmp_path, capsys):
+    # 7.45e-9 is one ulp of the 5e7 entries of T1^2 and T2^2
+    config = "operator: {matrix: [[1e8]]}\nvectors: {explicit: [[1e-9]]}\ncutoff: 8\n"
+    assert _run(tmp_path, "gns-check", config) == 0
+    summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+    assert summary["doubling_identity_ok"] and summary["doubling_identity_residual"] > 1e-10
+    assert "contract violation" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ["[[2]]", "[[1e8]]"])
+def test_a_wrong_doubling_identity_is_listed(tmp_path, capsys, monkeypatch, matrix):
+    import weylscale.fock
+
+    class WrongT2(weylscale.fock.GnsModel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.T2 = self.T2 * (1 + 1e-6)
+
+    monkeypatch.setattr("weylscale.runner.GnsModel", WrongT2)
+    config = f"operator: {{matrix: {matrix}}}\nvectors: {{explicit: [[1e-9]]}}\ncutoff: 8\n"
+    assert _run(tmp_path, "gns-check", config) == 3
+    assert capsys.readouterr().err.splitlines()[1:] == ["contract violation: summary.doubling_identity_ok"]
+
+
 @pytest.mark.parametrize(
     "h_values, tol, summary_fails",
     # at tol 0 every cell fails, then the modular exponential flag; at the default

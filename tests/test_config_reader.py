@@ -4,8 +4,8 @@ Every case compares ``ExperimentConfig.from_file`` (and the document it
 reads) with plain ``yaml.load`` of the same file followed by ``from_dict``:
 the same document, the same config bit for bit, or the same ``ConfigInvalid``
 message.  A block the reader casts to one array stands where PyYAML builds
-rows of floats and strings, never ints, and holds the bits ``_cast_block``
-makes of those rows.
+rows of ints, floats and strings, never bools, and holds the bits
+``_cast_block`` makes of those rows.
 """
 
 import importlib.util
@@ -68,11 +68,11 @@ def _fingerprint(config):
 
 def assert_same_document(read, reference):
     """``read`` is PyYAML's ``reference``, but that a block the reader cast is an
-    array where PyYAML builds rows of floats and strings, never ints, with the
-    bits ``_cast_block`` makes of those rows."""
+    array where PyYAML builds rows of ints, floats and strings, never bools, with
+    the bits ``_cast_block`` makes of those rows."""
     if isinstance(read, np.ndarray):
         assert type(reference) is list and reference and all(type(row) is list for row in reference)
-        assert all(type(x) in (float, str) for row in reference for x in row)
+        assert all(type(x) in (int, float, str) for row in reference for x in row)
         expected = _cast_block(reference, "block")
         assert (read.dtype, read.shape, read.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
     elif isinstance(read, (dict, list)):
@@ -116,8 +116,8 @@ h_values: [0.5, 1.0]
 
 QUIRK_TOKENS = ["1e-05", "1.5e10", "012", "0x1F", "1_000", "190:20", ".inf", ".5", "+1", "-0"]
 
-#: the quirk tokens float() reads as PyYAML's document has them: the one-pass cast takes them
-TAKEN_QUIRKS = ("1e-05", "1.5e10", ".5")
+#: the quirk tokens that are JSON numbers, of the values PyYAML's document has: the JSON read takes them
+TAKEN_QUIRKS = ("1e-05", "1.5e10", "-0")
 
 CASES = {
     **{f"matrix-{token}": BASE.replace("[1.5, 0.25]", f"[1.5, {token}]") for token in QUIRK_TOKENS},
@@ -161,6 +161,13 @@ CASES = {
     "big-int": BASE.replace("[1.0, 0.0]]", "[1" + "0" * 400 + ", 0.0]]"),
     "signed-zeros": BASE.replace("[1.0, 0.0]]", "[-0.0, +0.0], [-0, +0]]"),
     "crlf": BASE.replace("\n", "\r\n"),
+    "int-row": BASE.replace("- [0.25, 2.0]", "- [0, 2]"),
+    "mixed-row": BASE.replace("[1.0, 0.0]]", '["0.5-1j", 0.0]]'),
+    "inner-spaces-literal": BASE.replace("[1.0, 0.0]]", '["1 + 2j", 0.0]]'),
+    "upper-J": BASE.replace("[1.0, 0.0]]", '["1+2J", 0.0]]'),
+    "nan-token": BASE.replace("[1.0, 0.0]]", "[NaN, 0.0]]"),
+    "infinity-token": BASE.replace("[1.0, 0.0]]", "[1.0, -Infinity]]"),
+    "true-token": BASE.replace("[1.0, 0.0]]", "[true, 0.0]]"),
 }
 
 
@@ -178,14 +185,15 @@ def test_reader_agrees_with_pyyaml(tmp_path, name):
 
 @pytest.mark.parametrize(
     "token, taken",
-    # "+1" and "-0" are ints among bare floats: PyYAML reads the file whole
+    # JSON refuses "+1", ".5" and "010", and the bytes of "true", "NaN" and "Infinity": PyYAML reads the file whole
     [(token, token in TAKEN_QUIRKS) for token in QUIRK_TOKENS]
     + [("00", False), ("1.0 # c", False), ("'1.0'", False), ("~", False), ("true", False)]
-    + [("010", False), ("1_0", False), ("e5", False), ("1e", False)]
-    # a quoted literal among bare floats
-    + [('"1e-05-2.0j"', False)]
-    + [("1.0e5", True), ("-.5", True), ("1.e+5", True), ("-2.5E-3", True)]
-    + [("5e-324", True), ("1e+16", True), ("-2E5", True), ("+7e0", True)],
+    + [("010", False), ("1_0", False), ("e5", False), ("1e", False), ("NaN", False), ("Infinity", False)]
+    # an int, and a quoted literal among bare floats, take the cast; a literal complex()
+    # refuses and an int past the largest float do not
+    + [("10", True), ('"1e-05-2.0j"', True), ('"1 + 2j"', False), ('"1+2J"', False), ("1" + "0" * 400, False)]
+    + [("1.0e5", True), ("-.5", False), ("1.e+5", False), ("-2.5E-3", True)]
+    + [("5e-324", True), ("1e+16", True), ("-2E5", True), ("+7e0", False)],
 )
 def test_only_the_strict_grammar_is_taken_out(token, taken):
     assert (_take_rows(BASE.replace("[1.5, 0.25]", f"[1.5, {token}]")) is not None) == taken
@@ -200,7 +208,6 @@ def test_only_the_strict_grammar_is_taken_out(token, taken):
         "anchored-row",
         "tab-in-row",
         "row-pair",
-        "row-no-space",
         "row-trailing-space",
         "empty-row",
         "empty-explicit-row",
@@ -209,6 +216,12 @@ def test_only_the_strict_grammar_is_taken_out(token, taken):
 )
 def test_other_layouts_send_the_whole_text_to_pyyaml(name):
     assert _take_rows(CASES[name]) is None
+
+
+@pytest.mark.parametrize("name", ["row-no-space", "int-row", "mixed-row"])
+def test_json_rows_take_the_cast(name):
+    _, blocks = _take_rows(CASES[name])
+    assert len(blocks) == 2 and all(isinstance(block, np.ndarray) for block in blocks.values())
 
 
 @pytest.mark.parametrize("name", ["placeholder-text", "tag-directive", "tagged-mapping"])
@@ -233,7 +246,7 @@ def test_a_block_under_a_list_item_takes_the_cast(yaml_inputs):
 
 
 # ---------------------------------------------------------------------------
-# the block reader's checks: what each keeps out of the one-pass cast, and what it lets in
+# the block reader's checks: what each keeps out of the JSON read, and what it lets in
 
 
 def _blocks_with(tmp_path, old, new):
@@ -248,31 +261,44 @@ def _blocks_with(tmp_path, old, new):
 
 
 def test_guard_exponent_sign(tmp_path):
-    # YAML 1.1 reads an exponent without its sign as a string, which parse_number reads as float() does
-    for token in ("1.0e5", "1.e5", "1.5E10", "1.5e+0", "2.5E-1"):
+    # YAML 1.1 reads an exponent without its sign as a string, which parse_number reads as JSON does
+    for token in ("1.0e5", "1.5E10", "1.5e+0", "2.5E-1"):
         matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]")
         assert isinstance(matrix, np.ndarray)
+    # JSON wants a digit after the dot
+    assert _blocks_with(tmp_path, "[1.5, 0.25]", "[1.5, 1.e5]") is None
 
 
 def test_guard_digit_before_the_dot(tmp_path):
-    # ".5" is a YAML 1.1 float and "-.5", "+.5" are strings: all three read as float() reads them
+    # ".5" is a YAML 1.1 float and "-.5", "+.5" are strings; JSON wants a digit before the dot
     for token in (".5", "-.5", "+.5"):
+        assert _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]") is None
+    for token in ("0.5", "-0.5"):
         matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", f"[1.5, {token}]")
         assert isinstance(matrix, np.ndarray)
 
 
 def test_guard_dotless_exponent(tmp_path):
-    # a float that repr writes without a dot is a string to YAML 1.1, read as float() reads it
+    # a float that repr writes without a dot is a string to YAML 1.1, read as JSON reads it,
+    # and digits alone are a YAML 1.1 int of the JSON int's value ("-0" is +0.0 to both)
     for row in ("[1.5, 1e-05]", "[1.5, 5e-324]", "[1.5, 1e+16]", "[1.5, -2E5]", "[1.0e5, 1e5]", "[1e5, 1.5E5]"):
         matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", row)
         assert isinstance(matrix, np.ndarray)
-    # digits alone are a YAML 1.1 int, "010" the octal 8 and "-0" +0.0, so they stay off the cast
-    for row in ("[1.5, 1e-05, 10]", "[1e-05, 010]", "[1e-05, 1_0]", "[1e-05, -0]", "[1e-05, +1]"):
+    for row in ("[1.5, 10]", "[1e-05, -0]", "[2, 0]"):
+        matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", row)
+        assert isinstance(matrix, np.ndarray)
+    # "010" (the octal 8 to YAML 1.1), "1_0", "+1" and "+7e0" are not JSON
+    for row in ("[1e-05, 010]", "[1e-05, 1_0]", "[1e-05, +1]", "[1e-05, +7e0]"):
         assert _blocks_with(tmp_path, "[1.5, 0.25]", row) is None
 
 
 def test_guard_comma_and_space_separators(tmp_path):
-    for row in ("[1.5,  0.25]", "[1.5 , 0.25]", "[1.5,0.25]", '["1.5+1j",  "0.25j"]'):
+    # JSON, like a YAML flow sequence, takes any spaces around a comma
+    for row in ("[1.5,  0.25]", "[1.5 , 0.25]", "[1.5,0.25]", '["1.5+1j",  "0.25j"]', "[ 1.5, 0.25 ]"):
+        matrix, _ = _blocks_with(tmp_path, "[1.5, 0.25]", row)
+        assert isinstance(matrix, np.ndarray)
+    # a tab, a trailing comma, an empty entry and a missing comma it refuses
+    for row in ("[1.5,\t0.25]", "[1.5, 0.25,]", "[1.5, , 0.25]", "[1.5 0.25]"):
         assert _blocks_with(tmp_path, "[1.5, 0.25]", row) is None
 
 
@@ -287,6 +313,9 @@ def test_guard_quote_count(tmp_path):
 def test_guard_equal_row_width(tmp_path):
     # three ragged rows of six entries would fill a 3 x 2 array
     assert _blocks_with(tmp_path, "[[0.5, 1.0], [1.0, 0.0]]", "[[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]") is None
+    # a ninth row of another width, in a chunk of its own
+    rows = "[0.25, 2.0]\n" + "      - [0.25, 2.0]\n" * 6 + "      - [1.0, 2.0, 3.0, 4.0]"
+    assert _blocks_with(tmp_path, "[0.25, 2.0]", rows) is None
     vectors = [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
     with pytest.raises(ConfigInvalid, match=r"^vectors\.explicit: rows of unequal length$"):
         ExperimentConfig.from_dict({"vectors": {"explicit": vectors}})
@@ -337,7 +366,7 @@ def test_mixed_documents_read_like_pyyaml(tmp_path_factory, text):
 
 
 # ---------------------------------------------------------------------------
-# large blocks: the one-pass cast, with a YAML 1.1 quirk token drawn into it
+# large blocks: the JSON read, with a YAML 1.1 quirk token drawn into it
 
 #: tokens where float() and YAML 1.1 disagree: ".5" is a float to both, the others text to YAML
 BLOCK_QUIRKS = [".5", "-.5", "+.5", "1.0e5", "1.e5", "1.5E10"]
@@ -381,9 +410,9 @@ def test_quirk_tokens_in_large_blocks_read_like_pyyaml(tmp_path_factory, text):
     assert_reads_like_pyyaml(path)
 
 
-#: floats written without a dot, which the one-pass cast takes, and YAML 1.1 ints it leaves
-DOTLESS_TOKENS = ["1e-05", "5e-324", "1e+16", "-2E5", "+7e0", "1e300", "1e400"]
-DOTLESS_INTS = ["010", "1_0"]
+#: tokens without a dot that are JSON numbers, which the JSON read takes, and that are not, which it leaves
+DOTLESS_TOKENS = ["1e-05", "5e-324", "1e+16", "-2E5", "1e300", "1e400", "10", "-0"]
+DOTLESS_NOT_JSON = ["+7e0", "010", "1_0"]
 
 
 @st.composite
@@ -399,7 +428,7 @@ def dotless_blocks(draw):
         "explicit": [[repr(float(x)) for x in row] for row in rng.standard_normal((size, size))],
     }
     block = draw(st.sampled_from(["matrix", "explicit"]))
-    token = draw(st.sampled_from(DOTLESS_TOKENS + DOTLESS_INTS))
+    token = draw(st.sampled_from(DOTLESS_TOKENS + DOTLESS_NOT_JSON))
     i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
     texts[block][i][j] = token
     if block == "matrix":
@@ -417,7 +446,7 @@ def test_dotless_tokens_in_large_blocks_take_the_cast_and_read_like_pyyaml(tmp_p
     path.write_text(text, encoding="utf-8")
     assert_reads_like_pyyaml(path)
     taken = _take_rows(text)
-    if token in DOTLESS_INTS:
+    if token in DOTLESS_NOT_JSON:
         assert taken is None
     else:
         assert all(isinstance(block, np.ndarray) for block in taken[1].values())
@@ -453,7 +482,7 @@ def test_numpy_casts_complex_literals_as_complex_does(pairs):
 @settings(max_examples=300)
 @given(st.text(alphabet="0123456789.eE+-j", max_size=8))
 def test_numpy_refuses_the_texts_float_and_complex_refuse(text):
-    # the float cast reads bytes tokens, the complex cast str ones
+    # numpy's cast of a text, bytes or str, refuses what float() or complex() refuses
     for dtype, token in ((float, text.encode()), (complex, text)):
         try:
             expected = _bits([dtype(text)], dtype)
@@ -673,7 +702,7 @@ def test_benchmark_layout_sends_only_the_other_lines_to_pyyaml(tmp_path, yaml_in
                 config = ExperimentConfig.from_file(job.config)
                 (seen,) = yaml_inputs
                 if count:
-                    # every block cast in one pass: none as lists, no whole-file read
+                    # every block read as JSON: none as lists, no whole-file read
                     stripped, blocks = _take_rows(text)
                     assert seen == stripped and len(blocks) == count, job.name
                     assert seen.count(config_module._ROWS_TAG) == count, job.name

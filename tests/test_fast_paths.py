@@ -599,7 +599,7 @@ def test_cast_block_reads_a_layout_pyyaml_reads_whole(tmp_path, monkeypatch):
         return cast_block(rows, where)
 
     monkeypatch.setattr(config_module, "_cast_block", recording)
-    # an exact expression: the one-pass reader leaves the whole file, both blocks, to PyYAML
+    # an exact expression: the block reader leaves the whole file, both blocks, to PyYAML
     config = "operator:\n  matrix:\n    - [ln(4), 0]\n    - [0, 3]\nvectors: {explicit: [[1, 0]]}\nh_values: [1.0]\n"
     assert _run(tmp_path, "positivity-scan", config) == 0
     assert places == ["operator.matrix", "vectors.explicit"]

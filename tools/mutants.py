@@ -119,24 +119,24 @@ MUTANTS = (
         'checks = {"nested": nested}',
     ),
     ("runner.py", 'checks["spectral_correspondence"] = correspondence', ""),
-    # the config block reader's checks, each dropped: a token of digits alone, with no sign,
-    ("config.py", 'if b", , " in skeleton or b", -, " in skeleton:', 'if b", -, " in skeleton:'),
-    # a signed token of digits alone ("-0" is the YAML int 0, float() reads -0.0),
-    ("config.py", ' or b", -, " in skeleton:', ":"),
-    # a separator other than ", ",
+    # the config block reader without its byte set ("true" is a JSON bool, "1+2J" a literal complex() takes),
+    ("config.py", 'if "".join(rows).encode().translate(None, _BLOCK_BYTES):', "if False:"),
+    # with every chunk reshaped to the first chunk's width,
     (
         "config.py",
-        'if raw.count(b",") != count - 1 or raw.count(b" ") != count - 1:',
-        'if raw.count(b",") != count - 1:',
+        "block = np.concatenate(chunks, dtype=complex)",
+        "block = np.concatenate([c.reshape(-1, chunks[0].shape[1]) for c in chunks], dtype=complex)",
     ),
-    # quotes other than two a literal,
-    ("config.py", "raw.count(b'\"') != 2 * count", "raw.count(b'\"') < 0"),
-    # and rows of unequal width
+    # and with every chunk cast to float64, so a block of quoted literals never takes the cast
+    ("config.py", "complex if '\"' in text else float", "float"),
+    # gns-check's doubling bound without its growth with ||A||
     (
-        "config.py",
-        'if all(row.count(", ") == separators for row in rows):',
-        'if all(row.count(", ") >= 0 for row in rows):',
+        "runner.py",
+        '"doubling_identity_ok": doubling <= 1e-10 * max(1.0, op_norm(covariance)),',
+        '"doubling_identity_ok": doubling <= 1e-10,',
     ),
+    # kms-verify's modular exponential bound without the conditioning of A -> Delta
+    ("runner.py", "tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))", "tol * max(1.0, norm)"),
     # a key the config mapping does not take, in space, vectors, vectors.random, a grid or output,
     ("config.py", 'space = _known(_section(raw, "space"), "space", ("dimension",))', 'space = _section(raw, "space")'),
     ("config.py", '_known(vectors, "vectors", ("explicit", "random"))', ""),
