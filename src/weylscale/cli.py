@@ -17,7 +17,7 @@ import argparse
 import functools
 import sys
 
-from .config import ExperimentConfig, check_tolerance
+from .config import OUTPUT_FORMATS, ExperimentConfig, _parse_integer, check_tolerance
 from .errors import ConfigInvalid
 from .report import render
 from .runner import SUITES
@@ -34,9 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=suite.__doc__.splitlines()[0])
         sub.add_argument("--config", required=True, help="path to the YAML experiment config")
         sub.add_argument("--out", default=None, help="report path (default: standard output)")
-        sub.add_argument(
-            "--format", choices=("object", "table"), default=None, help="report format override"
-        )
+        sub.add_argument("--format", choices=OUTPUT_FORMATS, default=None, help="report format override")
         sub.add_argument("--seed", type=int, default=None, help="random seed override")
         sub.add_argument(
             "--tol", type=float, default=None, help="override for the suite's primary tolerance"
@@ -49,13 +47,9 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigInvalid("--seed: must be at least 0")
-            config.seed = args.seed
+            config.seed = _parse_integer(args.seed, "--seed", minimum=0)
         if args.tol is not None:
-            config.tolerances[SUITES[args.command].tolerance] = check_tolerance(
-                args.tol, "--tol"
-            )
+            config.tolerances[SUITES[args.command].tolerance] = check_tolerance(args.tol, "--tol")
         if args.format is not None:
             config.output_format = args.format
         record = SUITES[args.command](config)

@@ -278,11 +278,15 @@ def _section(raw: dict, key: str) -> dict:
 
 
 def _known(section: dict, where: str, keys: tuple) -> dict:
-    """``section``, the mapping at ``where``, when each of its keys is one of ``keys``."""
+    """``section``, the mapping at ``where`` ("" at the top), when each of its keys is one of ``keys``."""
     for key in section:
         if key not in keys:
-            raise ConfigInvalid(f"{where}.{key}: unknown key")
+            raise ConfigInvalid(f"{where}.{key}: unknown key" if where else f"{key}: unknown key")
     return section
+
+
+#: The report formats, of ``output.format`` and of the CLI's ``--format``.
+OUTPUT_FORMATS = ("object", "table")
 
 
 _DEFAULT_TOLERANCES = {
@@ -457,21 +461,8 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigInvalid("top level: expected a mapping")
-        known = {
-            "space",
-            "operator",
-            "vectors",
-            "h_values",
-            "h_grid",
-            "t_grid",
-            "cutoff",
-            "tolerances",
-            "output",
-            "experiment",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigInvalid(f"{key}: unknown section")
+        _known(raw, "", ("space", "operator", "vectors", "h_values", "h_grid", "t_grid", "cutoff", "tolerances",
+                         "output", "experiment"))
         config = cls()
 
         space = _known(_section(raw, "space"), "space", ("dimension",))
@@ -535,14 +526,12 @@ class ExperimentConfig:
         if "cutoff" in raw:
             config.cutoff = _parse_integer(raw["cutoff"], "cutoff")
 
-        for key, value in _section(raw, "tolerances").items():
-            if key not in _DEFAULT_TOLERANCES:
-                raise ConfigInvalid(f"tolerances.{key}: unknown tolerance")
+        for key, value in _known(_section(raw, "tolerances"), "tolerances", tuple(_DEFAULT_TOLERANCES)).items():
             where = f"tolerances.{key}"
             config.tolerances[key] = check_tolerance(parse_number(value, where), where)
 
         config.output_format = _known(_section(raw, "output"), "output", ("format",)).get("format", "object")
-        if config.output_format not in ("object", "table"):
+        if config.output_format not in OUTPUT_FORMATS:
             raise ConfigInvalid(f"output.format: expected 'object' or 'table', got {config.output_format!r}")
         return config
 

@@ -41,10 +41,10 @@ from .spectral import (
     op_norm,
     spectral_distance,
 )
-from .states import StateFunctional, TraceState, evaluate_state
+from .states import QuasiFreeState, StateFunctional, TraceState, evaluate_state
 from .weyl import weyl_multiply
 
-#: Distance from the projected subspace below which a vector counts as a member.
+#: Distance from the projected subspace, relative to a norm above 1, within which a vector is a member.
 SUBSPACE_TOL = 1e-12
 
 #: Largest energy whose modular value e^lambda is a finite float; a larger one is
@@ -105,6 +105,13 @@ class RestrictedModel:
     def compress(self, f) -> np.ndarray:
         """Coordinates of a subspace vector in the compressed eigenbasis."""
         return self.basis().conj().T @ np.asarray(f, dtype=complex)
+
+
+def _member(f, projection: np.ndarray) -> bool:
+    """Whether f lies in the subspace it has ``projection`` on: the one membership rule,
+    ``||f - projection|| <= SUBSPACE_TOL * max(1, ||f||)``.  The round-off of a projection
+    grows with f, so ``c f`` is a member whenever f is."""
+    return float(np.linalg.norm(f - projection)) <= SUBSPACE_TOL * max(1.0, float(np.linalg.norm(f)))
 
 
 def restricted_model(
@@ -231,17 +238,13 @@ def restricted_kms_residuals(
     state (covariance A^(h), modular operator Delta^(h)); with ``rescaled=True``
     it runs for the scale-h state (covariance A^(h)/h, modular operator
     Delta_h^(h)).  Vectors are given in full-space coordinates and must lie in
-    the subspace, up to ``SUBSPACE_TOL`` relative to their norm (the round-off
-    of a projection grows with the vector).
+    the subspace (:func:`_member`).
     """
     if model.beta is None or model.restricted_modular is None:
         raise ModelMismatch("restricted model carries no modular data; rebuild with beta")
     for name, vec in (("f", f), ("g", g)):
-        residual = model.residual(vec)
-        if residual > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(vec))):
-            raise DimensionMismatch(
-                f"vector {name} has projection residual {residual:.3e}"
-            )
+        if not _member(vec, model.project(vec)):
+            raise DimensionMismatch(f"vector {name} has projection residual {model.residual(vec):.3e}")
     if rescaled:
         covariance, modular = model.rescaled_covariance, model.rescaled_restricted_modular
     else:
@@ -255,22 +258,20 @@ class NonRegularFunctional(StateFunctional):
     """Quasi-free on the restricted subspace, zero elsewhere.
 
     The 0/nonzero dichotomy is discontinuous by construction: membership is
-    decided by an exact projection-residual threshold and the value off the
-    subspace is exactly zero, which is what makes the extension non-regular.
+    decided by :func:`_member` and the value off the subspace is exactly zero,
+    which is what makes the extension non-regular.  On the subspace it is the
+    Gaussian of ``A^(h)/h`` at the compressed coordinates.
     """
 
     def __init__(self, model: RestrictedModel):
         self.model = model
         model.covariance.require_matrix()
         self.dimension = model.covariance.dimension
-        self._scaled_values = model.restricted_covariance.eigenvalues / model.h
 
     def value(self, f) -> complex:
-        if self.model.residual(f) > SUBSPACE_TOL:
+        if not _member(f, self.model.project(f)):
             return 0.0
-        coords = self.model.compress(f)
-        exponent = float(np.vdot(coords, self._scaled_values * coords).real)
-        return complex(np.exp(-0.25 * exponent))
+        return QuasiFreeState(self.model.rescaled_covariance).value(self.model.compress(f))
 
 
 def nonregular_extension(covariance: OperatorSpec, h: float) -> NonRegularFunctional:
@@ -327,7 +328,7 @@ def limit_to_trace_state(covariance: OperatorSpec, f, h_grid) -> TraceLimitRepor
     top = covariance.eigenvectors[:, np.flatnonzero(covariance.eigenvalues == h_star).tolist()]
     inside = top @ (top.conj().T @ f)
     top_overlap = float(np.linalg.norm(inside))
-    stays = float(np.linalg.norm(f - inside)) <= SUBSPACE_TOL
+    stays = _member(f, inside)
     values = []
     h_values = []
     for h in h_grid:

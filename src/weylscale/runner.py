@@ -170,16 +170,21 @@ def _cell(record: ReportRecord, keys: dict, body, *args):
 
 def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:
     """Whether the boundary residuals of ``report`` meet ``tol`` scaled by the size
-    of the values they compare.
+    of the values they compare and by the strip's growth of their rounding.
 
-    A boundary value is a sum of products of ``V* f``, ``V* g``, ``V* A f`` and
-    ``V* A g``; with ``V`` unitary, Cauchy-Schwarz bounds the moduli of its terms by
-    ``(||A|| + 1) ||f|| ||g|| <= 2 ||A|| ||f|| ||g||`` (``||A|| >= 1``), and the rounding
-    of a residual between two values equal in exact arithmetic is a multiple of
-    that sum.  So the bound is ``tol`` for inputs of unit size and grows with them.
+    A boundary value is a sum of ``p_k delta_k^{iz} + m_k delta_k^{-iz}`` whose
+    coefficients are products of ``V* f``, ``V* g``, ``V* A f`` and ``V* A g``; with
+    ``V`` unitary, Cauchy-Schwarz bounds them by ``(||A|| + 1) ||f|| ||g|| <= 2 ||A||
+    ||f|| ||g||`` (``||A|| >= 1``), and each rounds at a multiple of that size.  At
+    height ``s <= beta`` a coefficient is multiplied by up to ``delta^s <= ||Delta||^beta
+    = (a + 1) / (a - 1)``, ``a`` the bottom of the path's covariance: the upper row's
+    ``delta^beta (A g - g)`` is ``(A + I) g`` in exact arithmetic, but ``A g - g``
+    rounds as ``A g`` and ``g`` do, not as their small difference.  So the bound is
+    ``tol * max(1, ||A|| ||f|| ||g|| ||Delta||^beta)``, with the path's own Delta.
     """
     size = op_norm(covariance) * float(np.linalg.norm(f)) * float(np.linalg.norm(g))
-    return report.max_residual <= tol * max(1.0, size)
+    a = covariance.atoms[0].value
+    return report.max_residual <= tol * max(1.0, size * (a + 1.0) / (a - 1.0))
 
 
 def _modular_exponential_within(model, residual: float, tol: float) -> bool:
@@ -258,7 +263,7 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
         reports = [check_sigma_h_positivity(phi, f, h, gram_tol, kernel) for f in factors]
         all_psd = all(r.verdict for r in reports)
         check = two_point_criterion(covariance, lowest, 1j * lowest, h)
-        admissible = h <= admissible_bound + 1e-12
+        admissible = dominates_identity(covariance, h)
         witness = None if admissible else scan_for_gram_violation(covariance, h)
         fields = {
             "regime": "admissible" if admissible else "beyond",

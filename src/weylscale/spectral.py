@@ -22,10 +22,10 @@ so most are never built.  Eigenvalue maps stay scalar (``math`` on each
 value), since numpy's ``exp``, ``log`` and ``power`` may differ from
 ``math``'s by an ulp.
 
-Whether a covariance dominates the identity (``A >= I``, or ``A/h >= I`` at
-scale ``h``) is decided only by :func:`dominates_identity`, with the same
-``ATOM_MERGE_TOL`` slack, and :func:`vector_pair` is the one shape check of a
-vector pair against an operator.
+Whether a covariance dominates the identity at scale ``h`` (``A/h >= I``, and
+``A >= I`` at ``h = 1``) is decided only by :func:`dominates_identity`, with an
+``ATOM_MERGE_TOL`` slack relative to ``h``, and :func:`vector_pair` is the one
+shape check of a vector pair against an operator.
 """
 
 from __future__ import annotations
@@ -309,9 +309,10 @@ def op_norm(op: OperatorSpec) -> float:
     return op.atoms[-1].value
 
 
-def dominates_identity(op: OperatorSpec) -> bool:
-    """Whether ``op >= I``: the bottom of the spectrum is at least 1 - ATOM_MERGE_TOL."""
-    return inf_spectrum(op) >= 1 - ATOM_MERGE_TOL
+def dominates_identity(op: OperatorSpec, h: float = 1.0) -> bool:
+    """Whether ``op / h >= I``: the bottom of the spectrum over ``h`` is at least
+    1 - ATOM_MERGE_TOL, so ``(op, h)`` and ``(c op, c h)`` get one verdict."""
+    return inf_spectrum(op) / h >= 1 - ATOM_MERGE_TOL
 
 
 def require_dominates_identity(op: OperatorSpec) -> float:

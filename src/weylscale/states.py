@@ -24,6 +24,7 @@ The checked Gaussian functional and :func:`h_max` decide ``A >= I`` by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -31,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, require_positive
-from .spectral import OperatorSpec, apply_function, quadratic_form, require_dominates_identity, scalar_value
+from .spectral import ATOM_MERGE_TOL, OperatorSpec, apply_function, quadratic_form, require_dominates_identity, scalar_value
 from .weyl import WeylWord, _canonical_key, sigma
 
 #: Default relative tolerance for the PSD verdict of a Gram kernel.
@@ -310,14 +311,16 @@ class TwoPointCheck(NamedTuple):
 
 
 def two_point_criterion(covariance: OperatorSpec, f, g, h: float) -> TwoPointCheck:
-    """Necessary positivity condition |sigma(f,g)|^2 <= S(f,f) S(g,g), S from A/h."""
+    """Necessary positivity condition |sigma(f,g)|^2 <= S(f,f) S(g,g), S from A/h, each form
+    with the relative slack :func:`weylscale.spectral.dominates_identity` gives a spectral
+    bottom: on the bottom eigenvector e and ie it is that rule, up to the rounding of <e, A e>."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     lhs = sigma(f, g) ** 2
     sff = quadratic_form(covariance, f, f).real / h
     sgg = quadratic_form(covariance, g, g).real / h
     rhs = sff * sgg
-    return TwoPointCheck(lhs=lhs, rhs=rhs, verdict=lhs <= rhs + 1e-12)
+    return TwoPointCheck(lhs=lhs, rhs=rhs, verdict=lhs * (1 - ATOM_MERGE_TOL) ** 2 <= rhs)
 
 
 def h_max(covariance: OperatorSpec) -> float:
@@ -327,7 +330,7 @@ def h_max(covariance: OperatorSpec) -> float:
 
 @dataclass(frozen=True)
 class GramViolationWitness:
-    """The scale s of scan_for_gram_violation's failing family, with its kernel's bottom."""
+    """The multiplier of e in scan_for_gram_violation's failing family, with its kernel's bottom."""
 
     scale: float
     min_eigenvalue: float
@@ -340,23 +343,28 @@ def scan_for_gram_violation(covariance: OperatorSpec, h: float) -> GramViolation
     over s in WITNESS_SCALES, with e the lowest eigenvector of the covariance.
     For h above the bottom of the spectrum the Gaussian is sub-vacuum along e
     and small coherent configurations expose a negative kernel eigenvalue.
-    Returns the first witness found, or None.
+
+    At a large covariance every ``phi(s e)`` is about 0, so the same family on
+    ``e / sqrt(h)`` follows: its kernels at scale h are those of A/h at scale 1
+    on ``s e``.  Returns the first witness found, its scale the multiplier of e
+    used (``s`` or ``s / sqrt(h)``), or None.
     """
     phi = QuasiFreeState(covariance)
     if covariance.is_matrix:
         e = covariance.eigenvectors[:, 0]
     else:
         e = np.ones(1, dtype=complex)
-    for s in WITNESS_SCALES:
-        family = (
-            0.0 * e,
-            s * e,
-            s * 1j * e,
-            s * (e + 1j * e) / np.sqrt(2),
-            2 * s * e,
-            2 * s * 1j * e,
-        )
-        report = check_sigma_h_positivity(phi, family, h)
-        if report.min_eigenvalue < WITNESS_EIG_THRESHOLD:
-            return GramViolationWitness(scale=s, min_eigenvalue=report.min_eigenvalue)
+    for root in (1.0, math.sqrt(h)):
+        for scale in [s / root for s in WITNESS_SCALES]:
+            family = (
+                0.0 * e,
+                scale * e,
+                scale * 1j * e,
+                scale * (e + 1j * e) / np.sqrt(2),
+                2 * scale * e,
+                2 * scale * 1j * e,
+            )
+            report = check_sigma_h_positivity(phi, family, h)
+            if report.min_eigenvalue < WITNESS_EIG_THRESHOLD:
+                return GramViolationWitness(scale=scale, min_eigenvalue=report.min_eigenvalue)
     return None

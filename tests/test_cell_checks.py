@@ -69,6 +69,19 @@ def test_scale_past_h_max_by_more_than_rounding_is_beyond(tmp_path, capsys):
     assert cell["witness_scale"] is not None
 
 
+@pytest.mark.parametrize(
+    "matrix, h_values",
+    # every phi(s e) of the fixed sweep is about 0 at these sizes; the sweep on e / sqrt(h) finds the witness
+    [("[[100, 0], [0, 133]]", "[50, 110, 160]"), ("[[30, 0], [0, 40]]", "[30.3]")],
+)
+def test_beyond_cells_of_a_large_covariance_find_a_witness(tmp_path, capsys, matrix, h_values):
+    text = f"operator: {{matrix: {matrix}}}\nvectors: {{random: {{count: 8, seed: 3}}}}\nh_values: {h_values}\n"
+    code, cells, failed = _run(tmp_path, capsys, "positivity-scan", text)
+    assert code == 0 and failed == []
+    beyond = [cell for cell in cells if cell["regime"] == "beyond"]
+    assert beyond and all(cell["witness_scale"] is not None for cell in beyond)
+
+
 def test_beyond_cell_whose_two_point_check_passes_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         weylscale.runner, "two_point_criterion", lambda *args: TwoPointCheck(lhs=1.0, rhs=1.0, verdict=True)
@@ -122,8 +135,8 @@ def test_positivity_error_cell_names_its_error(tmp_path, capsys):
 
 
 def test_kms_residual_just_over_its_bound_fails(tmp_path, capsys, monkeypatch):
-    # vectors of norm 0.1 keep ||A|| ||f|| ||g|| below 1, so the bound is tol = 1e-10
-    # itself, which a residual of 1e-9 exceeds tenfold
+    # vectors of norm 0.1 keep ||A|| ||f|| ||g|| ||Delta||^beta = 3 * 0.01 * 2 below 1, so
+    # the bound is tol = 1e-10 itself, which a residual of 1e-9 exceeds tenfold
     original = weylscale.runner.kms_boundary_residuals
 
     def residuals(*args):

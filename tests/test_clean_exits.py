@@ -138,7 +138,13 @@ ROWS = {
         "rescale-fock",
         "h_values: [0.5]\ntolerances: {grma: 1}\n",
         2,
-        "config error: tolerances.grma: unknown tolerance",
+        "config error: tolerances.grma: unknown key",
+    ),
+    "top-level-unknown-key": (
+        "rescale-fock",
+        "h_values: [0.5]\nh_vaules: [1]\n",
+        2,
+        "config error: h_vaules: unknown key",
     ),
     "output-format-unknown": (
         "rescale-fock",

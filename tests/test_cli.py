@@ -1209,6 +1209,21 @@ def test_an_ill_conditioned_modular_exponential_passes(tmp_path, capsys, beta, m
     assert "contract violation" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "matrix, h_values",
+    # the upper boundary row rounds at ||Delta||^beta = (a + 1) / (a - 1) times the rounding of
+    # A g and g: max_rbeta is 2.3e-10 at [[16]], where ||A|| ||f|| ||g|| alone bounds it by 1e-10
+    [("[[16]]", "[1]"), ("[[0.3, 0.1], [0.1, 18]]", "[0.5, 1]")],
+)
+def test_kms_residuals_at_a_large_beta_lambda_pass(tmp_path, capsys, matrix, h_values):
+    config = (
+        f"operator: {{kms: {{beta: 1, matrix: {matrix}}}}}\n"
+        f"vectors: {{random: {{count: 2, seed: 3}}}}\nh_values: {h_values}\n"
+    )
+    assert _run(tmp_path, "kms-verify", config) == 0
+    assert "contract violation" not in capsys.readouterr().err
+
+
 def test_a_large_covariance_passes_the_doubling_identity(tmp_path, capsys):
     # 7.45e-9 is one ulp of the 5e7 entries of T1^2 and T2^2
     config = "operator: {matrix: [[1e8]]}\nvectors: {explicit: [[1e-9]]}\ncutoff: 8\n"

@@ -32,6 +32,7 @@ from weylscale import (
     weyl_multiply,
 )
 from weylscale.errors import DimensionMismatch, ModelMismatch, OutOfRange
+from weylscale.restriction import _member
 
 from weylscale.spectral import ATOM_MERGE_TOL
 
@@ -130,6 +131,32 @@ class TestSubspaceSelection:
         assert report.top_overlap == pytest.approx(np.linalg.norm(f))
         mixed = f + 0.1 * covariance.eigenvectors[:, 0]
         assert not limit_to_trace_state(covariance, mixed, [2.0, 2.9]).stays_in_top_eigenspace
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_membership_is_relative_to_the_norm(self, rng, c):
+        # a rotated basis, so a projection rounds at a multiple of ||f||: about 1e-10 at
+        # c = 1e6, where an absolute SUBSPACE_TOL would count no vector a member
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        covariance = make_operator(q @ np.diag([1.5, 2.0, 3.0]).astype(complex) @ q.conj().T)
+        model = restricted_model(covariance, 1.7)
+        v = model.basis() @ random_vector(rng, 2)
+        assert _member(c * v, model.project(c * v))
+        off = v + 1e-9 * np.linalg.norm(v) * covariance.eigenvectors[:, 0]
+        # off the subspace by 1e-9 relative, which the floor of 1e-12 hides only below norm 1e-3
+        assert _member(c * off, model.project(c * off)) is (c < 1)
+        top = covariance.eigenvectors[:, 2]
+        assert limit_to_trace_state(covariance, c * top, [2.0, 2.9]).stays_in_top_eigenspace
+        assert not limit_to_trace_state(covariance, c * off, [2.0, 2.9]).stays_in_top_eigenspace
+
+    def test_extension_is_the_rescaled_gaussian_on_compressed_coordinates(self, rng):
+        covariance = random_covariance(rng, 4)
+        h = float(0.5 * (covariance.eigenvalues[1] + covariance.eigenvalues[2]))
+        model = restricted_model(covariance, h)
+        f = model.basis() @ random_vector(rng, 2)
+        coords = model.compress(f)
+        scaled = model.restricted_covariance.eigenvalues / h
+        expected = complex(np.exp(-0.25 * float(np.vdot(coords, scaled * coords).real)))
+        assert NonRegularFunctional(model).value(f) == expected
 
 
 class TestLambdaStar:

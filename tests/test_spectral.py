@@ -224,6 +224,17 @@ class TestIdentityBound:
         op = make_operator([(bottom, 1), (3.0, INF)])
         assert dominates_identity(op) is expected
 
+    @pytest.mark.parametrize("c", [2.0**-20, 1.0, 2.0**20])
+    @pytest.mark.parametrize("offset, expected", [(-2e-12, True), (0.0, True), (2e-12, False)])
+    def test_scale_slack_is_relative(self, c, offset, expected):
+        # (A, h) and (cA, ch) get one verdict: the slack is ATOM_MERGE_TOL of A/h, not of h
+        op = make_operator(np.diag([1.5 * c, 2.0 * c]))
+        assert dominates_identity(op, 1.5 * c * (1 + offset)) is expected
+
+    def test_default_scale_is_one(self):
+        op = make_operator([(1.0 - ATOM_MERGE_TOL, 1)])
+        assert dominates_identity(op) is dominates_identity(op, 1.0) is True
+
     def test_declared_infimum_decides(self):
         op = make_operator([(2.0, 1)]).with_declared_bounds(infimum=0.5)
         assert not dominates_identity(op)

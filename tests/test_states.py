@@ -26,7 +26,8 @@ from weylscale import (
     two_point_criterion,
 )
 from weylscale.errors import DimensionMismatch, SpectrumBelowOne
-from weylscale.spectral import scalar_value
+from weylscale.spectral import dominates_identity, scalar_value
+from weylscale.states import WITNESS_SCALES
 
 from conftest import random_covariance, random_vector, random_word
 
@@ -406,7 +407,45 @@ class TestPositivityVerdicts:
             assert witness is not None and witness.min_eigenvalue < -1e-8
 
 
+class TestWitnessScan:
+    @pytest.mark.parametrize("bottom", [1.5, 30.0, 100.0, 1e4, 1.6e6])
+    @pytest.mark.parametrize("past", [0.01, 0.1, 0.6])
+    def test_a_witness_at_any_size_of_covariance(self, bottom, past):
+        # past bottom ~ 30 every phi(s e) of the fixed sweep is about 0; the sweep on
+        # e / sqrt(h) sees the kernels of A/h at scale 1, whatever the size of A
+        covariance = make_operator(np.diag([bottom, 4 * bottom / 3]))
+        h = bottom * (1 + past)
+        witness = scan_for_gram_violation(covariance, h)
+        assert witness is not None and witness.min_eigenvalue < -1e-8
+        roots = (1.0, np.sqrt(h))
+        assert any(witness.scale == s / root for root in roots for s in WITNESS_SCALES)
+
+    def test_the_first_sweep_keeps_its_scales(self):
+        witness = scan_for_gram_violation(make_operator(np.diag([1.5, 2.0])), 1.65)
+        assert witness.scale in WITNESS_SCALES
+
+    def test_admissible_scales_have_no_witness(self):
+        covariance = make_operator(np.diag([100.0, 133.0]))
+        assert scan_for_gram_violation(covariance, 99.0) is None
+
+
 class TestTwoPointCriterion:
+    @pytest.mark.parametrize("norm", [1e-7, 1.0, 1e7])
+    @pytest.mark.parametrize("h, expected", [(1.0, True), (1.5 * (1 - 2e-12), True), (1.5 * (1 + 2e-12), False), (3.0, False)])
+    def test_verdict_does_not_move_with_the_norm(self, norm, h, expected):
+        # an absolute slack passed 1e-7 e and 1e-7 ie at h = 3, twice h_max
+        covariance = make_operator(np.diag([1.5, 2.0]))
+        e = norm * covariance.eigenvectors[:, 0]
+        assert two_point_criterion(covariance, e, 1j * e, h).verdict is expected
+
+    @pytest.mark.parametrize("c", [2.0**-20, 1.0, 2.0**20])
+    @pytest.mark.parametrize("rho", [-1e-12, 0.5e-12, 0.9e-12, 1.1e-12, 1.5e-12])
+    def test_slack_on_the_bottom_eigenvector_is_the_regime_rule(self, c, rho):
+        covariance = make_operator(np.diag([1.5 * c, 2.0 * c]))
+        e = covariance.eigenvectors[:, 0]
+        h = 1.5 * c * (1 + rho)
+        assert two_point_criterion(covariance, e, 1j * e, h).verdict is dominates_identity(covariance, h)
+
     def test_boundary_case_passes(self):
         f = np.array([1.0])
         check = two_point_criterion(make_operator(np.eye(1)), f, 1j * f, 1.0)

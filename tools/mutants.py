@@ -55,12 +55,24 @@ MUTANTS = (
     ("runner.py", '"exponent": exponent_dev <= 1e-14 * h**-2,', '"exponent": exponent_dev <= 1e-14,'),
     # the size of the reliable GNS block
     ("fock.py", "occupations <= model.cutoff // 2", "occupations <= model.cutoff"),
-    # positivity-scan's admissibility margin
-    ("runner.py", "admissible = h <= admissible_bound + 1e-12", "admissible = h <= admissible_bound + 1e-6"),
+    # positivity-scan's regime rule at a scale 1e-6 below the cell's
+    ("runner.py", "admissible = dominates_identity(covariance, h)", "admissible = dominates_identity(covariance, h * (1 - 1e-6))"),
+    # the two-point criterion's slack on one form only, not on each of the two
+    ("states.py", "verdict=lhs * (1 - ATOM_MERGE_TOL) ** 2 <= rhs", "verdict=lhs * (1 - ATOM_MERGE_TOL) <= rhs"),
+    # the witness scan without its sweep on e / sqrt(h)
+    ("states.py", "for root in (1.0, math.sqrt(h)):", "for root in (1.0,):"),
+    # subspace membership by an absolute distance
+    ("restriction.py", "<= SUBSPACE_TOL * max(1.0, float(np.linalg.norm(f)))", "<= SUBSPACE_TOL"),
     # a "beyond" cell without its two-point check
     ("runner.py", '{"two_point_fails": not check.verdict, "witness_found"', '{"witness_found"'),
-    # the KMS residual bound a hundred times too loose
-    ("runner.py", "report.max_residual <= tol * max(1.0, size)", "report.max_residual <= tol * 100 * max(1.0, size)"),
+    # the KMS residual bound a hundred times too loose,
+    (
+        "runner.py",
+        "report.max_residual <= tol * max(1.0, size * (a + 1.0) / (a - 1.0))",
+        "report.max_residual <= tol * 100 * max(1.0, size * (a + 1.0) / (a - 1.0))",
+    ),
+    # and without the growth of the strip's rounding with ||Delta||^beta
+    ("runner.py", "max(1.0, size * (a + 1.0) / (a - 1.0))", "max(1.0, size)"),
     # restrict-scan's dichotomy read at 0 only
     (
         "runner.py",
@@ -137,11 +149,14 @@ MUTANTS = (
     ),
     # kms-verify's modular exponential bound without the conditioning of A -> Delta
     ("runner.py", "tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))", "tol * max(1.0, norm)"),
-    # a key the config mapping does not take, in space, vectors, vectors.random, a grid or output,
+    # a key the config mapping does not take, at the top, in space, vectors, vectors.random, a grid,
+    # the tolerances or output,
+    ("config.py", '_known(raw, "", (', '(raw, "", ('),
     ("config.py", 'space = _known(_section(raw, "space"), "space", ("dimension",))', 'space = _section(raw, "space")'),
     ("config.py", '_known(vectors, "vectors", ("explicit", "random"))', ""),
     ("config.py", '_known(random_section, "vectors.random", ("seed", "count", "sets"))', ""),
     ("config.py", '_known(section, where, ("start", "stop", "count"))', ""),
+    ("config.py", '_known(_section(raw, "tolerances"), "tolerances", tuple(_DEFAULT_TOLERANCES))', '_section(raw, "tolerances")'),
     ("config.py", '_known(_section(raw, "output"), "output", ("format",))', '_section(raw, "output")'),
     # and both vector sources at once
     ("config.py", "if len(vectors) > 1:", "if len(vectors) > 2:"),
