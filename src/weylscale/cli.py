@@ -3,9 +3,10 @@
 Subcommands map one-to-one onto the experiment suites; each run reads one
 config file, executes the suite, and writes one self-contained report to the
 output path (standard output by default).  Exit codes: 0 when every cell
-meets its contract, 2 on configuration errors, 3 when the runner found
-contract violations: each is listed on standard error, every failing cell
-with its failing checks, then every false ``*_ok`` summary flag.
+meets its contract, 2 on configuration errors (an ``--out`` path that cannot
+be written among them), 3 when the runner found contract violations: each is
+listed on standard error, every failing cell with its failing checks, then
+every false ``*_ok`` summary flag.
 
 The argument parser is built once per process and shared by every ``main``
 call; each call parses into a fresh namespace, so nothing carries over.
@@ -58,8 +59,12 @@ def main(argv=None) -> int:
         return 2
     text = render(record, config.output_format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"config error: --out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if record.timing_seconds is not None:

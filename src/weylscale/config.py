@@ -167,13 +167,15 @@ def parse_complex(value, where: str = "value") -> complex:
 
 
 def _parse_integer(value, where: str, minimum: int | None = None) -> int:
-    """A strictly integral number; a fractional or non-finite value is rejected."""
+    """A strictly integral number, a Python int (not a bool) kept exact past 2**53;
+    a fractional or non-finite value is rejected."""
     number = parse_number(value, where)
     if not math.isfinite(number) or number != int(number):
         raise ConfigInvalid(f"{where}: expected an integer, got {value!r}")
+    number = value if type(value) is int else int(number)
     if minimum is not None and number < minimum:
         raise ConfigInvalid(f"{where}: must be at least {minimum}")
-    return int(number)
+    return number
 
 
 def _built(where: str, build, *args):

@@ -41,6 +41,7 @@ from .spectral import (
     OperatorSpec,
     apply_function,
     inf_spectrum,
+    op_norm,
     quadratic_form,
     spectral_distance,
     vector_pair,
@@ -80,9 +81,12 @@ def modular_operator(covariance: OperatorSpec, beta: float) -> OperatorSpec:
     for atom in covariance.atoms:
         if abs(atom.value - 1.0) <= ATOM_MERGE_TOL:
             raise DomainViolation("covariance has spectral value 1; modular map is singular there")
-    return apply_function(
-        covariance, lambda lam: ((lam + 1.0) / (lam - 1.0)) ** (1.0 / beta)
-    )
+    return apply_function(covariance, lambda lam: _modular_value(lam, beta))
+
+
+def _modular_value(a: float, beta: float) -> float:
+    """The modular map ``((a+1)/(a-1))^{1/beta}`` of one covariance value ``a``."""
+    return ((a + 1.0) / (a - 1.0)) ** (1.0 / beta)
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,7 @@ def _time_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KmsWitnessReport:
-    """Sampled F and Phi values with the two boundary residuals of the KMS condition."""
+    """Sampled F and Phi values, the two boundary residuals of the KMS condition and their scale."""
 
     t_grid: np.ndarray
     F_values: np.ndarray
@@ -314,10 +318,26 @@ class KmsWitnessReport:
     r0: np.ndarray  # |Phi(t+i0) - F(f,g;t)|
     r_beta: np.ndarray  # |Phi(t+i beta) - F(g,f;-t)|
     strip_sup: float
+    scale: float  # max(1, ||A|| ||f|| ||g|| ||Delta||^beta)
 
     @property
     def max_residual(self) -> float:
         return float(max(np.max(self.r0), np.max(self.r_beta)))
+
+    def within(self, tol: float) -> bool:
+        """Whether the residuals meet ``tol * scale``, ``scale = max(1, ||A|| ||f|| ||g||
+        ||Delta||^beta)`` for the covariance, modular operator and vectors sampled.
+
+        A boundary value is a sum of ``p_k delta_k^{iz} + m_k delta_k^{-iz}`` whose
+        coefficients are products of ``V* f``, ``V* g``, ``V* A f`` and ``V* A g``; with
+        ``V`` unitary, Cauchy-Schwarz bounds them by ``(||A|| + 1) ||f|| ||g|| <= 2 ||A||
+        ||f|| ||g||`` (``||A|| >= 1``), and each rounds at a multiple of that size.  At
+        height ``s <= beta`` a coefficient is multiplied by up to ``delta^s <= ||Delta||^beta
+        = (a + 1) / (a - 1)``, ``a`` the bottom of the covariance: the upper row's
+        ``delta^beta (A g - g)`` is ``(A + I) g`` in exact arithmetic, but ``A g - g``
+        rounds as ``A g`` and ``g`` do, not as their small difference.
+        """
+        return self.max_residual <= tol * self.scale
 
 
 def _boundary_report(
@@ -325,6 +345,7 @@ def _boundary_report(
 ) -> KmsWitnessReport:
     grid = default_time_grid() if t_grid is None else _time_grid(t_grid)
     log_delta = _log_spectrum(modular)  # before the BLAS product: 7x slower after it (n = 128, x86-64)
+    f, g = vector_pair(covariance, f, g)
     fc, gc, afc, agc = _modular_coordinates(covariance, modular, f, g)
     up, down = _strip_tables(log_delta, grid, beta * np.array(STRIP_FRACTIONS))
     # the real-time row of the strip (fraction 0) gives F(f, g; t), and its tables
@@ -337,6 +358,7 @@ def _boundary_report(
     strip = up @ plus + down @ minus
     lower, upper = strip[0], strip[-1]
     strip_sup = float(np.max(np.abs(strip), initial=0.0))
+    size = op_norm(covariance) * float(np.linalg.norm(f)) * float(np.linalg.norm(g))
     return KmsWitnessReport(
         t_grid=grid,
         F_values=F_vals,
@@ -345,6 +367,7 @@ def _boundary_report(
         r0=np.abs(lower - F_vals),
         r_beta=np.abs(upper - F_rev),
         strip_sup=strip_sup,
+        scale=max(1.0, size * _modular_value(covariance.atoms[0].value, 1.0)),
     )
 
 

@@ -29,6 +29,7 @@ from .kms import (
     KmsWitnessReport,
     _bose,
     _boundary_report,
+    _modular_value,
     _two_route,
     covariance_from_hamiltonian,
     modular_operator,
@@ -53,11 +54,11 @@ _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 def lambda_star(h: float, beta: float) -> float:
-    """Top of the restricted modular spectrum: ((h+1)/(h-1))^{1/beta}."""
+    """Top of the restricted modular spectrum, the modular map at h: ((h+1)/(h-1))^{1/beta}."""
     require_positive(beta, "inverse temperature")
     if not _orderable(h) >= 1 + 1e-9:
         raise OutOfRange(f"scale parameter {h} too close to the pole at 1")
-    return ((h + 1.0) / (h - 1.0)) ** (1.0 / beta)
+    return _modular_value(h, beta)
 
 
 @dataclass(frozen=True)

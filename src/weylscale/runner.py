@@ -168,25 +168,6 @@ def _cell(record: ReportRecord, keys: dict, body, *args):
         record.violations.append(f"{cell} failed: {', '.join(failed)}")
 
 
-def _kms_within(report, covariance: OperatorSpec, f, g, tol: float) -> bool:
-    """Whether the boundary residuals of ``report`` meet ``tol`` scaled by the size
-    of the values they compare and by the strip's growth of their rounding.
-
-    A boundary value is a sum of ``p_k delta_k^{iz} + m_k delta_k^{-iz}`` whose
-    coefficients are products of ``V* f``, ``V* g``, ``V* A f`` and ``V* A g``; with
-    ``V`` unitary, Cauchy-Schwarz bounds them by ``(||A|| + 1) ||f|| ||g|| <= 2 ||A||
-    ||f|| ||g||`` (``||A|| >= 1``), and each rounds at a multiple of that size.  At
-    height ``s <= beta`` a coefficient is multiplied by up to ``delta^s <= ||Delta||^beta
-    = (a + 1) / (a - 1)``, ``a`` the bottom of the path's covariance: the upper row's
-    ``delta^beta (A g - g)`` is ``(A + I) g`` in exact arithmetic, but ``A g - g``
-    rounds as ``A g`` and ``g`` do, not as their small difference.  So the bound is
-    ``tol * max(1, ||A|| ||f|| ||g|| ||Delta||^beta)``, with the path's own Delta.
-    """
-    size = op_norm(covariance) * float(np.linalg.norm(f)) * float(np.linalg.norm(g))
-    a = covariance.atoms[0].value
-    return report.max_residual <= tol * max(1.0, size * (a + 1.0) / (a - 1.0))
-
-
 def _modular_exponential_within(model, residual: float, tol: float) -> bool:
     """Whether ``residual``, the spectral distance between Delta and e^H, meets
     ``tol`` scaled by the size of Delta and the conditioning of the map A -> Delta.
@@ -206,8 +187,7 @@ def _restricted_kms(rmodel, f, g, t_grid: np.ndarray, tol: float):
     """The restricted model's KMS residual fields and checks, for a cell body.
 
     ``f`` and ``g`` are projected onto the restricted subspace first.  The
-    unrescaled and the rescaled residuals must each meet ``tol``, scaled as in
-    :func:`_kms_within` by its own path's covariance.
+    unrescaled and the rescaled residuals must each be within ``tol``.
     """
     f, g = rmodel.project(f), rmodel.project(g)
     base = restricted_kms_residuals(rmodel, f, g, t_grid)
@@ -219,8 +199,8 @@ def _restricted_kms(rmodel, f, g, t_grid: np.ndarray, tol: float):
         "rescaled_max_rbeta": float(np.max(rescaled.r_beta)),
     }
     checks = {
-        "kms_within": _kms_within(base, rmodel.restricted_covariance, f, g, tol),
-        "rescaled_kms_within": _kms_within(rescaled, rmodel.rescaled_covariance, f, g, tol),
+        "kms_within": base.within(tol),
+        "rescaled_kms_within": rescaled.within(tol),
     }
     return fields, checks
 
@@ -300,26 +280,6 @@ def run_positivity_scan(config: ExperimentConfig, record: ReportRecord):
 # kms-verify
 
 
-def _kms_scale_model(model, h: float):
-    """(path, model) of one kms-verify scale, shared by all its pairs: the
-    restricted model above 1, the base model at 1, the rescaled model below.
-
-    A model that cannot be built is replaced by the error its build raised, and
-    each pair's cell raises it again, so every scale is built once.
-    """
-    if not h > 0:
-        return "invalid", OutOfRange("scale must be positive")
-    if h == 1:
-        return "unrescaled", model
-    path = "restricted" if h > 1 else "rescaled"
-    try:
-        if h > 1:
-            return path, restricted_model(model.covariance, h, beta=model.beta)
-        return path, rescaled_modular(model, h)
-    except WeylscaleError as exc:
-        return path, exc
-
-
 #: The boundary residual fields of kms-verify cells; error cells have none.
 _RESIDUAL_KEYS = ("max_r0", "max_rbeta", "rescaled_max_r0", "rescaled_max_rbeta")
 
@@ -338,9 +298,16 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
     two_route_tol = config.tolerances["two_route"]
     h_star = op_norm(model.covariance)
 
-    def body(h, path, scaled, pair):
-        if isinstance(scaled, WeylscaleError):
-            raise scaled
+    # one scale's pairs are consecutive cells, so the memo keeps one model; a build
+    # that raises is not kept, and each pair's cell raises it again
+    @functools.lru_cache(maxsize=1)
+    def scaled_model(h):
+        return restricted_model(model.covariance, h, beta=model.beta) if h > 1 else rescaled_modular(model, h)
+
+    def body(h, path, pair):
+        if path == "invalid":
+            raise OutOfRange("scale must be positive")
+        scaled = model if path == "unrescaled" else scaled_model(h)
         # every path's covariance has norm at most h_star / min(h, 1)
         _guard_overflow(dim * h_star / min(h, 1.0), pair)
         f, g = pair
@@ -351,18 +318,14 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
             fields.update(lambda_star=scaled.lam_star, modular_bounded=bounded, two_route_residual=residual)
             checks.update(two_route=residual <= two_route_tol, modular_bounded=bounded)
             return fields, checks
-        if path == "unrescaled":
-            report = kms_boundary_residuals(scaled, f, g, config.t_grid)
-            covariance = scaled.covariance
-        else:
-            report = rescaled_kms_residuals(scaled, f, g, config.t_grid)
-            covariance = scaled.covariance_h
+        residuals = kms_boundary_residuals if path == "unrescaled" else rescaled_kms_residuals
+        report = residuals(scaled, f, g, config.t_grid)
         fields = {
             "max_r0": float(np.max(report.r0)),
             "max_rbeta": float(np.max(report.r_beta)),
             "strip_sup": report.strip_sup,
         }
-        checks = {"kms_within": _kms_within(report, covariance, f, g, tol)}
+        checks = {"kms_within": report.within(tol)}
         if path == "rescaled":
             residual, bottom = scaled.two_route_residual, scaled.delta_bottom
             exact = inf_spectrum(scaled.generator_h) == bottom
@@ -371,9 +334,10 @@ def run_kms_verify(config: ExperimentConfig, record: ReportRecord):
         return fields, checks
 
     for h in config.h_values:
-        path, scaled = _kms_scale_model(model, h)
+        # the restricted model above 1, the base model at 1, the rescaled model below
+        path = "invalid" if not h > 0 else "unrescaled" if h == 1 else "restricted" if h > 1 else "rescaled"
         for index, pair in enumerate(pairs):
-            _cell(record, {"h": float(h), "pair": index, "path": path}, body, h, path, scaled, pair)
+            _cell(record, {"h": float(h), "pair": index, "path": path}, body, h, path, pair)
 
     exp_residual = spectral_distance(model.modular, apply_function(model.hamiltonian, math.exp))
     record.summary = {

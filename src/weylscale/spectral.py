@@ -53,7 +53,8 @@ INF = math.inf
 #: Atoms closer than this are merged into one spectral point.
 ATOM_MERGE_TOL = 1e-12
 
-#: Allowed conjugate-symmetry residual of matrix input.
+#: Allowed conjugate-symmetry residual of matrix input, relative to its largest entry magnitude
+#: above 1, so a matrix and its multiples are taken or refused alike.
 HERMITICITY_TOL = 1e-12
 
 #: Largest entry magnitude of matrix input, half the largest float: the sums
@@ -155,8 +156,9 @@ class OperatorSpec:
                 f"matrix entry magnitude {largest:.3e} exceeds {MATRIX_ENTRY_MAX:.3e}, half the largest float"
             )
         residual = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-        if residual > HERMITICITY_TOL:
-            raise InvalidMatrix(f"conjugate-symmetry residual {residual:.3e} exceeds {HERMITICITY_TOL}")
+        bound = HERMITICITY_TOL * max(1.0, largest)
+        if residual > bound:
+            raise InvalidMatrix(f"conjugate-symmetry residual {residual:.3e} exceeds {bound:g}")
         m = (m + m.conj().T) / 2
         return cls.from_eigen(*np.linalg.eigh(m), m)
 

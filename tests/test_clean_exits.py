@@ -198,3 +198,18 @@ def test_positivity_kernel_is_refused_before_any_vector_is_drawn(tmp_path, capsy
 
     monkeypatch.setattr(runner, "random_complex_vectors", draw)
     test_input_gets_a_clean_verdict(tmp_path, capsys, "positivity-kernel-3e6")
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [("missing/report.json", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "a-directory"],
+)
+def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, out, reason):
+    path = tmp_path / "config.yaml"
+    path.write_text("operator: {matrix: [[2, 0], [0, 3]]}\nvectors: {random: {count: 6, seed: 3}}\nh_values: [1]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["positivity-scan", "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: --out: ") and reason in line

@@ -556,6 +556,20 @@ cutoff: 9
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("override", [False, True], ids=["config-key", "--seed"])
+    def test_a_seed_past_2_53_is_kept_exact(self, tmp_path, capsys, override):
+        # 2^53 + 1 has no float: read through one it became 2^53, and drew 2^53's vectors
+        reports = {}
+        for seed in (2**53 + 1, 2**53):
+            config = self._write(tmp_path, GNS_CONFIG if override else GNS_CONFIG.replace("seed: 9", f"seed: {seed}"))
+            out = tmp_path / f"{seed}.json"
+            argv = ["gns-check", "--config", config, "--out", str(out)]
+            assert main(argv + (["--seed", str(seed)] if override else [])) == 0
+            reports[seed] = json.loads(out.read_text())
+        capsys.readouterr()
+        assert reports[2**53 + 1]["config"]["vectors"]["seed"] == 9007199254740993
+        assert reports[2**53 + 1]["cells"] != reports[2**53]["cells"]
+
 
 class TestWorkedConfigurations:
     def test_two_level_threshold_grid(self):
@@ -998,7 +1012,12 @@ def test_kms_verify_scale_whose_covariance_overflows_is_failed_cell(tmp_path, ca
     assert [cell["pair"] for cell in failed] == [0, 1]
     assert all(cell["path"] == "rescaled" and not cell["ok"] for cell in failed)
     assert all("too small: the covariance over h overflows" in cell["error"] for cell in failed)
+    assert len({cell["error"] for cell in failed}) == 1
     assert all(cell["ok"] for cell in cells if cell["h"] == 0.5)
+    # the scale's failed build leaves the next scale's cells as a run without it gives them
+    path.write_text(text.replace(f"[{h!r}, 0.5]", "[0.5]"))
+    assert main(["kms-verify", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["cells"] == [cell for cell in cells if cell["h"] == 0.5]
 
 
 def test_kms_verify_pair_whose_products_overflow_is_failed_cell(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from weylscale import (
     quadratic_form,
     rescaled_kms_residuals,
     rescaled_modular,
+    restricted_kms_residuals,
+    restricted_model,
     time_evolution,
     two_point_function,
 )
@@ -236,6 +239,48 @@ class TestBoundaryResiduals:
         grid = default_time_grid()
         assert len(grid) == 21
         assert grid[0] == -5.0 and grid[-1] == 5.0
+
+
+def _four_paths():
+    """(report, covariance, f, g) on each KMS path of one model: A, A/h, A^(h) and
+    A^(h)/h, with f and g the vectors of the path's space."""
+    model = kms_model(make_operator([[0.4, 0.1, 0.0], [0.1, 0.9, 0.2], [0.0, 0.2, 1.6]]), beta=1.5)
+    rng = np.random.default_rng(5)
+    f, g = 3.0 * random_vector(rng, 3), 2.0 * random_vector(rng, 3)
+    rescaled = rescaled_modular(model, 0.5)
+    low, middle = model.covariance.eigenvalues[:2]
+    restricted = restricted_model(model.covariance, (low + middle) / 2, beta=1.5)
+    pf, pg = restricted.project(f), restricted.project(g)
+    return [
+        (kms_boundary_residuals(model, f, g), model.covariance, f, g),
+        (rescaled_kms_residuals(rescaled, f, g), rescaled.covariance_h, f, g),
+        (restricted_kms_residuals(restricted, pf, pg), restricted.restricted_covariance, pf, pg),
+        (restricted_kms_residuals(restricted, pf, pg, rescaled=True), restricted.rescaled_covariance, pf, pg),
+    ]
+
+
+def _path_bound(covariance, f, g, tol):
+    """tol * max(1, ||A|| ||f|| ||g|| (a+1)/(a-1)), a the bottom of the path's covariance."""
+    a = inf_spectrum(covariance)
+    size = op_norm(covariance) * float(np.linalg.norm(f)) * float(np.linalg.norm(g))
+    return tol * max(1.0, size * (a + 1.0) / (a - 1.0))
+
+
+@pytest.mark.parametrize("path", range(4), ids=["unrescaled", "rescaled", "restricted", "restricted-rescaled"])
+def test_each_report_is_within_its_own_paths_bound(path):
+    report, covariance, f, g = _four_paths()[path]
+    tol = 1e-10
+    bound = _path_bound(covariance, f, g, tol)
+    assert report.within(tol) is (report.max_residual <= bound) is True
+    for factor, within in ((1 - 1e-9, True), (1 + 1e-9, False)):
+        moved = dataclasses.replace(report, r0=np.full_like(report.r0, bound * factor))
+        assert moved.within(tol) is within
+
+
+def test_the_four_paths_have_four_bounds():
+    # so a report given another path's covariance would be held to another bound
+    bounds = {_path_bound(covariance, f, g, 1.0) for _, covariance, f, g in _four_paths()}
+    assert len(bounds) == 4 and min(bounds) > 1.0
 
 
 def dense_power(op, z):

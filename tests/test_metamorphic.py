@@ -77,3 +77,31 @@ def test_restrict_scan_agrees_at_every_scale(tmp_path, capsys):
     assert len(outcomes) == 1, outcomes
     ((cells, code),) = outcomes
     assert code == 0 and [cell[0] for cell in cells] == [3, 2, 1]
+
+
+def _asymmetric(c: float, skew: float) -> str:
+    """positivity-scan on ``c [[2, 1 + skew], [1, 3]]`` at ``h = c``."""
+    return (
+        f"operator: {{matrix: [[{2 * c!r}, {(1 + skew) * c!r}], [{c!r}, {3 * c!r}]]}}\n"
+        "vectors: {random: {count: 6, seed: 3}}\n"
+        f"h_values: [{c!r}]\n"
+    )
+
+
+def test_a_matrix_within_rounding_of_hermitian_is_taken_at_every_scale(tmp_path, capsys):
+    # the residual c * 1e-13 reaches 1.05e-7 at c = 2^20, far past an absolute 1e-12
+    outcomes = set()
+    for c in SCALES:
+        code, report = _run(tmp_path, "positivity-scan", _asymmetric(c, 1e-13))
+        (cell,) = report["cells"]
+        outcomes.add((code, cell["regime"], cell["gram_all_psd"], cell["two_point_pass"], cell["ok"]))
+    capsys.readouterr()
+    assert outcomes == {(0, "admissible", True, True, True)}
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_a_matrix_far_from_hermitian_is_refused_at_every_scale(tmp_path, capsys, c):
+    path = tmp_path / "config.yaml"
+    path.write_text(_asymmetric(c, 1e-6), encoding="utf-8")
+    assert main(["positivity-scan", "--config", str(path)]) == 2
+    assert "conjugate-symmetry residual" in capsys.readouterr().err

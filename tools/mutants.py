@@ -37,8 +37,8 @@ MUTANTS = (
     ("states.py", "forms *= -0.25", "forms *= -0.26"),
     # the direction of restrict-scan's nesting test
     ("runner.py", "if h >= previous[0] else", "if h <= previous[0] else"),
-    # the exponent of lambda_star
-    ("restriction.py", "** (1.0 / beta)", "** (2.0 / beta)"),
+    # the exponent of the modular map, which gives Delta and lambda_star
+    ("kms.py", "return ((a + 1.0) / (a - 1.0)) ** (1.0 / beta)", "return ((a + 1.0) / (a - 1.0)) ** (2.0 / beta)"),
     # a sign in the real-time KMS kernel F
     ("kms.py", "0.5 * y.conj() * (ax - x)", "0.5 * y.conj() * (ax + x)"),
     # the KMS strip tables' refusal past the point where the complex exp rescales,
@@ -66,13 +66,9 @@ MUTANTS = (
     # a "beyond" cell without its two-point check
     ("runner.py", '{"two_point_fails": not check.verdict, "witness_found"', '{"witness_found"'),
     # the KMS residual bound a hundred times too loose,
-    (
-        "runner.py",
-        "report.max_residual <= tol * max(1.0, size * (a + 1.0) / (a - 1.0))",
-        "report.max_residual <= tol * 100 * max(1.0, size * (a + 1.0) / (a - 1.0))",
-    ),
+    ("kms.py", "return self.max_residual <= tol * self.scale", "return self.max_residual <= tol * 100 * self.scale"),
     # and without the growth of the strip's rounding with ||Delta||^beta
-    ("runner.py", "max(1.0, size * (a + 1.0) / (a - 1.0))", "max(1.0, size)"),
+    ("kms.py", "scale=max(1.0, size * _modular_value(covariance.atoms[0].value, 1.0)),", "scale=max(1.0, size),"),
     # restrict-scan's dichotomy read at 0 only
     (
         "runner.py",
@@ -123,7 +119,7 @@ MUTANTS = (
         "checks.update(modular_bounded=bounded)",
     ),
     # the restricted KMS checks without the rescaled residual's bound
-    ("runner.py", '"rescaled_kms_within": _kms_within(rescaled, rmodel.rescaled_covariance, f, g, tol),', ""),
+    ("runner.py", '"rescaled_kms_within": rescaled.within(tol),', ""),
     # restrict-scan without its rescaled-covariance check, or without its spectral correspondence
     (
         "runner.py",
@@ -168,6 +164,12 @@ MUTANTS = (
     ),
     # the suite frame without the lines of its false summary flags
     ("runner.py", '            record.violations += [f"summary.{key}" for key', '            flags = [f"summary.{key}" for key'),
+    # the conjugate-symmetry bound of matrix input absolute, not relative to the entries
+    ("spectral.py", "bound = HERMITICITY_TOL * max(1.0, largest)", "bound = HERMITICITY_TOL"),
+    # an integer read through a float, which holds every integer only up to 2**53
+    ("config.py", "number = value if type(value) is int else int(number)", "number = int(number)"),
+    # an --out path that cannot be written ending in a traceback
+    ("cli.py", 'print(f"config error: --out: {exc}", file=sys.stderr)\n            return 2', "raise"),
     # generator keys back on the int64 cast of the grid coordinates
     ("weyl.py", "return tuple(coords.tolist())", "return tuple(coords.astype(np.int64).tolist())"),
 )
