@@ -4,9 +4,9 @@ Subcommands map one-to-one onto the experiment suites; each run reads one
 config file, executes the suite, and writes one self-contained report to the
 output path (standard output by default).  Exit codes: 0 when every cell
 meets its contract, 2 on configuration errors (an ``--out`` path that cannot
-be written among them), 3 when the runner found contract violations: each is
-listed on standard error, every failing cell with its failing checks, then
-every false ``*_ok`` summary flag.
+be written among them, found before the suite runs), 3 when the runner found
+contract violations: each is listed on standard error, every failing cell with
+its failing checks, then every false ``*_ok`` summary flag.
 
 The argument parser is built once per process and shared by every ``main``
 call; each call parses into a fresh namespace, so nothing carries over.
@@ -15,7 +15,10 @@ call; each call parses into a fresh namespace, so nothing carries over.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
+import stat
 import sys
 
 from .config import OUTPUT_FORMATS, ExperimentConfig, _parse_integer, check_tolerance
@@ -43,6 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_error(path: str) -> str | None:
+    """Why opening ``path`` for writing would fail, written as that OSError reads, or
+    None; found by ``stat`` and ``access`` alone, so no file is created or changed."""
+    try:
+        if stat.S_ISDIR(os.stat(path).st_mode):
+            code = errno.EISDIR
+        else:
+            code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    except FileNotFoundError:
+        # a new file: its directory must exist and take it
+        directory = os.path.dirname(path) or "."
+        if os.access(directory, os.W_OK):
+            code = 0
+        else:
+            code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
+    except OSError as exc:
+        code = exc.errno
+    return str(OSError(code, os.strerror(code), path)) if code else None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -53,6 +76,8 @@ def main(argv=None) -> int:
             config.tolerances[SUITES[args.command].tolerance] = check_tolerance(args.tol, "--tol")
         if args.format is not None:
             config.output_format = args.format
+        if args.out and (reason := _out_error(args.out)) is not None:
+            raise ConfigInvalid(f"--out: {reason}")
         record = SUITES[args.command](config)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ from .spectral import (
     ATOM_MERGE_TOL,
     INF,
     OperatorSpec,
+    _atom_value,
     apply_function,
     inf_spectrum,
     op_norm,
@@ -78,9 +79,9 @@ def covariance_from_hamiltonian(hamiltonian: OperatorSpec, beta: float) -> Opera
 def modular_operator(covariance: OperatorSpec, beta: float) -> OperatorSpec:
     """Modular operator ((A+I)/(A-I))^{1/beta}; singular where A has spectrum 1."""
     require_positive(beta, "inverse temperature")
-    for atom in covariance.atoms:
-        if abs(atom.value - 1.0) <= ATOM_MERGE_TOL:
-            raise DomainViolation("covariance has spectral value 1; modular map is singular there")
+    values = covariance.eigenvalues.tolist() if covariance.is_matrix else [a.value for a in covariance.atoms]
+    if any(abs(value - 1.0) <= ATOM_MERGE_TOL for value in values):
+        raise DomainViolation("covariance has spectral value 1; modular map is singular there")
     return apply_function(covariance, lambda lam: _modular_value(lam, beta))
 
 
@@ -367,7 +368,7 @@ def _boundary_report(
         r0=np.abs(lower - F_vals),
         r_beta=np.abs(upper - F_rev),
         strip_sup=strip_sup,
-        scale=max(1.0, size * _modular_value(covariance.atoms[0].value, 1.0)),
+        scale=max(1.0, size * _modular_value(_atom_value(covariance, 0), 1.0)),
     )
 
 
@@ -431,7 +432,7 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
     """
     if not 0 < _orderable(h) <= 1:
         raise OutOfRange(f"scale parameter {h} outside (0, 1]")
-    if not 4.0 * model.covariance.atoms[-1].value / h < INF:
+    if not 4.0 * _atom_value(model.covariance, -1) / h < INF:
         raise OutOfRange(f"scale parameter {h} too small: the covariance over h overflows")
     beta = model.beta
     covariance_h = apply_function(model.covariance, lambda lam: lam / h)

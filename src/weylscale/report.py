@@ -84,9 +84,48 @@ def _row_text(value: np.ndarray) -> str | None:
     return None if "n" in text else text
 
 
+def _render_str(value: str, pieces: list):
+    pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+
+
+def _render_dict(value: dict, pieces: list):
+    pieces.append("{")
+    for i, (key, item) in enumerate(value.items()):
+        if i:
+            pieces.append(", ")
+        pieces.append('"' + str(key) + '": ')
+        _render_value(item, pieces)
+    pieces.append("}")
+
+
+def _render_items(items, pieces: list):
+    pieces.append("[")
+    for i, item in enumerate(items):
+        if i:
+            pieces.append(", ")
+        _render_value(item, pieces)
+    pieces.append("]")
+
+
+#: How a value of each builtin type a report holds is written, by its exact type (a
+#: bool is not written as the int it also is); any other type goes through the
+#: isinstance chain of ``_render_value``.
+_RENDER_BY_TYPE = {
+    type(None): lambda value, pieces: pieces.append("null"),
+    bool: lambda value, pieces: pieces.append("true" if value else "false"),
+    int: lambda value, pieces: pieces.append(str(value)),
+    float: lambda value, pieces: pieces.append(format_float(value)),
+    str: _render_str,
+    dict: _render_dict,
+    list: _render_items,
+    tuple: _render_items,
+}
+
+
 def _render_value(value, pieces: list):
-    if value is None:
-        pieces.append("null")
+    render = _RENDER_BY_TYPE.get(type(value))
+    if render is not None:
+        render(value, pieces)
     elif isinstance(value, (bool, np.bool_)):
         pieces.append("true" if value else "false")
     elif isinstance(value, (int, np.integer)):
@@ -96,25 +135,13 @@ def _render_value(value, pieces: list):
     elif isinstance(value, (complex, np.complexfloating)):
         pieces.append(_format_complex(complex(value)))
     elif isinstance(value, str):
-        pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        _render_str(value, pieces)
     elif isinstance(value, np.ndarray) and (text := _row_text(value)) is not None:
         pieces.append(text)
     elif isinstance(value, dict):
-        pieces.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                pieces.append(", ")
-            pieces.append('"' + str(key) + '": ')
-            _render_value(item, pieces)
-        pieces.append("}")
+        _render_dict(value, pieces)
     elif isinstance(value, (list, tuple, np.ndarray)):
-        items = value.tolist() if isinstance(value, np.ndarray) else value
-        pieces.append("[")
-        for i, item in enumerate(items):
-            if i:
-                pieces.append(", ")
-            _render_value(item, pieces)
-        pieces.append("]")
+        _render_items(value.tolist() if isinstance(value, np.ndarray) else value, pieces)
     else:
         raise TypeError(f"cannot serialize value of type {type(value)!r}")
 

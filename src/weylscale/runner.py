@@ -30,8 +30,8 @@ from .restriction import (
     restricted_model, trace_state,
 )
 from .spectral import (
-    ATOM_MERGE_TOL, INF, OperatorSpec, apply_function, dominates_identity, inf_spectrum, op_norm,
-    spectral_distance,
+    ATOM_MERGE_TOL, INF, OperatorSpec, _atom_value, apply_function, dominates_identity, inf_spectrum,
+    op_norm, spectral_distance,
 )
 from .states import (
     RescaledFockState, check_sigma_h_positivity, evaluate_state, gram_factors, h_max,
@@ -179,7 +179,7 @@ def _modular_exponential_within(model, residual: float, tol: float) -> bool:
     (a_min - 1))``, and the rounding of delta and of e^H by a multiple of ``||Delta||``.
     The bound is ``tol`` for a well-conditioned Delta of unit size and grows with both.
     """
-    a_min, norm = model.covariance.atoms[0].value, model.modular.atoms[-1].value
+    a_min, norm = _atom_value(model.covariance, 0), _atom_value(model.modular, -1)
     return residual <= tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))
 
 

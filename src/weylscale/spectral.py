@@ -11,9 +11,13 @@ Eigenvalues are canonicalized: values closer than ``ATOM_MERGE_TOL`` are
 merged into one atom, and matrix eigenvalues are snapped to their atom
 representative.  Selections by eigenvalue (the restricted subspace of
 :mod:`weylscale.restriction`, the top eigenspace) therefore compare spectral
-values exactly, with no endpoint tolerance.  Every matrix operator is built by
-:meth:`OperatorSpec.from_eigen`, and bounds the atoms do not carry are
-declared only by :meth:`OperatorSpec.with_declared_bounds`.
+values exactly, with no endpoint tolerance.  A matrix operator's spectrum is
+its snapped eigenvalue array: its bounds, its distance to another matrix
+operator and the maps of functional calculus read that array.  When no two
+values merged, its ``atoms`` are derived from the array on first read, and
+kept, so most operators of a chain build none.  Every matrix operator is
+built by :meth:`OperatorSpec.from_eigen`, and bounds the atoms do not carry
+are declared only by :meth:`OperatorSpec.with_declared_bounds`.
 
 A matrix operator holds its eigendecomposition; its dense matrix
 ``V diag V*`` is built the first time ``.matrix`` is read, and kept.  Most
@@ -103,15 +107,16 @@ def _group_value(group: list[float]) -> float:
     return float(group[0]) if group[0] == group[-1] else float(np.mean(group))
 
 
-def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...]]:
+def _snap_eigenvalues(eigvals: np.ndarray) -> tuple[np.ndarray, tuple[Atom, ...] | None]:
     """Merge sorted matrix eigenvalues into atoms and snap each eigenvalue to
-    its atom representative, so comparisons on either are exact."""
-    with np.errstate(over="ignore"):  # a gap past the largest float is inf, above the tolerance too
-        gaps = np.diff(eigvals)
-    if np.all(gaps > ATOM_MERGE_TOL):
-        # the merge loop's own test: every value starts a group of one, kept as it is
-        return eigvals, tuple(Atom(value, 1.0) for value in eigvals.tolist())
-    atoms = _merge_sorted_values(eigvals.tolist(), [1.0] * len(eigvals))
+    its atom representative, so comparisons on either are exact.  The atoms are
+    None when no two values merge: each value is then an atom of multiplicity 1."""
+    values = eigvals.tolist()
+    # the merge loop's own test (a gap past the largest float is inf, above the
+    # tolerance too): every value starts a group of one, kept as it is
+    if all(b - a > ATOM_MERGE_TOL for a, b in zip(values, values[1:])):
+        return eigvals, None
+    atoms = _merge_sorted_values(values, [1.0] * len(values))
     snapped = np.empty_like(eigvals)
     i = 0
     for atom in atoms:
@@ -129,13 +134,13 @@ class OperatorSpec:
     ``from_matrix`` / ``from_atoms`` constructors) so the canonical spectral
     form is always in place.  Equality is identity, since the fields hold
     arrays.  ``_matrix`` caches the dense matrix of a matrix operator once
-    :attr:`matrix` has built it.
+    :attr:`matrix` has built it, and ``_atoms`` its atoms once :attr:`atoms` has.
     """
 
     variant: str
     eigenvalues: np.ndarray | None
     eigenvectors: np.ndarray | None
-    atoms: tuple[Atom, ...]
+    _atoms: tuple[Atom, ...] | None
     declared_infimum: float | None = None
     declared_supremum: float | None = None
     _matrix: np.ndarray | None = field(default=None, repr=False)
@@ -203,6 +208,14 @@ class OperatorSpec:
     @property
     def is_matrix(self) -> bool:
         return self.variant == "matrix"
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The sorted spectral atoms; a matrix operator whose values did not merge
+        derives them from its snapped values on first read."""
+        if self._atoms is None:
+            object.__setattr__(self, "_atoms", tuple(Atom(v, 1.0) for v in self.eigenvalues.tolist()))
+        return self._atoms
 
     @property
     def matrix(self) -> np.ndarray | None:
@@ -283,11 +296,13 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
     if op.is_matrix:
         # each value mapped once: a finite float as fn gives it, anything else
         # as the real float or the error evaluate makes of it
-        mapped = np.array([evaluate(v) for v in op.eigenvalues.tolist()])
-        order = np.argsort(mapped, kind="stable")
-        if np.array_equal(order, np.arange(len(order))):
-            # an order-keeping map shares the read-only eigenvectors
+        values = [evaluate(v) for v in op.eigenvalues.tolist()]
+        mapped = np.array(values)
+        if all(a <= b for a, b in zip(values, values[1:])):
+            # an order-keeping map (the stable sort's identity order) shares the
+            # read-only eigenvectors
             return OperatorSpec.from_eigen(mapped, op.eigenvectors)
+        order = np.argsort(mapped, kind="stable")
         return OperatorSpec.from_eigen(mapped[order], op.eigenvectors[:, order])
 
     mapped_pairs = sorted(
@@ -297,18 +312,24 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
     return OperatorSpec("spectral", None, None, atoms)
 
 
+def _atom_value(op: OperatorSpec, index: int) -> float:
+    """The value of the atom at ``index`` (0 the bottom, -1 the top), read from the
+    snapped values of a matrix operator; declared bounds are not read."""
+    return float(op.eigenvalues[index]) if op.is_matrix else op.atoms[index].value
+
+
 def inf_spectrum(op: OperatorSpec) -> float:
     """Bottom of the spectrum (declared infimum wins when present)."""
     if op.declared_infimum is not None:
         return op.declared_infimum
-    return op.atoms[0].value
+    return _atom_value(op, 0)
 
 
 def op_norm(op: OperatorSpec) -> float:
     """Top of the spectrum; INF when a supremum is declared unbounded."""
     if op.declared_supremum is not None:
         return op.declared_supremum
-    return op.atoms[-1].value
+    return _atom_value(op, -1)
 
 
 def dominates_identity(op: OperatorSpec, h: float = 1.0) -> bool:
@@ -369,8 +390,15 @@ def spectral_distance(a: OperatorSpec, b: OperatorSpec) -> float:
     """Max distance between the two canonical spectra (paired in order).
 
     Compares atom values and multiplicities; returns INF when the atom
-    patterns are incompatible.
+    patterns are incompatible.  Two matrix operators are compared on their
+    snapped values: equal patterns are equal runs of equal values, and the
+    distance is the largest entrywise one, since a run holds one value.
     """
+    if a.is_matrix and b.is_matrix:
+        x, y = a.eigenvalues.tolist(), b.eigenvalues.tolist()
+        if len(x) != len(y) or any((p == q) != (r == s) for p, q, r, s in zip(x, x[1:], y, y[1:])):
+            return INF
+        return max([0.0] + [abs(p - r) for p, r in zip(x, y)])
     if len(a.atoms) != len(b.atoms):
         return INF
     dist = 0.0

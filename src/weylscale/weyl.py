@@ -4,8 +4,14 @@ A word is a finite complex-linear combination of generators ``W_f`` indexed
 by vectors of the one-particle space.  Products follow the twisted rule
 ``W_f W_g = exp(-i/2 * h * sigma(f, g)) W_{f+g}`` where ``sigma(f, g) =
 Im<f, g>`` and ``h > 0`` scales the symplectic form; ``h * sigma`` is written
-out in that phase, the one place it is used.  Generator keys are canonicalized
-on a fixed grid so that vectors equal up to floating-point noise merge into one term.
+out in that phase, the one place it is used.
+
+Generator keys are canonicalized on a fixed grid so that vectors equal up to
+floating-point noise merge into one term.  A key is the real, then the
+imaginary parts of the vector, each divided by ``KEY_GRID`` and rounded half to
+even by Python's ``round`` (as ``np.rint`` rounds), as floats: exact at any
+size, with ``-0.0`` read as ``0.0``, an equal key of the same hash.  Each term
+keeps its key, so a sum of words merges the stored keys and keys no vector again.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ def sigma(f, g) -> float:
 def _canonical_key(vec: np.ndarray) -> tuple:
     """The real, then the imaginary parts of ``vec`` in whole multiples of ``KEY_GRID``,
     as floats, exact at any size; OutOfRange when one is not finite."""
-    with np.errstate(over="ignore"):  # an overflow is inf, refused below
-        coords = np.round(np.concatenate((vec.real, vec.imag), axis=None) / KEY_GRID)
-    if not np.isfinite(coords).all():
-        raise OutOfRange("generator vector has a coordinate that is not finite on the key grid")
-    return tuple(coords.tolist())
+    flat = vec.reshape(-1)
+    try:
+        # round(inf) raises OverflowError, round(nan) ValueError; a quotient past
+        # the largest float is inf
+        return tuple([float(round(x / KEY_GRID)) for x in flat.real.tolist() + flat.imag.tolist()])
+    except (OverflowError, ValueError):
+        raise OutOfRange("generator vector has a coordinate that is not finite on the key grid") from None
 
 
 class WeylWord:
@@ -65,17 +73,20 @@ class WeylWord:
         if coeff == 0:
             return
         key = _canonical_key(vec)
-        if key in self._terms:
-            old_vec, old_coeff = self._terms[key]
-            total = old_coeff + coeff
-            if total == 0:
-                del self._terms[key]
-            else:
-                self._terms[key] = (old_vec, total)
-        else:
+        if key not in self._terms:
             vec = vec.copy()
             vec.flags.writeable = False
+        self._add_keyed(key, vec, coeff)
+
+    def _add_keyed(self, key: tuple, vec: np.ndarray, coeff: complex):
+        """Add ``coeff`` to the term of ``key``, or start it with the read-only ``vec``."""
+        entry = self._terms.get(key)
+        if entry is None:
             self._terms[key] = (vec, coeff)
+        elif (total := entry[1] + coeff) == 0:
+            del self._terms[key]
+        else:
+            self._terms[key] = (entry[0], total)
 
     # -- iteration and structure -------------------------------------------
 
@@ -97,10 +108,9 @@ class WeylWord:
         if self.dim != other.dim:
             raise DimensionMismatch(f"words over C^{self.dim} and C^{other.dim}")
         out = WeylWord(self.dim)
-        for vec, coeff in self.items():
-            out._add_term(vec, coeff)
-        for vec, coeff in other.items():
-            out._add_term(vec, coeff)
+        out._terms = dict(self._terms)
+        for key, (vec, coeff) in other._terms.items():
+            out._add_keyed(key, vec, coeff)
         return out
 
     def __repr__(self) -> str:

@@ -13,8 +13,8 @@ import warnings
 
 import pytest
 
-from weylscale import runner
-from weylscale.cli import main
+from weylscale import cli, runner
+from weylscale.cli import build_parser, main
 
 GNS_HUGE = "operator: {matrix: [[%s]]}\nvectors: {explicit: [[1.0]]}\ncutoff: 8\n"
 NOT_UNITARY = "contract violation: {'kind': 'expectation', 'index': 0, 'error': \"displacement of amplitude %s is not unitary"
@@ -213,3 +213,62 @@ def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, out, reason):
         assert main(["positivity-scan", "--config", str(path), "--out", str(tmp_path / out)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: --out: ") and reason in line
+
+
+@pytest.mark.parametrize(
+    "out",
+    ["missing/report.json", ".", "missing/deeper/report.json", "config.yaml/report.json"],
+    ids=["missing-directory", "a-directory", "two-missing", "a-file-as-directory"],
+)
+def test_an_unwritable_out_is_found_before_the_suite_runs(tmp_path, capsys, monkeypatch, out):
+    build_parser()  # the cached parser names the real suites
+    calls = []
+
+    def suite(config):
+        """A suite that only records its calls."""
+        calls.append(config)
+
+    monkeypatch.setitem(runner.SUITES, "positivity-scan", suite)
+    path = tmp_path / "config.yaml"
+    path.write_text("operator: {matrix: [[2, 0], [0, 3]]}\nvectors: {random: {count: 6, seed: 3}}\nh_values: [1]\n")
+    target = tmp_path / out
+    with pytest.raises(OSError) as opened:
+        open(target, "w", encoding="utf-8")
+    assert main(["positivity-scan", "--config", str(path), "--out", str(target)]) == 2
+    assert calls == []
+    # the line the open after the suite would print
+    assert capsys.readouterr().err.splitlines() == [f"config error: --out: {opened.value}"]
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new-path", "existing-file"])
+@pytest.mark.parametrize(
+    "config",
+    ["operator: {matrix: [[2, 0], [0, 3]]}\nh_values: [1]\n", "operator: {matrix: [[2, 0], [0, 3]]}\nbogus: 1\n"],
+    ids=["refused-by-the-suite", "refused-by-the-reader"],
+)
+def test_a_config_error_creates_or_changes_no_out_file(tmp_path, capsys, exists, config):
+    path = tmp_path / "config.yaml"
+    path.write_text(config)
+    out = tmp_path / "report.json"
+    if exists:
+        out.write_text("earlier report\n")
+    before = out.stat() if exists else None
+    assert main(["positivity-scan", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    if exists:
+        after = out.stat()
+        assert out.read_text() == "earlier report\n"
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    else:
+        assert not out.exists()
+
+
+def test_an_out_that_fails_after_the_check_is_still_a_config_error(tmp_path, capsys, monkeypatch):
+    # a path that passes the check and then cannot be opened, as when its
+    # directory goes away while the suite runs
+    monkeypatch.setattr(cli, "_out_error", lambda path: None)
+    path = tmp_path / "config.yaml"
+    path.write_text("operator: {matrix: [[2, 0], [0, 3]]}\nvectors: {random: {count: 6, seed: 3}}\nh_values: [1]\n")
+    assert main(["positivity-scan", "--config", str(path), "--out", str(tmp_path / "missing" / "report.json")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: --out: [Errno 2] No such file or directory: ")

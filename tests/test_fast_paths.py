@@ -2,11 +2,17 @@
 
 - A matrix operator's dense matrix, built on the first read of ``.matrix``,
   equals the eager symmetrized ``V diag V*`` and is read-only.
-- Snapping a gap-separated spectrum as an array gives the atoms and values of
-  the merge loop, and snapping a snapped spectrum moves no value.
+- Snapping a gap-separated spectrum as an array gives the values of the merge
+  loop, and the atoms a matrix operator derives from them on first read are the
+  loop's atoms; no atom is built before that read, and snapping a snapped
+  spectrum moves no value.
 - Rendering an array a row at a time gives the per-entry text, and so does
   rendering a complex array whose imaginary parts are all +0.0 over its real
-  parts alone.
+  parts alone.  Rendering through the table keyed by exact type gives the
+  documents of the ``isinstance`` chain in ``tests/report_reference.py``.
+- A matrix operator's bounds and spectral distances read off its snapped
+  values equal those of its atoms, and a map that keeps the order keeps the
+  eigenvectors, as the stable sort's identity order did.
 - An n = 128 kms-verify job in the benchmark's layout builds three dense
   matrices, so eager rebuilds cannot come back unnoticed.
 - The KMS strip tables built from one complex exp per time and one real exp
@@ -40,7 +46,7 @@ from weylscale.config import ExperimentConfig, random_complex_vectors
 from weylscale.errors import DomainViolation, OutOfRange
 from weylscale.kms import STRIP_FRACTIONS, _SEPARABLE_EXP_LIMIT, _strip_tables
 from weylscale.restriction import restricted_model
-from weylscale.report import _render_value, _row_text
+from weylscale.report import ReportRecord, _render_value, _row_text, render_object, render_table
 from weylscale.spectral import (
     ATOM_MERGE_TOL,
     INF,
@@ -51,6 +57,7 @@ from weylscale.spectral import (
     apply_function,
 )
 
+import report_reference
 from test_config_reader import _workloads
 
 
@@ -125,8 +132,17 @@ def _snap_by_loop(eigvals: np.ndarray):
     return snapped, atoms
 
 
-def _assert_snaps_alike(eigvals: np.ndarray):
+def _snap(eigvals: np.ndarray):
+    """The snapped values of ``eigvals`` and the atoms a matrix operator of them reads:
+    the merged atoms, or those ``.atoms`` derives from the snapped values when none merged."""
     snapped, atoms = _snap_eigenvalues(eigvals.copy())
+    if atoms is None:
+        atoms = OperatorSpec("matrix", snapped, None, None).atoms
+    return snapped, atoms
+
+
+def _assert_snaps_alike(eigvals: np.ndarray):
+    snapped, atoms = _snap(eigvals)
     expected, expected_atoms = _snap_by_loop(eigvals)
     assert snapped.tobytes() == expected.tobytes()
     assert atoms == expected_atoms
@@ -144,14 +160,14 @@ def test_snap_at_a_gap_of_exactly_the_merge_tolerance_matches_the_loop():
     exact = np.array([0.0, ATOM_MERGE_TOL, 1.0])
     assert np.diff(exact)[0] == ATOM_MERGE_TOL
     _assert_snaps_alike(exact)
-    assert len(_snap_eigenvalues(exact.copy())[1]) == 2
+    assert len(_snap(exact)[1]) == 2
     # one ulp above the tolerance is a gap
     _assert_snaps_alike(np.array([0.0, math.nextafter(ATOM_MERGE_TOL, 1.0), 1.0]))
     # two steps of exactly the tolerance: the loop measures from a group's first value
     chain = np.array([0.0, ATOM_MERGE_TOL, 2 * ATOM_MERGE_TOL, 5.0])
     assert np.all(np.diff(chain)[:2] == ATOM_MERGE_TOL)
     _assert_snaps_alike(chain)
-    assert [a.multiplicity for a in _snap_eigenvalues(chain.copy())[1]] == [2.0, 1.0, 1.0]
+    assert [a.multiplicity for a in _snap(chain)[1]] == [2.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("repeat", [2, 3, 5])
@@ -161,7 +177,7 @@ def test_snapping_is_a_fixed_point_on_snapped_spectra(repeat):
     snapped, _ = _snap_eigenvalues(np.linalg.eigvalsh(rotated))
     # np.mean([0.1] * 3) is an ulp above 0.1: a group of equal values keeps its value
     for values in (np.full(3, 0.1), np.repeat([0.1, 0.7, 2.3], repeat), snapped):
-        again, atoms = _snap_eigenvalues(values.copy())
+        again, atoms = _snap(values)
         assert again.tobytes() == values.tobytes()
         assert [a.value for a in atoms] == sorted(set(values.tolist()))
 
@@ -176,6 +192,86 @@ def test_snap_matches_the_loop_with_and_without_clusters(values, spread):
     # a cluster around every third value, at a spread below, at or above the tolerance
     values = np.sort(np.concatenate([values, values[::3] + spread]))
     _assert_snaps_alike(values)
+
+
+def test_a_gap_separated_matrix_operator_builds_no_atom_until_atoms_is_read(monkeypatch):
+    built = []
+
+    def recording(value, multiplicity):
+        built.append(value)
+        return Atom(value, multiplicity)
+
+    monkeypatch.setattr(spectral, "Atom", recording)
+    rng = np.random.default_rng(5)
+    values = np.sort(rng.uniform(0.5, 4.0, 6))
+    hamiltonian = OperatorSpec.from_matrix(_hermitian(rng, values))
+    # the kms-verify chain: covariance, modular operator, their bounds, the two
+    # routes to the rescaled modular operator and one boundary report
+    model = kms.kms_model(hamiltonian, 1.0)
+    kms.rescaled_modular(model, 0.5)
+    kms.kms_boundary_residuals(model, np.ones(6), np.arange(6.0))
+    runner._modular_exponential_within(model, 0.0, 1e-10)
+    spectral.spectral_distance(model.modular, apply_function(hamiltonian, math.exp))
+    assert built == []
+    atoms = model.covariance.atoms
+    assert len(built) == 6 and model.covariance.atoms is atoms and len(built) == 6
+    assert atoms == _merge_sorted_values(model.covariance.eigenvalues.tolist(), [1.0] * 6)
+
+
+def _atom_distance(a: tuple, b: tuple) -> float:
+    """spectral_distance read off two atom tuples, as the atoms give it."""
+    if len(a) != len(b) or any(x.multiplicity != y.multiplicity for x, y in zip(a, b)):
+        return INF
+    return max([0.0] + [abs(x.value - y.value) for x, y in zip(a, b)])
+
+
+_SPREADS = st.sampled_from([0.0, 0.4 * ATOM_MERGE_TOL, ATOM_MERGE_TOL, 3 * ATOM_MERGE_TOL])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.5, max_value=9.0), min_size=1, max_size=12),
+    _SPREADS,
+    _SPREADS,
+    st.floats(min_value=-1e-9, max_value=1e-9),
+)
+def test_bounds_and_distances_read_off_the_snapped_values_equal_the_atoms(values, spread, other_spread, shift):
+    values = np.sort(values)
+    first = np.sort(np.concatenate([values, values[::3] + spread]))
+    second = np.sort(np.concatenate([values + shift, values[::3] + shift + other_spread]))
+    a = OperatorSpec.from_eigen(first, np.eye(len(first)))
+    b = OperatorSpec.from_eigen(second, np.eye(len(second)))
+    shorter = OperatorSpec.from_eigen(second[1:], np.eye(len(second) - 1))
+    reference = {op: _merge_sorted_values(op.eigenvalues.tolist(), [1.0] * int(op.dimension)) for op in (a, b, shorter)}
+    for x in (a, b, shorter):
+        assert spectral.inf_spectrum(x) == reference[x][0].value and type(spectral.inf_spectrum(x)) is float
+        assert spectral.op_norm(x) == reference[x][-1].value and type(spectral.op_norm(x)) is float
+        for y in (a, b, shorter):
+            distance = spectral.spectral_distance(x, y)
+            assert distance == _atom_distance(reference[x], reference[y]) and type(distance) is float
+    for x in (a, b, shorter):
+        assert x.atoms == reference[x]
+
+
+@pytest.mark.parametrize(
+    "values, fn",
+    [
+        ([1.0, 2.0, 3.0], lambda x: 2.0 - 1.0 / x),
+        ([1.0, 2.0, 3.0], lambda x: 7.0),
+        ([1.0, 2.0, 3.0], lambda x: -x),
+        ([1.0, 2.0, 3.0], lambda x: (x - 2.0) ** 2),
+        ([0.5, 0.5 + ATOM_MERGE_TOL, 4.0], lambda x: round(x, 6)),
+    ],
+    ids=["increasing", "constant", "decreasing", "folded", "merging"],
+)
+def test_apply_function_keeps_the_stable_sort_order(values, fn):
+    op = OperatorSpec.from_eigen(np.array(values), np.eye(len(values)))
+    mapped = apply_function(op, fn)
+    expected = np.array([fn(v) for v in values])
+    order = np.argsort(expected, kind="stable")
+    assert mapped.eigenvalues.tobytes() == _snap_eigenvalues(expected[order])[0].tobytes()
+    assert mapped.eigenvectors.tobytes() == np.eye(len(values))[:, order].tobytes()
+    assert (mapped.eigenvectors is op.eigenvectors) == (order.tolist() == list(range(len(values))))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +363,83 @@ def test_row_rendering_of_empty_and_single_entry_arrays_equals_per_entry_renderi
 @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
 def test_row_rendering_falls_back_on_0d_and_3d_arrays(shape):
     assert _row_text(np.ones(shape)) is None
+
+
+# ---------------------------------------------------------------------------
+# rendering through the type table
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_ARRAYS = (
+    st.lists(_FLOATS, max_size=5).map(np.array)
+    | st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), max_size=5).map(lambda v: np.array(v, dtype=complex))
+    | st.integers(1, 3).flatmap(lambda rows: st.lists(st.lists(_FLOATS, min_size=2, max_size=2), min_size=rows, max_size=rows)).map(np.array)
+    | st.lists(st.complex_numbers(max_magnitude=1e3), min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.booleans().map(np.bool_)
+    | st.integers()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.complex_numbers(allow_nan=True, allow_infinity=True)
+    | st.text(alphabet=st.sampled_from('ab"\\ \t\u00e9'), max_size=6)
+    | _ARRAYS
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(alphabet="abc", max_size=3), children, max_size=4),
+    max_leaves=16,
+)
+
+
+def _record(values: list) -> ReportRecord:
+    return ReportRecord(
+        "render-check",
+        {f"c{i}": value for i, value in enumerate(values)},
+        cells=[{"index": i, "value": value} for i, value in enumerate(values)],
+        summary={"all": list(values), "first": values[0] if values else None},
+    )
+
+
+#: one of each value type a report can hold
+_EVERY_TYPE = [
+    None, True, False, np.bool_(True), np.bool_(False), 0, -7, 10**30, np.int64(-(2**63)), 1.5, np.float64(0.1),
+    -0.0, math.nan, math.inf, -math.inf, np.float64(-math.inf), 1 + 2j, complex(-0.0, math.nan), np.complex128(3j),
+    "", 'say "hi"', "back\\slash", {"nested": [1, (2.5, None), {"deep": [True]}]}, [], (),
+    np.array([0.5, -0.0, 2.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1 + 1j, 2.0]),
+    np.array([[1.0, math.nan]]), np.array([1, 2]), np.array([], dtype=float),
+]
+
+
+def test_every_report_value_type_renders_as_the_isinstance_chain_does():
+    record = _record(_EVERY_TYPE)
+    assert render_object(record) == report_reference.render_object(record)
+    assert render_table(record) == report_reference.render_table(record)
+    for value in _EVERY_TYPE:
+        mine, theirs = [], []
+        _render_value(value, mine)
+        report_reference.render_value(value, theirs)
+        assert "".join(mine) == "".join(theirs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_VALUES, max_size=4))
+def test_random_reports_render_as_the_isinstance_chain_does(values):
+    record = _record(values)
+    assert render_object(record) == report_reference.render_object(record)
+    assert render_table(record) == report_reference.render_table(record)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", [1, {2}]], ids=["set", "object", "bytes", "nested-set"])
+def test_a_value_of_no_report_type_is_a_type_error(value):
+    with pytest.raises(TypeError, match="^cannot serialize value of type"):
+        _render_value(value, [])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from weylscale import (
 )
 from weylscale.errors import DimensionMismatch, OutOfRange
 from weylscale.states import TraceState
-from weylscale.weyl import KEY_GRID
+from weylscale.weyl import KEY_GRID, _canonical_key
 
 from conftest import random_word, words_close
 
@@ -172,6 +172,71 @@ def test_keys_merge_as_the_int64_keys_did_wherever_that_cast_is_exact(entries, u
     g = f + np.array([ulps * 1e-13 * (1 + 1j)] * len(entries))
     merged = len(WeylWord(len(entries), [(f, 1.0), (g, 1.0)])) == 1
     assert merged == (_int64_key(f) == _int64_key(g))
+
+
+def _numpy_key(vec):
+    """The generator key as one numpy pass over the coordinates gave it: the real,
+    then the imaginary parts over KEY_GRID, rounded half to even, as floats."""
+    with np.errstate(over="ignore"):
+        coords = np.round(np.concatenate((vec.real, vec.imag), axis=None) / KEY_GRID)
+    if not np.isfinite(coords).all():
+        raise OutOfRange("generator vector has a coordinate that is not finite on the key grid")
+    return tuple(coords.tolist())
+
+
+#: grid coordinates at exact halves (half to even: 0.5 -> 0, 1.5 -> 2, 2.5 -> 2), signed
+#: zeros, and magnitudes past 2**53 grid steps, where every float is a whole number of steps
+_KEY_EDGES = [
+    0.0, -0.0, 0.5 * KEY_GRID, -0.5 * KEY_GRID, 1.5 * KEY_GRID, 2.5 * KEY_GRID, -2.5 * KEY_GRID,
+    2.0**53 * KEY_GRID, -(2.0**53) * KEY_GRID, 2.0**60 * KEY_GRID, 1e7, -3e7, 1e290, 1.7e296,
+]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e12, allow_nan=False, allow_infinity=False)
+        | st.builds(complex, st.sampled_from(_KEY_EDGES), st.sampled_from(_KEY_EDGES)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_keys_equal_the_numpy_formula(entries):
+    vec = np.array(entries, dtype=complex)
+    key, expected = _canonical_key(vec), _numpy_key(vec)
+    # -0.0 reads 0.0: an equal key of the same hash, so every lookup is the same
+    assert key == expected and hash(key) == hash(expected)
+    assert [type(x) for x in key] == [float] * len(expected)
+    assert [abs(x) for x in key] == [abs(x) for x in expected]
+
+
+def test_keys_round_exact_halves_to_even_and_keep_large_coordinates():
+    halves = np.array([0.5, 1.5, 2.5, -2.5, 3.5], dtype=complex) * KEY_GRID
+    assert _canonical_key(halves) == _numpy_key(halves)
+    assert _canonical_key(np.array([2.0**53 * KEY_GRID + 0j])) == _numpy_key(np.array([2.0**53 * KEY_GRID + 0j]))
+    assert _canonical_key(np.array([1e7 + 0j])) != _canonical_key(np.array([np.nextafter(1e7, 2e7) + 0j]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1e300, complex(0, np.nan), complex(0, -np.inf)])
+def test_keys_of_coordinates_not_finite_on_the_grid_raise_as_the_numpy_formula_does(entry):
+    vec = np.array([0.5, entry], dtype=complex)
+    with pytest.raises(OutOfRange):
+        _numpy_key(vec)
+    with pytest.raises(OutOfRange, match="^generator vector has a coordinate that is not finite on the key grid$"):
+        _canonical_key(vec)
+
+
+def test_a_word_sum_keeps_the_stored_keys_and_vectors():
+    u = WeylWord(2, [([1.0, 0.5j], 2.0), ([0.0, 1.0], 1.0)])
+    v = WeylWord(2, [([0.0, 1.0 + 1e-15], -1.0), ([3.0, 0.0], 0.5)])
+    total = u + v
+    # the terms of u, then each of v added in turn: the first cancels a term of u
+    keys = [_canonical_key(np.array([1.0, 0.5j])), _canonical_key(np.array([3.0 + 0j, 0.0]))]
+    assert list(total._terms) == keys
+    assert [coeff for _, coeff in total.items()] == [2.0, 0.5]
+    # the stored read-only vectors are shared, not keyed or copied again
+    assert total._terms[keys[0]][0] is u._terms[keys[0]][0] and total._terms[keys[1]][0] is v._terms[keys[1]][0]
+    assert len(u) == 2 and len(v) == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -68,7 +68,7 @@ MUTANTS = (
     # the KMS residual bound a hundred times too loose,
     ("kms.py", "return self.max_residual <= tol * self.scale", "return self.max_residual <= tol * 100 * self.scale"),
     # and without the growth of the strip's rounding with ||Delta||^beta
-    ("kms.py", "scale=max(1.0, size * _modular_value(covariance.atoms[0].value, 1.0)),", "scale=max(1.0, size),"),
+    ("kms.py", "scale=max(1.0, size * _modular_value(_atom_value(covariance, 0), 1.0)),", "scale=max(1.0, size),"),
     # restrict-scan's dichotomy read at 0 only
     (
         "runner.py",
@@ -168,10 +168,28 @@ MUTANTS = (
     ("spectral.py", "bound = HERMITICITY_TOL * max(1.0, largest)", "bound = HERMITICITY_TOL"),
     # an integer read through a float, which holds every integer only up to 2**53
     ("config.py", "number = value if type(value) is int else int(number)", "number = int(number)"),
-    # an --out path that cannot be written ending in a traceback
+    # an --out path that cannot be written found only after the suite has run,
+    ("cli.py", "if args.out and (reason := _out_error(args.out)) is not None:", "if False:"),
+    # or ending in a traceback when it fails after the check
     ("cli.py", 'print(f"config error: --out: {exc}", file=sys.stderr)\n            return 2', "raise"),
-    # generator keys back on the int64 cast of the grid coordinates
-    ("weyl.py", "return tuple(coords.tolist())", "return tuple(coords.astype(np.int64).tolist())"),
+    # generator keys back on the int64 cast of the grid coordinates,
+    (
+        "weyl.py",
+        "return tuple([float(round(x / KEY_GRID))",
+        "return tuple([float(np.float64(round(x / KEY_GRID)).astype(np.int64))",
+    ),
+    # or rounded toward zero by int() in place of half to even
+    ("weyl.py", "return tuple([float(round(x / KEY_GRID))", "return tuple([float(int(x / KEY_GRID))"),
+    # a word sum that drops the first word's keyed terms
+    ("weyl.py", "out._terms = dict(self._terms)", "out._terms = {}"),
+    # the snapping gap test passing a gap of exactly the merge tolerance
+    ("spectral.py", "if all(b - a > ATOM_MERGE_TOL for a, b", "if all(b - a >= ATOM_MERGE_TOL for a, b"),
+    # a bool rendered by the int entry of the type table
+    (
+        "report.py",
+        'bool: lambda value, pieces: pieces.append("true" if value else "false"),',
+        "bool: lambda value, pieces: pieces.append(str(value)),",
+    ),
 )
 
 #: tier-1 without tests/test_mutants.py, which fails on every mutant: it checks that
