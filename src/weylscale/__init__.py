@@ -83,7 +83,6 @@ from .kms import (
     Phi_function,
     covariance_from_hamiltonian,
     default_time_grid,
-    evolve_word,
     j_h_function,
     kms_boundary_residuals,
     kms_model,

@@ -34,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation, OutOfRange, _orderable, require_positive
+from .errors import DomainViolation, OutOfRange, _orderable, require_positive
 from .spectral import (
     ATOM_MERGE_TOL,
     INF,
     OperatorSpec,
-    _atom_value,
     apply_function,
     inf_spectrum,
     op_norm,
@@ -102,26 +101,14 @@ class KmsModel:
 
 
 def kms_model(hamiltonian: OperatorSpec, beta: float) -> KmsModel:
-    """Assemble the equilibrium model for a one-particle Hamiltonian.
-
-    A Hamiltonian declared unbounded above (``declared_supremum == INF``, set
-    by ``with_declared_bounds``) puts the model in that regime as side data:
-    the covariance spectrum then accumulates at 1 and the modular operator is
-    unbounded, although the stored atoms carry only the finitely many points
-    the formulas use.
-    """
+    """Assemble the equilibrium model for a one-particle Hamiltonian."""
     covariance = covariance_from_hamiltonian(hamiltonian, beta)
-    modular = modular_operator(covariance, beta)
-    epsilon = inf_spectrum(hamiltonian)
-    if hamiltonian.declared_supremum == INF:
-        covariance = covariance.with_declared_bounds(infimum=1.0)
-        modular = modular.with_declared_bounds(supremum=INF)
     return KmsModel(
         hamiltonian=hamiltonian,
         beta=float(beta),
         covariance=covariance,
-        modular=modular,
-        epsilon=float(epsilon),
+        modular=modular_operator(covariance, beta),
+        epsilon=float(inf_spectrum(hamiltonian)),
     )
 
 
@@ -142,14 +129,6 @@ def time_evolution(modular: OperatorSpec, t: float) -> np.ndarray:
     phases = _powers_at(modular, float(t))[0]
     v = modular.eigenvectors
     return (v * phases) @ v.conj().T
-
-
-def evolve_word(u: WeylWord, modular: OperatorSpec, t: float) -> WeylWord:
-    """Apply the modular dynamics to every generator: W_f -> W_{Delta^{it} f}."""
-    transport = time_evolution(modular, t)
-    if transport.shape[0] != u.dim:
-        raise DimensionMismatch(f"word over C^{u.dim} against operator of dimension {transport.shape[0]}")
-    return WeylWord(u.dim, [(transport @ vec, coeff) for vec, coeff in u.items()])
 
 
 def _modular_coordinates(covariance: OperatorSpec, modular: OperatorSpec, f, g):
@@ -368,7 +347,7 @@ def _boundary_report(
         r0=np.abs(lower - F_vals),
         r_beta=np.abs(upper - F_rev),
         strip_sup=strip_sup,
-        scale=max(1.0, size * _modular_value(_atom_value(covariance, 0), 1.0)),
+        scale=max(1.0, size * _modular_value(inf_spectrum(covariance), 1.0)),
     )
 
 
@@ -432,31 +411,17 @@ def rescaled_modular(model: KmsModel, h: float) -> RescaledKmsModel:
     """
     if not 0 < _orderable(h) <= 1:
         raise OutOfRange(f"scale parameter {h} outside (0, 1]")
-    if not 4.0 * _atom_value(model.covariance, -1) / h < INF:
+    if not 4.0 * op_norm(model.covariance) / h < INF:
         raise OutOfRange(f"scale parameter {h} too small: the covariance over h overflows")
     beta = model.beta
     covariance_h = apply_function(model.covariance, lambda lam: lam / h)
-    if model.covariance.declared_infimum is not None:
-        # the declared accumulation point scales along with the atoms
-        covariance_h = covariance_h.with_declared_bounds(
-            infimum=model.covariance.declared_infimum / h
-        )
     via_spectrum, residual = _two_route(model.modular, covariance_h, h, beta)
-    generator_h = apply_function(via_spectrum, math.log)
-    delta_bottom = math.log(j_h_function(inf_spectrum(model.modular), h, beta))
-    if model.modular.declared_supremum == INF:
-        # unbounded Delta: j_h is bounded by its value at the pole-free limit
-        limit = ((1.0 + h) / (1.0 - h)) ** (1.0 / beta) if h < 1 else INF
-        via_spectrum = via_spectrum.with_declared_bounds(supremum=limit)
-        generator_h = generator_h.with_declared_bounds(
-            supremum=math.log(limit) if limit != INF else INF
-        )
     return RescaledKmsModel(
         base=model,
         covariance_h=covariance_h,
         modular_h=via_spectrum,
-        generator_h=generator_h,
-        delta_bottom=delta_bottom,
+        generator_h=apply_function(via_spectrum, math.log),
+        delta_bottom=math.log(j_h_function(inf_spectrum(model.modular), h, beta)),
         two_route_residual=residual,
     )
 

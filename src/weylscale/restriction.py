@@ -157,13 +157,6 @@ def restricted_model(
         lam_star = lambda_star(h, beta)
         restricted_mod = modular_operator(restricted, beta)
         rescaled_mod, residual = _two_route(restricted_mod, rescaled, h, beta)
-        if covariance.declared_infimum is not None and covariance.declared_infimum <= 1:
-            # unbounded regime: the covariance spectrum fills (1, h_star], so the
-            # restriction fills (h, h_star], the restricted modular spectrum fills
-            # up to lambda_star and attains its operator norm there
-            restricted_mod = restricted_mod.with_declared_bounds(supremum=lam_star)
-            restricted = restricted.with_declared_bounds(infimum=h)
-            rescaled = rescaled.with_declared_bounds(infimum=1.0)
     return RestrictedModel(
         covariance=covariance,
         h=float(h),

@@ -30,7 +30,7 @@ from .restriction import (
     restricted_model, trace_state,
 )
 from .spectral import (
-    ATOM_MERGE_TOL, INF, OperatorSpec, _atom_value, apply_function, dominates_identity, inf_spectrum,
+    ATOM_MERGE_TOL, INF, OperatorSpec, apply_function, dominates_identity, inf_spectrum,
     op_norm, spectral_distance,
 )
 from .states import (
@@ -179,7 +179,7 @@ def _modular_exponential_within(model, residual: float, tol: float) -> bool:
     (a_min - 1))``, and the rounding of delta and of e^H by a multiple of ``||Delta||``.
     The bound is ``tol`` for a well-conditioned Delta of unit size and grows with both.
     """
-    a_min, norm = _atom_value(model.covariance, 0), _atom_value(model.modular, -1)
+    a_min, norm = inf_spectrum(model.covariance), op_norm(model.modular)
     return residual <= tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))
 
 
@@ -456,7 +456,7 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
             "mixture_pointwise_deviation": pointwise_dev,
         }
         checks = {
-            "occupation": occupation_dev <= arithmetic_tol,
+            "occupation": occupation_dev <= arithmetic_tol * max(1.0, occupation),
             "quasi_equivalence": quasi == (h == 1),
             "roundtrip": roundtrip_dev <= 1e-14,
             # 1 - c cancels, so the round-off of (1+c)/(1-c) grows like eps/h^2

@@ -16,8 +16,8 @@ its snapped eigenvalue array: its bounds, its distance to another matrix
 operator and the maps of functional calculus read that array.  When no two
 values merged, its ``atoms`` are derived from the array on first read, and
 kept, so most operators of a chain build none.  Every matrix operator is
-built by :meth:`OperatorSpec.from_eigen`, and bounds the atoms do not carry
-are declared only by :meth:`OperatorSpec.with_declared_bounds`.
+built by :meth:`OperatorSpec.from_eigen`.  The bottom and top of any
+spectrum are read only by :func:`inf_spectrum` and :func:`op_norm`.
 
 A matrix operator holds its eigendecomposition; its dense matrix
 ``V diag V*`` is built the first time ``.matrix`` is read, and kept.  Most
@@ -34,7 +34,6 @@ shape check of a vector pair against an operator.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -141,8 +140,6 @@ class OperatorSpec:
     eigenvalues: np.ndarray | None
     eigenvectors: np.ndarray | None
     _atoms: tuple[Atom, ...] | None
-    declared_infimum: float | None = None
-    declared_supremum: float | None = None
     _matrix: np.ndarray | None = field(default=None, repr=False)
 
     # -- constructors ------------------------------------------------------
@@ -186,7 +183,7 @@ class OperatorSpec:
     @classmethod
     def from_atoms(cls, pairs: Iterable[tuple[float, float]]) -> "OperatorSpec":
         """Spectral operator of one or more finite positive values with positive integer or INF
-        multiplicities; declare an unbounded spectrum by :meth:`with_declared_bounds`."""
+        multiplicities."""
         cleaned: list[tuple[float, float]] = []
         for value, mult in pairs:
             if not 0 < _orderable(value) < INF:
@@ -236,16 +233,6 @@ class OperatorSpec:
         if not self.is_matrix:
             raise ModelMismatch("operation needs concrete eigenvectors")
 
-    def with_declared_bounds(
-        self, infimum: float | None = None, supremum: float | None = None
-    ) -> "OperatorSpec":
-        """Copy with declared spectral bounds (side data for unbounded models)."""
-        return dataclasses.replace(
-            self,
-            declared_infimum=infimum if infimum is not None else self.declared_infimum,
-            declared_supremum=supremum if supremum is not None else self.declared_supremum,
-        )
-
     def __repr__(self) -> str:
         if self.is_matrix:
             return f"OperatorSpec(matrix {self.dimension}x{self.dimension}, spectrum {[a.value for a in self.atoms]})"
@@ -274,8 +261,7 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
     """Functional calculus: same eigenvectors/atoms, eigenvalues mapped by fn.
 
     Raises DomainViolation when fn is singular, undefined or non-finite at a
-    spectral point.  Declared bounds do not survive the map (they are side
-    data about parts of the spectrum the atoms do not carry).
+    spectral point.
     """
 
     def evaluate(x: float) -> float:
@@ -312,24 +298,14 @@ def apply_function(op: OperatorSpec, fn: Callable[[float], float]) -> OperatorSp
     return OperatorSpec("spectral", None, None, atoms)
 
 
-def _atom_value(op: OperatorSpec, index: int) -> float:
-    """The value of the atom at ``index`` (0 the bottom, -1 the top), read from the
-    snapped values of a matrix operator; declared bounds are not read."""
-    return float(op.eigenvalues[index]) if op.is_matrix else op.atoms[index].value
-
-
 def inf_spectrum(op: OperatorSpec) -> float:
-    """Bottom of the spectrum (declared infimum wins when present)."""
-    if op.declared_infimum is not None:
-        return op.declared_infimum
-    return _atom_value(op, 0)
+    """Bottom of the spectrum: the first snapped value of a matrix operator, or the first atom."""
+    return float(op.eigenvalues[0]) if op.is_matrix else op.atoms[0].value
 
 
 def op_norm(op: OperatorSpec) -> float:
-    """Top of the spectrum; INF when a supremum is declared unbounded."""
-    if op.declared_supremum is not None:
-        return op.declared_supremum
-    return _atom_value(op, -1)
+    """Top of the spectrum: the last snapped value of a matrix operator, or the last atom."""
+    return float(op.eigenvalues[-1]) if op.is_matrix else op.atoms[-1].value
 
 
 def dominates_identity(op: OperatorSpec, h: float = 1.0) -> bool:

@@ -322,12 +322,34 @@ def test_rescale_fock_mixture_off_the_functional_fails(tmp_path, capsys, monkeyp
 
 RESCALE = "h_values: [0.5, 1.0]\n"
 
+#: occupations of about 5e4 and 5e6, which round by an ulp: far above 1e-12, but not relative to them
+SMALL_SCALES = "h_values: [1e-5, 1e-7]\nspace: {dimension: 2}\nvectors: {random: {count: 3, seed: 3}}\n"
+
+
+def test_rescale_fock_occupation_bound_grows_with_the_occupation(tmp_path, capsys):
+    code, cells, failed = _run(tmp_path, capsys, "rescale-fock", SMALL_SCALES)
+    assert code == 0
+    assert [cell["ok"] for cell in cells] == [True, True]
+    assert cells[0]["occupation_deviation"] > 1e-12 and cells[1]["occupation_deviation"] > 1e-12
+
 
 def test_rescale_fock_occupation_off_its_closed_form_fails(tmp_path, capsys, monkeypatch):
     # each occupation moved by twice the 1e-12 arithmetic tolerance
     occupation = weylscale.runner.one_particle_number_expectation
     monkeypatch.setattr(weylscale.runner, "one_particle_number_expectation", lambda *args: occupation(*args) + 2e-12)
     code, cells, failed = _run(tmp_path, capsys, "rescale-fock", RESCALE)
+    assert code == 3
+    assert [cell["ok"] for cell in cells] == [False, False]
+    assert failed == ["occupation"] * 2
+
+
+def test_rescale_fock_large_occupation_off_its_closed_form_fails(tmp_path, capsys, monkeypatch):
+    # each occupation moved by twice its bound, 1e-12 times the occupation
+    occupation = weylscale.runner.one_particle_number_expectation
+    monkeypatch.setattr(
+        weylscale.runner, "one_particle_number_expectation", lambda *args: occupation(*args) * (1 + 2e-12)
+    )
+    code, cells, failed = _run(tmp_path, capsys, "rescale-fock", SMALL_SCALES)
     assert code == 3
     assert [cell["ok"] for cell in cells] == [False, False]
     assert failed == ["occupation"] * 2

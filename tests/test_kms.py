@@ -7,10 +7,8 @@ import pytest
 from weylscale import (
     F_function,
     Phi_function,
-    WeylWord,
     covariance_from_hamiltonian,
     default_time_grid,
-    evolve_word,
     inf_spectrum,
     j_h_function,
     kms_boundary_residuals,
@@ -30,7 +28,7 @@ from weylscale.kms import (
     STRIP_FRACTIONS, _boundary_report, _F_terms, _log_spectrum, _modular_coordinates, _Phi_terms,
 )
 from weylscale.errors import DomainViolation, OutOfRange
-from weylscale.spectral import INF, OperatorSpec, apply_function, spectral_distance
+from weylscale.spectral import apply_function, spectral_distance
 
 from conftest import random_covariance, random_vector
 
@@ -122,13 +120,6 @@ class TestTimeEvolution:
                 quadratic_form(covariance, transport @ f, transport @ g)
                 - quadratic_form(covariance, f, g)
             ) <= 1e-12
-
-    def test_evolve_word(self, two_mode_model):
-        t = 0.7
-        transport = time_evolution(two_mode_model.modular, t)
-        f = np.array([1.0, 1j])
-        evolved = evolve_word(WeylWord.generator(f, 2.0), two_mode_model.modular, t)
-        assert evolved.coefficient(transport @ f) == pytest.approx(2.0)
 
 
 class TestFAndPhi:
@@ -462,16 +453,6 @@ class TestRescaledModular:
         with pytest.raises(OutOfRange):
             rescaled_modular(scalar_model, 1.5)
 
-    def test_unbounded_declaration(self):
-        model = kms_model(
-            OperatorSpec.from_atoms([(LOG2, 1)]).with_declared_bounds(supremum=INF), beta=1.0
-        )
-        assert inf_spectrum(model.covariance) == 1.0
-        assert op_norm(model.modular) == INF
-        rescaled = rescaled_modular(model, 0.5)
-        # A/h keeps spectrum above 1/h >= 1 in the rescaling regime
-        assert all(atom.value >= 1.0 for atom in rescaled.covariance_h.atoms)
-
 
 class TestRescaledBoundary:
     def test_scalar_value_at_zero(self, scalar_model):
@@ -547,15 +528,3 @@ class TestTwoPoint:
             report = two_point_function(covariance, modular, f, g, float(rng.uniform(-3.0, 3.0)))
             assert abs(report.derived_value - report.oracle_value) <= 1e-12
             assert report.derived_matches_oracle
-
-
-def test_unbounded_declaration_propagates_through_rescaling():
-    model = kms_model(
-        OperatorSpec.from_atoms([(LOG2, 1)]).with_declared_bounds(supremum=INF), beta=1.0
-    )
-    rescaled = rescaled_modular(model, 0.5)
-    # spectrum of A accumulates at 1, so A/h accumulates at 1/h
-    assert inf_spectrum(rescaled.covariance_h) == 2.0
-    # j_h maps the unbounded top of Delta to the finite limit (1+h)/(1-h)
-    assert op_norm(rescaled.modular_h) == pytest.approx(3.0)
-    assert op_norm(rescaled.generator_h) == pytest.approx(math.log(3.0))

@@ -6,7 +6,6 @@ import pytest
 from weylscale import (
     INF,
     NonRegularFunctional,
-    OperatorSpec,
     RescaledFockState,
     WeylWord,
     check_sigma_h_positivity,
@@ -70,12 +69,6 @@ class TestRestrictedModel:
     def test_modular_norm_bounded_by_lambda_star(self):
         model = restricted_model(make_operator(np.diag([1.0, 2.0, 3.0])), 1.5, beta=1.0)
         assert op_norm(model.restricted_modular) <= model.lam_star + 1e-12
-
-    def test_unbounded_regime_attains_lambda_star(self):
-        base = kms_model(OperatorSpec.from_atoms([(LOG2, 1)]).with_declared_bounds(supremum=INF), 1.0)
-        model = restricted_model(base.covariance, 2.0, beta=1.0)
-        assert op_norm(model.restricted_modular) == model.lam_star
-        assert inf_spectrum(model.rescaled_covariance) == 1.0
 
 
 class TestSubspaceSelection:

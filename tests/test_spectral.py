@@ -79,7 +79,7 @@ class TestMakeOperator:
 
     @pytest.mark.parametrize("pair", [(2.0, math.nan), (math.inf, 1), (math.nan, 1)])
     def test_nan_multiplicity_or_non_finite_atom_rejected(self, pair):
-        # an unbounded spectrum is declared by with_declared_bounds, not by an atom at infinity
+        # every atom is finite: a spectrum has a finite top, read by op_norm
         with pytest.raises(OutOfRange, match=r"atom (value inf|value nan|multiplicity nan) is not"):
             OperatorSpec.from_atoms([pair])
 
@@ -192,11 +192,6 @@ class TestSpectrumBounds:
         assert inf_spectrum(op) == expected_inf
         assert op_norm(op) == expected_norm
 
-    def test_declared_bounds_take_precedence(self):
-        op = OperatorSpec.from_atoms([(3.0, INF)]).with_declared_bounds(infimum=1.0, supremum=INF)
-        assert inf_spectrum(op) == 1.0
-        assert op_norm(op) == INF
-
 
 class TestTraceClass:
     def test_rescaled_fock_covariance_is_not(self):
@@ -234,10 +229,6 @@ class TestIdentityBound:
     def test_default_scale_is_one(self):
         op = make_operator([(1.0 - ATOM_MERGE_TOL, 1)])
         assert dominates_identity(op) is dominates_identity(op, 1.0) is True
-
-    def test_declared_infimum_decides(self):
-        op = make_operator([(2.0, 1)]).with_declared_bounds(infimum=0.5)
-        assert not dominates_identity(op)
 
     def test_raising_form_returns_the_bottom(self):
         assert require_dominates_identity(make_operator(np.diag([1.5, 2.0]))) == 1.5

@@ -68,7 +68,7 @@ MUTANTS = (
     # the KMS residual bound a hundred times too loose,
     ("kms.py", "return self.max_residual <= tol * self.scale", "return self.max_residual <= tol * 100 * self.scale"),
     # and without the growth of the strip's rounding with ||Delta||^beta
-    ("kms.py", "scale=max(1.0, size * _modular_value(_atom_value(covariance, 0), 1.0)),", "scale=max(1.0, size),"),
+    ("kms.py", "scale=max(1.0, size * _modular_value(inf_spectrum(covariance), 1.0)),", "scale=max(1.0, size),"),
     # restrict-scan's dichotomy read at 0 only
     (
         "runner.py",
@@ -91,7 +91,11 @@ MUTANTS = (
     ("runner.py", '"weyl_relation": relation <= tol,', '"weyl_relation": relation <= 10 * tol,'),
     ("runner.py", '{"closed_form": deviation <= tol}', '{"closed_form": deviation <= 10 * tol}'),
     # rescale-fock's occupation and roundtrip checks ten times too loose,
-    ("runner.py", '"occupation": occupation_dev <= arithmetic_tol,', '"occupation": occupation_dev <= 10 * arithmetic_tol,'),
+    (
+        "runner.py",
+        '"occupation": occupation_dev <= arithmetic_tol * max(1.0, occupation),',
+        '"occupation": occupation_dev <= 10 * arithmetic_tol * max(1.0, occupation),',
+    ),
     ("runner.py", '"roundtrip": roundtrip_dev <= 1e-14,', '"roundtrip": roundtrip_dev <= 1e-13,'),
     # and its quasi-equivalence and mixture checks dropped
     ("runner.py", '"quasi_equivalence": quasi == (h == 1),', ""),
