@@ -28,7 +28,7 @@ from weylscale.kms import (
     STRIP_FRACTIONS, _boundary_report, _F_terms, _log_spectrum, _modular_coordinates, _Phi_terms,
 )
 from weylscale.errors import DomainViolation, OutOfRange
-from weylscale.spectral import apply_function, spectral_distance
+from weylscale.spectral import INF, apply_function, spectral_distance
 
 from conftest import random_covariance, random_vector
 
@@ -452,6 +452,25 @@ class TestRescaledModular:
             rescaled_modular(scalar_model, 0.0)
         with pytest.raises(OutOfRange):
             rescaled_modular(scalar_model, 1.5)
+
+    def test_atom_model_reads_its_bounds_from_the_atoms(self):
+        # H has atoms 2 log 2 (infinite multiplicity) and log 2, given top first
+        model = kms_model(make_operator([(2 * LOG2, INF), (LOG2, 1)]), beta=1.0)
+        assert inf_spectrum(model.covariance) == pytest.approx(5.0 / 3.0)
+        assert op_norm(model.covariance) == pytest.approx(3.0)
+        assert op_norm(model.modular) == pytest.approx(4.0)
+
+    def test_atom_model_rescales_bottom_and_top(self):
+        model = kms_model(make_operator([(2 * LOG2, INF), (LOG2, 1)]), beta=1.0)
+        rescaled = rescaled_modular(model, 0.5)
+        # A/h has the bottom and top of A over h
+        assert inf_spectrum(rescaled.covariance_h) == inf_spectrum(model.covariance) / 0.5
+        assert op_norm(rescaled.covariance_h) == op_norm(model.covariance) / 0.5
+        # j_h maps the top 4 of Delta to 13/7, below its limit (1+h)/(1-h) = 3
+        assert op_norm(rescaled.modular_h) == pytest.approx(j_h_function(4.0, 0.5, 1.0))
+        assert op_norm(rescaled.modular_h) == pytest.approx(13.0 / 7.0)
+        assert op_norm(rescaled.generator_h) == pytest.approx(math.log(13.0 / 7.0))
+        assert rescaled.two_route_residual <= 1e-12
 
 
 class TestRescaledBoundary:

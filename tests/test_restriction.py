@@ -70,6 +70,16 @@ class TestRestrictedModel:
         model = restricted_model(make_operator(np.diag([1.0, 2.0, 3.0])), 1.5, beta=1.0)
         assert op_norm(model.restricted_modular) <= model.lam_star + 1e-12
 
+    def test_atom_covariance_modular_norm_below_lambda_star(self):
+        # covariance atoms 5/3 (infinite multiplicity) and 3: only the top survives h = 2
+        base = kms_model(make_operator([(2 * LOG2, INF), (LOG2, 1)]), 1.0)
+        model = restricted_model(base.covariance, 2.0, beta=1.0)
+        assert [a.value for a in model.restricted_covariance.atoms] == [3.0]
+        assert inf_spectrum(model.rescaled_covariance) == 1.5
+        assert model.lam_star == pytest.approx(3.0)
+        assert op_norm(model.restricted_modular) == pytest.approx(2.0)
+        assert model.two_route_residual <= 1e-12
+
 
 class TestSubspaceSelection:
     """The subspace of a restricted model: covariance eigenvalues in (h, h_star]."""

@@ -192,6 +192,13 @@ class TestSpectrumBounds:
         assert inf_spectrum(op) == expected_inf
         assert op_norm(op) == expected_norm
 
+    def test_reads_are_the_ends_of_the_snapped_spectrum(self):
+        op = make_operator(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert inf_spectrum(op) == op.eigenvalues[0] == pytest.approx(1.0)
+        assert op_norm(op) == op.eigenvalues[-1] == pytest.approx(3.0)
+        atoms = make_operator([(3.0, 2), (1.0, INF)])
+        assert (inf_spectrum(atoms), op_norm(atoms)) == (1.0, 3.0)
+
 
 class TestTraceClass:
     def test_rescaled_fock_covariance_is_not(self):
@@ -229,6 +236,10 @@ class TestIdentityBound:
     def test_default_scale_is_one(self):
         op = make_operator([(1.0 - ATOM_MERGE_TOL, 1)])
         assert dominates_identity(op) is dominates_identity(op, 1.0) is True
+
+    def test_bottom_atom_decides_whatever_the_order(self):
+        assert not dominates_identity(make_operator([(3.0, INF), (0.5, 1)]))
+        assert require_dominates_identity(make_operator([(3.0, INF), (1.5, 1)])) == 1.5
 
     def test_raising_form_returns_the_bottom(self):
         assert require_dominates_identity(make_operator(np.diag([1.5, 2.0]))) == 1.5
