@@ -241,11 +241,9 @@ def _parse_operator(rows, where: str) -> OperatorSpec:
     return _built(where, OperatorSpec.from_matrix, rows)
 
 
-def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.ndarray:
+def _parse_grid(section, where: str) -> np.ndarray:
     if section is None:
-        if default is None:
-            raise ConfigInvalid(f"{where}: missing grid")
-        return default
+        raise ConfigInvalid(f"{where}: missing grid")
     if isinstance(section, list):
         return np.asarray([parse_number(x, f"{where}[{i}]") for i, x in enumerate(section)])
     if isinstance(section, dict):
@@ -266,7 +264,7 @@ def _parse_grid(section, where: str, default: np.ndarray | None = None) -> np.nd
 
 def _parse_time_grid(section) -> np.ndarray:
     """The t_grid: finite points in strictly increasing order, at least one."""
-    return _built("t_grid", _time_grid, _parse_grid(section, "t_grid", default_time_grid()))
+    return _built("t_grid", _time_grid, _parse_grid(section, "t_grid"))
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -523,7 +521,9 @@ class ExperimentConfig:
         elif "h_grid" in raw:
             config.h_values = tuple(_parse_grid(raw["h_grid"], "h_grid").tolist())
 
-        config.t_grid = _parse_time_grid(raw.get("t_grid"))
+        # absent or null, t_grid keeps the default the config was built with
+        if raw.get("t_grid") is not None:
+            config.t_grid = _parse_time_grid(raw["t_grid"])
 
         if "cutoff" in raw:
             config.cutoff = _parse_integer(raw["cutoff"], "cutoff")

@@ -25,26 +25,32 @@ factors over slots and modes, and products factor as
 residuals are computed from such slot products on the reliable block; the
 max-norm of ``P (x) Q - R (x) S`` is taken in blocks of
 ``_KRON_BLOCK_ENTRIES`` entries, entries (rows) of ``P`` and ``R`` against
-all of ``Q`` and ``S``.  Each row has a rounding-aware bound on its computed
+all of ``Q`` and ``S``.  The one-block rule: when all of ``P (x) Q`` fits one
+block (``P.size * Q.size <= _KRON_BLOCK_ENTRIES``, the reliable blocks of one
+mode up to cutoff 15) it is evaluated whole, as no bound could skip a row of
+a single block.  Otherwise each row has a rounding-aware bound on its computed
 entries, from ``pq - rs = (p - mu r) q + r (mu q - s)``; the rows above half
 the largest bound go first, and a row whose bound cannot beat the running
-maximum is skipped, so the result is the full evaluation's float.  Operands
-that are not finite or exceed ``_KRON_BOUND_LIMIT`` have no bound and raise
-OutOfRange, which no suite reaches: every operand is a product of
-displacements that passed GnsModel._mode_displacement's unitarity check.
+maximum is skipped, so the result is the full evaluation's float either way.
+Operands that are not finite or exceed ``_KRON_BOUND_LIMIT`` have no bound and
+raise OutOfRange, and so does a whole evaluation that is not finite; no suite
+reaches either: every operand is a product of displacements that passed
+GnsModel._mode_displacement's unitarity check.
 
-A model builds each per-mode displacement once: the matrices are kept, keyed
-on the exact bits of the amplitude, for as long as the model lives, and are
-read-only.  Each entry costs ``(cutoff+1)^2`` complex values (27 KB at cutoff
-40), and a gns-check run holds at most ``2 * modes`` entries per vector and
-per pair.
+A model builds its invariants once, each on first use, and keeps them for as
+long as it lives: the ladder matrices every displacement is built from, the
+reliable-block indices and their ``np.ix_`` block that every residual reads,
+and each per-mode displacement, keyed on the exact bits of the amplitude and
+read-only.  Each displacement costs ``(cutoff+1)^2`` complex values (27 KB at
+cutoff 40), and a gns-check run holds at most ``2 * modes`` of them per
+vector and per pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -99,10 +105,17 @@ def expm(matrix: np.ndarray) -> np.ndarray:
     return scipy_expm(matrix)
 
 
-def _mode_displacement(alpha: complex, cutoff: int) -> np.ndarray:
-    """exp(alpha a* - conj(alpha) a) on the truncated ladder."""
+def _ladder_pair(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated ladder ``a`` as ``(a.conj().T, a)``."""
     a = _ladder(cutoff)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
+    return a.conj().T, a
+
+
+def _mode_displacement(alpha: complex, cutoff: int, ladders: tuple | None = None) -> np.ndarray:
+    """exp(alpha a* - conj(alpha) a) on the truncated ladder; ``ladders`` is
+    _ladder_pair(cutoff), built here when not given."""
+    raising, lowering = _ladder_pair(cutoff) if ladders is None else ladders
+    return expm(alpha * raising - np.conj(alpha) * lowering)
 
 
 class GnsModel:
@@ -123,6 +136,17 @@ class GnsModel:
         self.T1 = (self._basis * self._t1) @ self._basis.conj().T
         self.T2 = (self._basis * self._t2) @ self._basis.conj().T
         self._displacements: dict[bytes, np.ndarray] = {}
+
+    @cached_property
+    def _ladders(self) -> tuple[np.ndarray, np.ndarray]:
+        """_ladder_pair(cutoff), built on first use."""
+        return _ladder_pair(self.cutoff)
+
+    @cached_property
+    def _reliable(self) -> tuple[np.ndarray, tuple]:
+        """The slot indices of _reliable_slot and their ``np.ix_`` block, built on first use."""
+        keep = _reliable_slot(self)
+        return keep, np.ix_(keep, keep)
 
     @property
     def slot_dimension(self) -> int:
@@ -153,7 +177,7 @@ class GnsModel:
         matrix = self._displacements.get(key)
         if matrix is None:
             with np.errstate(over="ignore", invalid="ignore"):  # a lost matrix is refused below
-                matrix = _mode_displacement(alpha, self.cutoff)
+                matrix = _mode_displacement(alpha, self.cutoff, self._ladders)
                 defect = abs(np.vdot(matrix, matrix).real / len(matrix) - 1.0)
             if not defect <= _UNITARY_TOL:
                 raise OutOfRange(
@@ -282,21 +306,32 @@ def _kron_difference_max(p, q, r, s) -> float:
     """Max-norm of ``P (x) Q - R (x) S``: the float of one broadcast over all
     entries ``P[i,k] Q[j,l] - R[i,k] S[j,l]``.
 
-    Entries are evaluated by _block_max, _KRON_BLOCK_ENTRIES at a time: rows
-    ``ik`` of ``P`` and ``R`` against all of ``Q`` and ``S``.  Each row has a
-    bound on its computed entries (_row_bounds), and a row whose bound is at
-    most the running maximum is skipped: none of its entries can exceed it,
-    so the maximum is exact.  The rows whose bound is above half the largest
-    go first, so the running maximum is near its end value before the rest
-    are filtered; within each of the two tiers rows go in order, as sorting
-    them touched about 200 KB more of numpy's code and the worker's peak RSS
-    showed it.
+    When all entries fit one block (``p.size * q.size <= _KRON_BLOCK_ENTRIES``)
+    one _block_max evaluates them, with no bound: _row_bounds costs more than
+    such a block.  OutOfRange when that maximum is not finite.
+
+    Otherwise entries are evaluated by _block_max, _KRON_BLOCK_ENTRIES at a
+    time: rows ``ik`` of ``P`` and ``R`` against all of ``Q`` and ``S``.  Each
+    row has a bound on its computed entries (_row_bounds), and a row whose
+    bound is at most the running maximum is skipped: none of its entries can
+    exceed it, so the maximum is exact.  The rows whose bound is above half
+    the largest go first, so the running maximum is near its end value before
+    the rest are filtered; within each of the two tiers rows go in order, as
+    sorting them touched about 200 KB more of numpy's code and the worker's
+    peak RSS showed it.
 
     OutOfRange when _row_bounds gives no bound: an operand is not finite or
     exceeds _KRON_BOUND_LIMIT.  The residuals pass no such operand, as each is
     a product of displacements that passed GnsModel._mode_displacement's
     unitarity check, times a unit phase.
     """
+    if p.size * q.size <= _KRON_BLOCK_ENTRIES:
+        # every row fits one block, which no bound could shorten: evaluate it whole
+        with np.errstate(over="ignore", invalid="ignore"):  # such a maximum is refused below
+            peak = float(_block_max(p.reshape(-1, 1, 1), q[None], r.reshape(-1, 1, 1), s[None]))
+        if not math.isfinite(peak):
+            raise OutOfRange(f"GNS max-norm {peak} not finite: an operand is not finite or an entry overflows")
+        return peak
     bound = _row_bounds(p.ravel(), q, r.ravel(), s)
     if bound is None:
         raise OutOfRange(f"GNS max-norm operands not finite or above {_KRON_BOUND_LIMIT:g}: no row bound")
@@ -326,8 +361,7 @@ def weyl_relation_residual(model: GnsModel, f, g) -> float:
     a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
     b1, b2 = _slot_pair(model, model.slot_amplitudes(g))
     c1, c2 = _slot_pair(model, model.slot_amplitudes(f + g))
-    keep = _reliable_slot(model)
-    block = np.ix_(keep, keep)
+    keep, block = model._reliable
     phase = np.exp(-0.5j * sigma(f, g))
     return _kron_difference_max(
         a1[keep] @ b1[:, keep], a2[keep] @ b2[:, keep], phase * c1[block], c2[block]
@@ -342,7 +376,7 @@ def commutant_residual(model: GnsModel, f, g) -> float:
     """
     a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
     b2, b1 = _slot_pair(model, model.slot_amplitudes(g))
-    keep = _reliable_slot(model)
+    keep, _ = model._reliable
     return _kron_difference_max(
         a1[keep] @ b1[:, keep],
         a2[keep] @ b2[:, keep],

@@ -94,9 +94,8 @@ class RestrictedModel:
         return self._basis
 
     def project(self, f) -> np.ndarray:
-        """Orthogonal projection of f onto the subspace."""
-        v = self.basis()
-        return v @ (v.conj().T @ np.asarray(f, dtype=complex))
+        """Orthogonal projection of f onto the subspace: the basis times :meth:`compress`."""
+        return self.basis() @ self.compress(f)
 
     def residual(self, f) -> float:
         """Distance of f from the subspace."""
@@ -236,16 +235,18 @@ def restricted_kms_residuals(
     """
     if model.beta is None or model.restricted_modular is None:
         raise ModelMismatch("restricted model carries no modular data; rebuild with beta")
+    coordinates = []
     for name, vec in (("f", f), ("g", g)):
-        if not _member(vec, model.project(vec)):
+        # B* v once: the compression, and the membership test's projection B (B* v)
+        compressed = model.compress(vec)
+        if not _member(vec, model.basis() @ compressed):
             raise DimensionMismatch(f"vector {name} has projection residual {model.residual(vec):.3e}")
+        coordinates.append(compressed)
     if rescaled:
         covariance, modular = model.rescaled_covariance, model.rescaled_restricted_modular
     else:
         covariance, modular = model.restricted_covariance, model.restricted_modular
-    return _boundary_report(
-        covariance, modular, model.beta, model.compress(f), model.compress(g), t_grid
-    )
+    return _boundary_report(covariance, modular, model.beta, *coordinates, t_grid)
 
 
 class NonRegularFunctional(StateFunctional):

@@ -482,11 +482,10 @@ def run_rescale_fock(config: ExperimentConfig, record: ReportRecord):
 
 
 def _random_word(rng: np.random.Generator, dim: int) -> WeylWord:
+    """A word of one to three generators, each vector and coefficient a complex Gaussian draw."""
     count = int(rng.integers(1, 4))
-    word = WeylWord(dim)
-    for vec, coeff in zip(random_complex_vectors(rng, count, dim), random_complex_vectors(rng, count, 1)):
-        word = word + WeylWord.generator(vec, complex(coeff[0]))
-    return word
+    vectors = random_complex_vectors(rng, count, dim)
+    return WeylWord(dim, zip(vectors, random_complex_vectors(rng, count, 1)[:, 0]))
 
 
 @_suite("restrict-scan", "residual")

@@ -189,9 +189,17 @@ def rescale_functional(phi: StateFunctional, h: float) -> StateFunctional:
 
 
 def evaluate_state(phi: StateFunctional, u: WeylWord) -> complex:
-    """Linear extension of the generating functional to a word."""
+    """Linear extension of the generating functional to a word.
+
+    The trace state's value is the word's coefficient of ``W_0``, found by its
+    stored key, so no term is keyed again; it is the term-by-term sum's float
+    whenever the word's coefficients are finite.
+    """
     if phi.dimension is not None and phi.dimension != u.dim:
         raise DimensionMismatch(f"functional over C^{phi.dimension}, word over C^{u.dim}")
+    if isinstance(phi, TraceState):
+        # the indicator keeps W_0 alone: the term-by-term sum is 0j plus its coefficient
+        return 0j + u.identity_coefficient()
     total = 0.0 + 0.0j
     for vec, coeff in u.items():
         total += coeff * phi.value(vec)

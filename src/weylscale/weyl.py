@@ -11,7 +11,8 @@ floating-point noise merge into one term.  A key is the real, then the
 imaginary parts of the vector, each divided by ``KEY_GRID`` and rounded half to
 even by Python's ``round`` (as ``np.rint`` rounds), as floats: exact at any
 size, with ``-0.0`` read as ``0.0``, an equal key of the same hash.  Each term
-keeps its key, so a sum of words merges the stored keys and keys no vector again.
+keeps its key, so a sum of words merges the stored keys and keys no vector again,
+and the coefficient of ``W_0`` is read from the key of zeros, which keys nothing.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ class WeylWord:
     def coefficient(self, f) -> complex:
         key = _canonical_key(np.asarray(f, dtype=complex))
         entry = self._terms.get(key)
+        return entry[1] if entry else 0.0
+
+    def identity_coefficient(self) -> complex:
+        """The coefficient of ``W_0``, found by its stored key, ``2 * dim`` zeros: no vector is keyed."""
+        entry = self._terms.get((0.0,) * (2 * self.dim))
         return entry[1] if entry else 0.0
 
     # -- linear structure ----------------------------------------------------

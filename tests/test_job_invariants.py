@@ -1,0 +1,250 @@
+"""Invariants a job computes once give the floats of computing them each time.
+
+Each reuse is checked bit for bit against the formula it replaced: the GNS
+max-norm on both sides of the one-block rule, the trace state read from a
+word's zero key, restrict-scan's random words built in one pass, the
+restricted KMS residuals with ``B* v`` taken once, and the per-model GNS
+ladder and reliable block.
+"""
+
+import dataclasses
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from weylscale import fock
+from weylscale.config import ExperimentConfig, random_complex_vectors
+from weylscale.errors import DimensionMismatch, OutOfRange
+from weylscale.fock import GnsModel, _kron_difference_max, commutant_residual, weyl_relation_residual
+from weylscale.kms import _boundary_report, covariance_from_hamiltonian, default_time_grid
+from weylscale.restriction import _member, restricted_kms_residuals, restricted_model
+from weylscale.runner import _random_word
+from weylscale.spectral import make_operator
+from weylscale.states import TraceState, evaluate_state
+from weylscale.weyl import WeylWord, weyl_adjoint, weyl_multiply
+
+
+def _bits(z) -> tuple:
+    """A complex number's parts as hex, which tells -0.0 from 0.0."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# ---------------------------------------------------------------------------
+# the GNS max-norm on both sides of the one-block rule
+
+
+def _broadcast_max(p, q, r, s):
+    """Max-norm of P (x) Q - R (x) S in one broadcast over every entry."""
+    diff = p[:, None, :, None] * q[None, :, None, :]
+    diff -= r[:, None, :, None] * s[None, :, None, :]
+    return float(np.max(np.abs(diff)))
+
+
+#: (shape of P and R, shape of Q and S): below, at and above _KRON_BLOCK_ENTRIES entries
+_SHAPES = [((8, 8), (8, 8)), ((12, 8), (8, 8)), ((1, 6144), (1, 1)), ((97, 1), (8, 8)), ((9, 9), (9, 9))]
+
+
+@pytest.mark.parametrize("p_shape, q_shape", _SHAPES)
+@pytest.mark.parametrize("seed", range(6))
+def test_kron_max_equals_the_full_broadcast(seed, p_shape, q_shape):
+    rng = np.random.default_rng(seed)
+    p, q = _complex(rng, p_shape), _complex(rng, q_shape)
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    # unrelated operands, and R, S equal to P, Q up to a split phase and rounding-size noise
+    near_r = phase * p + 1e-13 * _complex(rng, p_shape)
+    near_s = q / phase * (1 + 1e-15 * _complex(rng, q_shape))
+    one_block = p.size * q.size <= fock._KRON_BLOCK_ENTRIES
+    for r, s in [(_complex(rng, p_shape), _complex(rng, q_shape)), (near_r, near_s), (p, q)]:
+        with mock.patch.object(fock, "_row_bounds", wraps=fock._row_bounds) as bounds:
+            assert _kron_difference_max(p, q, r, s) == _broadcast_max(p, q, r, s)
+        # every row in one block takes no bound; more rows take one per call
+        assert bounds.call_count == (0 if one_block else 1)
+
+
+def test_shapes_straddle_the_one_block_rule():
+    sizes = [np.prod(p_shape) * np.prod(q_shape) for p_shape, q_shape in _SHAPES]
+    assert {np.sign(size - fock._KRON_BLOCK_ENTRIES) for size in sizes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_one_block_maximum_not_finite_raises(rng, value):
+    p, q = _complex(rng, (7, 7)), _complex(rng, (7, 7))
+    r = p.copy()
+    r.flat[11] = value
+    with pytest.raises(OutOfRange, match=r"^GNS max-norm (nan|inf) not finite: an operand is not finite"):
+        _kron_difference_max(p, q, r, q)
+
+
+def test_one_block_overflow_raises(rng):
+    p, q = _complex(rng, (7, 7)), _complex(rng, (7, 7))
+    with pytest.raises(OutOfRange, match=r"^GNS max-norm inf not finite"):
+        _kron_difference_max(1e200 * p, 1e200 * q, p, q)
+
+
+# ---------------------------------------------------------------------------
+# the trace state from the word's zero key
+
+
+def _term_sum(word: WeylWord) -> complex:
+    """The linear extension term by term: sum of coefficient times the indicator of W_0."""
+    phi = TraceState()
+    total = 0.0 + 0.0j
+    for vec, coeff in word.items():
+        total += coeff * phi.value(vec)
+    return complex(total)
+
+
+def _trace_words():
+    rng = np.random.default_rng(5)
+    zero = np.zeros(3)
+    tiny = np.full(3, 3e-13)  # below half the key grid: the key of zeros
+    others = [tuple(v) for v in random_complex_vectors(rng, 3, 3)]
+    coefficients = [complex(-0.0, 1.5), complex(2.0, -0.0), complex(-0.0, -0.0), -1.25 + 0.5j, 1e-300 + 0j]
+    words = {"without": WeylWord(3, zip(others, coefficients))}
+    for position in range(4):
+        for index, coeff in enumerate(coefficients):
+            terms = list(zip(others, coefficients[index + 1 :] + coefficients[: index + 1]))
+            terms.insert(position, (zero if index % 2 else tiny, coeff))
+            words[f"with at {position}, coefficient {coeff}"] = WeylWord(3, terms)
+    base = WeylWord(3, [(zero, 0.75 - 0.25j), (others[0], 2.0j)])
+    words["cancelled"] = base + WeylWord(3, [(zero, -0.75 + 0.25j)])
+    words["cancelled to -0.0 parts"] = WeylWord(3, [(zero, 1.0)]) + WeylWord(3, [(zero, -1.0), (others[1], 1.0)])
+    u = WeylWord(3, list(zip(others, coefficients[:3])))
+    words["product u u*"] = weyl_multiply(u, weyl_adjoint(u), 1.3)
+    words["product u* u"] = weyl_multiply(weyl_adjoint(u), u, 0.7)
+    words["empty"] = WeylWord(3)
+    return words
+
+
+@pytest.mark.parametrize("name, word", list(_trace_words().items()))
+def test_trace_value_equals_the_term_sum(name, word):
+    assert _bits(evaluate_state(TraceState(), word)) == _bits(_term_sum(word))
+
+
+def test_trace_words_cover_each_case():
+    words = _trace_words()
+    assert words["without"].identity_coefficient() == 0.0
+    assert words["cancelled"].identity_coefficient() == 0.0 and len(words["cancelled"]) == 1
+    assert words["product u u*"].identity_coefficient() != 0.0
+    assert evaluate_state(TraceState(), WeylWord.identity(4)) == 1.0
+
+
+def test_trace_value_keys_no_vector():
+    word = weyl_multiply(*(WeylWord(2, [(np.zeros(2), 1.0), ([0.5, 1j], 2.0)]),) * 2, 1.0)
+    with mock.patch("weylscale.states._canonical_key", side_effect=AssertionError("keyed")):
+        assert evaluate_state(TraceState(), word) == word.identity_coefficient()
+
+
+# ---------------------------------------------------------------------------
+# restrict-scan's random words
+
+
+def _chained_word(rng, dim):
+    """The word as a chain of ``word + generator`` sums, each a copy."""
+    count = int(rng.integers(1, 4))
+    word = WeylWord(dim)
+    for vec, coeff in zip(random_complex_vectors(rng, count, dim), random_complex_vectors(rng, count, 1)):
+        word = word + WeylWord.generator(vec, complex(coeff[0]))
+    return word
+
+
+def _terms(word: WeylWord) -> list:
+    return [(key, vec.tobytes(), _bits(coeff)) for key, (vec, coeff) in word._terms.items()]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_word_equals_the_chained_construction(seed):
+    for dim in (1, 2, 6):
+        one_pass, chained = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            word = _random_word(one_pass, dim)
+            assert _terms(word) == _terms(_chained_word(chained, dim))
+            assert all(not vec.flags.writeable for vec, _ in word.items())
+        # the same draws, so the generators stand at the same state
+        assert one_pass.bit_generator.state == chained.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# restricted KMS residuals with B* v taken once
+
+
+def _parent_residuals(model, f, g, t_grid, rescaled):
+    """The report by the replaced formula: membership by ``project``, then ``compress``."""
+    for vec in (f, g):
+        assert _member(vec, model.project(vec))
+    if rescaled:
+        covariance, modular = model.rescaled_covariance, model.rescaled_restricted_modular
+    else:
+        covariance, modular = model.restricted_covariance, model.restricted_modular
+    return _boundary_report(covariance, modular, model.beta, model.compress(f), model.compress(g), t_grid)
+
+
+def _restricted(seed, n=6):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(_complex(rng, (n, n)))
+    energies = np.sort(rng.uniform(0.3, 2.0, n))
+    hamiltonian = make_operator(q @ np.diag(energies) @ q.conj().T)
+    covariance = covariance_from_hamiltonian(hamiltonian, 1.0)
+    h = float(np.mean(np.sort(covariance.eigenvalues)[n // 2 - 1 : n // 2 + 1]))
+    return restricted_model(covariance, h, beta=1.0), rng
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_restricted_residuals_equal_the_parent_formula(seed, rescaled):
+    model, rng = _restricted(seed)
+    f, g = (model.project(v) for v in random_complex_vectors(rng, 2, model.covariance.dimension))
+    for t_grid in (None, np.linspace(-3.0, 4.0, 9)):
+        report = restricted_kms_residuals(model, f, g, t_grid, rescaled=rescaled)
+        expected = _parent_residuals(model, f, g, t_grid, rescaled)
+        for field in dataclasses.fields(report):
+            value, reference = getattr(report, field.name), getattr(expected, field.name)
+            assert np.asarray(value).tobytes() == np.asarray(reference).tobytes(), field.name
+
+
+def test_restricted_residuals_refuse_a_vector_off_the_subspace():
+    model, rng = _restricted(3)
+    f = model.project(random_complex_vectors(rng, 1, model.covariance.dimension)[0])
+    off = model.covariance.eigenvectors[:, 0]
+    message = f"vector g has projection residual {model.residual(off):.3e}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        restricted_kms_residuals(model, f, off)
+
+
+# ---------------------------------------------------------------------------
+# the per-model GNS ladder and reliable block, and the config's default grid
+
+
+def test_gns_model_builds_its_ladder_and_reliable_block_once(monkeypatch):
+    ladders, blocks = [], []
+    monkeypatch.setattr(fock, "_ladder", lambda cutoff, build=fock._ladder: ladders.append(cutoff) or build(cutoff))
+    monkeypatch.setattr(fock, "_reliable_slot", lambda model, build=fock._reliable_slot: blocks.append(1) or build(model))
+    model = GnsModel(make_operator([[1.7]]), cutoff=12)
+    vectors = [np.array([0.3 + 0.1j]), np.array([-0.2j]), np.array([0.25])]
+    for f, g in zip(vectors, vectors[1:] + vectors[:1]):
+        weyl_relation_residual(model, f, g)
+        commutant_residual(model, f, g)
+    assert len(model._displacements) > 1
+    assert ladders == [12] and blocks == [1]
+
+
+def test_default_time_grid_built_once_and_not_revalidated():
+    with mock.patch("weylscale.config._time_grid", side_effect=AssertionError("validated")):
+        config = ExperimentConfig.from_dict({"t_grid": None})
+    assert config.t_grid.tobytes() == default_time_grid().tobytes()
+    assert ExperimentConfig.from_dict({"t_grid": [-1, 2]}).t_grid.tolist() == [-1.0, 2.0]
+
+
+def test_restriction_project_is_basis_times_compress():
+    model, rng = _restricted(1)
+    f = random_complex_vectors(rng, 1, model.covariance.dimension)[0]
+    v = model.basis()
+    assert model.project(f).tobytes() == (v @ (v.conj().T @ f)).tobytes()
+    assert model.compress(f).tobytes() == (v.conj().T @ f).tobytes()

@@ -107,7 +107,17 @@ MUTANTS = (
     # and its skipping, stopped after the first block of each tier
     ("fock.py", "for start in range(0, rows.size, step):", "for start in range(0, min(rows.size, step), step):"),
     # and its refusal of operands it cannot bound, replaced by the NaN a full evaluation gave
-    ("fock.py", 'raise OutOfRange(f"GNS max-norm', 'return math.nan or (f"GNS max-norm'),
+    ("fock.py", 'raise OutOfRange(f"GNS max-norm operands', 'return math.nan or (f"GNS max-norm operands'),
+    # and its one-block rule, which evaluates every row in one block, with the equal case left to the bound,
+    ("fock.py", "if p.size * q.size <= _KRON_BLOCK_ENTRIES:", "if p.size * q.size < _KRON_BLOCK_ENTRIES:"),
+    # or returning a maximum that is not finite
+    ("fock.py", "        if not math.isfinite(peak):\n", "        if False:\n"),
+    # the trace state's zero key one coordinate per entry, so W_0 is never found,
+    ("weyl.py", "entry = self._terms.get((0.0,) * (2 * self.dim))", "entry = self._terms.get((0.0,) * self.dim)"),
+    # or its value the coefficient of the word's first term
+    ("weyl.py", "entry = self._terms.get((0.0,) * (2 * self.dim))", "entry = next(iter(self._terms.values()), None)"),
+    # restricted KMS residuals that test no vector's membership
+    ("restriction.py", "if not _member(vec, model.basis() @ compressed):", "if not _member(vec, vec):"),
     # positivity-scan's admissible cell without its kernel check, or without its two-point check,
     ("runner.py", 'return fields, {"gram_all_psd": all_psd, "two_point_pass"', 'return fields, {"two_point_pass"'),
     ("runner.py", 'all_psd, "two_point_pass": check.verdict}', "all_psd}"),
