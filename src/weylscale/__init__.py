@@ -63,9 +63,7 @@ from .fock import (
     GnsModel,
     MixtureMeasure,
     MixtureState,
-    UnitaryMap,
     c_parameter,
-    check_universal_invariance,
     commutant_residual,
     gns_expectation,
     h_of_c,

@@ -54,7 +54,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidMatrix, OutOfRange, _orderable
+from .errors import DimensionMismatch, OutOfRange, _orderable
 from .spectral import (
     OperatorSpec,
     is_trace_class_minus_identity,
@@ -94,10 +94,6 @@ _ETA = 2.0**-1074
 _KAPPA = math.sqrt(5.0)
 
 
-def _ladder(cutoff: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1).astype(complex)
-
-
 def expm(matrix: np.ndarray) -> np.ndarray:
     """scipy's matrix exponential, with scipy imported on the first call."""
     from scipy.linalg import expm as scipy_expm
@@ -107,15 +103,8 @@ def expm(matrix: np.ndarray) -> np.ndarray:
 
 def _ladder_pair(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The truncated ladder ``a`` as ``(a.conj().T, a)``."""
-    a = _ladder(cutoff)
+    a = np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1).astype(complex)
     return a.conj().T, a
-
-
-def _mode_displacement(alpha: complex, cutoff: int, ladders: tuple | None = None) -> np.ndarray:
-    """exp(alpha a* - conj(alpha) a) on the truncated ladder; ``ladders`` is
-    _ladder_pair(cutoff), built here when not given."""
-    raising, lowering = _ladder_pair(cutoff) if ladders is None else ladders
-    return expm(alpha * raising - np.conj(alpha) * lowering)
 
 
 class GnsModel:
@@ -166,8 +155,8 @@ class GnsModel:
         return first, second
 
     def _mode_displacement(self, alpha) -> np.ndarray:
-        """Read-only _mode_displacement(alpha, cutoff), built once per exact
-        bit pattern of ``alpha`` (so ``-0.0`` and ``0.0`` stay apart).
+        """Read-only exp(alpha a* - conj(alpha) a) on the truncated ladder, built
+        once per exact bit pattern of ``alpha`` (so ``-0.0`` and ``0.0`` stay apart).
 
         OutOfRange when the mean squared norm of its columns (1 for a unitary)
         is off 1 by more than ``_UNITARY_TOL``: at a huge amplitude ``expm``
@@ -177,7 +166,8 @@ class GnsModel:
         matrix = self._displacements.get(key)
         if matrix is None:
             with np.errstate(over="ignore", invalid="ignore"):  # a lost matrix is refused below
-                matrix = _mode_displacement(alpha, self.cutoff, self._ladders)
+                raising, lowering = self._ladders
+                matrix = expm(alpha * raising - np.conj(alpha) * lowering)
                 defect = abs(np.vdot(matrix, matrix).real / len(matrix) - 1.0)
             if not defect <= _UNITARY_TOL:
                 raise OutOfRange(
@@ -454,30 +444,3 @@ class MixtureState(StateFunctional):
 def universally_invariant_functional(measure: MixtureMeasure) -> MixtureState:
     """State functional of a finite mixture over the gauge-invariant family."""
     return MixtureState(measure)
-
-
-@dataclass(frozen=True)
-class UnitaryMap:
-    """Gauge transformation W_f -> W_{U f} for a unitary U on the one-particle space."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.matrix, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise InvalidMatrix(f"expected a square matrix, got shape {u.shape}")
-        defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if defect > 1e-10:
-            raise InvalidMatrix(f"U*U - I residual {defect:.3e} exceeds 1e-10")
-        object.__setattr__(self, "matrix", u)
-
-    def apply(self, f) -> np.ndarray:
-        return self.matrix @ np.asarray(f, dtype=complex)
-
-
-def check_universal_invariance(phi: StateFunctional, unitary: UnitaryMap, vectors) -> float:
-    """Max deviation |phi(U f) - phi(f)| over the sample vectors."""
-    deviation = 0.0
-    for f in vectors:
-        deviation = max(deviation, abs(phi.value(unitary.apply(f)) - phi.value(f)))
-    return deviation

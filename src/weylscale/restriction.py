@@ -54,11 +54,15 @@ _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 def lambda_star(h: float, beta: float) -> float:
-    """Top of the restricted modular spectrum, the modular map at h: ((h+1)/(h-1))^{1/beta}."""
+    """Top of the restricted modular spectrum, the modular map at h: ((h+1)/(h-1))^{1/beta},
+    or ``math.inf`` where that power overflows a float (a small ``beta``)."""
     require_positive(beta, "inverse temperature")
     if not _orderable(h) >= 1 + 1e-9:
         raise OutOfRange(f"scale parameter {h} too close to the pole at 1")
-    return _modular_value(h, beta)
+    try:
+        return _modular_value(h, beta)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

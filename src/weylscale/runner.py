@@ -174,13 +174,16 @@ def _modular_exponential_within(model, residual: float, tol: float) -> bool:
 
     An eigenvalue ``delta = ((a + 1) / (a - 1))^{1/beta}`` of Delta changes, relative
     to itself, by ``2a / (beta (a^2 - 1)) <= 2 / (beta (a - 1))`` times a relative
-    change of ``a > 1``, and ``delta / (beta (a - 1))`` falls as ``a`` grows.  So the
-    rounding of A moves the spectrum of Delta by a multiple of ``||Delta|| / (beta
-    (a_min - 1))``, and the rounding of delta and of e^H by a multiple of ``||Delta||``.
-    The bound is ``tol`` for a well-conditioned Delta of unit size and grows with both.
+    change of ``a > 1``, and ``delta / (beta (a - 1))`` falls as ``a`` grows.  The
+    power ``1/beta`` multiplies the relative rounding of ``(a + 1) / (a - 1)`` by
+    ``1/beta`` too.  So the rounding of A moves the spectrum of Delta by a multiple of
+    ``||Delta|| / (beta (a_min - 1))``, that of ``(a + 1) / (a - 1)`` by a multiple of
+    ``||Delta|| / beta``, and that of the power and of e^H by a multiple of
+    ``||Delta||``.  The bound is ``tol`` for a well-conditioned Delta of unit size at
+    ``beta >= 1`` and grows with all three.
     """
     a_min, norm = inf_spectrum(model.covariance), op_norm(model.modular)
-    return residual <= tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))
+    return residual <= tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0)), 1.0 / model.beta))
 
 
 def _restricted_kms(rmodel, f, g, t_grid: np.ndarray, tol: float):

@@ -1,6 +1,12 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; per-test @settings still override max_examples.
@@ -11,6 +17,24 @@ settings.load_profile("deterministic")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def first_jobs(tmp_path_factory):
+    """The first job of each suite in suite-mix's seed-7 round, by suite."""
+    jobs = {}
+    for job in bench_module("workloads").build("suite-mix", 7, str(tmp_path_factory.mktemp("suite-mix"))):
+        jobs.setdefault(job.suite, job)
+    return jobs
 
 
 def random_vector(rng, dim):

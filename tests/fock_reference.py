@@ -3,7 +3,7 @@
 ``weylscale.fock`` never forms a matrix on the doubled axis
 ``(cutoff+1)^(2*modes)``.  The tests check its factorized results against the
 dense matrices built here from the package's own per-mode pieces
-(``fock._slot_pair``, ``fock._ladder`` and ``GnsModel.slot_amplitudes``).
+(``fock._slot_pair``, ``fock._ladder_pair`` and ``GnsModel.slot_amplitudes``).
 Nothing here is capped, so keep the models small.
 """
 
@@ -39,7 +39,7 @@ def annihilation(model, f):
     and ``beta`` the slot amplitudes of pi(W_f).
     """
     first, second = model.slot_amplitudes(f)
-    a = fock._ladder(model.cutoff)
+    _, a = fock._ladder_pair(model.cutoff)
     terms = [np.sqrt(2) * 1j * np.conj(alpha) * a for alpha in first]
     terms += [-np.sqrt(2) * 1j * beta * a.T for beta in second]
     eyes = [np.eye(a.shape[0], dtype=complex)] * len(terms)

@@ -7,6 +7,7 @@ the names of the cell's failing checks; an error cell fails the check ``error``.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ operator:
 vectors:
   random: {count: 3, seed: 9}
 cutoff: 30
+"""
+
+SMALL_BETA = """
+operator:
+  kms: {beta: 1e-8, matrix: [[1.5, 0], [0, 3]]}
+vectors:
+  random: {count: 1, seed: 1}
+h_values: [1.0]
 """
 
 RESTRICT = """
@@ -172,6 +181,26 @@ def test_rescaled_delta_bottom_off_the_generator_fails(tmp_path, capsys, monkeyp
     assert code == 3
     assert [cell["delta_bottom_exact"] for cell in cells] == [False, False]
     assert failed == ["delta_bottom_exact"] * 2
+
+
+def test_modular_exponential_bound_grows_as_one_over_beta(tmp_path, capsys):
+    # the power 1/beta carries the rounding of (a+1)/(a-1) to Delta 1/beta-fold: at beta
+    # 1e-8 the residual 6.8e-8 is within tol ||Delta|| / beta = 1e-10 e^3 / 1e-8 = 0.20
+    code, _, failed = _run(tmp_path, capsys, "kms-verify", SMALL_BETA)
+    summary = json.loads((tmp_path / "r.json").read_text())["summary"]
+    assert code == 0 and failed == []
+    assert summary["modular_exponential_ok"] and summary["modular_exponential_residual"] > 1e-8
+
+
+def test_modular_exponential_ten_times_its_bound_fails(tmp_path, capsys, monkeypatch):
+    # spectral_distance is read by kms-verify's modular exponential check alone
+    residual = 10 * 1e-10 * math.exp(3.0) / 1e-8
+    monkeypatch.setattr(weylscale.runner, "spectral_distance", lambda *args: residual)
+    code, cells, failed = _run(tmp_path, capsys, "kms-verify", SMALL_BETA)
+    summary = json.loads((tmp_path / "r.json").read_text())["summary"]
+    assert code == 3 and failed == [] and all(cell["ok"] for cell in cells)
+    assert summary["modular_exponential_residual"] == residual
+    assert summary["modular_exponential_ok"] is False
 
 
 def _patch_restricted_model(monkeypatch, **changes):

@@ -9,6 +9,7 @@ does.  The sizes refused are beyond any address space (1e17 points, or a
 row takes more than a few megabytes.
 """
 
+import json
 import warnings
 
 import pytest
@@ -171,6 +172,17 @@ ROWS = {
             ("operator-kms-matrix", "{kms: {beta: 1, matrix: [[2, 0], [0, 3]]}}"),
         )
     },
+    # at beta 1e-8 the restricted paths' lambda_star = 3^(1e8) overflows a float: it is infinite
+    **{
+        f"lambda-star-overflow-{suite}": (
+            suite,
+            "operator: {kms: {beta: 1e-8, matrix: [[1.5, 0], [0, 3]]}}\nh_values: [2.0]\n"
+            "vectors: {random: {count: 1, seed: 1}}\n",
+            0,
+            f"{suite}: ",
+        )
+        for suite in ("kms-verify", "restrict-scan")
+    },
     # rescale-fock's unit vector takes one entry, not a row of a dim x dim identity
     "rescale-fock-dimension-1e6": (
         "rescale-fock",
@@ -190,6 +202,15 @@ def test_input_gets_a_clean_verdict(tmp_path, capsys, name):
         warnings.simplefilter("error")
         assert main([suite, "--config", str(path), "--out", str(tmp_path / "report.json")]) == code
     assert any(err.startswith(line) for err in capsys.readouterr().err.splitlines()), line
+
+
+@pytest.mark.parametrize("suite", ["kms-verify", "restrict-scan"])
+def test_an_overflowing_lambda_star_is_reported_infinite(tmp_path, capsys, suite):
+    test_input_gets_a_clean_verdict(tmp_path, capsys, f"lambda-star-overflow-{suite}")
+    (cell,) = json.loads((tmp_path / "report.json").read_text())["cells"]
+    assert cell["lambda_star"] == "INF" and cell["ok"] is True
+    if suite == "kms-verify":
+        assert cell["modular_bounded"] is True
 
 
 def test_positivity_kernel_is_refused_before_any_vector_is_drawn(tmp_path, capsys, monkeypatch):

@@ -224,7 +224,7 @@ def test_restricted_residuals_refuse_a_vector_off_the_subspace():
 
 def test_gns_model_builds_its_ladder_and_reliable_block_once(monkeypatch):
     ladders, blocks = [], []
-    monkeypatch.setattr(fock, "_ladder", lambda cutoff, build=fock._ladder: ladders.append(cutoff) or build(cutoff))
+    monkeypatch.setattr(fock, "_ladder_pair", lambda cutoff, build=fock._ladder_pair: ladders.append(cutoff) or build(cutoff))
     monkeypatch.setattr(fock, "_reliable_slot", lambda model, build=fock._reliable_slot: blocks.append(1) or build(model))
     model = GnsModel(make_operator([[1.7]]), cutoff=12)
     vectors = [np.array([0.3 + 0.1j]), np.array([-0.2j]), np.array([0.25])]

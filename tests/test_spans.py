@@ -7,15 +7,11 @@ of each suite, the first job of suite-mix's seed-7 round, runs under the
 tracer here, and each (span, function) pair below must fire on it.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 import weylscale.cli as cli
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import bench_module
 
 #: suite -> the (span name, wrapped function) pairs that fire on its first suite-mix job
 FIRED = {
@@ -55,30 +51,13 @@ EVERY_SUITE = {("config.parse", "ExperimentConfig.from_file"), ("report.render",
 MATRIX_SUITES = {"gns-check", "kms-verify", "positivity-scan", "restrict-scan"}
 
 
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"_bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up while the class is built
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def first_jobs(tmp_path_factory):
-    workloads = _bench_module("workloads")
-    jobs = {}
-    for job in workloads.build("suite-mix", 7, str(tmp_path_factory.mktemp("suite-mix"))):
-        jobs.setdefault(job.suite, job)
-    return jobs
-
-
 def test_fired_spans_name_every_suite(first_jobs):
     assert set(FIRED) == set(first_jobs) == set(cli.SUITES)
 
 
 @pytest.mark.parametrize("suite", sorted(FIRED))
 def test_each_span_still_fires(first_jobs, suite, capsys):
-    spans = _bench_module("spans")
+    spans = bench_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:

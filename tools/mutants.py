@@ -157,8 +157,20 @@ MUTANTS = (
         '"doubling_identity_ok": doubling <= 1e-10 * max(1.0, op_norm(covariance)),',
         '"doubling_identity_ok": doubling <= 1e-10,',
     ),
-    # kms-verify's modular exponential bound without the conditioning of A -> Delta
-    ("runner.py", "tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0))))", "tol * max(1.0, norm)"),
+    # kms-verify's modular exponential bound without the conditioning of A -> Delta,
+    (
+        "runner.py",
+        "tol * max(1.0, norm * max(1.0, 1.0 / (model.beta * (a_min - 1.0)), 1.0 / model.beta))",
+        "tol * max(1.0, norm * max(1.0, 1.0 / model.beta))",
+    ),
+    # and without the power 1/beta's growth of the rounding of (a+1)/(a-1)
+    ("runner.py", ", 1.0 / model.beta))", "))"),
+    # lambda_star without its infinity where the power overflows
+    (
+        "restriction.py",
+        "    try:\n        return _modular_value(h, beta)\n    except OverflowError:\n        return math.inf\n",
+        "    return _modular_value(h, beta)\n",
+    ),
     # a key the config mapping does not take, at the top, in space, vectors, vectors.random, a grid,
     # the tolerances or output,
     ("config.py", '_known(raw, "", (', '(raw, "", ('),
