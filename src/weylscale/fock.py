@@ -25,13 +25,15 @@ factors over slots and modes, and products factor as
 residuals are computed from such slot products on the reliable block; the
 max-norm of ``P (x) Q - R (x) S`` is taken in blocks of
 ``_KRON_BLOCK_ENTRIES`` entries, entries (rows) of ``P`` and ``R`` against
-all of ``Q`` and ``S``.  The one-block rule: when all of ``P (x) Q`` fits one
-block (``P.size * Q.size <= _KRON_BLOCK_ENTRIES``, the reliable blocks of one
-mode up to cutoff 15) it is evaluated whole, as no bound could skip a row of
-a single block.  Otherwise each row has a rounding-aware bound on its computed
-entries, from ``pq - rs = (p - mu r) q + r (mu q - s)``; the rows above half
-the largest bound go first, and a row whose bound cannot beat the running
-maximum is skipped, so the result is the full evaluation's float either way.
+entries (columns) of ``Q`` and ``S``.  The one-block rule: when all of
+``P (x) Q`` fits one block (``P.size * Q.size <= _KRON_BLOCK_ENTRIES``, the
+reliable blocks of one mode up to cutoff 15) it is evaluated whole, as no
+bound could skip a row of a single block.  Otherwise the rule is two-sided:
+each row and column has a rounding-aware bound on its computed entries, from
+``pq - rs = (p - mu r) q + r (mu q - s)``; the row of the largest bound,
+evaluated in full, seeds the maximum with an entry of the full evaluation,
+and only the rows and columns whose bounds beat it are evaluated, so the
+result is the full evaluation's float either way.
 Operands that are not finite or exceed ``_KRON_BOUND_LIMIT`` have no bound and
 raise OutOfRange, and so does a whole evaluation that is not finite; no suite
 reaches either: every operand is a product of displacements that passed
@@ -227,7 +229,7 @@ def _reliable_slot(model: GnsModel) -> np.ndarray:
 
 def _block_max(p, q, r, s) -> np.float64:
     """Max-norm of ``p * q - r * s`` for rows ``p, r`` of shape (m, 1, 1) and
-    ``q, s`` of shape (1, k, k).
+    contiguous columns ``q, s`` of shape (1, k, k) or (1, 1, c).
 
     All four operands are 3-d: at one row both products then have equal
     shapes, as in one broadcast over all entries, and numpy runs the same
@@ -239,16 +241,18 @@ def _block_max(p, q, r, s) -> np.float64:
     return np.max(np.abs(diff))
 
 
-def _row_bounds(p, q, r, s) -> np.ndarray | None:
-    """An upper bound ``U[ik]`` on every computed ``|P[ik] Q[jl] - R[ik] S[jl]|``,
-    for flat ``p, r``; None when an operand is not finite or too large.
+def _bounds(p, q, r, s) -> tuple[np.ndarray, np.ndarray] | None:
+    """Upper bounds ``U[ik]`` and ``V[jl]`` on every computed
+    ``|P[ik] Q[jl] - R[ik] S[jl]|``, for flat operands; None when an operand is
+    not finite or too large.
 
     For any scalar ``mu``, ``pq - rs = (p - mu r) q + r (mu q - s)`` exactly.
     With ``mu`` the phase of ``<r, p>`` both differences are small where ``R``
     is ``P`` up to a phase, as in the relation, whose phase splits across the
-    two slots (``|P - R|`` itself reaches 0.27).  So, with ``Q`` and ``B`` the
-    maxima of ``|q|`` and ``|mu q - s|`` over ``jl``,
-    ``|pq - rs| <= |p - mu r| Q + |r| B``.
+    two slots (``|P - R|`` itself reaches 0.27).  So, with ``A``, ``R``, ``Q``
+    and ``B`` the maxima of ``|p - mu r|``, ``|r|``, ``|q|`` and
+    ``|mu q - s|``, ``|pq - rs| <= |p - mu r| Q + |r| B`` bounds a row ``ik``
+    and ``|pq - rs| <= A |q| + R |mu q - s|`` a column ``jl``.
 
     The computed entry adds rounding, with ``u = 2^-53``:
 
@@ -256,40 +260,46 @@ def _row_bounds(p, q, r, s) -> np.ndarray | None:
       for the plain formula (Brent, Percival & Zimmermann, Math. Comp. 76,
       2007), 2 with an FMA (Jeannerod, Kornerup, Louvet & Muller, Math. Comp.
       86, 2017).  ``sqrt(5)`` holds whichever numpy loop runs.  As
-      ``|p| <= |p - mu r| + |r|`` and ``|s| <= B + Q`` (``|mu| = 1``), the two
-      products add at most ``kappa u (|p - mu r| Q + |r| B + 2 |r| Q)``.
-    - ``|p - mu r|`` and ``B`` are computed too; the products ``mu r`` and
-      ``mu q`` leave them up to ``kappa u |r|`` and ``kappa u Q`` short,
-      which adds ``2 kappa u |r| Q``.
+      ``|p| <= |p - mu r| + |r|`` and ``|s| <= |mu q - s| + |q|``
+      (``|mu| = 1``), the two products add at most
+      ``kappa u (|p - mu r||q| + |r||mu q - s| + 2 |r||q|)``.
+    - ``|p - mu r|`` and ``|mu q - s|`` are computed too; the products
+      ``mu r`` and ``mu q`` leave them up to ``kappa u |r|`` and
+      ``kappa u |q|`` short, which adds ``2 kappa u |r||q|``.
     - The subtraction of the two products rounds by ``1 + u``, the modulus by
       ``1 + 4u``: C ``hypot`` is within one ulp, numpy's SIMD modulus within
       two.
 
-    Hence ``U = (1 + 64u) (|p - mu r| Q + |r| (B + 4 kappa u Q)) + 128 eta
-    (1 + A + Q + R + B)``, all terms as computed, ``A`` and ``R`` the maxima
-    of ``|p - mu r|`` and ``|r|``.  The factor covers the relative rounding
-    of about ``35u`` in all: the ``1 + kappa u`` on the first two terms, the
-    subtraction and moduli above, the computed moduli, ``|mu| <= 1 + 4u``
-    and the evaluation of ``U`` itself.  The last term covers underflow, at
-    most ``eta = 2^-1074`` a rounding.  None of it depends on the order in
-    which rows are later evaluated.  Operands within _KRON_BOUND_LIMIT keep
-    every product, and so every entry and bound, below 1e301.
+    Hence ``U = (1 + 64u) (|p - mu r| Q + |r| (B + 4 kappa u Q)) + E`` and,
+    the same with the roles of the two factors swapped,
+    ``V = (1 + 64u) (A |q| + R (|mu q - s| + 4 kappa u |q|)) + E``, with
+    ``E = 128 eta (1 + A + Q + R + B)`` and all terms as computed.  The
+    factor covers the relative rounding of about ``35u`` in all: the
+    ``1 + kappa u`` on the first two terms, the subtraction and moduli above,
+    the computed moduli, ``|mu| <= 1 + 4u`` and the evaluation of ``U`` and
+    ``V`` themselves.  ``E`` covers underflow, at most ``eta = 2^-1074`` a
+    rounding.  None of it depends on the order in which entries are later
+    evaluated.  Operands within _KRON_BOUND_LIMIT keep every product, and so
+    every entry and bound, below 1e301.
     """
     z = complex(np.vdot(r, p))
     h = abs(z)
     mu = complex(z.real / h, z.imag / h) if 0 < h < math.inf else 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # such operands get no bound
-        a, ra = np.abs(p - mu * r), np.abs(r)
-        am, rm = float(a.max()), float(ra.max())
-        qm, b = float(np.abs(q).max()), float(np.abs(mu * q - s).max())
-    if not all(m <= _KRON_BOUND_LIMIT for m in (am, rm, qm, b)):  # NaN too
+        a, ra, qa, b = np.abs(p - mu * r), np.abs(r), np.abs(q), np.abs(mu * q - s)
+        am, rm, qm, bm = (float(x.max()) for x in (a, ra, qa, b))
+    if not all(m <= _KRON_BOUND_LIMIT for m in (am, rm, qm, bm)):  # NaN too
         return None
     kappa_u = _KAPPA * _U
     safety = 1 + 64 * _U
+    underflow = 128 * _ETA * (1 + am + qm + rm + bm)
     a *= safety * qm
-    a += ra * (safety * (b + 4 * kappa_u * qm))
-    a += 128 * _ETA * (1 + am + qm + rm + b)
-    return a
+    a += ra * (safety * (bm + 4 * kappa_u * qm))
+    a += underflow
+    b *= safety * rm
+    b += qa * (safety * (am + 4 * kappa_u * rm))
+    b += underflow
+    return a, b
 
 
 def _kron_difference_max(p, q, r, s) -> float:
@@ -297,20 +307,23 @@ def _kron_difference_max(p, q, r, s) -> float:
     entries ``P[i,k] Q[j,l] - R[i,k] S[j,l]``.
 
     When all entries fit one block (``p.size * q.size <= _KRON_BLOCK_ENTRIES``)
-    one _block_max evaluates them, with no bound: _row_bounds costs more than
-    such a block.  OutOfRange when that maximum is not finite.
+    one _block_max evaluates them, with no bound: _bounds costs more than such
+    a block.  OutOfRange when that maximum is not finite.
 
-    Otherwise entries are evaluated by _block_max, _KRON_BLOCK_ENTRIES at a
-    time: rows ``ik`` of ``P`` and ``R`` against all of ``Q`` and ``S``.  Each
-    row has a bound on its computed entries (_row_bounds), and a row whose
-    bound is at most the running maximum is skipped: none of its entries can
-    exceed it, so the maximum is exact.  The rows whose bound is above half
-    the largest go first, so the running maximum is near its end value before
-    the rest are filtered; within each of the two tiers rows go in order, as
-    sorting them touched about 200 KB more of numpy's code and the worker's
-    peak RSS showed it.
+    Otherwise every row ``ik`` and every column ``jl`` has a bound on the
+    computed entries it holds (_bounds), and an entry can exceed a running
+    maximum only if both its row's and its column's bound do.  The row of the
+    largest bound is evaluated against every column first: its maximum, the
+    seed, is an entry of the full evaluation, so no entry whose row or column
+    bound is at most the seed can exceed the result.  Then only the rows and
+    the columns whose bounds beat the seed are evaluated,
+    _KRON_BLOCK_ENTRIES entries at a time, in row order, and a row whose
+    bound no longer beats the running maximum is skipped; the maximum is
+    exact.  Each block is _block_max of rows ``(m, 1, 1)`` against the
+    gathered columns as one contiguous ``(1, 1, c)`` operand, so every entry
+    is the float the full broadcast computes.
 
-    OutOfRange when _row_bounds gives no bound: an operand is not finite or
+    OutOfRange when _bounds gives no bound: an operand is not finite or
     exceeds _KRON_BOUND_LIMIT.  The residuals pass no such operand, as each is
     a product of displacements that passed GnsModel._mode_displacement's
     unitarity check, times a unit phase.
@@ -322,21 +335,25 @@ def _kron_difference_max(p, q, r, s) -> float:
         if not math.isfinite(peak):
             raise OutOfRange(f"GNS max-norm {peak} not finite: an operand is not finite or an entry overflows")
         return peak
-    bound = _row_bounds(p.ravel(), q, r.ravel(), s)
-    if bound is None:
+    p, q, r, s = p.reshape(-1, 1, 1), q.ravel(), r.reshape(-1, 1, 1), s.ravel()
+    bounds = _bounds(p.ravel(), q, r.ravel(), s)
+    if bounds is None:
         raise OutOfRange(f"GNS max-norm operands not finite or above {_KRON_BOUND_LIMIT:g}: no row bound")
-    step = max(1, _KRON_BLOCK_ENTRIES // q.size)
-    p, r = p.reshape(-1, 1, 1), r.reshape(-1, 1, 1)
-    q, s = q[None], s[None]
-    peak, half = 0.0, float(bound.max()) / 2
-    for tier in (bound > half, bound <= half):
-        rows = np.flatnonzero(tier & (bound > peak))
-        for start in range(0, rows.size, step):
-            # the rows of the block whose bound still beats the running maximum
-            block = rows[start : start + step]
-            block = block[bound[block] > peak]
-            if block.size:
-                peak = max(peak, float(_block_max(p[block], q, r[block], s)))
+    bound, column_bound = bounds
+    seed = int(bound.argmax())
+    peak = float(_block_max(p[seed : seed + 1], q.reshape(1, 1, -1), r[seed : seed + 1], s.reshape(1, 1, -1)))
+    bound[seed] = 0.0  # its entries are in the seed
+    rows, columns = (bound > peak).nonzero()[0], (column_bound > peak).nonzero()[0]
+    if not (rows.size and columns.size):
+        return peak
+    q, s = q[columns].reshape(1, 1, -1), s[columns].reshape(1, 1, -1)
+    step = max(1, _KRON_BLOCK_ENTRIES // columns.size)
+    for start in range(0, rows.size, step):
+        # the rows of the block whose bound still beats the running maximum
+        block = rows[start : start + step]
+        block = block[bound[block] > peak]
+        if block.size:
+            peak = max(peak, float(_block_max(p[block], q, r[block], s)))
     return peak
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,7 @@ class RestrictedModel:
     rescaled_restricted_modular: OperatorSpec | None = None  # Delta_h^(h)
     two_route_residual: float | None = None
     _basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see _coordinates
 
     @property
     def subspace_dimension(self) -> float:
@@ -108,7 +110,14 @@ class RestrictedModel:
 
     def compress(self, f) -> np.ndarray:
         """Coordinates of a subspace vector in the compressed eigenbasis."""
-        return self.basis().conj().T @ np.asarray(f, dtype=complex)
+        return self._adjoint @ np.asarray(f, dtype=complex)
+
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        """The basis adjoint ``B*``, read-only, built on first use."""
+        adjoint = self.basis().conj().T
+        adjoint.flags.writeable = False
+        return adjoint
 
 
 def _member(f, projection: np.ndarray) -> bool:
@@ -116,6 +125,24 @@ def _member(f, projection: np.ndarray) -> bool:
     ``||f - projection|| <= SUBSPACE_TOL * max(1, ||f||)``.  The round-off of a projection
     grows with f, so ``c f`` is a member whenever f is."""
     return float(np.linalg.norm(f - projection)) <= SUBSPACE_TOL * max(1.0, float(np.linalg.norm(f)))
+
+
+def _coordinates(model: RestrictedModel, name: str, vec) -> np.ndarray:
+    """``B* v`` of a subspace vector once its membership test on ``B (B* v)`` passes (else
+    DimensionMismatch).  The model keeps it, read-only and keyed on the exact bits of ``v``,
+    for the last two vectors, so both reports of a pair compress each vector once."""
+    vec = np.asarray(vec, dtype=complex)
+    key = (vec.shape, vec.tobytes())
+    coordinates = model._members.get(key)
+    if coordinates is None:
+        coordinates = model.compress(vec)
+        if not _member(vec, model.basis() @ coordinates):
+            raise DimensionMismatch(f"vector {name} has projection residual {model.residual(vec):.3e}")
+        coordinates.flags.writeable = False
+        if len(model._members) == 2:
+            model._members.clear()
+        model._members[key] = coordinates
+    return coordinates
 
 
 def restricted_model(
@@ -239,13 +266,7 @@ def restricted_kms_residuals(
     """
     if model.beta is None or model.restricted_modular is None:
         raise ModelMismatch("restricted model carries no modular data; rebuild with beta")
-    coordinates = []
-    for name, vec in (("f", f), ("g", g)):
-        # B* v once: the compression, and the membership test's projection B (B* v)
-        compressed = model.compress(vec)
-        if not _member(vec, model.basis() @ compressed):
-            raise DimensionMismatch(f"vector {name} has projection residual {model.residual(vec):.3e}")
-        coordinates.append(compressed)
+    coordinates = [_coordinates(model, name, vec) for name, vec in (("f", f), ("g", g))]
     if rescaled:
         covariance, modular = model.rescaled_covariance, model.rescaled_restricted_modular
     else:

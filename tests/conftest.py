@@ -1,6 +1,7 @@
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def first_jobs(tmp_path_factory):
     for job in bench_module("workloads").build("suite-mix", 7, str(tmp_path_factory.mktemp("suite-mix"))):
         jobs.setdefault(job.suite, job)
     return jobs
+
+
+def residual_operands(model, f, g) -> list:
+    """The (P, Q, R, S) that the relation and the commutant residual of ``f, g`` take the max-norm of."""
+    from weylscale import fock
+
+    calls = []
+    with mock.patch.object(fock, "_kron_difference_max", side_effect=lambda *args: calls.append(args) or 0.0):
+        fock.weyl_relation_residual(model, f, g)
+        fock.commutant_residual(model, f, g)
+    return calls
 
 
 def random_vector(rng, dim):

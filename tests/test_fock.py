@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from weylscale.fock import _kron_difference_max, _reliable_slot
 from weylscale.spectral import INF
 from weylscale.weyl import sigma
 
-from conftest import random_covariance, random_vector
+from conftest import random_covariance, random_vector, residual_operands
 from fock_reference import (
     annihilation,
     commutant_weyl_operator,
@@ -386,15 +385,6 @@ class TestBlockedKronDifferenceMax:
         assert peak < 0.5e6
 
 
-def _recorded_operands(model, f, g):
-    """The (P, Q, R, S) that the relation and the commutant residual of ``f, g`` take the max-norm of."""
-    calls = []
-    with mock.patch.object(fock, "_kron_difference_max", side_effect=lambda *args: calls.append(args) or 0.0):
-        weyl_relation_residual(model, f, g)
-        commutant_residual(model, f, g)
-    return calls
-
-
 def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -404,15 +394,15 @@ def _unit(rng, side):
 
 
 class TestBoundedKronDifferenceMax:
-    """Rows skipped by their bound leave the one-shot evaluation's float, bit for bit;
-    operands that _row_bounds cannot bound raise OutOfRange."""
+    """Rows and columns skipped by their bounds leave the one-shot evaluation's float,
+    bit for bit; operands that _bounds cannot bound raise OutOfRange."""
 
     @staticmethod
     def _assert_exact(p, q, r, s):
-        bound = fock._row_bounds(p.ravel(), q, r.ravel(), s)
+        bounds = fock._bounds(p.ravel(), q.ravel(), r.ravel(), s.ravel())
         with warnings.catch_warnings(record=True) as bounded_warnings:
             warnings.simplefilter("always")
-            if bound is None:
+            if bounds is None:
                 with pytest.raises(OutOfRange, match="^GNS max-norm operands not finite or above"):
                     _kron_difference_max(p, q, r, s)
                 assert bounded_warnings == []
@@ -423,8 +413,9 @@ class TestBoundedKronDifferenceMax:
             expected = _one_shot_kron_difference_max(p, q, r, s)
         assert bounded == expected
         assert [str(w.message) for w in bounded_warnings] == [str(w.message) for w in one_shot_warnings]
-        rows = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None])
-        assert np.all(rows.reshape(p.size, -1).max(axis=1) <= bound)
+        entries = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None]).reshape(p.size, -1)
+        assert np.all(entries.max(axis=1) <= bounds[0])
+        assert np.all(entries.max(axis=0) <= bounds[1])
 
     @settings(max_examples=25)
     @given(
@@ -437,7 +428,7 @@ class TestBoundedKronDifferenceMax:
         # amplitudes |alpha| = T1 |f| / sqrt(2) <= 1 for f, g and f + g
         model = GnsModel(make_operator([[covariance]]), cutoff=cutoff)
         f, g = (np.array([radius / model._t1[0] * np.exp(1j * phase)]) for radius, phase in zip(radii, phases))
-        for operands in _recorded_operands(model, f, g):
+        for operands in residual_operands(model, f, g):
             self._assert_exact(*operands)
 
     @settings(max_examples=100)
@@ -485,7 +476,7 @@ class TestBoundedKronDifferenceMax:
         if edge in ("huge", "nan", "inf"):
             # beyond _KRON_BOUND_LIMIT or not finite: no bound, so _assert_exact expects the raise
             p, q, r, s = operands
-            assert fock._row_bounds(p.ravel(), q, r.ravel(), s) is None
+            assert fock._bounds(p.ravel(), q.ravel(), r.ravel(), s.ravel()) is None
         self._assert_exact(*operands)
 
     def test_maximum_in_a_row_the_unrounded_bound_would_skip(self):
@@ -503,6 +494,23 @@ class TestBoundedKronDifferenceMax:
             unrounded = np.abs(p - mu * r).ravel() * np.abs(q).max() + np.abs(r).ravel() * np.abs(mu * q - s).max()
             rows = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None]).reshape(81, -1).max(axis=1)
             beyond += rows.max() > unrounded[np.argmax(rows)]
+            assert _kron_difference_max(p, q, r, s) == _one_shot_kron_difference_max(p, q, r, s)
+        assert beyond > 0
+
+    def test_maximum_in_a_column_the_unrounded_bound_would_skip(self):
+        # The same operands, from the column side: in some cases the largest computed entry
+        # exceeds max|p - mu r| |q| + max|r| |mu q - s|, its column's bound in exact arithmetic
+        beyond = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            p, q = _unit(rng, 9), _unit(rng, 20)
+            phase = np.exp(2j * np.pi * rng.uniform())
+            r, s = phase * p, q / phase
+            z = np.vdot(r, p)
+            mu = z / abs(z)
+            unrounded = np.abs(p - mu * r).max() * np.abs(q).ravel() + np.abs(r).max() * np.abs(mu * q - s).ravel()
+            columns = np.abs(p.reshape(-1, 1, 1) * q[None] - r.reshape(-1, 1, 1) * s[None]).reshape(81, -1).max(axis=0)
+            beyond += columns.max() > unrounded[np.argmax(columns)]
             assert _kron_difference_max(p, q, r, s) == _one_shot_kron_difference_max(p, q, r, s)
         assert beyond > 0
 

@@ -1,29 +1,37 @@
 """Invariants a job computes once give the floats of computing them each time.
 
 Each reuse is checked bit for bit against the formula it replaced: the GNS
-max-norm on both sides of the one-block rule, the trace state read from a
-word's zero key, restrict-scan's random words built in one pass, the
-restricted KMS residuals with ``B* v`` taken once, and the per-model GNS
-ladder and reliable block.
+max-norm on both sides of the one-block rule and under the two-sided rule,
+the trace state read from a word's zero key, restrict-scan's random words
+built in one pass, the restricted KMS residuals with ``B* v`` taken once per
+vector and pair, and the per-model GNS ladder and reliable block.  The work
+saved is counted too: the entries the max-norm evaluates and the restricted
+compressions.
 """
 
 import dataclasses
+import importlib.util
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weylscale import fock
+from weylscale import cli, fock, runner
 from weylscale.config import ExperimentConfig, random_complex_vectors
 from weylscale.errors import DimensionMismatch, OutOfRange
 from weylscale.fock import GnsModel, _kron_difference_max, commutant_residual, weyl_relation_residual
 from weylscale.kms import _boundary_report, covariance_from_hamiltonian, default_time_grid
-from weylscale.restriction import _member, restricted_kms_residuals, restricted_model
+from weylscale.restriction import RestrictedModel, _member, restricted_kms_residuals, restricted_model
 from weylscale.runner import _random_word
 from weylscale.spectral import make_operator
 from weylscale.states import TraceState, evaluate_state
 from weylscale.weyl import WeylWord, weyl_adjoint, weyl_multiply
+
+from conftest import bench_module, residual_operands
 
 
 def _bits(z) -> tuple:
@@ -62,7 +70,7 @@ def test_kron_max_equals_the_full_broadcast(seed, p_shape, q_shape):
     near_s = q / phase * (1 + 1e-15 * _complex(rng, q_shape))
     one_block = p.size * q.size <= fock._KRON_BLOCK_ENTRIES
     for r, s in [(_complex(rng, p_shape), _complex(rng, q_shape)), (near_r, near_s), (p, q)]:
-        with mock.patch.object(fock, "_row_bounds", wraps=fock._row_bounds) as bounds:
+        with mock.patch.object(fock, "_bounds", wraps=fock._bounds) as bounds:
             assert _kron_difference_max(p, q, r, s) == _broadcast_max(p, q, r, s)
         # every row in one block takes no bound; more rows take one per call
         assert bounds.call_count == (0 if one_block else 1)
@@ -86,6 +94,94 @@ def test_one_block_overflow_raises(rng):
     p, q = _complex(rng, (7, 7)), _complex(rng, (7, 7))
     with pytest.raises(OutOfRange, match=r"^GNS max-norm inf not finite"):
         _kron_difference_max(1e200 * p, 1e200 * q, p, q)
+
+
+@settings(max_examples=40)
+@given(
+    # (modes, occupation numbers per mode in the reliable block): one mode at sides 5-21,
+    # two modes at sides 9 and 16 (cutoffs 4 and 6)
+    shape=st.sampled_from([(1, side) for side in range(5, 22)] + [(2, 3), (2, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+    norms=st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8)),
+    phases=st.tuples(st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi)),
+)
+def test_two_sided_rule_equals_the_full_broadcast(shape, seed, norms, phases):
+    modes, side = shape
+    rng = np.random.default_rng(seed)
+    unitary, _ = np.linalg.qr(_complex(rng, (modes, modes)))
+    covariance = make_operator(unitary @ np.diag(rng.uniform(1.2, 2.0, modes)) @ unitary.conj().T)
+    model = GnsModel(covariance, cutoff=2 * (side - 1))
+    f, g = (
+        norm * np.exp(1j * phase) * direction / np.linalg.norm(direction)
+        for norm, phase, direction in zip(norms, phases, _complex(rng, (2, modes)))
+    )
+    for args in residual_operands(model, f, g):
+        assert _kron_difference_max(*args) == _broadcast_max(*args)
+
+
+def _kron_times():
+    spec = importlib.util.spec_from_file_location("_kron_times", Path(__file__).resolve().parents[1] / "tools" / "kron_times.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _row_rule_entries(p, q, r, s) -> int:
+    """Entries that the row bound alone evaluates: every column of the rows in two tiers
+    (bound above half the largest, then the rest), each row skipped once its bound is
+    at most the running maximum."""
+    bound = fock._bounds(p.ravel(), q.ravel(), r.ravel(), s.ravel())[0]
+    rows_max = np.abs(p.reshape(-1, 1) * q.reshape(1, -1) - r.reshape(-1, 1) * s.reshape(1, -1)).max(axis=1)
+    step = max(1, fock._KRON_BLOCK_ENTRIES // q.size)
+    peak, half, entries = 0.0, bound.max() / 2, 0
+    for tier in (bound > half, bound <= half):
+        rows = np.flatnonzero(tier & (bound > peak))
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            block = block[bound[block] > peak]
+            if block.size:
+                entries += block.size * q.size
+                peak = max(peak, float(rows_max[block].max()))
+    return entries
+
+
+def _evaluated_blocks(args) -> list:
+    """The (rows, columns) of each block that _kron_difference_max evaluates."""
+    blocks, original = [], fock._block_max
+    with mock.patch.object(fock, "_block_max", side_effect=lambda p, q, r, s: blocks.append((p.size, q.size)) or original(p, q, r, s)):
+        _kron_difference_max(*args)
+    return blocks
+
+
+#: Largest share of the row rule's entries that the two-sided rule evaluates at sides 16-21
+#: (measured: 0.17 to 0.37 on tools/kron_times.py's operands)
+_TWO_SIDED_SHARE = 0.4
+
+
+@pytest.mark.parametrize("side", range(16, 22))
+def test_two_sided_rule_evaluates_a_fraction_of_the_row_rule(side):
+    for args in _kron_times().operands(side).values():
+        blocks = _evaluated_blocks(args)
+        # the seed: the row of the largest bound against every column
+        assert blocks[0] == (1, args[1].size)
+        assert sum(rows * columns for rows, columns in blocks) <= _TWO_SIDED_SHARE * _row_rule_entries(*args)
+
+
+def test_a_row_or_column_whose_bound_equals_the_seed_is_skipped():
+    args = _kron_times().operands(16)["relation"]
+    p, q, r, s = (x.ravel() for x in args)
+    bound, column_bound = fock._bounds(p, q, r, s)
+    top = slice(int(bound.argmax()), int(bound.argmax()) + 1)
+    seed = float(fock._block_max(p[top, None, None], q[None, None], r[top, None, None], s[None, None]))
+    # every bound at most the seed raised to it: still bounds, and none of them beats the seed
+    bound[bound <= seed] = seed
+    column_bound[column_bound <= seed] = seed
+    with mock.patch.object(fock, "_bounds", return_value=(bound.copy(), column_bound.copy())):
+        blocks = _evaluated_blocks(args)
+        assert _kron_difference_max(*args) == _broadcast_max(*args)
+    assert blocks[0] == (1, q.size)
+    assert {columns for _, columns in blocks[1:]} == {int(np.sum(column_bound > seed))}
+    assert sum(rows for rows, _ in blocks[1:]) <= np.sum(bound > seed) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +296,51 @@ def _restricted(seed, n=6):
 @pytest.mark.parametrize("rescaled", [False, True])
 def test_restricted_residuals_equal_the_parent_formula(seed, rescaled):
     model, rng = _restricted(seed)
-    f, g = (model.project(v) for v in random_complex_vectors(rng, 2, model.covariance.dimension))
-    for t_grid in (None, np.linspace(-3.0, 4.0, 9)):
-        report = restricted_kms_residuals(model, f, g, t_grid, rescaled=rescaled)
-        expected = _parent_residuals(model, f, g, t_grid, rescaled)
-        for field in dataclasses.fields(report):
-            value, reference = getattr(report, field.name), getattr(expected, field.name)
-            assert np.asarray(value).tobytes() == np.asarray(reference).tobytes(), field.name
+    u, v, w = (model.project(x) for x in random_complex_vectors(rng, 3, model.covariance.dimension))
+    # one model across pairs that share a vector, repeat one, and repeat a whole pair
+    for f, g in [(u, v), (v, w), (w, w), (u, v), (v, u)]:
+        for t_grid in (None, np.linspace(-3.0, 4.0, 9)):
+            report = restricted_kms_residuals(model, f, g, t_grid, rescaled=rescaled)
+            expected = _parent_residuals(model, f, g, t_grid, rescaled)
+            for field in dataclasses.fields(report):
+                value, reference = getattr(report, field.name), getattr(expected, field.name)
+                assert np.asarray(value).tobytes() == np.asarray(reference).tobytes(), field.name
+
+
+def _counted(monkeypatch, name) -> list:
+    """Calls of the RestrictedModel method ``name`` from here on, one entry each."""
+    calls, method = [], getattr(RestrictedModel, name)
+    monkeypatch.setattr(RestrictedModel, name, lambda self, *args: calls.append(1) or method(self, *args))
+    return calls
+
+
+def test_a_restricted_cell_compresses_and_projects_each_vector_twice(monkeypatch):
+    # the runner's projections B (B* v), then B* p and B (B* p) once for both reports
+    model, rng = _restricted(2)
+    f, g = random_complex_vectors(rng, 2, model.covariance.dimension)
+    model._adjoint  # built once per model, before the cell
+    compressed, products = _counted(monkeypatch, "compress"), _counted(monkeypatch, "basis")
+    _, checks = runner._restricted_kms(model, f, g, default_time_grid(), 1e-8)
+    assert len(compressed) == 4 and len(products) == 4
+    assert all(checks.values())
+
+
+def test_a_suite_mix_round_compresses_four_times_per_restricted_cell(monkeypatch, tmp_path, capsys):
+    compressed, cells = _counted(monkeypatch, "compress"), []
+    cell = runner._restricted_kms
+
+    def counted_cell(*args):
+        before = len(compressed)
+        result = cell(*args)
+        cells.append(len(compressed) - before)
+        return result
+
+    monkeypatch.setattr(runner, "_restricted_kms", counted_cell)
+    for job in bench_module("workloads").build("suite-mix", 7, str(tmp_path)):
+        cli.main(job.argv())
+    capsys.readouterr()
+    # 12 restricted KMS cells: 48 compressions, where each report compressing its own pair took 72
+    assert cells == [4] * 12
 
 
 def test_restricted_residuals_refuse_a_vector_off_the_subspace():

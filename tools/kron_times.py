@@ -10,10 +10,13 @@ reliable block has SIDE occupation numbers, a covariance drawn from
 ``commutant_residual`` pass to ``fock._kron_difference_max`` are recorded;
 then, for each residual, one call of ``_kron_difference_max`` is run as a
 warm-up and ``REPEATS`` more are timed.  One line per residual gives the
-median in microseconds and the share of the ``SIDE^4`` entries that
-``_kron_difference_max`` evaluated; the rows it skips by their bound are the
-rest.  The program runs from the ``src/`` of the checkout this file is in,
-with single-threaded BLAS.
+median in microseconds, the share of the ``SIDE^4`` entries that
+``_kron_difference_max`` evaluated, and the rows and the columns (of
+``SIDE^2`` each) that it kept beside the seed row, the row of the largest
+bound that it evaluates in full first: their bounds beat the seed, and the
+rest are skipped.  A side of one block has no seed and keeps no more.  The
+program runs from the ``src/`` of the checkout this file is in, with
+single-threaded BLAS.
 """
 
 from __future__ import annotations
@@ -49,21 +52,24 @@ def operands(side: int) -> dict:
     return dict(zip(("relation", "commutant"), recorded))
 
 
-def evaluated_share(args) -> float:
-    """Share of the entries of ``P (x) Q - R (x) S`` that _kron_difference_max evaluates."""
+def evaluated(args) -> tuple:
+    """The share of the entries of ``P (x) Q - R (x) S`` that _kron_difference_max
+    evaluates, and the rows and the columns it evaluates beside the seed row."""
     from weylscale import fock
 
-    entries, original = [], fock._block_max
-    fock._block_max = lambda p, q, r, s: entries.append(p.size * q.size) or original(p, q, r, s)
+    blocks, original = [], fock._block_max
+    fock._block_max = lambda p, q, r, s: blocks.append((p.size, q.size)) or original(p, q, r, s)
     try:
         fock._kron_difference_max(*args)
     finally:
         fock._block_max = original
-    return sum(entries) / (args[0].size * args[1].size)
+    share = sum(rows * columns for rows, columns in blocks) / (args[0].size * args[1].size)
+    kept = blocks[1:]
+    return share, sum(rows for rows, _ in kept), kept[0][1] if kept else 0
 
 
 def measure(side: int, repeats: int = REPEATS) -> list:
-    """(residual, median seconds, evaluated share) per residual at ``side``."""
+    """(residual, median seconds, evaluated share, rows kept, columns kept) per residual at ``side``."""
     from weylscale import fock
 
     rows = []
@@ -74,7 +80,7 @@ def measure(side: int, repeats: int = REPEATS) -> list:
             started = time.perf_counter()
             fock._kron_difference_max(*args)
             samples.append(time.perf_counter() - started)
-        rows.append((name, statistics.median(samples), evaluated_share(args)))
+        rows.append((name, statistics.median(samples), *evaluated(args)))
     return rows
 
 
@@ -85,10 +91,10 @@ def main(argv: list, repeats: int = REPEATS) -> int:
     # before numpy loads: single-threaded BLAS, as the benchmark runs the program
     os.environ.update({name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    print(f"{'side':>4}  {'residual':<9}  {'median_us':>9}  {'evaluated':>9}")
+    print(f"{'side':>4}  {'residual':<9}  {'median_us':>9}  {'evaluated':>9}  {'rows':>4}  {'columns':>7}")
     for side in sides:
-        for name, seconds, share in measure(side, repeats):
-            print(f"{side:>4}  {name:<9}  {1e6 * seconds:9.1f}  {share:9.3f}")
+        for name, seconds, share, rows, columns in measure(side, repeats):
+            print(f"{side:>4}  {name:<9}  {1e6 * seconds:9.1f}  {share:9.3f}  {rows:>4}  {columns:>7}")
     return 0
 
 

@@ -102,9 +102,19 @@ MUTANTS = (
     ("runner.py", '"mixture_pointwise": pointwise_dev <= pointwise_tol,', ""),
     # the eigenvalue map's finite test on a float it returns as it stands
     ("spectral.py", "if type(y) is float and math.isfinite(y):", "if type(y) is float:"),
-    # the GNS max-norm's row bound without its rounding term,
+    # the GNS max-norm's row and column bounds without their rounding terms, or the column
+    # bound alone without it,
     ("fock.py", "kappa_u = _KAPPA * _U", "kappa_u = 0.0"),
-    # and its skipping, stopped after the first block of each tier
+    ("fock.py", "(am + 4 * kappa_u * rm)", "(am)"),
+    # its column filter keeping a column whose bound only equals the seed,
+    ("fock.py", "(column_bound > peak).nonzero()", "(column_bound >= peak).nonzero()"),
+    # its seed row never evaluated, so rows and columns are filtered against 0 and the seed row is left out,
+    (
+        "fock.py",
+        "    peak = float(_block_max(p[seed : seed + 1], q.reshape(1, 1, -1), r[seed : seed + 1], s.reshape(1, 1, -1)))\n",
+        "    peak = 0.0\n",
+    ),
+    # and its skipping, stopped after the first block
     ("fock.py", "for start in range(0, rows.size, step):", "for start in range(0, min(rows.size, step), step):"),
     # and its refusal of operands it cannot bound, replaced by the NaN a full evaluation gave
     ("fock.py", 'raise OutOfRange(f"GNS max-norm operands', 'return math.nan or (f"GNS max-norm operands'),
@@ -116,8 +126,10 @@ MUTANTS = (
     ("weyl.py", "entry = self._terms.get((0.0,) * (2 * self.dim))", "entry = self._terms.get((0.0,) * self.dim)"),
     # or its value the coefficient of the word's first term
     ("weyl.py", "entry = self._terms.get((0.0,) * (2 * self.dim))", "entry = next(iter(self._terms.values()), None)"),
-    # restricted KMS residuals that test no vector's membership
-    ("restriction.py", "if not _member(vec, model.basis() @ compressed):", "if not _member(vec, vec):"),
+    # restricted KMS residuals that test no vector's membership,
+    ("restriction.py", "if not _member(vec, model.basis() @ coordinates):", "if not _member(vec, vec):"),
+    # or that reuse the coordinates of any vector of the same shape
+    ("restriction.py", "key = (vec.shape, vec.tobytes())", "key = vec.shape"),
     # positivity-scan's admissible cell without its kernel check, or without its two-point check,
     ("runner.py", 'return fields, {"gram_all_psd": all_psd, "two_point_pass"', 'return fields, {"two_point_pass"'),
     ("runner.py", 'all_psd, "two_point_pass": check.verdict}', "all_psd}"),
