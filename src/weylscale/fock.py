@@ -39,20 +39,21 @@ raise OutOfRange, and so does a whole evaluation that is not finite; no suite
 reaches either: every operand is a product of displacements that passed
 GnsModel._mode_displacement's unitarity check.
 
-A model builds its invariants once, each on first use, and keeps them for as
-long as it lives: the ladder matrices every displacement is built from, the
-reliable-block indices and their ``np.ix_`` block that every residual reads,
-and each per-mode displacement, keyed on the exact bits of the amplitude and
-read-only.  Each displacement costs ``(cutoff+1)^2`` complex values (27 KB at
-cutoff 40), and a gns-check run holds at most ``2 * modes`` of them per
-vector and per pair.
+A model builds its invariants with itself and keeps them for as long as it
+lives: the ladder matrices every displacement is built from and, within
+``DOUBLED_DIM_CAP``, the reliable-block indices and their ``np.ix_`` block
+that every residual reads (a model beyond the cap, of 128 modes say, takes
+expectations only).  It keeps each per-mode displacement too, built on first
+use, keyed on the exact bits of the amplitude and read-only.  Each
+displacement costs ``(cutoff+1)^2`` complex values (27 KB at cutoff 40), and a
+gns-check run holds at most ``2 * modes`` of them per vector and per pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -126,18 +127,12 @@ class GnsModel:
         self._t2 = np.sqrt(np.maximum(eigs - 1.0, 0.0) / 2.0)
         self.T1 = (self._basis * self._t1) @ self._basis.conj().T
         self.T2 = (self._basis * self._t2) @ self._basis.conj().T
+        self._ladders = _ladder_pair(self.cutoff)
+        self._reliable = None  # see check_doubled_cap
+        if self.slot_dimension**2 <= DOUBLED_DIM_CAP:
+            keep = _reliable_slot(self)
+            self._reliable = keep, np.ix_(keep, keep)
         self._displacements: dict[bytes, np.ndarray] = {}
-
-    @cached_property
-    def _ladders(self) -> tuple[np.ndarray, np.ndarray]:
-        """_ladder_pair(cutoff), built on first use."""
-        return _ladder_pair(self.cutoff)
-
-    @cached_property
-    def _reliable(self) -> tuple[np.ndarray, tuple]:
-        """The slot indices of _reliable_slot and their ``np.ix_`` block, built on first use."""
-        keep = _reliable_slot(self)
-        return keep, np.ix_(keep, keep)
 
     @property
     def slot_dimension(self) -> int:
@@ -187,11 +182,11 @@ def _slot_pair(model: GnsModel, amplitudes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_doubled_cap(model: GnsModel):
-    """Raise OutOfRange when the doubled axis of the model exceeds DOUBLED_DIM_CAP."""
-    dim = model.slot_dimension ** 2
-    if dim > DOUBLED_DIM_CAP:
+    """Raise OutOfRange when the doubled axis of the model exceeds DOUBLED_DIM_CAP, where
+    it keeps no reliable block: that takes ``modes * (cutoff+1)^modes`` occupations."""
+    if model._reliable is None:
         raise OutOfRange(
-            f"doubled Fock space axis {dim} exceeds cap {DOUBLED_DIM_CAP}; "
+            f"doubled Fock space axis {model.slot_dimension ** 2} exceeds cap {DOUBLED_DIM_CAP}; "
             f"lower the cutoff or the mode count"
         )
 
@@ -363,6 +358,7 @@ def weyl_relation_residual(model: GnsModel, f, g) -> float:
     Measured on the reliable occupation block (see _reliable_slot), from the
     slot products ``A1 B1`` and ``A2 B2``; no doubled matrix is formed.
     """
+    check_doubled_cap(model)
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
@@ -381,6 +377,7 @@ def commutant_residual(model: GnsModel, f, g) -> float:
     The commutator is ``A1 B1 (x) A2 B2 - B1 A1 (x) B2 A2`` over the slots,
     where the commutant's slots ``B1, B2`` are those of pi(W_g), swapped.
     """
+    check_doubled_cap(model)
     a1, a2 = _slot_pair(model, model.slot_amplitudes(f))
     b2, b1 = _slot_pair(model, model.slot_amplitudes(g))
     keep, _ = model._reliable

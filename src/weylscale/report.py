@@ -61,7 +61,7 @@ _REAL_COMPLEX_ENTRY = '{"re": %.17g, "im": 0}'
 def _row_text(value: np.ndarray) -> str | None:
     """A finite 1-d or 2-d float64 or complex128 array formatted with one ``%`` per
     row (over the real and imaginary parts of a complex row), empty and single-entry
-    arrays included; None otherwise, for the per-entry path of ``_render_value``.
+    arrays included; None otherwise, for the per-entry path of ``_render_array``.
     A complex array whose imaginary parts are all +0.0 (all bits zero: not -0.0,
     nor NaN) is formatted over its real parts alone.
 
@@ -107,43 +107,39 @@ def _render_items(items, pieces: list):
     pieces.append("]")
 
 
-#: How a value of each builtin type a report holds is written, by its exact type (a
-#: bool is not written as the int it also is); any other type goes through the
-#: isinstance chain of ``_render_value``.
+def _render_array(value: np.ndarray, pieces: list):
+    if (text := _row_text(value)) is None:
+        _render_items(value.tolist(), pieces)
+    else:
+        pieces.append(text)
+
+
+#: How a value of each type a report holds is written, by its exact type (a bool
+#: is not written as the int it also is).  A numpy scalar is written as its
+#: ``.item()``, the builtin value of the same number.
 _RENDER_BY_TYPE = {
     type(None): lambda value, pieces: pieces.append("null"),
     bool: lambda value, pieces: pieces.append("true" if value else "false"),
     int: lambda value, pieces: pieces.append(str(value)),
     float: lambda value, pieces: pieces.append(format_float(value)),
+    complex: lambda value, pieces: pieces.append(_format_complex(value)),
     str: _render_str,
     dict: _render_dict,
     list: _render_items,
     tuple: _render_items,
+    np.ndarray: _render_array,
 }
 
 
 def _render_value(value, pieces: list):
-    render = _RENDER_BY_TYPE.get(type(value))
-    if render is not None:
-        render(value, pieces)
-    elif isinstance(value, (bool, np.bool_)):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(format_float(float(value)))
-    elif isinstance(value, (complex, np.complexfloating)):
-        pieces.append(_format_complex(complex(value)))
-    elif isinstance(value, str):
-        _render_str(value, pieces)
-    elif isinstance(value, np.ndarray) and (text := _row_text(value)) is not None:
-        pieces.append(text)
-    elif isinstance(value, dict):
-        _render_dict(value, pieces)
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        _render_items(value.tolist() if isinstance(value, np.ndarray) else value, pieces)
-    else:
+    item = value
+    render = _RENDER_BY_TYPE.get(type(item))
+    if render is None and isinstance(value, np.generic):
+        item = value.item()
+        render = _RENDER_BY_TYPE.get(type(item))
+    if render is None:
         raise TypeError(f"cannot serialize value of type {type(value)!r}")
+    render(item, pieces)
 
 
 def render_object(record: ReportRecord) -> str:

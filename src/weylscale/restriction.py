@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +57,7 @@ def lambda_star(h: float, beta: float) -> float:
     """Top of the restricted modular spectrum, the modular map at h: ((h+1)/(h-1))^{1/beta},
     or ``math.inf`` where that power overflows a float (a small ``beta``)."""
     require_positive(beta, "inverse temperature")
-    if not _orderable(h) >= 1 + 1e-9:
+    if not _orderable(h) > 1:
         raise OutOfRange(f"scale parameter {h} too close to the pole at 1")
     try:
         return _modular_value(h, beta)
@@ -70,7 +69,9 @@ def lambda_star(h: float, beta: float) -> float:
 class RestrictedModel:
     """Covariance compressed to the spectral subspace that survives scale h: the
     eigenvector columns ``selected_indices`` with eigenvalue in ``(h, h_star]``, a
-    suffix of the ascending eigenbasis (empty for a spectral covariance)."""
+    suffix of the ascending eigenbasis (empty for a spectral covariance).  A matrix
+    covariance's model holds those columns as ``basis`` and their ``adjoint``, both
+    read-only; a spectral covariance's holds neither."""
 
     covariance: OperatorSpec
     h: float
@@ -82,26 +83,17 @@ class RestrictedModel:
     restricted_modular: OperatorSpec | None = None  # Delta^(h)
     rescaled_restricted_modular: OperatorSpec | None = None  # Delta_h^(h)
     two_route_residual: float | None = None
-    _basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)  # B
+    adjoint: np.ndarray | None = field(default=None, repr=False, compare=False)  # B*
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see _coordinates
 
     @property
     def subspace_dimension(self) -> float:
         return self.restricted_covariance.dimension
 
-    def basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the subspace (matrix covariance only): one
-        read-only copy, selected on the first call and kept."""
-        if self._basis is None:
-            self.covariance.require_matrix()
-            basis = self.covariance.eigenvectors[:, list(self.selected_indices)]
-            basis.flags.writeable = False
-            object.__setattr__(self, "_basis", basis)
-        return self._basis
-
     def project(self, f) -> np.ndarray:
         """Orthogonal projection of f onto the subspace: the basis times :meth:`compress`."""
-        return self.basis() @ self.compress(f)
+        return self.basis @ self.compress(f)
 
     def residual(self, f) -> float:
         """Distance of f from the subspace."""
@@ -109,15 +101,9 @@ class RestrictedModel:
         return float(np.linalg.norm(f - self.project(f)))
 
     def compress(self, f) -> np.ndarray:
-        """Coordinates of a subspace vector in the compressed eigenbasis."""
-        return self._adjoint @ np.asarray(f, dtype=complex)
-
-    @cached_property
-    def _adjoint(self) -> np.ndarray:
-        """The basis adjoint ``B*``, read-only, built on first use."""
-        adjoint = self.basis().conj().T
-        adjoint.flags.writeable = False
-        return adjoint
+        """Coordinates ``B* f`` of a subspace vector; ModelMismatch for a spectral covariance."""
+        self.covariance.require_matrix()
+        return self.adjoint @ np.asarray(f, dtype=complex)
 
 
 def _member(f, projection: np.ndarray) -> bool:
@@ -136,7 +122,7 @@ def _coordinates(model: RestrictedModel, name: str, vec) -> np.ndarray:
     coordinates = model._members.get(key)
     if coordinates is None:
         coordinates = model.compress(vec)
-        if not _member(vec, model.basis() @ coordinates):
+        if not _member(vec, model.basis @ coordinates):
             raise DimensionMismatch(f"vector {name} has projection residual {model.residual(vec):.3e}")
         coordinates.flags.writeable = False
         if len(model._members) == 2:
@@ -161,9 +147,13 @@ def restricted_model(
     h_star = op_norm(covariance)
     if not 1 < _orderable(h) < h_star:
         raise OutOfRange(f"scale parameter {h} outside (1, {h_star})")
+    basis = adjoint = None
     if covariance.is_matrix:
         eigs = covariance.eigenvalues
         selected = tuple(np.flatnonzero((eigs > h) & (eigs <= h_star)).tolist())
+        basis = covariance.eigenvectors[:, list(selected)]
+        adjoint = basis.conj().T
+        basis.flags.writeable = adjoint.flags.writeable = False
         # A^(h) is diagonal in the covariance's eigenbasis, so it needs no eigh, and
         # its matrix is that diagonal, given here in place of a V diag V* product
         values = eigs[list(selected)]
@@ -198,6 +188,8 @@ def restricted_model(
         restricted_modular=restricted_mod,
         rescaled_restricted_modular=rescaled_mod,
         two_route_residual=residual,
+        basis=basis,
+        adjoint=adjoint,
     )
 
 

@@ -937,7 +937,6 @@ h_values: [%r]
         # one ulp and 1e-13 relative below the eigenvalue, where A^(h)/h has spectrum 1
         (1.3130352854993312, "too close below the covariance eigenvalue 1.3130352854993315"),
         (1.3130352854993315 * (1 - 1e-13), "too close below the covariance eigenvalue"),
-        (1.0000000001, "too close to the pole at 1"),
     ],
 )
 def test_restricted_scale_without_a_model_is_failed_cell(tmp_path, capsys, suite, h, message):
@@ -949,6 +948,23 @@ def test_restricted_scale_without_a_model_is_failed_cell(tmp_path, capsys, suite
     assert cells and all(cell["h"] == h and not cell["ok"] for cell in cells)
     assert all(f"scale parameter {h!r}" in cell["error"] for cell in cells)
     assert all(message in cell["error"] for cell in cells)
+    if suite == "kms-verify":
+        assert [cell["path"] for cell in cells] == ["restricted", "restricted"]
+
+
+@pytest.mark.parametrize("suite", ["kms-verify", "restrict-scan"])
+@pytest.mark.parametrize("h", [1 + 2**-52, 1.0000000001, 1.0000001])
+def test_restricted_scale_just_above_one_passes(tmp_path, capsys, suite, h):
+    # lambda_star = (h+1)/(h-1) is finite for every float h > 1: 2^53 at one ulp above 1
+    path = tmp_path / "config.yaml"
+    path.write_text(_NEAR_EIGENVALUE % h)
+    out = tmp_path / "r.json"
+    assert main([suite, "--config", str(path), "--out", str(out)]) == 0
+    cells = json.loads(out.read_text())["cells"]
+    assert cells and all(cell["h"] == h and cell["ok"] and "error" not in cell for cell in cells)
+    assert all(cell["lambda_star"] == (h + 1) / (h - 1) for cell in cells)
+    key = "modular_bounded" if suite == "kms-verify" else "spectral_correspondence"
+    assert all(cell[key] is True for cell in cells)
     if suite == "kms-verify":
         assert [cell["path"] for cell in cells] == ["restricted", "restricted"]
 

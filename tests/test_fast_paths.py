@@ -21,7 +21,7 @@
   complex exps than that, so per-sample tables cannot come back unnoticed.
 - Mapping a matrix operator's eigenvalues as one list gives the values, the
   errors and the complex-value handling of mapping them one by one, and a
-  restricted model selects its basis once.
+  restricted model builds its read-only basis and adjoint with the model.
 - One draw of a ``(count, dim)`` array of random vectors gives the vectors
   of per-vector draws and leaves the generator where they leave it, and the
   explicit vectors reach the suites as the config's own array.
@@ -30,6 +30,7 @@
   branch of gns-check's vector clipping.
 """
 
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -559,15 +560,21 @@ def test_atom_is_a_named_tuple_with_the_dataclass_repr():
     assert atom == Atom(value=2.5, multiplicity=INF) and hash(atom) == hash(Atom(2.5, INF))
 
 
-def test_restricted_basis_is_selected_once_and_read_only():
+def test_restricted_basis_and_adjoint_are_built_with_the_model_and_read_only():
     rng = np.random.default_rng(4)
     covariance = OperatorSpec.from_matrix(_hermitian(rng, [1.5, 2.0, 3.0, 4.0, 6.0]))
     model = restricted_model(covariance, 2.5)
-    basis = model.basis()
-    assert model.basis() is basis
-    assert not basis.flags.writeable
+    basis, adjoint = model.basis, model.adjoint
+    assert not basis.flags.writeable and not adjoint.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        adjoint[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.basis = None
     fresh = covariance.eigenvectors[:, list(model.selected_indices)]
     assert basis.tobytes() == fresh.tobytes() and basis.strides == fresh.strides
+    assert adjoint.tobytes() == basis.conj().T.tobytes() and adjoint.strides == basis.conj().T.strides
     f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     assert model.compress(f).tobytes() == (fresh.conj().T @ f).tobytes()
 

@@ -111,6 +111,20 @@ class TestGnsModel:
         # cutoff 9 gives an axis of exactly 10^4, which the cap allows
         fock.check_doubled_cap(GnsModel(make_operator(np.diag([2.0, 3.0])), cutoff=9))
 
+    @pytest.mark.parametrize("modes, cutoff", [(2, 10), (128, 8)])
+    def test_a_model_beyond_the_cap_takes_expectations_and_refuses_residuals(self, modes, cutoff):
+        # the reliable block of 128 modes would need an array of 128 axes, past numpy's 64
+        covariance = make_operator(np.diag(np.linspace(1.5, 3.0, modes)))
+        model = GnsModel(covariance, cutoff=cutoff)
+        assert model._reliable is None
+        f = np.full(modes, 0.5 / np.sqrt(modes))
+        word = WeylWord.generator(f)
+        closed_form = evaluate_state(quasi_free_functional(covariance), word)
+        assert abs(gns_expectation(model, word) - closed_form) <= 1e-5
+        for residual in (weyl_relation_residual, commutant_residual):
+            with pytest.raises(OutOfRange, match=f"doubled Fock space axis {(cutoff + 1) ** (2 * modes)} exceeds cap"):
+                residual(model, f, 1j * f)
+
 
 class TestGnsExpectation:
     def test_matches_closed_form_scalar(self):

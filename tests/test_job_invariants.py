@@ -314,12 +314,25 @@ def _counted(monkeypatch, name) -> list:
     return calls
 
 
+def _counted_products(model: RestrictedModel) -> tuple[RestrictedModel, list]:
+    """The model with its basis ``B`` viewed as an array that counts its products
+    ``B @ x``, one entry each, and the list they go to."""
+    products = []
+
+    class CountedBasis(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ other
+
+    return dataclasses.replace(model, basis=model.basis.view(CountedBasis)), products
+
+
 def test_a_restricted_cell_compresses_and_projects_each_vector_twice(monkeypatch):
     # the runner's projections B (B* v), then B* p and B (B* p) once for both reports
     model, rng = _restricted(2)
     f, g = random_complex_vectors(rng, 2, model.covariance.dimension)
-    model._adjoint  # built once per model, before the cell
-    compressed, products = _counted(monkeypatch, "compress"), _counted(monkeypatch, "basis")
+    model, products = _counted_products(model)
+    compressed = _counted(monkeypatch, "compress")
     _, checks = runner._restricted_kms(model, f, g, default_time_grid(), 1e-8)
     assert len(compressed) == 4 and len(products) == 4
     assert all(checks.values())
@@ -369,6 +382,15 @@ def test_gns_model_builds_its_ladder_and_reliable_block_once(monkeypatch):
     assert ladders == [12] and blocks == [1]
 
 
+def test_a_fresh_gns_model_holds_its_ladder_and_reliable_block():
+    model = GnsModel(make_operator([[1.7]]), cutoff=12)
+    assert {"_ladders", "_reliable"} <= vars(model).keys()
+    assert [a.tobytes() for a in model._ladders] == [a.tobytes() for a in fock._ladder_pair(12)]
+    keep, block = model._reliable
+    assert keep.tolist() == list(range(7))
+    assert [b.tobytes() for b in block] == [b.tobytes() for b in np.ix_(keep, keep)]
+
+
 def test_default_time_grid_built_once_and_not_revalidated():
     with mock.patch("weylscale.config._time_grid", side_effect=AssertionError("validated")):
         config = ExperimentConfig.from_dict({"t_grid": None})
@@ -379,6 +401,6 @@ def test_default_time_grid_built_once_and_not_revalidated():
 def test_restriction_project_is_basis_times_compress():
     model, rng = _restricted(1)
     f = random_complex_vectors(rng, 1, model.covariance.dimension)[0]
-    v = model.basis()
+    v = model.basis
     assert model.project(f).tobytes() == (v @ (v.conj().T @ f)).tobytes()
     assert model.compress(f).tobytes() == (v.conj().T @ f).tobytes()

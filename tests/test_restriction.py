@@ -142,7 +142,7 @@ class TestSubspaceSelection:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         covariance = make_operator(q @ np.diag([1.5, 2.0, 3.0]).astype(complex) @ q.conj().T)
         model = restricted_model(covariance, 1.7)
-        v = model.basis() @ random_vector(rng, 2)
+        v = model.basis @ random_vector(rng, 2)
         assert _member(c * v, model.project(c * v))
         off = v + 1e-9 * np.linalg.norm(v) * covariance.eigenvectors[:, 0]
         # off the subspace by 1e-9 relative, which the floor of 1e-12 hides only below norm 1e-3
@@ -155,7 +155,7 @@ class TestSubspaceSelection:
         covariance = random_covariance(rng, 4)
         h = float(0.5 * (covariance.eigenvalues[1] + covariance.eigenvalues[2]))
         model = restricted_model(covariance, h)
-        f = model.basis() @ random_vector(rng, 2)
+        f = model.basis @ random_vector(rng, 2)
         coords = model.compress(f)
         scaled = model.restricted_covariance.eigenvalues / h
         expected = complex(np.exp(-0.25 * float(np.vdot(coords, scaled * coords).real)))
@@ -168,10 +168,19 @@ class TestLambdaStar:
         assert lambda_star(3.0, 2.0) == pytest.approx(math.sqrt(2.0))
 
     def test_pole_guard(self):
-        with pytest.raises(OutOfRange):
-            lambda_star(1.0 + 1e-12, 1.0)
+        for h in (1.0, 1.0 - 1e-12, 0.5):
+            with pytest.raises(OutOfRange, match="too close to the pole at 1"):
+                lambda_star(h, 1.0)
         with pytest.raises(OutOfRange):
             lambda_star(2.0, 0.0)
+
+    @pytest.mark.parametrize("h", [1 + 2**-52, 1.0000000001, 1 + 1e-12])
+    def test_finite_at_every_scale_above_one(self, h):
+        # (h+1)/(h-1) is at most 2^54 for a float h > 1, so the guard is the rule h > 1
+        value = lambda_star(h, 1.0)
+        assert math.isfinite(value) and value == (h + 1.0) / (h - 1.0)
+        if h == 1 + 2**-52:
+            assert value == 2.0**53
 
 
 class TestSpectralCorrespondence:
@@ -290,7 +299,7 @@ class TestNonRegularExtension:
         covariance = make_operator(np.diag([1.0, 3.0]))
         model = restricted_model(covariance, 2.0)
         phi = quasi_free_functional(covariance)
-        basis = model.basis()[:, 0]
+        basis = model.basis[:, 0]
         for _ in range(20):
             coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             vectors = [c * basis for c in coeffs]
@@ -317,7 +326,7 @@ class TestNonRegularExtension:
         h = 0.5 * (values[1] + values[2])
         model = restricted_model(covariance, h, beta=0.7)
         phi, reference = NonRegularFunctional(model), nonregular_extension(covariance, h)
-        basis = model.basis()
+        basis = model.basis
         for _ in range(10):
             inside = basis @ random_vector(rng, basis.shape[1])
             for f in (inside, random_vector(rng, 5), 1e3 * inside):
@@ -328,6 +337,13 @@ class TestNonRegularExtension:
         model = restricted_model(make_operator([(1.0, INF), (3.0, 2)]), 2.0)
         with pytest.raises(ModelMismatch, match="operation needs concrete eigenvectors"):
             NonRegularFunctional(model)
+
+    def test_a_spectral_covariance_has_no_basis_and_compresses_nothing(self):
+        model = restricted_model(make_operator([(1.0, INF), (3.0, 2)]), 2.0)
+        assert model.basis is None and model.adjoint is None
+        for operation in (model.compress, model.project, model.residual):
+            with pytest.raises(ModelMismatch, match="operation needs concrete eigenvectors"):
+                operation(np.ones(3))
 
     def test_nesting_of_subspaces(self):
         covariance = make_operator(np.diag([1.2, 2.0, 3.0]))

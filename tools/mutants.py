@@ -53,8 +53,9 @@ MUTANTS = (
     ("fock.py", "second = 1j * np.conj(self._t2 * coords)", "second = 1j * (self._t2 * coords)"),
     # rescale-fock's exponent bound without its growth as h shrinks
     ("runner.py", '"exponent": exponent_dev <= 1e-14 * h**-2,', '"exponent": exponent_dev <= 1e-14,'),
-    # the size of the reliable GNS block
+    # the size of the reliable GNS block, and a model at exactly the doubled cap built without one
     ("fock.py", "occupations <= model.cutoff // 2", "occupations <= model.cutoff"),
+    ("fock.py", "if self.slot_dimension**2 <= DOUBLED_DIM_CAP:", "if self.slot_dimension**2 < DOUBLED_DIM_CAP:"),
     # positivity-scan's regime rule at a scale 1e-6 below the cell's
     ("runner.py", "admissible = dominates_identity(covariance, h)", "admissible = dominates_identity(covariance, h * (1 - 1e-6))"),
     # the two-point criterion's slack on one form only, not on each of the two
@@ -127,7 +128,7 @@ MUTANTS = (
     # or its value the coefficient of the word's first term
     ("weyl.py", "entry = self._terms.get((0.0,) * (2 * self.dim))", "entry = next(iter(self._terms.values()), None)"),
     # restricted KMS residuals that test no vector's membership,
-    ("restriction.py", "if not _member(vec, model.basis() @ coordinates):", "if not _member(vec, vec):"),
+    ("restriction.py", "if not _member(vec, model.basis @ coordinates):", "if not _member(vec, vec):"),
     # or that reuse the coordinates of any vector of the same shape
     ("restriction.py", "key = (vec.shape, vec.tobytes())", "key = vec.shape"),
     # positivity-scan's admissible cell without its kernel check, or without its two-point check,
@@ -177,7 +178,9 @@ MUTANTS = (
     ),
     # and without the power 1/beta's growth of the rounding of (a+1)/(a-1)
     ("runner.py", ", 1.0 / model.beta))", "))"),
-    # lambda_star without its infinity where the power overflows
+    # lambda_star's pole guard letting h = 1 through to the modular map's division by zero,
+    ("restriction.py", "if not _orderable(h) > 1:", "if not _orderable(h) >= 1:"),
+    # or without its infinity where the power overflows
     (
         "restriction.py",
         "    try:\n        return _modular_value(h, beta)\n    except OverflowError:\n        return math.inf\n",
@@ -228,6 +231,8 @@ MUTANTS = (
         'bool: lambda value, pieces: pieces.append("true" if value else "false"),',
         "bool: lambda value, pieces: pieces.append(str(value)),",
     ),
+    # a numpy scalar refused, not written as its .item()
+    ("report.py", "if render is None and isinstance(value, np.generic):", "if False:"),
 )
 
 #: tier-1 without tests/test_mutants.py, which fails on every mutant: it checks that
